@@ -10,6 +10,7 @@ package claire
 // Run with: go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -153,11 +154,11 @@ func BenchmarkTestPhase(b *testing.B) {
 
 func BenchmarkDSESweep81Points(b *testing.B) {
 	m := workload.NewResNet50()
-	space := hw.Space()
+	space := hw.PointList(hw.Space())
 	cons := dse.DefaultConstraints()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.Custom(m, space, cons); err != nil {
+		if _, err := dse.ExploreSpaceCtx(context.Background(), []*workload.Model{m}, space, cons, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -174,7 +175,7 @@ func BenchmarkDSESweep81Points(b *testing.B) {
 // the cache is populated, and reports the steady-state hit rate.
 func BenchmarkExplore(b *testing.B) {
 	models := workload.TrainingSet()
-	space := hw.Space()
+	space := hw.PointList(hw.Space())
 	cons := dse.DefaultConstraints()
 	counts := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
@@ -185,7 +186,7 @@ func BenchmarkExplore(b *testing.B) {
 		b.Run(fmt.Sprintf("cold/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ev := eval.New(eval.Options{Workers: w})
-				if _, err := dse.Explore(models, space, cons, ev); err != nil {
+				if _, err := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,12 +194,12 @@ func BenchmarkExplore(b *testing.B) {
 	}
 	b.Run("warm-cache", func(b *testing.B) {
 		ev := eval.New(eval.Options{})
-		if _, err := dse.Explore(models, space, cons, ev); err != nil {
+		if _, err := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := dse.Explore(models, space, cons, ev); err != nil {
+			if _, err := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -248,12 +249,12 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 // BENCH_PR2.json for the cross-PR perf trajectory.
 func BenchmarkExploreCold(b *testing.B) {
 	models := workload.TrainingSet()
-	space := hw.Space()
+	space := hw.PointList(hw.Space())
 	cons := dse.DefaultConstraints()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ev := eval.New(eval.Options{Workers: 1})
-		if _, err := dse.Explore(models, space, cons, ev); err != nil {
+		if _, err := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,12 +265,12 @@ func BenchmarkExploreCold(b *testing.B) {
 // reduction across core counts — the CI parallel-scaling smoke.
 func BenchmarkExploreColdParallel(b *testing.B) {
 	models := workload.TrainingSet()
-	space := hw.Space()
+	space := hw.PointList(hw.Space())
 	cons := dse.DefaultConstraints()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ev := eval.New(eval.Options{})
-		if _, err := dse.Explore(models, space, cons, ev); err != nil {
+		if _, err := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,7 +287,7 @@ func BenchmarkExploreStreamFine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var stats dse.ExploreStats
 		ev := eval.New(eval.Options{})
-		if _, err := dse.ExploreSpace(models, fine, cons, ev, &dse.ExploreOptions{Stats: &stats}); err != nil {
+		if _, err := dse.ExploreSpaceCtx(context.Background(), models, fine, cons, ev, &dse.ExploreOptions{Stats: &stats}); err != nil {
 			b.Fatal(err)
 		}
 		if stats.RetainedBytes*10 > stats.NaiveBytes {
@@ -394,7 +395,7 @@ func BenchmarkAblationCluster(b *testing.B) {
 // constraint tightens.
 func BenchmarkAblationSlack(b *testing.B) {
 	m := workload.NewResNet50()
-	space := hw.Space()
+	space := hw.PointList(hw.Space())
 	for _, slack := range []float64{2.0, 1.0, 0.5} {
 		slack := slack
 		b.Run(fmt.Sprintf("slack=%.1f", slack), func(b *testing.B) {
@@ -402,7 +403,7 @@ func BenchmarkAblationSlack(b *testing.B) {
 			cons.LatencySlack = slack
 			var area float64
 			for i := 0; i < b.N; i++ {
-				r, err := dse.Custom(m, space, cons)
+				r, err := dse.ExploreSpaceCtx(context.Background(), []*workload.Model{m}, space, cons, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

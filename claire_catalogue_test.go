@@ -1,6 +1,7 @@
 package claire
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestPaperExploreByteIdenticalUnderLegacyCatalogue(t *testing.T) {
 	}
 
 	cons := dse.DefaultConstraints()
-	want, err := dse.Explore(models, hw.Space(), cons, NewEvaluator(0))
+	want, err := dse.ExploreSpaceCtx(context.Background(), models, hw.PointList(hw.Space()), cons, NewEvaluator(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestPaperExploreByteIdenticalUnderLegacyCatalogue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dse.ExploreSpace(models, spec, cons, NewEvaluator(0), nil)
+	got, err := dse.ExploreSpaceCtx(context.Background(), models, spec, cons, NewEvaluator(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

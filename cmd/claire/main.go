@@ -23,11 +23,9 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/dse"
 	"repro/internal/hw"
 	"repro/internal/memory"
 	"repro/internal/report"
-	"repro/internal/search"
 	"repro/internal/workload"
 )
 
@@ -74,28 +72,13 @@ func main() {
 	o := core.DefaultOptions()
 	o.Workers = *workers
 	o.Catalogue = cat
-	o.Fidelity, err = dse.ParseFidelityMode(*fidelityFlag)
-	if err != nil {
+	if err := o.Resolve(*spaceFlag, *searchFlag, *budget, *seed, *fidelityFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "claire:", err)
 		os.Exit(2)
 	}
-	spec, err := hw.ParseSpaceWith(*spaceFlag, cat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "claire:", err)
-		os.Exit(2)
-	}
-	o.Space = spec
-	if *searchFlag != "" {
-		sspec, err := search.ParseSpec(*searchFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "claire:", err)
-			os.Exit(2)
-		}
-		o.Search = &core.SearchOptions{Spec: sspec, Budget: *budget, Seed: *seed}
-	}
-	o.CPUProfile, o.MemProfile = *cpuProfile, *memProfile
-	o.MutexProfile, o.BlockProfile = *mutexProfile, *blockProfile
-	stopProfiling, err := o.StartProfiling()
+	stopProfiling, err := core.StartProfiles(core.ProfileConfig{
+		CPU: *cpuProfile, Mem: *memProfile, Mutex: *mutexProfile, Block: *blockProfile,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "claire:", err)
 		os.Exit(1)

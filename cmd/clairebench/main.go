@@ -260,7 +260,7 @@ func main() {
 	}
 
 	models := workload.TrainingSet()
-	space := hw.Space()
+	space := hw.PointList(hw.Space())
 	fine := hw.FineSpace()
 	cons := dse.DefaultConstraints()
 	benchmarks := map[string]func(b *testing.B){
@@ -270,7 +270,7 @@ func main() {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ev := eval.New(eval.Options{Workers: 1})
-				if _, err := dse.Explore(models, space, cons, ev); err != nil {
+				if _, err := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -279,7 +279,7 @@ func main() {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ev := eval.New(eval.Options{})
-				if _, err := dse.Explore(models, space, cons, ev); err != nil {
+				if _, err := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -287,13 +287,13 @@ func main() {
 		// Warm-cache exploration: what tau/slack/evolution re-sweeps cost.
 		"explore_warm": func(b *testing.B) {
 			ev := eval.New(eval.Options{})
-			if _, err := dse.Explore(models, space, cons, ev); err != nil {
+			if _, err := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dse.Explore(models, space, cons, ev); err != nil {
+				if _, err := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -304,7 +304,7 @@ func main() {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ev := eval.New(eval.Options{})
-				if _, err := dse.ExploreSpace(models, fine, cons, ev, nil); err != nil {
+				if _, err := dse.ExploreSpaceCtx(context.Background(), models, fine, cons, ev, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -436,7 +436,7 @@ func measureSearch(models []*workload.Model, fine hw.SpaceSpec, cons dse.Constra
 		fmt.Fprintf(os.Stderr, "clairebench: measuring budgeted search on %s...\n", tc.name)
 		n, nm := tc.space.Len(), len(tc.models)
 		refEv := eval.New(eval.Options{})
-		exh, err := dse.ExploreSpace(tc.models, tc.space, cons, refEv, nil)
+		exh, err := dse.ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons, refEv, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "clairebench: search:", err)
 			os.Exit(1)
@@ -508,7 +508,7 @@ func measureStaged(models []*workload.Model, fine hw.SpaceSpec, cons dse.Constra
 		fmt.Fprintf(os.Stderr, "clairebench: measuring staged fidelity on %s...\n", tc.name)
 		anaEv := eval.New(eval.Options{})
 		anaStart := time.Now()
-		ana, err := dse.ExploreSpace(models, tc.space, cons, anaEv, nil)
+		ana, err := dse.ExploreSpaceCtx(context.Background(), models, tc.space, cons, anaEv, nil)
 		anaElapsed := time.Since(anaStart)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "clairebench: staged:", err)
@@ -518,7 +518,7 @@ func measureStaged(models []*workload.Model, fine hw.SpaceSpec, cons dse.Constra
 		stEv := eval.New(eval.Options{})
 		fo := &dse.FidelityOptions{Mode: dse.FidelityStaged, Params: params}
 		stStart := time.Now()
-		st, err := dse.ExploreSpace(models, tc.space, cons, stEv, &dse.ExploreOptions{Fidelity: fo, Stats: &stats})
+		st, err := dse.ExploreSpaceCtx(context.Background(), models, tc.space, cons, stEv, &dse.ExploreOptions{Fidelity: fo, Stats: &stats})
 		stElapsed := time.Since(stStart)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "clairebench: staged:", err)
@@ -713,7 +713,7 @@ func measureFineStream(models []*workload.Model, fine hw.SpaceSpec, cons dse.Con
 	var stats dse.ExploreStats
 	ev := eval.New(eval.Options{})
 	start := time.Now()
-	r, err := dse.ExploreSpace(models, fine, cons, ev, &dse.ExploreOptions{Stats: &stats})
+	r, err := dse.ExploreSpaceCtx(context.Background(), models, fine, cons, ev, &dse.ExploreOptions{Stats: &stats})
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clairebench: fine stream:", err)
@@ -750,7 +750,7 @@ func measureMixStream(cons dse.Constraints) *FineStream {
 	var stats dse.ExploreStats
 	ev := eval.New(eval.Options{})
 	start := time.Now()
-	r, err := dse.ExploreSpace(models, sp, cons, ev, &dse.ExploreOptions{Stats: &stats})
+	r, err := dse.ExploreSpaceCtx(context.Background(), models, sp, cons, ev, &dse.ExploreOptions{Stats: &stats})
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clairebench: mix stream:", err)
@@ -795,7 +795,7 @@ func measureScaling(models []*workload.Model, fine hw.SpaceSpec, cons dse.Constr
 	mixModels := []*workload.Model{
 		workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18(),
 	}
-	paperSpace := hw.Space()
+	paperSpace := hw.PointList(hw.Space())
 
 	workloads := []struct {
 		name  string
@@ -806,19 +806,19 @@ func measureScaling(models []*workload.Model, fine hw.SpaceSpec, cons dse.Constr
 		{"explore_cold", "cold 81-point paper-space explore, training set", true,
 			func(w int) error {
 				ev := eval.New(eval.Options{Workers: w})
-				_, err := dse.Explore(models, paperSpace, cons, ev)
+				_, err := dse.ExploreSpaceCtx(context.Background(), models, paperSpace, cons, ev, nil)
 				return err
 			}},
 		{"stream_fine", "streaming fine-space explore, training set", false,
 			func(w int) error {
 				ev := eval.New(eval.Options{Workers: w})
-				_, err := dse.ExploreSpace(models, fine, cons, ev, nil)
+				_, err := dse.ExploreSpaceCtx(context.Background(), models, fine, cons, ev, nil)
 				return err
 			}},
 		{"stream_mixfine", "streaming mixfine catalogue explore, 3 models", false,
 			func(w int) error {
 				ev := eval.New(eval.Options{Workers: w})
-				_, err := dse.ExploreSpace(mixModels, mixSpace, cons, ev, nil)
+				_, err := dse.ExploreSpaceCtx(context.Background(), mixModels, mixSpace, cons, ev, nil)
 				return err
 			}},
 		{"train", "full training pipeline, paper space", false,

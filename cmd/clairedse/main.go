@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/eval"
 	"repro/internal/hw"
-	"repro/internal/search"
 	"repro/internal/workload"
 )
 
@@ -65,65 +63,42 @@ func main() {
 			err, strings.Join(workload.Names(), ", "))
 		os.Exit(1)
 	}
-	cons := dse.DefaultConstraints()
 	cat, err := hw.LoadCatalogue(*catalogueFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clairedse:", err)
 		os.Exit(2)
 	}
-	spec, err := hw.ParseSpaceWith(*spaceFlag, cat)
-	if err != nil {
+	// The full pipeline's defaults on the chosen catalogue: staged fidelity
+	// re-scores the selection frontier with exactly the physical models the
+	// pipeline uses.
+	o := core.DefaultOptions()
+	o.Catalogue = cat
+	o.Evaluator = eval.New(eval.Options{Workers: *workers})
+	if err := o.Resolve(*spaceFlag, *searchFlag, *budget, *seed, *fidelityFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "clairedse:", err)
 		os.Exit(2)
 	}
-	ev := eval.New(eval.Options{Workers: *workers})
-
-	// Staged fidelity re-scores the selection frontier with the physical
-	// models, parameterized exactly as the full pipeline's defaults.
-	mode, err := dse.ParseFidelityMode(*fidelityFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "clairedse:", err)
-		os.Exit(2)
-	}
-	var fo *dse.FidelityOptions
-	if mode == dse.FidelityStaged {
-		fopts := core.DefaultOptions()
-		fopts.Catalogue = cat
-		fo = &dse.FidelityOptions{Mode: mode, Params: fopts.FidelityParams()}
-	}
+	ev := o.Evaluator
+	models := []*workload.Model{m}
 
 	// Budgeted search: no per-point table (the whole point is not visiting
 	// every row); print the winner and the trace instead.
-	if *searchFlag != "" {
-		spec2, err := search.ParseSpec(*searchFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clairedse:", err)
-			os.Exit(2)
-		}
-		opt, err := search.New(spec2, search.Options{Seed: *seed, Evaluator: ev, Fidelity: fo})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clairedse:", err)
-			os.Exit(2)
-		}
-		res, tr, err := opt.Run(context.Background(), []*workload.Model{m}, spec, cons, *budget)
+	if o.Search != nil {
+		res, tr, err := core.Explore(models, o, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "clairedse:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("%s: %s search selected %v (%.1f mm2) on %s\n",
 			m.Name, tr.Strategy, res.Config.Point, res.Config.AreaMM2(), res.SpaceDesc)
-		total := spec.Len()
+		total := o.Space.Len()
 		fmt.Printf("budget: %d evaluations (%d unique points, %.1f%% of the space), winner found after %d; %d cache hits\n",
 			tr.Evaluations, tr.UniquePoints, 100*float64(tr.UniquePoints)/float64(total), tr.EvalsToWin, tr.CacheHits)
 		if tr.Fallback {
 			fmt.Printf("budget covered the whole space: fell back to the exhaustive streaming sweep (%d points skipped by the early-exit certificate)\n",
 				tr.SkippedPoints)
 		}
-		if fo.Staged() {
-			fmt.Printf("staged fidelity: %d frontier candidates refined with the physical models, %d rejected on junction temperature\n",
-				tr.RefinedPoints, tr.ThermalRejected)
-			printRefined(res)
-		}
+		printStaged(res)
 		for _, imp := range tr.Improvements {
 			fmt.Printf("  improvement at eval %d: %.1f mm2 %s\n", imp.Evals, imp.AreaMM2, imp.Point)
 		}
@@ -135,7 +110,7 @@ func main() {
 
 	// The per-point table below inherently materializes every row, so the
 	// sweep uses SweepSpace's explicit point list; the selection streams.
-	pts, err := dse.SweepSpace(m, spec, cons, ev)
+	pts, err := dse.SweepSpace(m, o.Space, o.Constraints, ev)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clairedse:", err)
 		os.Exit(1)
@@ -143,12 +118,7 @@ func main() {
 	// The selection pass re-reads the sweep's evaluations straight from the
 	// engine's cache; under staged fidelity it additionally refines the
 	// surviving frontier with the physical models.
-	var stats dse.ExploreStats
-	var selOpts *dse.ExploreOptions
-	if fo.Staged() {
-		selOpts = &dse.ExploreOptions{Fidelity: fo, Stats: &stats}
-	}
-	sel, err := dse.ExploreSpace([]*workload.Model{m}, spec, cons, ev, selOpts)
+	sel, _, err := core.Explore(models, o, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clairedse:", err)
 		os.Exit(1)
@@ -177,21 +147,23 @@ func main() {
 	fmt.Printf("\n%s: %d/%d points printed (%s), %d feasible, %d on the Pareto front; selected %v (%.1f mm2)\n",
 		m.Name, printed, len(pts), sel.SpaceDesc, sel.Feasible, len(dse.ParetoFront(pts)),
 		sel.Config.Point, sel.Config.AreaMM2())
-	if fo.Staged() {
-		fmt.Printf("staged fidelity: %d frontier candidates refined with the physical models, %d rejected on junction temperature\n",
-			stats.RefinedPoints, stats.ThermalRejected)
-		printRefined(sel)
-	}
+	printStaged(sel)
 	s := ev.Stats()
 	fmt.Printf("eval engine: %d workers, %d entries, %d hits / %d misses (%.0f%% hit rate)\n",
 		ev.Workers(), s.Entries, s.Hits, s.Misses, 100*s.HitRate())
 }
 
-// printRefined prints the winner's stage-1 refined scores — what staged
-// selection actually compared, next to the analytical table above it.
-func printRefined(res dse.Result) {
+// printStaged prints staged fidelity's stage-1 work and the winner's refined
+// scores — what staged selection actually compared, next to the analytical
+// numbers. It prints nothing for an analytical run.
+func printStaged(res dse.Result) {
 	r := res.Refined
-	if r == nil || len(r.WinnerLatencyS) != len(res.Evals) {
+	if r == nil {
+		return
+	}
+	fmt.Printf("staged fidelity: %d frontier candidates refined with the physical models, %d rejected on junction temperature\n",
+		r.Refined, r.ThermalRejected)
+	if len(r.WinnerLatencyS) != len(res.Evals) {
 		return
 	}
 	for i, e := range res.Evals {

@@ -292,7 +292,7 @@ func checkFidelity(o *Options) Section {
 		}
 		fo := &dse.FidelityOptions{Mode: dse.FidelityStaged, Params: tc.params}
 		var stats dse.ExploreStats
-		res, err := dse.ExploreSpace(models, tc.space, cons, ev,
+		res, err := dse.ExploreSpaceCtx(context.Background(), models, tc.space, cons, ev,
 			&dse.ExploreOptions{Fidelity: fo, Stats: &stats})
 		if wantIdx < 0 {
 			col.check(err != nil, "", "", tc.name,
@@ -329,12 +329,12 @@ func checkAnalyticalIdentity(o *Options, col *collector, models []*workload.Mode
 	grid.Cat = o.Catalogue
 	for _, workers := range []int{1, 8} {
 		cfgName := fmt.Sprintf("workers=%d", workers)
-		base, err := dse.ExploreSpace(models, grid, cons, eval.New(eval.Options{Workers: workers}), nil)
+		base, err := dse.ExploreSpaceCtx(context.Background(), models, grid, cons, eval.New(eval.Options{Workers: workers}), nil)
 		if !col.check(err == nil, "", "", cfgName, "default sweep: %v", err) {
 			continue
 		}
 		var stats dse.ExploreStats
-		got, err := dse.ExploreSpace(models, grid, cons, eval.New(eval.Options{Workers: workers}),
+		got, err := dse.ExploreSpaceCtx(context.Background(), models, grid, cons, eval.New(eval.Options{Workers: workers}),
 			&dse.ExploreOptions{
 				Fidelity: &dse.FidelityOptions{Mode: dse.FidelityAnalytical, Params: fidelityParams(o.Catalogue)},
 				Stats:    &stats,

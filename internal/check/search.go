@@ -86,7 +86,7 @@ func checkSearch(o *Options) Section {
 
 		// Exhaustive reference, full sweep.
 		refEv := eval.New(eval.Options{Workers: 4})
-		full, err := dse.ExploreSpace(tc.models, tc.space, cons, refEv, nil)
+		full, err := dse.ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons, refEv, nil)
 		if !c.check(err == nil, "", "", tc.name, "exhaustive sweep failed: %v", err) {
 			continue
 		}
@@ -100,7 +100,7 @@ func checkSearch(o *Options) Section {
 		for _, workers := range []int{1, 8} {
 			var stats dse.ExploreStats
 			ev := eval.New(eval.Options{Workers: workers})
-			res, err := dse.ExploreSpace(tc.models, tc.space, cons, ev, &dse.ExploreOptions{EarlyExit: true, Stats: &stats})
+			res, err := dse.ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons, ev, &dse.ExploreOptions{EarlyExit: true, Stats: &stats})
 			if !c.check(err == nil, "", "", tc.name, "early-exit sweep failed: %v", err) {
 				continue
 			}

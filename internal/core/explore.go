@@ -3,7 +3,7 @@ package core
 // The framework's one funnel for design-space optimization: every phase —
 // per-model custom DSE, the generic configuration, per-subset library
 // configurations, test-phase assignment and library extension — explores
-// through this file, so Options.Search switches the whole pipeline between
+// through Explore, so Options.Search switches the whole pipeline between
 // the exhaustive streaming sweep and the budgeted metaheuristic layer.
 
 import (
@@ -30,32 +30,44 @@ type SearchOptions struct {
 	Seed int64
 }
 
-// explore runs one multi-model design-space optimization under the options'
-// search policy.
-func explore(models []*workload.Model, o Options, cons dse.Constraints) (dse.Result, error) {
-	fo := o.fidelityOptions()
+// Explore runs one multi-model design-space optimization (Algorithm 1:
+// models x design space x Input #4 constraints -> the minimum-area feasible
+// configuration) under the options' space, constraints, search policy,
+// fidelity, evaluator and context. It is the single exploration call above
+// dse: every pipeline phase and every front end (claire, clairedse, claired)
+// explores through it. progress, when non-nil, receives the exhaustive
+// sweep's cumulative scan counts (see dse.ExploreOptions.Progress); the
+// budgeted search reports none. The search trace is nil for the exhaustive
+// sweep.
+func Explore(models []*workload.Model, o Options, progress func(done, total int)) (dse.Result, *search.Trace, error) {
 	ctx := o.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Analytical mode leaves the fidelity options nil: the sweep's
+	// zero-overhead single-stage path.
+	var fo *dse.FidelityOptions
+	if o.Fidelity == dse.FidelityStaged {
+		fo = &dse.FidelityOptions{Mode: dse.FidelityStaged, Params: o.FidelityParams()}
+	}
 	if o.Search == nil {
-		// Analytical mode passes nil options so the sweep takes the exact
-		// historical path (the byte-identity contract the fidelity tests pin).
-		var opts *dse.ExploreOptions
-		if fo != nil {
-			opts = &dse.ExploreOptions{Fidelity: fo}
-		}
-		return dse.ExploreSpaceCtx(ctx, models, o.Space, cons, o.Evaluator, opts)
+		res, err := dse.ExploreSpaceCtx(ctx, models, o.Space, o.Constraints, o.Engine(),
+			&dse.ExploreOptions{Fidelity: fo, Progress: progress})
+		return res, nil, err
 	}
 	opt, err := search.New(o.Search.Spec, search.Options{Seed: o.Search.Seed, Evaluator: o.Engine(), Fidelity: fo})
 	if err != nil {
-		return dse.Result{}, err
+		return dse.Result{}, nil, err
 	}
-	res, _, err := opt.Run(ctx, models, o.Space, cons, o.Search.Budget)
-	return res, err
+	res, tr, err := opt.Run(ctx, models, o.Space, o.Constraints, o.Search.Budget)
+	if err != nil {
+		return dse.Result{}, nil, err
+	}
+	return res, &tr, nil
 }
 
-// exploreOne is explore for a single model — the custom-configuration DSE.
-func exploreOne(m *workload.Model, o Options, cons dse.Constraints) (dse.Result, error) {
-	return explore([]*workload.Model{m}, o, cons)
+// exploreOne is Explore for a single model — the custom-configuration DSE.
+func exploreOne(m *workload.Model, o Options) (dse.Result, error) {
+	res, _, err := Explore([]*workload.Model{m}, o, nil)
+	return res, err
 }

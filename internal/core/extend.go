@@ -71,7 +71,7 @@ func (tr *TrainResult) Extend(m *workload.Model, o Options) (*ExtendOutcome, err
 		// The paper's latency constraint, applied to the reuse decision:
 		// the hardened configuration must stay within (1+slack) of a
 		// bespoke design's latency.
-		cust, err := exploreOne(m, o, o.Constraints)
+		cust, err := exploreOne(m, o)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +85,7 @@ func (tr *TrainResult) Extend(m *workload.Model, o Options) (*ExtendOutcome, err
 	}
 
 	// No fit: synthesize a new library configuration for the algorithm.
-	r, err := explore([]*workload.Model{m}, o, o.Constraints)
+	r, err := exploreOne(m, o)
 	if err != nil {
 		return nil, fmt.Errorf("core: extending library for %s: %w", m.Name, err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/jaccard"
 	"repro/internal/louvain"
 	"repro/internal/noc"
+	"repro/internal/search"
 	"repro/internal/thermal"
 )
 
@@ -76,15 +77,6 @@ type Options struct {
 	// 1 forces the legacy serial path. Results are identical at any setting
 	// (the engine's determinism contract).
 	Workers int
-	// CPUProfile, MemProfile, MutexProfile and BlockProfile are file paths;
-	// when non-empty, the CLI entry points write pprof profiles there so
-	// sweep hot spots — and, for the latter two, lock contention and
-	// blocking in the parallel reduction — can be profiled directly (see
-	// StartProfiles).
-	CPUProfile   string
-	MemProfile   string
-	MutexProfile string
-	BlockProfile string
 	// Evaluator is the shared parallel memoizing evaluation engine. Leave
 	// nil to let each top-level entry point build one from Workers; inject
 	// one (see Engine) to share the memoization cache across phases.
@@ -107,16 +99,6 @@ type Options struct {
 	// Cancellation never alters results — a run either completes
 	// byte-identical to an unbounded one or returns ctx.Err().
 	Ctx context.Context
-}
-
-// fidelityOptions projects the options onto the exploration layer's fidelity
-// selection: nil under the analytical default (the sweep's zero-overhead
-// path), the staged pipeline parameterized by FidelityParams otherwise.
-func (o Options) fidelityOptions() *dse.FidelityOptions {
-	if o.Fidelity != dse.FidelityStaged {
-		return nil
-	}
-	return &dse.FidelityOptions{Mode: dse.FidelityStaged, Params: o.FidelityParams()}
 }
 
 // Engine returns the options' evaluation engine, building a fresh one from
@@ -144,6 +126,44 @@ func DefaultOptions() Options {
 		Thermal:           thermal.Default(),
 		JunctionLimitC:    105,
 	}
+}
+
+// Resolve parses the exploration settings every front end accepts as
+// strings (the claire and clairedse flags, a claired request) into o: the
+// design space (hw.ParseSpaceWith against o.Catalogue; "" is the paper
+// space), the search strategy with its budget and seed (search.ParseSpec;
+// "" keeps the exhaustive sweep, and budget and seed then play no part), and
+// the fidelity mode (dse.ParseFidelityMode). It also checks o.Constraints.
+// This is the one place those strings are parsed: the options plus the model
+// list are the resolved request, ready for Explore. On error o is unchanged.
+func (o *Options) Resolve(space, searchSpec string, budget int, seed int64, fidelity string) error {
+	sp, err := hw.ParseSpaceWith(space, o.Catalogue)
+	if err != nil {
+		return err
+	}
+	if budget < 0 {
+		return fmt.Errorf("core: negative search budget %d", budget)
+	}
+	var so *SearchOptions
+	if searchSpec != "" {
+		spec, err := search.ParseSpec(searchSpec)
+		if err != nil {
+			return err
+		}
+		if err := spec.Validate(); err != nil {
+			return err
+		}
+		so = &SearchOptions{Spec: spec, Budget: budget, Seed: seed}
+	}
+	mode, err := dse.ParseFidelityMode(fidelity)
+	if err != nil {
+		return err
+	}
+	if err := o.Constraints.Validate(); err != nil {
+		return err
+	}
+	o.Space, o.Search, o.Fidelity = sp, so, mode
+	return nil
 }
 
 // Validate checks option sanity.

@@ -106,20 +106,3 @@ func writeLookupProfile(name, path string) error {
 	}
 	return nil
 }
-
-// StartProfiling is the two-profile shorthand predating ProfileConfig, kept
-// for callers that only sample CPU and heap.
-func StartProfiling(cpuPath, memPath string) (stop func() error, err error) {
-	return StartProfiles(ProfileConfig{CPU: cpuPath, Mem: memPath})
-}
-
-// StartProfiling starts the profiles configured on the options; see the
-// package-level StartProfiles.
-func (o Options) StartProfiling() (stop func() error, err error) {
-	return StartProfiles(ProfileConfig{
-		CPU:   o.CPUProfile,
-		Mem:   o.MemProfile,
-		Mutex: o.MutexProfile,
-		Block: o.BlockProfile,
-	})
-}

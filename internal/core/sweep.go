@@ -95,9 +95,9 @@ func SweepSlack(m *workload.Model, o Options, slacks []float64) ([]SlackPoint, e
 	out := make([]SlackPoint, len(slacks))
 	errs := make([]error, len(slacks))
 	runSlack := func(i int) {
-		cons := o.Constraints
-		cons.LatencySlack = slacks[i]
-		r, err := exploreOne(m, o, cons)
+		oo := o
+		oo.Constraints.LatencySlack = slacks[i]
+		r, err := exploreOne(m, oo)
 		if err != nil {
 			errs[i] = fmt.Errorf("core: slack %.2f: %w", slacks[i], err)
 			return

@@ -79,7 +79,7 @@ func Test(tr *TrainResult, models []*workload.Model, o Options) (*TestResult, er
 		a := Assignment{Algorithm: m.Name, SubsetIndex: -1}
 
 		// Output #TT1: the test algorithm's custom configuration.
-		cr, err := exploreOne(m, o, o.Constraints)
+		cr, err := exploreOne(m, o)
 		if err != nil {
 			return nil, err
 		}

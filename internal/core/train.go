@@ -78,7 +78,7 @@ func Train(models []*workload.Model, o Options) (*TrainResult, error) {
 	cerrs := make([]error, len(models))
 	o.Evaluator.ForEach(len(models), func(i int) {
 		m := models[i]
-		r, err := exploreOne(m, o, o.Constraints)
+		r, err := exploreOne(m, o)
 		if err != nil {
 			cerrs[i] = err
 			return
@@ -95,7 +95,7 @@ func Train(models []*workload.Model, o Options) (*TrainResult, error) {
 	}
 
 	// Output 2: the generic configuration C_g (lines 9-13).
-	gr, err := explore(models, o, o.Constraints)
+	gr, _, err := Explore(models, o, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: generic configuration: %w", err)
 	}
@@ -122,7 +122,7 @@ func Train(models []*workload.Model, o Options) (*TrainResult, error) {
 			sub.Members = append(sub.Members, models[idx].Name)
 			subModels = append(subModels, models[idx])
 		}
-		lr, err := explore(subModels, o, o.Constraints)
+		lr, _, err := Explore(subModels, o, nil)
 		if err != nil {
 			serrs[k] = fmt.Errorf("core: library configuration %s: %w", sub.Name, err)
 			return

@@ -99,12 +99,12 @@ func TestProgressReportsFullScan(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet()}
 	space := hw.PointList(hw.Space())
 	cons := DefaultConstraints()
-	base, err := ExploreSpace(models, space, cons, eval.New(eval.Options{Workers: 2}), nil)
+	base, err := ExploreSpaceCtx(context.Background(), models, space, cons, eval.New(eval.Options{Workers: 2}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var max atomic.Int64
-	got, err := ExploreSpace(models, space, cons, eval.New(eval.Options{Workers: 2}),
+	got, err := ExploreSpaceCtx(context.Background(), models, space, cons, eval.New(eval.Options{Workers: 2}),
 		&ExploreOptions{ChunkSize: 7, Progress: func(done, total int) {
 			if total != space.Len() {
 				t.Errorf("Progress total = %d, want %d", total, space.Len())

@@ -47,11 +47,11 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	space := hw.Space()
 	cons := DefaultConstraints()
 
-	serial, err := Explore(models, space, cons, eval.New(eval.Options{Workers: 1}))
+	serial, err := explorePoints(models, space, cons, eval.New(eval.Options{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Explore(models, space, cons, eval.New(eval.Options{Workers: 8}))
+	parallel, err := explorePoints(models, space, cons, eval.New(eval.Options{Workers: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	m := workload.NewAlexNet()
 	space := hw.Space()
 	cons := DefaultConstraints()
-	serial, err := SweepOn(m, space, cons, eval.New(eval.Options{Workers: 1}))
+	serial, err := SweepSpace(m, hw.PointList(space), cons, eval.New(eval.Options{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := SweepOn(m, space, cons, eval.New(eval.Options{Workers: 8}))
+	parallel, err := SweepSpace(m, hw.PointList(space), cons, eval.New(eval.Options{Workers: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +93,12 @@ func TestExploreTieBreakIsLowestIndex(t *testing.T) {
 	space := hw.Space()
 	doubled := append(append([]hw.Point{}, space...), space...)
 	for _, workers := range []int{1, 8} {
-		r, err := Explore([]*workload.Model{m}, doubled, DefaultConstraints(),
+		r, err := explorePoints([]*workload.Model{m}, doubled, DefaultConstraints(),
 			eval.New(eval.Options{Workers: workers}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := Explore([]*workload.Model{m}, space, DefaultConstraints(),
+		base, err := explorePoints([]*workload.Model{m}, space, DefaultConstraints(),
 			eval.New(eval.Options{Workers: workers}))
 		if err != nil {
 			t.Fatal(err)

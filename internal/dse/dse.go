@@ -14,10 +14,8 @@ package dse
 import (
 	"fmt"
 
-	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/ppa"
-	"repro/internal/workload"
 )
 
 // PaperLatencySlack is the latency overhead the paper allows a shared
@@ -94,39 +92,3 @@ type Result struct {
 
 // TotalAreaMM2 returns the selected configuration's logic area.
 func (r Result) TotalAreaMM2() float64 { return r.Config.AreaMM2() }
-
-// Custom runs lines 1-8 of Algorithm 1 for one model on the shared default
-// engine: evaluate every space point, apply constraints, return the
-// lowest-area feasible configuration.
-func Custom(m *workload.Model, space []hw.Point, cons Constraints) (Result, error) {
-	return CustomOn(m, space, cons, nil)
-}
-
-// CustomOn is Custom on an explicit evaluation engine (nil: shared default).
-func CustomOn(m *workload.Model, space []hw.Point, cons Constraints, ev *eval.Evaluator) (Result, error) {
-	res, err := Explore([]*workload.Model{m}, space, cons, ev)
-	if err != nil {
-		return Result{}, fmt.Errorf("dse: custom config for %s: %w", m.Name, err)
-	}
-	return res, nil
-}
-
-// CustomOnSpace is CustomOn over a lazily indexed design space — the
-// streaming path the pipeline uses for generated (and possibly huge) spaces.
-func CustomOnSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator) (Result, error) {
-	res, err := ExploreSpace([]*workload.Model{m}, space, cons, ev, nil)
-	if err != nil {
-		return Result{}, fmt.Errorf("dse: custom config for %s: %w", m.Name, err)
-	}
-	return res, nil
-}
-
-// ForModels runs the generic/library selection on the shared default engine.
-func ForModels(models []*workload.Model, space []hw.Point, cons Constraints) (Result, error) {
-	return Explore(models, space, cons, nil)
-}
-
-// Explore (declared in stream.go) runs the generic/library selection over an
-// explicit point list by streaming it through ExploreSpace; the eager
-// two-pass implementation it replaced survives as the test-only reference
-// oracle in reference_test.go.

@@ -1,11 +1,25 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
+
+// explorePoints runs the selection over an explicit point list (nil engine:
+// the shared default) — the shape hw.Space and hand-built test spaces come in.
+func explorePoints(models []*workload.Model, space []hw.Point, cons Constraints, ev *eval.Evaluator) (Result, error) {
+	return ExploreSpaceCtx(context.Background(), models, hw.PointList(space), cons, ev, nil)
+}
+
+// custom is Algorithm 1's custom-configuration DSE (lines 1-8) for one model
+// over an explicit point list on the shared engine.
+func custom(m *workload.Model, space []hw.Point, cons Constraints) (Result, error) {
+	return explorePoints([]*workload.Model{m}, space, cons, nil)
+}
 
 // TestLatencySlackConstants pins the paper's published 50% latency-slack
 // bound and the reproduction's calibrated default against each other, and
@@ -56,7 +70,7 @@ func TestCustomSelectsFeasibleMinimalArea(t *testing.T) {
 	space := hw.Space()
 	cons := DefaultConstraints()
 	for _, m := range []*workload.Model{workload.NewResNet18(), workload.NewBERTBase()} {
-		r, err := Custom(m, space, cons)
+		r, err := custom(m, space, cons)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -85,12 +99,12 @@ func TestCustomIsMinimal(t *testing.T) {
 	m := workload.NewResNet50()
 	space := hw.Space()
 	cons := DefaultConstraints()
-	r, err := Custom(m, space, cons)
+	r, err := custom(m, space, cons)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Recompute feasibility by brute force using the public API pieces.
-	again, err := Custom(m, space, cons)
+	again, err := custom(m, space, cons)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +133,7 @@ func TestTableIICalibration(t *testing.T) {
 		workload.NewMixtral8x7B(), workload.NewGPT2(), workload.NewLlama3_8B(),
 		workload.NewDPTLarge(), workload.NewDINOv2Large(), workload.NewWhisperV3Large(),
 	} {
-		r, err := Custom(m, space, cons)
+		r, err := custom(m, space, cons)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -135,7 +149,7 @@ func TestTableIICalibration(t *testing.T) {
 
 func TestForModelsUnionKinds(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase()}
-	r, err := ForModels(models, hw.Space(), DefaultConstraints())
+	r, err := explorePoints(models, hw.Space(), DefaultConstraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +174,12 @@ func TestGenericAtLeastCustomArea(t *testing.T) {
 	}
 	space := hw.Space()
 	cons := DefaultConstraints()
-	joint, err := ForModels(models, space, cons)
+	joint, err := explorePoints(models, space, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range models {
-		cust, err := Custom(m, space, cons)
+		cust, err := custom(m, space, cons)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +189,7 @@ func TestGenericAtLeastCustomArea(t *testing.T) {
 		// custom at once.
 		_ = cust
 	}
-	vgg, _ := Custom(workload.NewVGG16(), space, cons)
+	vgg, _ := custom(workload.NewVGG16(), space, cons)
 	if joint.Config.AreaMM2() < vgg.Config.AreaMM2()*0.8 {
 		t.Errorf("joint config area %.1f implausibly below VGG custom %.1f",
 			joint.Config.AreaMM2(), vgg.Config.AreaMM2())
@@ -183,21 +197,21 @@ func TestGenericAtLeastCustomArea(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	if _, err := ForModels(nil, hw.Space(), DefaultConstraints()); err == nil {
+	if _, err := explorePoints(nil, hw.Space(), DefaultConstraints(), nil); err == nil {
 		t.Error("no models should fail")
 	}
-	if _, err := ForModels([]*workload.Model{workload.NewGPT2()}, nil, DefaultConstraints()); err == nil {
+	if _, err := explorePoints([]*workload.Model{workload.NewGPT2()}, nil, DefaultConstraints(), nil); err == nil {
 		t.Error("empty space should fail")
 	}
 	bad := DefaultConstraints()
 	bad.MaxChipAreaMM2 = -1
-	if _, err := ForModels([]*workload.Model{workload.NewGPT2()}, hw.Space(), bad); err == nil {
+	if _, err := explorePoints([]*workload.Model{workload.NewGPT2()}, hw.Space(), bad, nil); err == nil {
 		t.Error("invalid constraints should fail")
 	}
 	// Impossibly tight area limit: nothing feasible.
 	tight := DefaultConstraints()
 	tight.MaxChipAreaMM2 = 0.001
-	if _, err := Custom(workload.NewGPT2(), hw.Space(), tight); err == nil {
+	if _, err := custom(workload.NewGPT2(), hw.Space(), tight); err == nil {
 		t.Error("unsatisfiable constraints should fail")
 	}
 }
@@ -211,7 +225,7 @@ func TestTighterSlackNeverShrinksArea(t *testing.T) {
 	for _, slack := range []float64{2.0, 1.0, 0.5, 0.25} {
 		cons := DefaultConstraints()
 		cons.LatencySlack = slack
-		r, err := Custom(m, space, cons)
+		r, err := custom(m, space, cons)
 		if err != nil {
 			t.Fatalf("slack %v: %v", slack, err)
 		}

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/eval"
@@ -33,7 +34,7 @@ func TestEarlyExitMatchesFullSweep(t *testing.T) {
 	}
 	cons := DefaultConstraints()
 	for _, tc := range cases {
-		full, err := ExploreSpace(tc.models, tc.space, cons, eval.New(eval.Options{Workers: 4}), nil)
+		full, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons, eval.New(eval.Options{Workers: 4}), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestEarlyExitMatchesFullSweep(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			var stats ExploreStats
 			ev := eval.New(eval.Options{Workers: workers})
-			res, err := ExploreSpace(tc.models, tc.space, cons, ev, &ExploreOptions{EarlyExit: true, Stats: &stats})
+			res, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons, ev, &ExploreOptions{EarlyExit: true, Stats: &stats})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
@@ -83,7 +84,7 @@ func TestEarlyExitSkipsSomewhere(t *testing.T) {
 	}
 	models := []*workload.Model{workload.NewAlexNet()}
 	loose := Constraints{MaxChipAreaMM2: 1e9, MaxPowerDensityWPerMM2: 1e9, LatencySlack: 1e6}
-	full, err := ExploreSpace(models, big, loose, eval.New(eval.Options{Workers: 4}), nil)
+	full, err := ExploreSpaceCtx(context.Background(), models, big, loose, eval.New(eval.Options{Workers: 4}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestEarlyExitSkipsSomewhere(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var stats ExploreStats
 		ev := eval.New(eval.Options{Workers: workers})
-		res, err := ExploreSpace(models, big, loose, ev, &ExploreOptions{EarlyExit: true, Stats: &stats})
+		res, err := ExploreSpaceCtx(context.Background(), models, big, loose, ev, &ExploreOptions{EarlyExit: true, Stats: &stats})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestSelectorMatchesExplore(t *testing.T) {
 	space := hw.PaperSpace()
 	cons := DefaultConstraints()
 	ev := eval.New(eval.Options{Workers: 4})
-	full, err := ExploreSpace(models, space, cons, ev, nil)
+	full, err := ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestAnalyticalFidelityByteIdentity(t *testing.T) {
 	space := hw.PaperSpace()
 	cons := DefaultConstraints()
 	for _, workers := range []int{1, 8} {
-		base, err := ExploreSpace(models, space, cons, eval.New(eval.Options{Workers: workers}), nil)
+		base, err := ExploreSpaceCtx(context.Background(), models, space, cons, eval.New(eval.Options{Workers: workers}), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestAnalyticalFidelityByteIdentity(t *testing.T) {
 			Fidelity: &FidelityOptions{Mode: FidelityAnalytical, Params: testFidelityParams()},
 			Stats:    &stats,
 		}
-		got, err := ExploreSpace(models, space, cons, eval.New(eval.Options{Workers: workers}), opts)
+		got, err := ExploreSpaceCtx(context.Background(), models, space, cons, eval.New(eval.Options{Workers: workers}), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestStagedDeterministicAcrossWorkers(t *testing.T) {
 	var counts []ExploreStats
 	for _, workers := range []int{1, 8} {
 		var stats ExploreStats
-		r, err := ExploreSpace(models, space, cons, eval.New(eval.Options{Workers: workers}),
+		r, err := ExploreSpaceCtx(context.Background(), models, space, cons, eval.New(eval.Options{Workers: workers}),
 			&ExploreOptions{Fidelity: fo, Stats: &stats})
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +122,7 @@ func TestStagedRefinesFrontierOnly(t *testing.T) {
 	space := hw.PaperSpace()
 	var stats ExploreStats
 	fo := &FidelityOptions{Mode: FidelityStaged, Params: testFidelityParams()}
-	if _, err := ExploreSpace(models, space, DefaultConstraints(), eval.New(eval.Options{Workers: 4}),
+	if _, err := ExploreSpaceCtx(context.Background(), models, space, DefaultConstraints(), eval.New(eval.Options{Workers: 4}),
 		&ExploreOptions{Fidelity: fo, Stats: &stats}); err != nil {
 		t.Fatal(err)
 	}

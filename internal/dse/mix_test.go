@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/eval"
@@ -55,7 +56,7 @@ func TestMixStreamingMatchesReference(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			for _, chunk := range []int{1, 7, sp.Len()} {
 				for _, cache := range []CachePolicy{CacheAlways, CacheNever} {
-					got, err := ExploreSpace(models, sp, cons,
+					got, err := ExploreSpaceCtx(context.Background(), models, sp, cons,
 						eval.New(eval.Options{Workers: workers}),
 						&ExploreOptions{ChunkSize: chunk, Cache: cache})
 					if err != nil {
@@ -82,7 +83,7 @@ func TestMixStreamingDeterministicOnAltCatalogue(t *testing.T) {
 	sp := smallMixSpace(t, cat)
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewResNet18()}
 	cons := DefaultConstraints()
-	base, err := ExploreSpace(models, sp, cons, eval.New(eval.Options{Workers: 1}),
+	base, err := ExploreSpaceCtx(context.Background(), models, sp, cons, eval.New(eval.Options{Workers: 1}),
 		&ExploreOptions{ChunkSize: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestMixStreamingDeterministicOnAltCatalogue(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		for _, chunk := range []int{0, 5} {
-			got, err := ExploreSpace(models, sp, cons, eval.New(eval.Options{Workers: workers}),
+			got, err := ExploreSpaceCtx(context.Background(), models, sp, cons, eval.New(eval.Options{Workers: workers}),
 				&ExploreOptions{ChunkSize: chunk})
 			if err != nil {
 				t.Fatal(err)
@@ -122,7 +123,7 @@ func TestMixFineStreamBoundedMemory(t *testing.T) {
 	}
 	models := []*workload.Model{workload.NewAlexNet()}
 	var stats ExploreStats
-	r, err := ExploreSpace(models, sp, DefaultConstraints(),
+	r, err := ExploreSpaceCtx(context.Background(), models, sp, DefaultConstraints(),
 		eval.New(eval.Options{Workers: 0}), &ExploreOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
@@ -144,10 +145,10 @@ func TestMixFineStreamBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestSweepSpaceMatchesSweepOn pins the lazily indexed table sweep against
-// the legacy point-list sweep on a default-catalogue mix space, where the
-// nil-catalogue path must evaluate identically.
-func TestSweepSpaceMatchesSweepOn(t *testing.T) {
+// TestSweepSpaceMatchesPointList pins the table sweep over a default-catalogue
+// mix space against the same points as a catalogue-less explicit point list,
+// which must evaluate identically at any worker count.
+func TestSweepSpaceMatchesPointList(t *testing.T) {
 	sp := smallMixSpace(t, nil)
 	pts := make([]hw.Point, sp.Len())
 	for i := range pts {
@@ -155,7 +156,7 @@ func TestSweepSpaceMatchesSweepOn(t *testing.T) {
 	}
 	m := workload.NewAlexNet()
 	cons := DefaultConstraints()
-	want, err := SweepOn(m, pts, cons, eval.New(eval.Options{Workers: 1}))
+	want, err := SweepSpace(m, hw.PointList(pts), cons, eval.New(eval.Options{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestSweepSpaceMatchesSweepOn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("SweepSpace returned %d points, SweepOn %d", len(got), len(want))
+		t.Fatalf("SweepSpace returned %d points over the mix space, %d over the point list", len(got), len(want))
 	}
 	for i := range want {
 		if got[i].Point != want[i].Point || got[i].Feasible != want[i].Feasible ||

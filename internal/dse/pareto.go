@@ -18,52 +18,35 @@ type SpacePoint struct {
 	Pareto   bool // not dominated in (area, latency) by any other point
 }
 
-// Sweep evaluates one algorithm over the whole space on the shared default
-// engine; see SweepOn.
-func Sweep(m *workload.Model, space []hw.Point, cons Constraints) ([]SpacePoint, error) {
-	return SweepOn(m, space, cons, nil)
-}
-
-// SweepOn evaluates one algorithm over the whole space on the given engine
-// (nil: shared default), marking feasibility (against the given constraints)
-// and area/latency Pareto optimality. Point evaluations fan out over the
+// SweepSpace evaluates one algorithm over every point of a lazily indexed
+// space on the given engine (nil: shared default), threading the space's
+// catalogue (if any) into every evaluation, and marks feasibility (against
+// the given constraints) and area/latency Pareto optimality — the per-point
+// table view of clairedse. Every point is fully evaluated and returned, so it
+// is only sensible for table-sized spaces. Point evaluations fan out over the
 // engine's workers; feasibility references are derived after collection in
 // point order, so results are identical at any worker count. Results are
 // sorted by ascending area, then latency.
-func SweepOn(m *workload.Model, space []hw.Point, cons Constraints, ev *eval.Evaluator) ([]SpacePoint, error) {
-	return sweepPoints(m, space, nil, cons, ev)
-}
-
-// SweepSpace is SweepOn over a lazily indexed space, threading the space's
-// catalogue (if any) into every evaluation — the per-point table view for
-// mix spaces and ParseSpaceWith specs. The space is materialized point by
-// point, so it is only sensible for table-sized spaces.
 func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator) ([]SpacePoint, error) {
-	pts := make([]hw.Point, space.Len())
-	for i := range pts {
-		pts[i] = space.At(i)
-	}
-	return sweepPoints(m, pts, hw.CatalogueOf(space), cons, ev)
-}
-
-func sweepPoints(m *workload.Model, space []hw.Point, cat *hw.Catalogue, cons Constraints, ev *eval.Evaluator) ([]SpacePoint, error) {
 	if err := cons.Validate(); err != nil {
 		return nil, err
 	}
 	if ev == nil {
 		ev = eval.Shared()
 	}
-	pts := make([]SpacePoint, len(space))
-	errs := make([]error, len(space))
-	ev.ForEach(len(space), func(k int) {
-		c := hw.NewConfig(space[k], []*workload.Model{m})
+	cat := hw.CatalogueOf(space)
+	pts := make([]SpacePoint, space.Len())
+	errs := make([]error, len(pts))
+	ev.ForEach(len(pts), func(k int) {
+		p := space.At(k)
+		c := hw.NewConfig(p, []*workload.Model{m})
 		c.Cat = cat
 		e, err := ev.Evaluate(m, c)
 		if err != nil {
 			errs[k] = err
 			return
 		}
-		pts[k] = SpacePoint{Point: space[k], Eval: e, Feasible: cons.meetsStatic(e.AreaMM2, e.PowerDensity())}
+		pts[k] = SpacePoint{Point: p, Eval: e, Feasible: cons.meetsStatic(e.AreaMM2, e.PowerDensity())}
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 
 func TestSweepShapeAndOrder(t *testing.T) {
 	m := workload.NewResNet18()
-	pts, err := Sweep(m, hw.Space(), DefaultConstraints())
+	pts, err := SweepSpace(m, hw.PointList(hw.Space()), DefaultConstraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSweepShapeAndOrder(t *testing.T) {
 
 func TestParetoFrontProperties(t *testing.T) {
 	m := workload.NewResNet50()
-	pts, err := Sweep(m, hw.Space(), DefaultConstraints())
+	pts, err := SweepSpace(m, hw.PointList(hw.Space()), DefaultConstraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestParetoFrontProperties(t *testing.T) {
 func TestSelectedCustomIsFeasibleSweepPoint(t *testing.T) {
 	m := workload.NewVGG16()
 	cons := DefaultConstraints()
-	sel, err := Custom(m, hw.Space(), cons)
+	sel, err := custom(m, hw.Space(), cons)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := Sweep(m, hw.Space(), cons)
+	pts, err := SweepSpace(m, hw.PointList(hw.Space()), cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSelectedCustomIsFeasibleSweepPoint(t *testing.T) {
 func TestSweepInvalidConstraints(t *testing.T) {
 	bad := DefaultConstraints()
 	bad.MaxPowerDensityWPerMM2 = 0
-	if _, err := Sweep(workload.NewGPT2(), hw.Space(), bad); err == nil {
+	if _, err := SweepSpace(workload.NewGPT2(), hw.PointList(hw.Space()), bad, nil); err == nil {
 		t.Error("invalid constraints should fail")
 	}
 }

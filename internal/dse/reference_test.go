@@ -143,7 +143,7 @@ func TestStreamingMatchesReference(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
 				for _, chunk := range []int{1, 7, 81} {
 					for _, cache := range []CachePolicy{CacheAlways, CacheNever} {
-						got, err := ExploreSpace(models, hw.PointList(space), cons,
+						got, err := ExploreSpaceCtx(context.Background(), models, hw.PointList(space), cons,
 							eval.New(eval.Options{Workers: workers}),
 							&ExploreOptions{ChunkSize: chunk, Cache: cache})
 						if err != nil {
@@ -178,7 +178,7 @@ func TestStreamingMatchesReferenceOnGeneratedSpace(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		for _, chunk := range []int{0, 5} {
-			got, err := ExploreSpace(models, spec, cons, eval.New(eval.Options{Workers: workers}),
+			got, err := ExploreSpaceCtx(context.Background(), models, spec, cons, eval.New(eval.Options{Workers: workers}),
 				&ExploreOptions{ChunkSize: chunk})
 			if err != nil {
 				t.Fatal(err)
@@ -199,34 +199,10 @@ func TestStreamingErrorMatchesReference(t *testing.T) {
 	if wantErr == nil {
 		t.Fatal("reference unexpectedly feasible")
 	}
-	_, gotErr := ExploreSpace(models, hw.PointList(hw.Space()), cons,
+	_, gotErr := ExploreSpaceCtx(context.Background(), models, hw.PointList(hw.Space()), cons,
 		eval.New(eval.Options{Workers: 8}), &ExploreOptions{ChunkSize: 7})
 	if gotErr == nil || gotErr.Error() != wantErr.Error() {
 		t.Errorf("error mismatch:\nreference: %v\nstreaming: %v", wantErr, gotErr)
-	}
-}
-
-// TestExploreDeduplicatesUserSpace pins the duplicate-point guard: a space
-// with repeats selects the same configuration with the same feasible/explored
-// counts as its deduplicated form.
-func TestExploreDeduplicatesUserSpace(t *testing.T) {
-	m := workload.NewAlexNet()
-	space := hw.Space()
-	doubled := append(append([]hw.Point{}, space...), space...)
-	base, err := Explore([]*workload.Model{m}, space, DefaultConstraints(), eval.New(eval.Options{Workers: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup, err := Explore([]*workload.Model{m}, doubled, DefaultConstraints(), eval.New(eval.Options{Workers: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonResult(dup) != canonResult(base) {
-		t.Errorf("duplicated space changed the result:\n--- unique ---\n%s--- doubled ---\n%s",
-			canonResult(base), canonResult(dup))
-	}
-	if dup.Explored != len(space) {
-		t.Errorf("Explored = %d after dedupe, want %d", dup.Explored, len(space))
 	}
 }
 
@@ -272,7 +248,7 @@ func TestStreamingByteIdentityMatrix(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
 				for _, chunk := range []int{1, 7, n} {
 					for _, cache := range []CachePolicy{CacheAuto, CacheAlways, CacheNever} {
-						got, err := ExploreSpace(tc.models, tc.space, cons,
+						got, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons,
 							eval.New(eval.Options{Workers: workers}),
 							&ExploreOptions{ChunkSize: chunk, Cache: cache})
 						if err != nil {
@@ -339,7 +315,7 @@ func TestExploreStatsBoundedMemory(t *testing.T) {
 		workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18(),
 	}
 	var stats ExploreStats
-	r, err := ExploreSpace(models, spec, DefaultConstraints(),
+	r, err := ExploreSpaceCtx(context.Background(), models, spec, DefaultConstraints(),
 		eval.New(eval.Options{Workers: 4}), &ExploreOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ func (c Constraints) MeetsStatic(areaMM2, powerDensity float64) bool {
 // reference that only tightens, slack re-filtering of retained candidates
 // when it does, and an area-dominance frontier ordered in (area, index)
 // selection order. Feeding it every point of a space in any order yields the
-// same winner as dse.ExploreSpace over that space (the single-shard case of
+// same winner as dse.ExploreSpaceCtx over that space (the single-shard case of
 // the merge argument in DESIGN.md §8), which is what makes budgeted-search
 // results bit-compatible with exhaustive ones restricted to the visited set.
 //

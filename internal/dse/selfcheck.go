@@ -24,7 +24,7 @@ type selCand struct {
 // randomized shard count, random chunk-to-shard interleaving, per-shard
 // persistent frontiers with watermark snapshots, chunk-end watermark
 // publication, and a randomized final merge order: the exact discipline
-// ExploreSpace runs under — and verifies the merged frontier picks the same
+// ExploreSpaceCtx runs under — and verifies the merged frontier picks the same
 // winner, or agrees that no candidate is slack-feasible. It returns one
 // description per violation; an empty slice means the selection invariants
 // held on every trial.
@@ -116,14 +116,14 @@ func SelectionSelfCheck(seed int64, trials int) []string {
 }
 
 // selShard is the self-check replica of one reduction shard: the production
-// frontier plus the persistent per-shard references ExploreSpace keeps.
+// frontier plus the persistent per-shard references ExploreSpaceCtx keeps.
 type selShard struct {
 	front     frontier
 	localBest []float64
 	wm        []float64
 }
 
-// streamSelect replays ExploreSpace's sharded merge discipline on an
+// streamSelect replays ExploreSpaceCtx's sharded merge discipline on an
 // in-memory candidate set: random arrival order, random chunk boundaries,
 // random chunk-to-shard assignment (modelling dynamic chunk claiming by
 // concurrent workers), per-shard persistent frontiers with watermark

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestStatsBytePricingInt64(t *testing.T) {
 func TestExploreStatsPricingMatchesHelpers(t *testing.T) {
 	models := []*workload.Model{workload.NewResNet18(), workload.NewGPT2()}
 	var stats ExploreStats
-	_, err := ExploreSpace(models, hw.PaperSpace(), DefaultConstraints(), nil,
+	_, err := ExploreSpaceCtx(context.Background(), models, hw.PaperSpace(), DefaultConstraints(), nil,
 		&ExploreOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)

@@ -277,47 +277,6 @@ func atomicMinFloat(a *atomic.Uint64, v float64) {
 	}
 }
 
-// Explore runs the generic/library selection (lines 9-13 of Algorithm 1) over
-// an explicit point list on the given engine (nil: shared default). Duplicate
-// points in user-supplied spaces are dropped (first occurrence kept), so a
-// space with repeats selects the same configuration as its deduplicated form.
-func Explore(models []*workload.Model, space []hw.Point, cons Constraints, ev *eval.Evaluator) (Result, error) {
-	return ExploreSpace(models, dedupe(space), cons, ev, nil)
-}
-
-// dedupe drops repeated points, keeping first occurrences, so index-order
-// tie-breaks are unchanged. The common case (already unique) allocates only
-// the set.
-func dedupe(space []hw.Point) hw.DesignSpace {
-	// The set's size hint is capped: pre-sizing to len(space) made every
-	// caller with a huge already-unique list pay an upfront O(points) bucket
-	// allocation before the first membership check. A small hint grows
-	// incrementally only as points are actually inserted.
-	hint := len(space)
-	if hint > 1024 {
-		hint = 1024
-	}
-	seen := make(map[hw.Point]struct{}, hint)
-	uniq := space
-	for i, p := range space {
-		if _, dup := seen[p]; dup {
-			// First duplicate found: copy the unique prefix and filter the rest.
-			out := make([]hw.Point, i, len(space))
-			copy(out, space[:i])
-			for _, q := range space[i:] {
-				if _, d := seen[q]; !d {
-					seen[q] = struct{}{}
-					out = append(out, q)
-				}
-			}
-			uniq = out
-			break
-		}
-		seen[p] = struct{}{}
-	}
-	return hw.PointList(uniq)
-}
-
 // sweepState is the read-mostly shared state of one streaming exploration:
 // the space, the per-model configuration templates, the summary path, and
 // the lock-free slack watermark (per-model float bits, min-only updates).
@@ -625,9 +584,11 @@ func provenOptimal(shards []*exploreShard, cb *cornerBounds, end int) bool {
 	return area <= cb.suffixMin[j]
 }
 
-// ExploreSpace is the streaming core of Algorithm 1's shared-configuration
-// selection: a chunked sweep over a lazily indexed design space. Workers own
-// one reduction shard each — a persistent local frontier (point index, summed
+// ExploreSpaceCtx is the streaming core of Algorithm 1's configuration
+// selection — lines 1-8 for one model (the custom configuration C_i), lines
+// 9-13 for several (the generic C_g and library C_k configurations): a
+// chunked sweep over a lazily indexed design space. Workers own one
+// reduction shard each — a persistent local frontier (point index, summed
 // area, per-model latencies in a flat backing array) plus reusable scratch —
 // and claim contiguous chunks dynamically. The only cross-worker state during
 // the sweep is the per-model slack watermark, an array of monotonically
@@ -639,16 +600,12 @@ func provenOptimal(shards []*exploreShard, cb *cornerBounds, end int) bool {
 // reproduce the eager two-pass selection byte for byte at any worker count
 // and chunk size (see DESIGN.md §8 for the argument).
 //
-// A nil opts selects defaults; a nil engine selects the shared one.
-func ExploreSpace(models []*workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator, opts *ExploreOptions) (Result, error) {
-	return ExploreSpaceCtx(context.Background(), models, space, cons, ev, opts)
-}
-
-// ExploreSpaceCtx is ExploreSpace under a cancellation context: the chunk
-// loop checks ctx at every chunk boundary (not just between phases), so a
-// cancelled sweep stops within one chunk (<= 512 points per worker) and
-// returns ctx.Err(). Results for a run that completes are byte-identical to
-// ExploreSpace — the context is consulted, never folded into selection.
+// The chunk loop checks ctx at every chunk boundary (not just between
+// phases), so a cancelled sweep stops within one chunk (<= 512 points per
+// worker) and returns ctx.Err(); a run that completes is byte-identical to
+// an uncancelled one — the context is consulted, never folded into
+// selection. A nil ctx means context.Background(), a nil opts selects
+// defaults, and a nil engine selects the shared one.
 func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator, opts *ExploreOptions) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -97,7 +97,7 @@ type cacheKey struct {
 // attaching the default catalogue shares cache with the zero-config path.
 func (ev *Evaluator) keyFor(m *workload.Model, c hw.Config, batch int) cacheKey {
 	k := cacheKey{
-		fp: ev.fingerprint(m), cat: c.Catalogue().Fingerprint(),
+		fp: ev.Fingerprint(m), cat: c.Catalogue().Fingerprint(),
 		point: c.Point, prec: c.Precision, batch: batch,
 		flatten: c.Flatten, permute: c.Permute,
 	}
@@ -157,7 +157,7 @@ var (
 )
 
 // Shared returns the process-wide default engine (Workers = GOMAXPROCS),
-// used by the legacy dse entry points when no engine is injected.
+// used by dse and search when no engine is injected.
 func Shared() *Evaluator {
 	sharedOnce.Do(func() { shared = New(Options{}) })
 	return shared
@@ -339,8 +339,9 @@ func (ev *Evaluator) EvaluateSummaryUncached(m *workload.Model, c hw.Config, bat
 	return ev.Plan(m).Summary(c, batch)
 }
 
-// fingerprint returns the model's fingerprint, memoized by pointer identity.
-func (ev *Evaluator) fingerprint(m *workload.Model) string {
+// Fingerprint returns the package-level Fingerprint of m, memoized by
+// pointer identity, so a caller keying on long-lived models hashes each once.
+func (ev *Evaluator) Fingerprint(m *workload.Model) string {
 	if fp, ok := ev.fps.Load(m); ok {
 		return fp.(string)
 	}

@@ -158,7 +158,7 @@ func TestSearchGapRegression(t *testing.T) {
 	for _, tc := range testSpaces(t) {
 		n, nm := tc.space.Len(), len(tc.models)
 		ev := eval.New(eval.Options{Workers: 8})
-		exh, err := dse.ExploreSpace(tc.models, tc.space, dse.DefaultConstraints(), ev, nil)
+		exh, err := dse.ExploreSpaceCtx(context.Background(), tc.models, tc.space, dse.DefaultConstraints(), ev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestSearchFallbackExhaustive(t *testing.T) {
 	for _, tc := range testSpaces(t) {
 		n, nm := tc.space.Len(), len(tc.models)
 		ev := eval.New(eval.Options{Workers: 4})
-		exh, err := dse.ExploreSpace(tc.models, tc.space, dse.DefaultConstraints(), ev, nil)
+		exh, err := dse.ExploreSpaceCtx(context.Background(), tc.models, tc.space, dse.DefaultConstraints(), ev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

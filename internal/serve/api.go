@@ -5,9 +5,9 @@
 //
 // The package is split along its concerns:
 //
-//   - api.go: the wire types, request validation/normalization, the
-//     coalescing key, and the result encodings pinned byte-identical to the
-//     equivalent CLI invocation.
+//   - api.go: the wire types, request resolution (once, at admission), the
+//     coalescing key derived from the resolved options, and the result
+//     encodings pinned byte-identical to the equivalent CLI invocation.
 //   - job.go: the job manager — bounded queue, worker pool, admission
 //     control, request coalescing, refcounted waiter attachment and
 //     context-based cancellation.
@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/dse"
-	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/search"
 	"repro/internal/workload"
@@ -231,143 +231,130 @@ type SelfcheckResult struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// validateExplore normalizes and validates a request, resolving model names
-// and the space spec against the server's catalogue. Returned errors are
-// client errors (HTTP 400).
-func validateExplore(req *ExploreRequest, cat *hw.Catalogue) ([]*workload.Model, hw.DesignSpace, dse.Constraints, error) {
-	if len(req.Models) == 0 {
-		return nil, nil, dse.Constraints{}, fmt.Errorf("serve: explore request names no models (known: %s)", strings.Join(workload.Names(), ", "))
-	}
-	models := make([]*workload.Model, len(req.Models))
-	for i, name := range req.Models {
-		m, err := workload.ByName(name)
+// models resolves workload names to the manager's interned models, building
+// each on first use. One *workload.Model per known name for the process
+// lifetime matters because the shared evaluator memoizes fingerprints and
+// plans by pointer: a fresh model per request would pin one more model, plan
+// and memo entry every time. Sharing is safe because models are immutable
+// after construction. Unknown names are never stored, so the table is
+// bounded by the workload registry.
+func (m *Manager) models(names []string) ([]*workload.Model, error) {
+	out := make([]*workload.Model, len(names))
+	for i, name := range names {
+		if md, ok := m.interned.Load(name); ok {
+			out[i] = md.(*workload.Model)
+			continue
+		}
+		md, err := workload.ByName(name)
 		if err != nil {
-			return nil, nil, dse.Constraints{}, fmt.Errorf("serve: %w (known: %s)", err, strings.Join(workload.Names(), ", "))
+			return nil, fmt.Errorf("serve: %w (known: %s)", err, strings.Join(workload.Names(), ", "))
 		}
-		models[i] = m
+		actual, _ := m.interned.LoadOrStore(name, md)
+		out[i] = actual.(*workload.Model)
 	}
-	if req.Space == "" {
-		req.Space = "paper"
-	}
-	space, err := hw.ParseSpaceWith(req.Space, cat)
-	if err != nil {
-		return nil, nil, dse.Constraints{}, fmt.Errorf("serve: %w", err)
-	}
-	cons := req.Constraints.resolve()
-	if err := cons.Validate(); err != nil {
-		return nil, nil, dse.Constraints{}, fmt.Errorf("serve: %w", err)
-	}
-	if req.Search != "" {
-		if _, err := search.ParseSpec(req.Search); err != nil {
-			return nil, nil, dse.Constraints{}, fmt.Errorf("serve: %w", err)
-		}
-	}
-	if req.Budget < 0 {
-		return nil, nil, dse.Constraints{}, fmt.Errorf("serve: negative search budget %d", req.Budget)
-	}
-	if _, err := dse.ParseFidelityMode(req.Fidelity); err != nil {
-		return nil, nil, dse.Constraints{}, fmt.Errorf("serve: %w", err)
-	}
-	return models, space, cons, nil
+	return out, nil
 }
 
-// validateSweep normalizes and validates a sweep request.
-func validateSweep(req *SweepRequest, cat *hw.Catalogue) error {
+// options returns the reproduction defaults on the server's catalogue and
+// shared engine: the CLI defaults, so served results match the CLIs.
+func (m *Manager) options() core.Options {
+	o := core.DefaultOptions()
+	o.Catalogue = m.cat
+	o.Evaluator = m.ev
+	return o
+}
+
+// resolveExplore resolves an explore request exactly once, at admission:
+// model names through the manager's intern table, every string option through
+// core.Options.Resolve against the server catalogue. The models and options
+// it returns are all the job executes on. Errors are client errors (HTTP
+// 400).
+func (m *Manager) resolveExplore(req *ExploreRequest) ([]*workload.Model, core.Options, error) {
+	if len(req.Models) == 0 {
+		return nil, core.Options{}, fmt.Errorf("serve: explore request names no models (known: %s)", strings.Join(workload.Names(), ", "))
+	}
+	models, err := m.models(req.Models)
+	if err != nil {
+		return nil, core.Options{}, err
+	}
+	o := m.options()
+	o.Constraints = req.Constraints.resolve()
+	if err := o.Resolve(req.Space, req.Search, req.Budget, req.Seed, req.Fidelity); err != nil {
+		return nil, core.Options{}, fmt.Errorf("serve: %w", err)
+	}
+	return models, o, nil
+}
+
+// resolveSweep resolves a sweep request exactly once, at admission; see
+// resolveExplore.
+func (m *Manager) resolveSweep(req *SweepRequest) ([]*workload.Model, core.Options, error) {
+	names := req.Models
 	switch req.Kind {
 	case "tau":
-		if len(req.Models) == 0 {
-			return fmt.Errorf("serve: tau sweep names no models")
-		}
-		for _, name := range req.Models {
-			if _, err := workload.ByName(name); err != nil {
-				return fmt.Errorf("serve: %w", err)
-			}
+		if len(names) == 0 {
+			return nil, core.Options{}, fmt.Errorf("serve: tau sweep names no models")
 		}
 	case "slack":
 		if req.Model == "" {
-			return fmt.Errorf("serve: slack sweep names no model")
+			return nil, core.Options{}, fmt.Errorf("serve: slack sweep names no model")
 		}
-		if _, err := workload.ByName(req.Model); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
+		names = []string{req.Model}
 	default:
-		return fmt.Errorf("serve: unknown sweep kind %q (want tau or slack)", req.Kind)
+		return nil, core.Options{}, fmt.Errorf("serve: unknown sweep kind %q (want tau or slack)", req.Kind)
+	}
+	models, err := m.models(names)
+	if err != nil {
+		return nil, core.Options{}, err
 	}
 	if len(req.Values) == 0 {
-		return fmt.Errorf("serve: empty sweep values")
+		return nil, core.Options{}, fmt.Errorf("serve: empty sweep values")
 	}
 	for _, v := range req.Values {
 		if v < 0 {
-			return fmt.Errorf("serve: negative sweep value %g", v)
+			return nil, core.Options{}, fmt.Errorf("serve: negative sweep value %g", v)
 		}
 	}
-	if req.Space == "" {
-		req.Space = "paper"
+	o := m.options()
+	if err := o.Resolve(req.Space, "", 0, 0, req.Fidelity); err != nil {
+		return nil, core.Options{}, fmt.Errorf("serve: %w", err)
 	}
-	if _, err := hw.ParseSpaceWith(req.Space, cat); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if _, err := dse.ParseFidelityMode(req.Fidelity); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
+	return models, o, nil
 }
 
-// coalesceKey builds the canonical identity of a job: two requests with equal
-// keys are the same computation and share one execution (DESIGN.md §11). The
-// key folds in the model fingerprints (not names — renames alias, content
-// matters), the normalized space string, the catalogue fingerprint, the
-// resolved constraints, and every option that alters the result. Sync does
-// not participate: a fire-and-forget job and a waiting one coalesce.
-func coalesceKey(kind string, modelNames []string, space string, cat *hw.Catalogue,
-	cons dse.Constraints, extra ...string) string {
-	fps := make([]string, 0, len(modelNames))
-	for _, name := range modelNames {
-		if m, err := workload.ByName(name); err == nil {
-			fps = append(fps, eval.Fingerprint(m))
-		} else {
-			fps = append(fps, "?"+name)
-		}
-	}
-	// Model-set order matters to the result (Evals are in input order), so
-	// the key preserves it; only exact duplicates of the whole request fold.
+// key builds the canonical identity of a resolved job: two requests with
+// equal keys are the same computation and share one execution (DESIGN.md
+// §11). It is derived from the resolved options, never the raw strings, so
+// spellings that resolve alike coalesce ("Paper" and "paper", "" and
+// "analytical", "anneal" and its canonical parameter form, a budget or seed
+// on an exhaustive request). It folds in the model content fingerprints in
+// input order (Evals follow input order; renames alias, content matters), the
+// space description with the catalogue fingerprint, the constraints, the
+// fidelity mode, the search spec with its budget and seed when a search
+// runs, and any kind-specific extras. Sync does not participate: a
+// fire-and-forget job and a waiting one coalesce.
+func (m *Manager) key(kind string, models []*workload.Model, o core.Options, extra ...string) string {
 	var sb strings.Builder
 	sb.WriteString(kind)
-	sb.WriteByte('|')
-	sb.WriteString(strings.Join(fps, ","))
-	fmt.Fprintf(&sb, "|space=%s|cat=%s|cons=%.9g/%.9g/%.9g",
-		space, cat.Fingerprint(),
-		cons.MaxChipAreaMM2, cons.MaxPowerDensityWPerMM2, cons.LatencySlack)
+	for i, md := range models {
+		if i == 0 {
+			sb.WriteByte('|')
+		} else {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(m.ev.Fingerprint(md))
+	}
+	c := o.Constraints
+	fmt.Fprintf(&sb, "|space=%s|cat=%s|cons=%.9g/%.9g/%.9g|fidelity=%s",
+		o.Space.Desc(), m.cat.Fingerprint(),
+		c.MaxChipAreaMM2, c.MaxPowerDensityWPerMM2, c.LatencySlack, o.Fidelity)
+	if s := o.Search; s != nil {
+		fmt.Fprintf(&sb, "|search=%s|budget=%d|seed=%d", s.Spec, s.Budget, s.Seed)
+	}
 	for _, e := range extra {
 		sb.WriteByte('|')
 		sb.WriteString(e)
 	}
 	return sb.String()
-}
-
-// exploreKey is the coalescing key of an explore request.
-func exploreKey(req *ExploreRequest, cat *hw.Catalogue) string {
-	return coalesceKey(KindExplore, req.Models, req.Space, cat, req.Constraints.resolve(),
-		fmt.Sprintf("search=%s", req.Search),
-		fmt.Sprintf("budget=%d", req.Budget),
-		fmt.Sprintf("seed=%d", req.Seed),
-		fmt.Sprintf("fidelity=%s", req.Fidelity))
-}
-
-// sweepKey is the coalescing key of a sweep request.
-func sweepKey(req *SweepRequest, cat *hw.Catalogue) string {
-	names := req.Models
-	if req.Kind == "slack" {
-		names = []string{req.Model}
-	}
-	vals := make([]string, len(req.Values))
-	for i, v := range req.Values {
-		vals[i] = fmt.Sprintf("%.9g", v)
-	}
-	return coalesceKey(KindSweep, names, req.Space, cat, dse.DefaultConstraints(),
-		fmt.Sprintf("kind=%s", req.Kind),
-		fmt.Sprintf("values=%s", strings.Join(vals, ",")),
-		fmt.Sprintf("fidelity=%s", req.Fidelity))
 }
 
 // selfcheckKey is the coalescing key of a selfcheck request.

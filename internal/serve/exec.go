@@ -2,12 +2,12 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"strings"
 
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/dse"
 	"repro/internal/hw"
-	"repro/internal/search"
 	"repro/internal/workload"
 )
 
@@ -17,61 +17,25 @@ import (
 // threads the job context so DELETE/disconnect/shutdown cancellation is
 // prompt (chunk-granular inside the streaming sweep).
 
-// exploreExec builds the exec closure for a validated explore request. The
-// request must have passed validateExplore; re-resolution here cannot fail
-// differently because requests are immutable after admission.
-func (m *Manager) exploreExec(req *ExploreRequest) func(ctx context.Context, j *Job) (any, error) {
+// exploreExec binds an explore job to its resolved models and options; the
+// exec runs them through core's exploration funnel as resolved at admission.
+func exploreExec(models []*workload.Model, o core.Options) func(ctx context.Context, j *Job) (any, error) {
 	return func(ctx context.Context, j *Job) (any, error) {
-		models, space, cons, err := validateExplore(req, m.cat)
+		o.Ctx = ctx
+		res, tr, err := core.Explore(models, o, j.publish)
 		if err != nil {
 			return nil, err
 		}
-		fo, err := m.fidelityOptions(req.Fidelity)
-		if err != nil {
-			return nil, err
-		}
-		if req.Search != "" {
-			spec, err := search.ParseSpec(req.Search)
-			if err != nil {
-				return nil, err
-			}
-			opt, err := search.New(spec, search.Options{Seed: req.Seed, Evaluator: m.ev, Fidelity: fo})
-			if err != nil {
-				return nil, err
-			}
-			res, tr, err := opt.Run(ctx, models, space, cons, req.Budget)
-			if err != nil {
-				return nil, err
-			}
-			return ExploreResultOf(res, &tr), nil
-		}
-		opts := &dse.ExploreOptions{Fidelity: fo, Progress: j.publish}
-		res, err := dse.ExploreSpaceCtx(ctx, models, space, cons, m.ev, opts)
-		if err != nil {
-			return nil, err
-		}
-		return ExploreResultOf(res, nil), nil
+		return ExploreResultOf(res, tr), nil
 	}
 }
 
-// sweepExec builds the exec closure for a validated sweep request.
-func (m *Manager) sweepExec(req *SweepRequest) func(ctx context.Context, _ *Job) (any, error) {
+// sweepExec binds a sweep job to its resolved models and options.
+func sweepExec(kind string, values []float64, models []*workload.Model, o core.Options) func(ctx context.Context, _ *Job) (any, error) {
 	return func(ctx context.Context, _ *Job) (any, error) {
-		if err := validateSweep(req, m.cat); err != nil {
-			return nil, err
-		}
-		o, err := m.pipelineOptions(req.Space, req.Fidelity)
-		if err != nil {
-			return nil, err
-		}
 		o.Ctx = ctx
-		switch req.Kind {
-		case "tau":
-			models := make([]*workload.Model, len(req.Models))
-			for i, name := range req.Models {
-				models[i], _ = workload.ByName(name)
-			}
-			pts, err := core.SweepTau(models, o, req.Values)
+		if kind == "tau" {
+			pts, err := core.SweepTau(models, o, values)
 			if err != nil {
 				return nil, err
 			}
@@ -83,21 +47,19 @@ func (m *Manager) sweepExec(req *SweepRequest) func(ctx context.Context, _ *Job)
 				})
 			}
 			return out, nil
-		default: // "slack", validated above
-			mdl, _ := workload.ByName(req.Model)
-			pts, err := core.SweepSlack(mdl, o, req.Values)
-			if err != nil {
-				return nil, err
-			}
-			out := SweepResult{Kind: "slack"}
-			for _, p := range pts {
-				out.Slack = append(out.Slack, SlackPoint{
-					Slack: p.Slack, AreaMM2: p.AreaMM2,
-					LatencyMS: p.LatencyMS, Feasible: p.Feasible,
-				})
-			}
-			return out, nil
 		}
+		pts, err := core.SweepSlack(models[0], o, values)
+		if err != nil {
+			return nil, err
+		}
+		out := SweepResult{Kind: "slack"}
+		for _, p := range pts {
+			out.Slack = append(out.Slack, SlackPoint{
+				Slack: p.Slack, AreaMM2: p.AreaMM2,
+				LatencyMS: p.LatencyMS, Feasible: p.Feasible,
+			})
+		}
+		return out, nil
 	}
 }
 
@@ -132,55 +94,27 @@ func (m *Manager) catalogueOption() *hw.Catalogue {
 	return m.cat
 }
 
-// fidelityOptions projects a fidelity flag value onto the exploration
-// layer's options, parameterized exactly as the CLI defaults (so served
-// staged runs match `clairedse -fidelity staged` byte for byte).
-func (m *Manager) fidelityOptions(mode string) (*dse.FidelityOptions, error) {
-	fm, err := dse.ParseFidelityMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	if fm != dse.FidelityStaged {
-		return nil, nil
-	}
-	fopts := core.DefaultOptions()
-	fopts.Catalogue = m.cat
-	return &dse.FidelityOptions{Mode: fm, Params: fopts.FidelityParams()}, nil
-}
-
-// pipelineOptions builds core.Options for sweeps: the server catalogue, the
-// requested space, the shared evaluator, and the fidelity mode.
-func (m *Manager) pipelineOptions(spaceStr, fidelity string) (core.Options, error) {
-	o := core.DefaultOptions()
-	o.Catalogue = m.cat
-	space, err := hw.ParseSpaceWith(spaceStr, m.cat)
-	if err != nil {
-		return core.Options{}, err
-	}
-	o.Space = space
-	o.Evaluator = m.ev
-	fm, err := dse.ParseFidelityMode(fidelity)
-	if err != nil {
-		return core.Options{}, err
-	}
-	o.Fidelity = fm
-	return o, nil
-}
-
-// SubmitExplore validates, keys and submits an explore job.
+// SubmitExplore resolves, keys and submits an explore job.
 func (m *Manager) SubmitExplore(req *ExploreRequest, detached bool) (*Job, bool, error) {
-	if _, _, _, err := validateExplore(req, m.cat); err != nil {
+	models, o, err := m.resolveExplore(req)
+	if err != nil {
 		return nil, false, err
 	}
-	return m.Submit(KindExplore, exploreKey(req, m.cat), detached, m.exploreExec(req))
+	return m.Submit(KindExplore, m.key(KindExplore, models, o), detached, exploreExec(models, o))
 }
 
-// SubmitSweep validates, keys and submits a sweep job.
+// SubmitSweep resolves, keys and submits a sweep job.
 func (m *Manager) SubmitSweep(req *SweepRequest, detached bool) (*Job, bool, error) {
-	if err := validateSweep(req, m.cat); err != nil {
+	models, o, err := m.resolveSweep(req)
+	if err != nil {
 		return nil, false, err
 	}
-	return m.Submit(KindSweep, sweepKey(req, m.cat), detached, m.sweepExec(req))
+	vals := make([]string, len(req.Values))
+	for i, v := range req.Values {
+		vals[i] = fmt.Sprintf("%.9g", v)
+	}
+	key := m.key(KindSweep, models, o, "kind="+req.Kind, "values="+strings.Join(vals, ","))
+	return m.Submit(KindSweep, key, detached, sweepExec(req.Kind, req.Values, models, o))
 }
 
 // SubmitSelfcheck submits a selfcheck job.

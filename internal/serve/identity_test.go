@@ -22,14 +22,26 @@ import (
 )
 
 // directExplore runs the request against the library directly on a fresh
-// evaluator — the CLI's code path — and marshals the wire projection.
+// evaluator — the CLI's code path — and marshals the wire projection. It
+// parses the request with the low-level parsers and calls dse/search itself,
+// not the server's resolution or core's funnel, so "served == library" stays
+// a checked claim rather than a tautology.
 func directExplore(t *testing.T, req ExploreRequest) []byte {
 	t.Helper()
 	cat := hw.Default()
-	models, space, cons, err := validateExplore(&req, cat)
+	models := make([]*workload.Model, len(req.Models))
+	for i, name := range req.Models {
+		m, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[i] = m
+	}
+	space, err := hw.ParseSpaceWith(req.Space, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cons := req.Constraints.resolve()
 	ev := eval.New(eval.Options{})
 	var fo *dse.FidelityOptions
 	if req.Fidelity == "staged" {
@@ -53,7 +65,7 @@ func directExplore(t *testing.T, req ExploreRequest) []byte {
 		}
 		out = ExploreResultOf(res, &tr)
 	} else {
-		res, err := dse.ExploreSpace(models, space, cons, ev, &dse.ExploreOptions{Fidelity: fo})
+		res, err := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, &dse.ExploreOptions{Fidelity: fo})
 		if err != nil {
 			t.Fatal(err)
 		}

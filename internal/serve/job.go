@@ -224,6 +224,9 @@ type Manager struct {
 	wg      sync.WaitGroup
 	idSeq   atomic.Int64
 	running atomic.Int64
+	// interned maps each workload name to the one model the manager serves
+	// it with, filled lazily (see Manager.models).
+	interned sync.Map // string -> *workload.Model
 
 	mu      sync.Mutex
 	closed  bool

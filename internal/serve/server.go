@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -57,8 +58,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // decode parses a JSON request body strictly (unknown fields are client
 // errors, mirroring the catalogue loader's posture).
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+func decode(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
@@ -110,7 +111,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, sync bool,
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad explore request: %v", err)
 		return
 	}
@@ -121,7 +122,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
 		return
 	}
@@ -132,7 +133,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSelfcheck(w http.ResponseWriter, r *http.Request) {
 	var req SelfcheckRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad selfcheck request: %v", err)
 		return
 	}

@@ -120,6 +120,29 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestNamesOrderWithoutBuilding pins Names to the training-then-test order of
+// the built sets, and pins its cost: it lists names without building models
+// (one allocation, the returned slice), so error paths that print the known
+// names stay cheap.
+func TestNamesOrderWithoutBuilding(t *testing.T) {
+	var want []string
+	for _, m := range append(TrainingSet(), TestSet()...) {
+		want = append(want, m.Name)
+	}
+	got := Names()
+	if len(got) != len(want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("Names()[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = Names() }); allocs != 1 {
+		t.Errorf("Names() allocates %v times per call, want 1", allocs)
+	}
+}
+
 // TestAllModelsValidate runs structural validation on every model.
 func TestAllModelsValidate(t *testing.T) {
 	for _, m := range append(TrainingSet(), TestSet()...) {
