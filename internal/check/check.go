@@ -27,8 +27,10 @@
 //     and weight-amortization direction, area additivity across banks,
 //     latency non-increase under bank growth, leakage recomputation, and
 //     summary/full bit-identity.
-//  6. Selection soundness: dse.SelectionSelfCheck's randomized
-//     dominates/slackOK cross-check against brute-force selection.
+//  6. Selection soundness: quantized random candidate sets, with per-model
+//     static infeasibility, fed through dse.Selector must reproduce the
+//     brute-force selection oracle's (internal/check/oracle) winner,
+//     slack-feasible frontier and feasible count.
 //  7. Catalogue differentials: the config-loaded chiplet catalogue against
 //     the legacy constant tables (literal copies), SAFor recomputation,
 //     serialization round-trips, mix area/leakage additivity and latency
@@ -39,10 +41,11 @@
 //     budget-ledger exactness, optimality-gap bounds, the early-exit
 //     certificate's winner identity, and the exhaustive-fallback contract.
 //  9. Multi-fidelity selection: the staged pipeline (DESIGN.md §10) against
-//     a brute-force full-fidelity re-derivation on sub-spaces, analytical
-//     byte-identity across worker counts, junction-temperature rejection
-//     honesty, per-chiplet NoC hop charging, and the analytical-vs-simulated
-//     NoC transfer differential under contention.
+//     a full-fidelity re-derivation through the selection oracle on
+//     sub-spaces, analytical byte-identity across worker counts,
+//     junction-temperature rejection honesty, per-chiplet NoC hop charging,
+//     and the analytical-vs-simulated NoC transfer differential under
+//     contention.
 //
 // The oracles under test are injectable (Options.AnalyticalFolds, PlanOS,
 // CompareDataflows) so the harness's own tests can re-introduce historical

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dse"
 	"repro/internal/ppa"
 	"repro/internal/systolic"
 	"repro/internal/workload"
@@ -114,6 +115,36 @@ func TestCatchesMovementOvercount(t *testing.T) {
 	r := Run(Options{Models: stressOnly(), Tiles: 1, Trials: 1, CompareDataflows: buggy})
 	if n := sectionFailed(t, r, "os-dataflow"); n == 0 {
 		t.Fatalf("harness missed the depthwise movement overcount:\n%s", r)
+	}
+}
+
+// staticBlind is a broken selector: it tells dse.Selector that every model is
+// statically feasible, so infeasible latencies tighten the reference and
+// infeasible points compete for selection.
+type staticBlind struct{ *dse.Selector }
+
+func (s staticBlind) Observe(idx int, area float64, lats []float64, statics []bool) {
+	all := make([]bool, len(statics))
+	for i := range all {
+		all[i] = true
+	}
+	s.Selector.Observe(idx, area, lats, all)
+}
+
+// TestSelectionCatchesStaticBlindSelector proves family 6 catches a selector
+// that ignores per-model static feasibility, and that its accounting never
+// reports more failures than checks.
+func TestSelectionCatchesStaticBlindSelector(t *testing.T) {
+	col := newCollector("selection")
+	selectionTrials(col, 1, 128, func(nModels int, cons dse.Constraints) selector {
+		return staticBlind{dse.NewSelector(nModels, cons)}
+	})
+	if col.s.Failed == 0 {
+		t.Fatalf("family 6 missed a static-blind selector in %d checks", col.s.Checks)
+	}
+	if col.s.Checks != 3*128 || col.s.Failed > col.s.Checks {
+		t.Errorf("checks/failed = %d/%d, want 384 checks and no more failures than checks",
+			col.s.Checks, col.s.Failed)
 	}
 }
 

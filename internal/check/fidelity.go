@@ -4,9 +4,9 @@ package check
 // evaluation pipeline (DESIGN.md §10) against independent oracles.
 //
 //   - Staged-vs-brute-force: on exhaustively enumerable sub-spaces, the
-//     staged sweep's winner and stage-1 counters must match a from-scratch
-//     O(n²) re-derivation — per-point summaries, analytical slack filter,
-//     quadratic dominance prune, full physical refinement of every survivor,
+//     staged sweep's winner and stage-1 counters must match a re-derivation
+//     through the brute-force selection oracle (internal/check/oracle) —
+//     analytical frontier, full physical refinement of every frontier point,
 //     junction-temperature rejection with backfill, and refined-slack
 //     selection — that shares no code with the streaming frontier.
 //   - Analytical byte-identity: requesting -fidelity=analytical explicitly
@@ -28,8 +28,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
+	"repro/internal/check/oracle"
 	"repro/internal/dse"
 	"repro/internal/eval"
 	"repro/internal/fidelity"
@@ -70,101 +70,40 @@ type bfCandidate struct {
 	peakC float64
 }
 
-// bfStaged re-derives the staged selection from scratch: analytical summaries
-// and slack filtering with plain loops, an O(n²) dominance prune, physical
-// refinement of every survivor, thermal rejection, and refined-slack
-// selection. Returns the winner index, the ordered frontier (refined, before
-// rejection), and the rejected count.
+// bfStaged re-derives the staged selection with the brute-force oracle: the
+// analytical observation matrix and its slack-feasible dominance frontier,
+// physical refinement of every frontier point, then the oracle again over
+// the refined latencies, where thermal rejection is static infeasibility — a
+// rejected candidate neither sets the refined reference nor wins. Returns
+// the winner index, the ordered frontier (refined, before rejection), and
+// the rejected count.
 func bfStaged(models []*workload.Model, space hw.DesignSpace, cons dse.Constraints,
 	ev *eval.Evaluator, params fidelity.Params) (int, []bfCandidate, int, error) {
-	n, nm := space.Len(), len(models)
+	nm := len(models)
 	cat := hw.CatalogueOf(space)
-	type point struct {
-		idx  int
-		area float64
-		lats []float64
-		ok   bool
-	}
-	pts := make([]point, n)
-	bestLat := make([]float64, nm)
-	for i := range bestLat {
-		bestLat[i] = math.Inf(1)
-	}
-	for k := 0; k < n; k++ {
-		p := point{idx: k, ok: true, lats: make([]float64, nm)}
-		for i, m := range models {
-			c := hw.NewConfig(space.At(k), []*workload.Model{m})
-			c.Cat = cat
-			s, err := ev.EvaluateSummary(m, c, 1)
-			if err != nil {
-				return -1, nil, 0, err
-			}
-			p.lats[i] = s.LatencyS
-			p.area += s.AreaMM2
-			if cons.MeetsStatic(s.AreaMM2, s.PowerDensity()) {
-				if s.LatencyS < bestLat[i] {
-					bestLat[i] = s.LatencyS
-				}
-			} else {
-				p.ok = false
-			}
+	ana, err := oracle.Build(space.Len(), nm, func(k, i int) (oracle.Obs, error) {
+		c := hw.NewConfig(space.At(k), []*workload.Model{models[i]})
+		c.Cat = cat
+		s, err := ev.EvaluateSummary(models[i], c, 1)
+		if err != nil {
+			return oracle.Obs{}, err
 		}
-		pts[k] = p
-	}
-	// Analytical slack filter, then (area, index) selection order.
-	var feas []point
-	for _, p := range pts {
-		if !p.ok {
-			continue
-		}
-		ok := true
-		for i := range p.lats {
-			if p.lats[i] > (1+cons.LatencySlack)*bestLat[i] {
-				ok = false
-			}
-		}
-		if ok {
-			feas = append(feas, p)
-		}
-	}
-	sort.Slice(feas, func(a, b int) bool {
-		if feas[a].area != feas[b].area {
-			return feas[a].area < feas[b].area
-		}
-		return feas[a].idx < feas[b].idx
+		return oracle.Obs{AreaMM2: s.AreaMM2, LatencyS: s.LatencyS,
+			Static: cons.MeetsStatic(s.AreaMM2, s.PowerDensity())}, nil
 	})
-	// Quadratic dominance prune: b dies when some a precedes it in selection
-	// order with latencies no worse on every model.
-	var frontier []point
-	for bi, b := range feas {
-		dominated := false
-		for ai, a := range feas {
-			if ai == bi {
-				continue
-			}
-			if a.area > b.area || (a.area == b.area && a.idx >= b.idx) {
-				continue
-			}
-			all := true
-			for i := range a.lats {
-				if a.lats[i] > b.lats[i] {
-					all = false
-					break
-				}
-			}
-			if all {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			frontier = append(frontier, b)
-		}
+	if err != nil {
+		return -1, nil, 0, err
 	}
-	// Full physical refinement of every survivor.
-	cands := make([]bfCandidate, 0, len(frontier))
-	for _, p := range frontier {
-		cfg := hw.NewConfig(space.At(p.idx), models)
+	front := ana.Select(cons.LatencySlack).Frontier
+
+	// Full physical refinement of every frontier point; row j of the refined
+	// matrix keeps frontier point j's analytical areas, so the oracle ranks
+	// the rows in the analytical selection order.
+	cands := make([]bfCandidate, 0, len(front))
+	refined := oracle.Matrix{Models: nm, Obs: make([]oracle.Obs, 0, len(front)*nm)}
+	rejected := 0
+	for _, idx := range front {
+		cfg := hw.NewConfig(space.At(idx), models)
 		cfg.Cat = cat
 		full := make([]*ppa.Eval, nm)
 		for i, m := range models {
@@ -174,11 +113,11 @@ func bfStaged(models []*workload.Model, space hw.DesignSpace, cons dse.Constrain
 			}
 			full[i] = e
 		}
-		pkg, err := params.Build(fmt.Sprintf("bf:%d", p.idx), full)
+		pkg, err := params.Build(fmt.Sprintf("bf:%d", idx), full)
 		if err != nil {
 			return -1, nil, 0, err
 		}
-		c := bfCandidate{idx: p.idx, lats: make([]float64, nm)}
+		c := bfCandidate{idx: idx, lats: make([]float64, nm)}
 		for i, e := range full {
 			r := params.Eval(pkg, e)
 			c.lats[i] = r.LatencyS
@@ -186,41 +125,18 @@ func bfStaged(models []*workload.Model, space hw.DesignSpace, cons dse.Constrain
 				c.peakC = r.PeakTempC
 			}
 		}
+		hot := params.JunctionLimitC > 0 && c.peakC > params.JunctionLimitC
+		if hot {
+			rejected++
+		}
+		for i, ob := range ana.Row(idx) {
+			refined.Obs = append(refined.Obs, oracle.Obs{AreaMM2: ob.AreaMM2, LatencyS: c.lats[i], Static: !hot})
+		}
 		cands = append(cands, c)
 	}
-	// Thermal rejection, refined reference, refined-slack selection.
-	rejected := 0
-	var kept []bfCandidate
-	for _, c := range cands {
-		if params.JunctionLimitC > 0 && c.peakC > params.JunctionLimitC {
-			rejected++
-			continue
-		}
-		kept = append(kept, c)
-	}
-	ref := make([]float64, nm)
-	for i := range ref {
-		ref[i] = math.Inf(1)
-	}
-	for _, c := range kept {
-		for i, l := range c.lats {
-			if l < ref[i] {
-				ref[i] = l
-			}
-		}
-	}
 	winner := -1
-	for _, c := range kept {
-		ok := true
-		for i, l := range c.lats {
-			if l > (1+cons.LatencySlack)*ref[i] {
-				ok = false
-			}
-		}
-		if ok {
-			winner = c.idx
-			break
-		}
+	if j := refined.Select(cons.LatencySlack).Winner(); j >= 0 {
+		winner = cands[j].idx
 	}
 	return winner, cands, rejected, nil
 }
@@ -464,39 +380,26 @@ func checkNoCContentionDifferential(o *Options, col *collector) {
 		cfgName := fmt.Sprintf("%dx%d", tor.W, tor.H)
 		s := noc.NewSim(tor, p)
 		n := tor.Nodes()
-		type transfer struct {
-			src, dst  int
-			flits     int64
-			inject    int64
-			delivered int64
-			last      []int
-		}
-		transfers := make([]*transfer, 0, 8)
-		for i := 0; i < 8; i++ {
+		var err error
+		for i := 0; i < 8 && err == nil; i++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			if src == dst {
 				dst = (dst + 1) % n
 			}
-			tr := &transfer{src: src, dst: dst, flits: int64(rng.Intn(9) + 4), inject: int64(i)}
-			for f := int64(0); f < tr.flits; f++ {
-				tr.last = append(tr.last, s.Inject(src, dst, tr.inject))
-			}
-			transfers = append(transfers, tr)
+			_, err = s.Inject(src, dst, int64(rng.Intn(9)+4)*flitBytes, int64(i))
 		}
-		msgs, err := s.Run(1_000_000)
+		var msgs []noc.Message
+		if err == nil {
+			msgs, err = s.Run(1_000_000)
+		}
 		if !col.check(err == nil, "", "", cfgName, "sim: %v", err) {
 			continue
 		}
 		var simMean, anaMean float64
 		degenerate := false
-		for _, tr := range transfers {
-			for _, id := range tr.last {
-				if msgs[id].DeliverCycle > tr.delivered {
-					tr.delivered = msgs[id].DeliverCycle
-				}
-			}
-			simCycles := float64(tr.delivered - tr.inject)
-			anaCycles := p.TransferLatencyS(tr.flits*flitBytes, tor.Hops(tr.src, tr.dst)) * clockHz
+		for _, m := range msgs {
+			simCycles := float64(m.LatencyCycles)
+			anaCycles := p.TransferLatencyS(m.Flits*flitBytes, m.MinHops) * clockHz
 			if simCycles <= 0 || anaCycles <= 0 {
 				degenerate = true
 			}
@@ -506,8 +409,8 @@ func checkNoCContentionDifferential(o *Options, col *collector) {
 		if !col.check(!degenerate, "", "", cfgName, "degenerate transfer (non-positive latency)") {
 			continue
 		}
-		simMean /= float64(len(transfers))
-		anaMean /= float64(len(transfers))
+		simMean /= float64(len(msgs))
+		anaMean /= float64(len(msgs))
 		col.check(simMean >= 0.8*anaMean, "", "", cfgName,
 			"simulated mean %.1f cycles below analytical floor %.1f: model overestimates", simMean, anaMean)
 		col.check(simMean <= 2*float64(p.RouterDelayCycles)*anaMean, "", "", cfgName,

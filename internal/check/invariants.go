@@ -5,13 +5,12 @@ package check
 // batch monotonicity and weight amortization, area additivity across banks,
 // latency non-increase under bank growth, leakage recomputation, and
 // bit-identity between the direct, precomputed-plan and summary evaluation
-// paths — plus the randomized DSE selection soundness check.
+// paths.
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/dse"
 	"repro/internal/hw"
 	"repro/internal/ppa"
 	"repro/internal/workload"
@@ -146,17 +145,4 @@ func checkInvariants(o *Options) Section {
 		}
 	}
 	return col.s
-}
-
-// checkSelection wires the randomized DSE selection soundness check
-// (dse.SelectionSelfCheck) into the report.
-func checkSelection(o *Options) Section {
-	s := Section{Name: "selection", Checks: o.Trials}
-	for _, v := range dse.SelectionSelfCheck(o.Seed, o.Trials) {
-		s.Failed++
-		if len(s.Violations) < maxStoredViolations {
-			s.Violations = append(s.Violations, Violation{Section: s.Name, Detail: v})
-		}
-	}
-	return s
 }

@@ -122,24 +122,11 @@ func TestSelectorMatchesExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := NewSelector(len(models), cons)
-	lats := make([]float64, len(models))
-	statics := make([]bool, len(models))
-	for k := 0; k < space.Len(); k++ {
-		area := 0.0
-		for i, m := range models {
-			c := hw.NewConfig(space.At(k), []*workload.Model{m})
-			c.Cat = hw.CatalogueOf(space)
-			s, err := ev.EvaluateSummary(m, c, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lats[i] = s.LatencyS
-			statics[i] = cons.MeetsStatic(s.AreaMM2, s.PowerDensity())
-			area += s.AreaMM2
-		}
-		sel.Observe(k, area, lats, statics)
+	mat, err := observeSpace(models, space, cons, ev)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sel := replaySelector(mat, cons)
 	idx, _, ok := sel.Best()
 	if !ok {
 		t.Fatal("selector found no winner")

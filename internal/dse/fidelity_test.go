@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,57 +138,31 @@ func TestStagedRefinesFrontierOnly(t *testing.T) {
 	}
 }
 
-// frontierFor replays a space through a Selector to obtain the feasible
-// dominance frontier in selection order — the exact candidate list a staged
-// sweep hands to RefineSelect.
+// frontierFor returns the brute-force oracle's feasible dominance frontier in
+// selection order — the exact candidate list a staged sweep hands to
+// RefineSelect.
 func frontierFor(t *testing.T, models []*workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator) []int {
 	t.Helper()
-	sel := NewSelector(len(models), cons)
-	lats := make([]float64, len(models))
-	statics := make([]bool, len(models))
-	for k := 0; k < space.Len(); k++ {
-		area := 0.0
-		for i, m := range models {
-			c := hw.NewConfig(space.At(k), []*workload.Model{m})
-			c.Cat = hw.CatalogueOf(space)
-			s, err := ev.EvaluateSummary(m, c, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lats[i] = s.LatencyS
-			statics[i] = cons.MeetsStatic(s.AreaMM2, s.PowerDensity())
-			area += s.AreaMM2
-		}
-		sel.Observe(k, area, lats, statics)
+	mat, err := observeSpace(models, space, cons, ev)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sel.FeasibleFrontier()
+	return mat.Select(cons.LatencySlack).Frontier
 }
 
 // TestFeasibleFrontierLeadsWithBest pins the FeasibleFrontier contract the
-// search layer depends on: non-empty whenever Best() succeeds, first element
-// equal to Best()'s index, and every element slack-feasible.
+// search layer depends on: a Selector replaying the paper space returns the
+// oracle's slack-feasible frontier, in selection order, led by Best()'s index.
 func TestFeasibleFrontierLeadsWithBest(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewResNet18()}
 	space := hw.PaperSpace()
 	cons := DefaultConstraints()
-	ev := eval.New(eval.Options{Workers: 2})
-	sel := NewSelector(len(models), cons)
-	lats := make([]float64, len(models))
-	statics := make([]bool, len(models))
-	for k := 0; k < space.Len(); k++ {
-		area := 0.0
-		for i, m := range models {
-			c := hw.NewConfig(space.At(k), []*workload.Model{m})
-			s, err := ev.EvaluateSummary(m, c, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lats[i] = s.LatencyS
-			statics[i] = cons.MeetsStatic(s.AreaMM2, s.PowerDensity())
-			area += s.AreaMM2
-		}
-		sel.Observe(k, area, lats, statics)
+	mat, err := observeSpace(models, space, cons, eval.New(eval.Options{Workers: 2}))
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := mat.Select(cons.LatencySlack).Frontier
+	sel := replaySelector(mat, cons)
 	cands := sel.FeasibleFrontier()
 	best, _, ok := sel.Best()
 	if !ok || len(cands) == 0 {
@@ -195,6 +170,9 @@ func TestFeasibleFrontierLeadsWithBest(t *testing.T) {
 	}
 	if cands[0] != best {
 		t.Errorf("frontier leads with %d, Best() = %d", cands[0], best)
+	}
+	if !slices.Equal(cands, want) {
+		t.Errorf("selector frontier %v, oracle %v", cands, want)
 	}
 }
 

@@ -6,17 +6,53 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/check/oracle"
 	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/ppa"
 	"repro/internal/workload"
 )
 
-// exploreReference is the pre-streaming eager implementation of Explore,
-// preserved verbatim as the oracle for byte-identity tests: it materializes
-// the full O(points x models) summary matrix and selects in two passes. Any
-// change to the streaming sweep must keep ExploreSpace equal to this on every
-// space that fits in memory.
+// observeSpace builds the brute-force oracle's eager observation matrix for
+// models over space: every point's per-model summary through the engine's
+// cache, judged by the sweep's static constraint check.
+func observeSpace(models []*workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator) (oracle.Matrix, error) {
+	tmpl := make([]hw.Config, len(models))
+	for i, m := range models {
+		tmpl[i] = hw.NewConfig(hw.Point{}, []*workload.Model{m})
+		tmpl[i].Cat = hw.CatalogueOf(space)
+	}
+	return oracle.Build(space.Len(), len(models), func(k, i int) (oracle.Obs, error) {
+		c := tmpl[i]
+		c.Point = space.At(k)
+		s, err := ev.EvaluateSummary(models[i], c, 1)
+		if err != nil {
+			return oracle.Obs{}, err
+		}
+		return oracle.Obs{AreaMM2: s.AreaMM2, LatencyS: s.LatencyS,
+			Static: cons.meetsStatic(s.AreaMM2, s.PowerDensity())}, nil
+	})
+}
+
+// replaySelector feeds every row of mat, in index order, through a Selector.
+func replaySelector(mat oracle.Matrix, cons Constraints) *Selector {
+	sel := NewSelector(mat.Models, cons)
+	lats := make([]float64, mat.Models)
+	statics := make([]bool, mat.Models)
+	for k := 0; k < mat.Points(); k++ {
+		for i, o := range mat.Row(k) {
+			lats[i], statics[i] = o.LatencyS, o.Static
+		}
+		sel.Observe(k, mat.Area(k), lats, statics)
+	}
+	return sel
+}
+
+// exploreReference is the eager oracle for byte-identity tests: it
+// materializes the full O(points x models) observation matrix, selects with
+// the brute-force oracle, and evaluates the winner like the sweep does. Any
+// change to the streaming sweep must keep ExploreSpaceCtx equal to this on
+// every space that fits in memory.
 func exploreReference(models []*workload.Model, space []hw.Point, cons Constraints, ev *eval.Evaluator) (Result, error) {
 	if len(models) == 0 {
 		return Result{}, fmt.Errorf("dse: no models")
@@ -30,78 +66,17 @@ func exploreReference(models []*workload.Model, space []hw.Point, cons Constrain
 	if ev == nil {
 		ev = eval.Shared()
 	}
-	tmpl := make([]hw.Config, len(models))
+	mat, err := observeSpace(models, hw.PointList(space), cons, ev)
+	if err != nil {
+		return Result{}, err
+	}
+	sel := mat.Select(cons.LatencySlack)
 	for i, m := range models {
-		tmpl[i] = hw.NewConfig(hw.Point{}, []*workload.Model{m})
-	}
-	type pointEval struct {
-		sums []ppa.Summary
-		area float64
-		ok   bool
-	}
-	sums := make([]ppa.Summary, len(space)*len(models))
-	pes := make([]pointEval, len(space))
-	errs := make([]error, len(space))
-	ev.ForEach(len(space), func(k int) {
-		pe := pointEval{sums: sums[k*len(models) : (k+1)*len(models)], ok: true}
-		for i, m := range models {
-			c := tmpl[i]
-			c.Point = space[k]
-			s, err := ev.EvaluateSummary(m, c, 1)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			pe.sums[i] = s
-			pe.area += s.AreaMM2
-			if !cons.meetsStatic(s.AreaMM2, s.PowerDensity()) {
-				pe.ok = false
-			}
-		}
-		pes[k] = pe
-	})
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	bestLat := make([]float64, len(models))
-	for i := range bestLat {
-		bestLat[i] = math.Inf(1)
-	}
-	for k := range pes {
-		for i := range models {
-			if s := pes[k].sums[i]; cons.meetsStatic(s.AreaMM2, s.PowerDensity()) && s.LatencyS < bestLat[i] {
-				bestLat[i] = s.LatencyS
-			}
-		}
-	}
-	for i, m := range models {
-		if math.IsInf(bestLat[i], 1) {
+		if math.IsInf(sel.Ref[i], 1) {
 			return Result{}, fmt.Errorf("dse: no space point meets area/power constraints for %s", m.Name)
 		}
 	}
-	best := -1
-	feasible := 0
-	for k := range pes {
-		if !pes[k].ok {
-			continue
-		}
-		latOK := true
-		for i := range models {
-			if pes[k].sums[i].LatencyS > (1+cons.LatencySlack)*bestLat[i] {
-				latOK = false
-				break
-			}
-		}
-		if !latOK {
-			continue
-		}
-		feasible++
-		if best < 0 || pes[k].area < pes[best].area {
-			best = k
-		}
-	}
+	best := sel.Winner()
 	if best < 0 {
 		return Result{}, fmt.Errorf("dse: no feasible configuration for %d models under %+v",
 			len(models), cons)
@@ -115,7 +90,7 @@ func exploreReference(models []*workload.Model, space []hw.Point, cons Constrain
 		}
 		evals[i] = e
 	}
-	return Result{Config: final, Evals: evals, Feasible: feasible, Explored: len(space)}, nil
+	return Result{Config: final, Evals: evals, Feasible: sel.Feasible, Explored: len(space)}, nil
 }
 
 // TestStreamingMatchesReference is the PR's central acceptance gate: over the

@@ -491,6 +491,70 @@ func (sh *exploreShard) countChunk(lo, hi int) {
 	}
 }
 
+// merged is a sweep's reduction state once its shards have folded together.
+type merged struct {
+	bestLat     []float64 // exact per-model references
+	front       frontier  // survivors slack-feasible under bestLat, in selection order
+	err         error     // evaluation error at the lowest point index, if any
+	maxRetained int       // sum of the shards' peak frontier sizes
+	shards      int       // shards that claimed at least one chunk
+}
+
+// merge folds the shards' state after the scan, in any shard order. Phase 1:
+// the final per-model references are the exact min over every shard's running
+// bests (pure comparisons, so order-independent), and the first error is the
+// one at the lowest point index, as in a serial scan. Phase 2: every shard's
+// survivors that pass slack against the final references fold into one
+// frontier. That union contains the winner — it can be neither dominated (its
+// dominator would precede it in selection order and pass slack whenever it
+// does) nor watermark-dropped (it passes slack against the final, tightest
+// reference) — and the merged frontier is in selection order, so its first
+// candidate is the min-(area, index) winner. Nil shards are skipped.
+func (sw *sweepState) merge(shards []*exploreShard) merged {
+	m := merged{bestLat: make([]float64, len(sw.models))}
+	for i := range m.bestLat {
+		m.bestLat[i] = math.Inf(1)
+	}
+	errIdx := sw.n
+	for _, sh := range shards {
+		if sh == nil {
+			continue
+		}
+		m.shards++
+		m.maxRetained += sh.maxRetained
+		for i, v := range sh.localBest {
+			if v < m.bestLat[i] {
+				m.bestLat[i] = v
+			}
+		}
+		if sh.err != nil && sh.errIdx < errIdx {
+			errIdx, m.err = sh.errIdx, sh.err
+		}
+	}
+	m.front.init(len(sw.models))
+	for _, sh := range shards {
+		if sh == nil {
+			continue
+		}
+		for i := range sh.front.cands {
+			fc := &sh.front.cands[i]
+			if slackOK(sh.front.latsOf(fc), m.bestLat, sw.cons.LatencySlack) {
+				m.front.add(fc.idx, fc.area, sh.front.latsOf(fc))
+			}
+		}
+	}
+	return m
+}
+
+// winner returns the merged frontier's first candidate, the analytical
+// selection, or -1 when no point is feasible.
+func (m *merged) winner() int {
+	if len(m.front.cands) == 0 {
+		return -1
+	}
+	return m.front.cands[0].idx
+}
+
 // cornerBounds holds the monotone bounds an early-exiting sweep stops
 // against: per-model latency lower bounds from the space's latency corners,
 // and the suffix-minimum of per-segment area lower bounds in enumeration
@@ -721,61 +785,16 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 		return Result{}, err
 	}
 
-	// Merge phase 1: the final per-model references are the exact min over
-	// every shard's running bests (pure comparisons — order-independent), and
-	// the first error is the one at the lowest point index, as in a serial
-	// scan.
-	bestLat := make([]float64, len(models))
-	for i := range bestLat {
-		bestLat[i] = math.Inf(1)
-	}
-	firstErrIdx, firstErr := n, error(nil)
-	maxRetained, nShards := 0, 0
-	for _, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		nShards++
-		maxRetained += sh.maxRetained
-		for i, v := range sh.localBest {
-			if v < bestLat[i] {
-				bestLat[i] = v
-			}
-		}
-		if sh.err != nil && sh.errIdx < firstErrIdx {
-			firstErrIdx, firstErr = sh.errIdx, sh.err
-		}
-	}
-	if firstErr != nil {
-		return Result{}, firstErr
+	mg := sw.merge(shards)
+	if mg.err != nil {
+		return Result{}, mg.err
 	}
 	for i, m := range models {
-		if math.IsInf(bestLat[i], 1) {
+		if math.IsInf(mg.bestLat[i], 1) {
 			return Result{}, fmt.Errorf("dse: no space point meets area/power constraints for %s", m.Name)
 		}
 	}
-
-	// Merge phase 2: fold every shard's surviving candidates into one
-	// frontier under the final references. The union of shard frontiers
-	// contains the winner — it can be neither dominated (its dominator would
-	// precede it in selection order and pass slack whenever it does) nor
-	// watermark-dropped (it passes slack against the final, tightest
-	// reference) — and the merged frontier is in selection order, so the
-	// first survivor of the final slack pass is the min-(area, index) winner.
-	var front frontier
-	front.init(len(models))
-	for _, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		for i := range sh.front.cands {
-			fc := &sh.front.cands[i]
-			if slackOK(sh.front.latsOf(fc), bestLat, cons.LatencySlack) {
-				front.add(fc.idx, fc.area, sh.front.latsOf(fc))
-			}
-		}
-	}
-	best := -1
+	best := mg.winner()
 	var refineStats RefineStats
 	if o.Fidelity.Staged() {
 		// Stage 1: the merged frontier — every candidate of which passed the
@@ -784,22 +803,14 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 		// from the refined ranking (DESIGN.md §10). The frontier is already
 		// dominance-pruned, so this evaluates the expensive models on a tiny
 		// fraction of the space (RefinedPoints in the stats).
-		cands := make([]int, len(front.cands))
-		for i := range front.cands {
-			cands[i] = front.cands[i].idx
+		cands := make([]int, len(mg.front.cands))
+		for i := range mg.front.cands {
+			cands[i] = mg.front.cands[i].idx
 		}
 		var rerr error
 		best, refineStats, rerr = o.Fidelity.RefineSelect(ctx, cands, models, space, cons, ev)
 		if rerr != nil {
 			return Result{}, rerr
-		}
-	} else {
-		for i := range front.cands {
-			fc := &front.cands[i]
-			if slackOK(front.latsOf(fc), bestLat, cons.LatencySlack) {
-				best = fc.idx
-				break
-			}
 		}
 	}
 	if best < 0 {
@@ -813,7 +824,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 	// cache hits; without, it re-runs the closed-form kernels. The count is a
 	// sum, so chunk/worker order cannot affect it. Shards are reused for
 	// their scratch; late-binding workers get a fresh one.
-	sw.bestLat = bestLat
+	sw.bestLat = mg.bestLat
 	ev.ForEachChunkWorker(scanned, chunk, func(worker, lo, hi int) {
 		sh := shards[worker]
 		if sh == nil {
@@ -840,10 +851,10 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			Models:          len(models),
 			Chunks:          (scanned + chunk - 1) / chunk,
 			ChunkSize:       chunk,
-			MaxRetained:     maxRetained,
-			Retained:        len(front.cands),
-			Shards:          nShards,
-			RetainedBytes:   retainedBytes(maxRetained, len(models)),
+			MaxRetained:     mg.maxRetained,
+			Retained:        len(mg.front.cands),
+			Shards:          mg.shards,
+			RetainedBytes:   retainedBytes(mg.maxRetained, len(models)),
 			NaiveBytes:      naiveBytes(n, len(models)),
 			CacheBypassed:   !useCache,
 			SkippedPoints:   n - scanned,

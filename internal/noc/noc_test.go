@@ -56,6 +56,31 @@ func TestTransferEdgeCases(t *testing.T) {
 	}
 }
 
+// TestTransferLatencyClosedForm pins the analytical transfer model to its
+// closed form, hops x RouterDelayCycles + bytes / BytesPerCycle cycles at the
+// channel clock, for both interconnect classes (40 B/cycle at 1 GHz; 2 and 6
+// cycles per hop). The flit simulator cannot pin it: it streams one body flit
+// per router slot, not one per cycle.
+func TestTransferLatencyClosedForm(t *testing.T) {
+	for _, tc := range []struct {
+		p      Params
+		bytes  int64
+		hops   int
+		cycles float64
+	}{
+		{DefaultNoC(), 100_000, 3, 3*2 + 2500},
+		{DefaultNoC(), 41, 1, 2 + 1.025},
+		{DefaultNoC(), 4000, 7, 7*2 + 100},
+		{DefaultNoP(), 100_000, 3, 3*6 + 2500},
+		{DefaultNoP(), 40, 2, 2*6 + 1},
+	} {
+		got := tc.p.TransferLatencyS(tc.bytes, tc.hops) * tc.p.ClockGHz * 1e9
+		if math.Abs(got-tc.cycles) > 1e-9*tc.cycles {
+			t.Errorf("%s: %d bytes over %d hops = %v cycles, want %v", tc.p.Name, tc.bytes, tc.hops, got, tc.cycles)
+		}
+	}
+}
+
 func TestTorusGeometry(t *testing.T) {
 	tor := NewTorus(12)
 	if tor.Nodes() < 12 {
@@ -105,11 +130,21 @@ func TestAvgHops(t *testing.T) {
 	}
 }
 
+// inject schedules a message and fails the test if Inject rejects it.
+func inject(t *testing.T, s *Sim, src, dst int, bytes, cycle int64) int {
+	t.Helper()
+	id, err := s.Inject(src, dst, bytes, cycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 func TestSimUncontendedMatchesMinHops(t *testing.T) {
 	tor := Torus{W: 4, H: 4}
 	p := DefaultNoC()
 	s := NewSim(tor, p)
-	s.Inject(0, 5, 0)
+	inject(t, s, 0, 5, 1, 0)
 	msgs, err := s.Run(10000)
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +162,8 @@ func TestSimContentionDelays(t *testing.T) {
 	p := DefaultNoC()
 	s := NewSim(tor, p)
 	// Two flits fight for the same next node.
-	s.Inject(0, 2, 0)
-	s.Inject(0, 2, 0)
+	inject(t, s, 0, 2, 1, 0)
+	inject(t, s, 0, 2, 1, 0)
 	msgs, err := s.Run(10000)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +191,7 @@ func TestSimValidatesAnalyticalModel(t *testing.T) {
 		if src == dst {
 			dst = (dst + 1) % n
 		}
-		s.Inject(src, dst, int64(i/8)) // bursty injection
+		inject(t, s, src, dst, 1, int64(i/8)) // bursty injection
 	}
 	msgs, err := s.Run(1_000_000)
 	if err != nil {
@@ -190,9 +225,9 @@ func TestSimRoundRobinPreventsStarvation(t *testing.T) {
 	s := NewSim(tor, p)
 	const streamLen = 24
 	for i := 0; i < streamLen; i++ {
-		s.Inject(0, 2, 0) // ids 0..23: route 0 -> 1 -> 2, enter node 2 via port 1
+		inject(t, s, 0, 2, 1, 0) // ids 0..23: route 0 -> 1 -> 2, enter node 2 via port 1
 	}
-	victim := s.Inject(4, 2, 0) // highest id: route 4 -> 5 -> 6 -> 2, port 6
+	victim := inject(t, s, 4, 2, 1, 0) // highest id: route 4 -> 5 -> 6 -> 2, port 6
 	msgs, err := s.Run(100_000)
 	if err != nil {
 		t.Fatal(err)
@@ -221,9 +256,9 @@ func TestSimOccupancyBlocksStalledNode(t *testing.T) {
 	tor := Torus{W: 4, H: 2}
 	p := DefaultNoC()
 	s := NewSim(tor, p)
-	s.Inject(0, 2, 2)             // id 0: reaches node 1 as flit 1 reaches node 6
-	s.Inject(4, 2, 0)             // id 1: loses node 2 to flit 0, stalls at node 6
-	follower := s.Inject(4, 6, 0) // id 2: wants node 6 while flit 1 holds it
+	inject(t, s, 0, 2, 1, 2)             // id 0: reaches node 1 as flit 1 reaches node 6
+	inject(t, s, 4, 2, 1, 0)             // id 1: loses node 2 to flit 0, stalls at node 6
+	follower := inject(t, s, 4, 6, 1, 0) // id 2: wants node 6 while flit 1 holds it
 	msgs, err := s.Run(10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -252,25 +287,13 @@ func TestAnalyticalVsSimUnderContention(t *testing.T) {
 	n := tor.Nodes()
 	flitBytes := int64(p.BytesPerCycle())
 
-	type transfer struct {
-		src, dst  int
-		flits     int64
-		inject    int64
-		delivered int64
-		last      []int
-	}
-	transfers := make([]*transfer, 0, 8)
 	for i := 0; i < 8; i++ {
 		src := rng.Intn(n)
 		dst := rng.Intn(n)
 		if src == dst {
 			dst = (dst + 1) % n
 		}
-		tr := &transfer{src: src, dst: dst, flits: int64(rng.Intn(9) + 4), inject: int64(i)}
-		for f := int64(0); f < tr.flits; f++ {
-			tr.last = append(tr.last, s.Inject(src, dst, tr.inject))
-		}
-		transfers = append(transfers, tr)
+		inject(t, s, src, dst, int64(rng.Intn(9)+4)*flitBytes, int64(i))
 	}
 	msgs, err := s.Run(1_000_000)
 	if err != nil {
@@ -278,22 +301,17 @@ func TestAnalyticalVsSimUnderContention(t *testing.T) {
 	}
 	var simMean, anaMean float64
 	clockHz := p.ClockGHz * 1e9
-	for _, tr := range transfers {
-		for _, id := range tr.last {
-			if msgs[id].DeliverCycle > tr.delivered {
-				tr.delivered = msgs[id].DeliverCycle
-			}
-		}
-		simCycles := float64(tr.delivered - tr.inject)
-		anaCycles := p.TransferLatencyS(tr.flits*flitBytes, tor.Hops(tr.src, tr.dst)) * clockHz
+	for _, m := range msgs {
+		simCycles := float64(m.LatencyCycles)
+		anaCycles := p.TransferLatencyS(m.Flits*flitBytes, m.MinHops) * clockHz
 		if simCycles <= 0 || anaCycles <= 0 {
-			t.Fatalf("degenerate transfer %+v: sim %v ana %v", tr, simCycles, anaCycles)
+			t.Fatalf("degenerate transfer %+v: sim %v ana %v", m, simCycles, anaCycles)
 		}
 		simMean += simCycles
 		anaMean += anaCycles
 	}
-	simMean /= float64(len(transfers))
-	anaMean /= float64(len(transfers))
+	simMean /= float64(len(msgs))
+	anaMean /= float64(len(msgs))
 	// Floor: the sim charges RouterDelayCycles per hop and per body flit, so
 	// it cannot undercut the analytical hop + serialization terms by more
 	// than the one-cycle-per-flit difference; 0.8x absorbs that slack.
@@ -312,18 +330,148 @@ func TestAnalyticalVsSimUnderContention(t *testing.T) {
 func TestSimDeadlineError(t *testing.T) {
 	tor := Torus{W: 4, H: 4}
 	s := NewSim(tor, DefaultNoC())
-	s.Inject(0, 15, 0)
+	inject(t, s, 0, 15, 1, 0)
 	if _, err := s.Run(1); err == nil {
 		t.Error("expected deadline error")
 	}
 }
 
+// An out-of-range endpoint is refused: Inject returns an error instead of
+// panicking, and nothing is queued.
 func TestSimInjectPanicsOutOfRange(t *testing.T) {
 	s := NewSim(Torus{W: 2, H: 2}, DefaultNoC())
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+	if _, err := s.Inject(0, 99, 1, 0); err == nil {
+		t.Error("inject 0->99 on a 2x2 torus should fail")
+	}
+	msgs, err := s.Run(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msgs) != 0 {
+		t.Errorf("refused inject queued %d messages", len(msgs))
+	}
+}
+
+// The packet tests drive Sim with multi-flit messages (packets): a payload of
+// B bytes serializes into ceil(B / BytesPerCycle) flits that follow the head
+// flit's route one router slot apart.
+
+func TestPacketFlitCount(t *testing.T) {
+	s := NewSim(Torus{W: 2, H: 2}, DefaultNoC()) // 40 B/cycle
+	cases := []struct{ bytes, flits int64 }{{1, 1}, {40, 1}, {41, 2}, {4000, 100}}
+	for _, c := range cases {
+		inject(t, s, 0, 3, c.bytes, 0)
+	}
+	msgs, err := s.Run(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cases {
+		if msgs[i].ID != i || msgs[i].Flits != c.flits {
+			t.Errorf("message %d of %d bytes: id %d, %d flits, want %d", i, c.bytes, msgs[i].ID, msgs[i].Flits, c.flits)
 		}
-	}()
-	s.Inject(0, 99, 0)
+	}
+}
+
+// idealCycles is the uncontended latency of a packet: the head flit's hops,
+// then the body one router slot per flit.
+func idealCycles(m Message, p Params) int64 {
+	return (int64(m.MinHops) + m.Flits - 1) * int64(p.RouterDelayCycles)
+}
+
+func TestPacketUncontendedMatchesIdeal(t *testing.T) {
+	p := DefaultNoC()
+	for _, c := range []struct {
+		src, dst int
+		bytes    int64
+	}{{0, 5, 4000}, {0, 15, 4000}, {6, 9, 41}, {2, 14, 1}} {
+		s := NewSim(Torus{W: 4, H: 4}, p)
+		inject(t, s, c.src, c.dst, c.bytes, 0)
+		msgs, err := s.Run(10_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := msgs[0]; m.LatencyCycles != idealCycles(m, p) {
+			t.Errorf("%d->%d, %d flits: uncontended latency %d, want (hops %d + flits - 1) x %d = %d",
+				c.src, c.dst, m.Flits, m.LatencyCycles, m.MinHops, p.RouterDelayCycles, idealCycles(m, p))
+		}
+	}
+}
+
+func TestPacketContentionStretches(t *testing.T) {
+	p := DefaultNoC()
+	// Two messages share the 0->1 link.
+	s := NewSim(Torus{W: 4, H: 1}, p)
+	inject(t, s, 0, 2, 4000, 0)
+	inject(t, s, 0, 2, 4000, 0)
+	msgs, err := s.Run(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs[0].LatencyCycles != idealCycles(msgs[0], p) {
+		t.Errorf("first message should be unstretched: %d vs ideal %d", msgs[0].LatencyCycles, idealCycles(msgs[0], p))
+	}
+	// The second waits out the first's serialization: one slot per flit.
+	stretch := msgs[1].LatencyCycles - idealCycles(msgs[1], p)
+	if want := msgs[0].Flits * int64(p.RouterDelayCycles); stretch < want {
+		t.Errorf("second message stretched %d cycles, want >= %d (%d flits ahead)", stretch, want, msgs[0].Flits)
+	}
+}
+
+func TestPacketDisjointPathsDoNotInterfere(t *testing.T) {
+	p := DefaultNoC()
+	s := NewSim(Torus{W: 4, H: 4}, p)
+	inject(t, s, 0, 1, 4000, 0)
+	inject(t, s, 8, 9, 4000, 0) // different row, disjoint links
+	msgs, err := s.Run(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range msgs {
+		if m.LatencyCycles != idealCycles(m, p) {
+			t.Errorf("packet %d stretched with no shared links: %d vs ideal %d", m.ID, m.LatencyCycles, idealCycles(m, p))
+		}
+	}
+}
+
+func TestPacketErrors(t *testing.T) {
+	s := NewSim(Torus{W: 2, H: 2}, DefaultNoC())
+	for _, c := range []struct {
+		src, dst int
+		bytes    int64
+		why      string
+	}{
+		{0, 9, 10, "out-of-range destination"},
+		{-1, 1, 10, "negative source"},
+		{0, 1, 0, "empty payload"},
+		{0, 1, -5, "negative payload"},
+	} {
+		if _, err := s.Inject(c.src, c.dst, c.bytes, 0); err == nil {
+			t.Errorf("%s (%d->%d, %d bytes) should fail", c.why, c.src, c.dst, c.bytes)
+		}
+	}
+	inject(t, s, 0, 3, 1<<20, 0)
+	if _, err := s.Run(10); err == nil {
+		t.Error("budget overrun should fail")
+	}
+}
+
+func TestPacketDeterministic(t *testing.T) {
+	build := func() []Message {
+		s := NewSim(Torus{W: 3, H: 3}, DefaultNoC())
+		for i := 0; i < 10; i++ {
+			inject(t, s, i%9, (i*4+1)%9, int64(1000*(i+1)), int64(i))
+		}
+		msgs, err := s.Run(10_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msgs
+	}
+	a, b := build(), build()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("nondeterministic at packet %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
 }

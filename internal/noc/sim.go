@@ -1,23 +1,22 @@
 package noc
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Sim is a flit-level simulator for the 2-D torus: dimension-ordered (X then
 // Y) routing, single-flit buffers per input port, round-robin arbitration per
-// output port. It exists to validate the analytical latency model under
-// contention (DESIGN.md, D5 companion for the interconnect).
+// output port. Traffic enters as messages that serialize into flits. It
+// exists to validate the analytical latency model under contention (DESIGN.md,
+// D5 companion for the interconnect).
 type Sim struct {
-	t      Torus
-	p      Params
-	nextID int
-	flits  []*flit
+	t     Torus
+	p     Params
+	nMsgs int
+	flits []*flit
 }
 
 type flit struct {
-	id        int
+	id        int // injection order: FIFO rank within a source's queue
+	msg       int // owning message
 	src, dst  int
 	injectCyc int64
 	doneCyc   int64
@@ -33,8 +32,9 @@ type flit struct {
 type Message struct {
 	ID            int
 	Src, Dst      int
+	Flits         int64
 	InjectCycle   int64
-	DeliverCycle  int64
+	DeliverCycle  int64 // when the message's last flit landed
 	LatencyCycles int64
 	MinHops       int
 }
@@ -45,15 +45,26 @@ func NewSim(t Torus, p Params) *Sim {
 	return &Sim{t: t, p: p}
 }
 
-// Inject schedules one flit from src to dst at the given cycle.
-func (s *Sim) Inject(src, dst int, cycle int64) int {
+// Inject schedules a message of the given payload from src to dst at the
+// given cycle and returns its id. The payload serializes into
+// ceil(bytes / BytesPerCycle) flits that queue at src in order, so a payload
+// of at most BytesPerCycle bytes is a single flit; the message is delivered
+// when its last flit lands. Flits addressed to their own source eject in the
+// slot they are due, so such a message takes one slot whatever its size.
+func (s *Sim) Inject(src, dst int, bytes, cycle int64) (int, error) {
 	if src < 0 || dst < 0 || src >= s.t.Nodes() || dst >= s.t.Nodes() {
-		panic(fmt.Sprintf("noc: inject (%d->%d) outside torus of %d nodes", src, dst, s.t.Nodes()))
+		return 0, fmt.Errorf("noc: inject (%d->%d) outside torus of %d nodes", src, dst, s.t.Nodes())
 	}
-	id := s.nextID
-	s.nextID++
-	s.flits = append(s.flits, &flit{id: id, src: src, dst: dst, injectCyc: cycle, at: -1})
-	return id
+	if bytes <= 0 {
+		return 0, fmt.Errorf("noc: inject (%d->%d) of an empty payload", src, dst)
+	}
+	per := max(int64(s.p.BytesPerCycle()), 1)
+	id := s.nMsgs
+	s.nMsgs++
+	for n := (bytes + per - 1) / per; n > 0; n-- {
+		s.flits = append(s.flits, &flit{id: len(s.flits), msg: id, src: src, dst: dst, injectCyc: cycle, at: -1})
+	}
+	return id, nil
 }
 
 // nextHop returns the next node under dimension-ordered torus routing.
@@ -79,8 +90,9 @@ func (s *Sim) nextHop(at, dst int) int {
 }
 
 // Run simulates until all flits are delivered or maxCycles elapses, then
-// returns delivery reports sorted by flit ID. One flit advances one hop per
-// RouterDelayCycles slot; each node holds a single-flit buffer.
+// returns one delivery report per message, indexed by message id. One flit
+// advances one hop per RouterDelayCycles slot; each node holds a single-flit
+// buffer.
 //
 // Arbitration is rotating round-robin per output node over its input ports
 // (the node a request arrives from: the requester's current node, or its
@@ -220,16 +232,16 @@ func (s *Sim) Run(maxCycles int64) ([]Message, error) {
 			winner[t] = nil
 		}
 	}
-	msgs := make([]Message, 0, len(s.flits))
+	msgs := make([]Message, s.nMsgs)
 	for _, f := range s.flits {
-		msgs = append(msgs, Message{
-			ID: f.id, Src: f.src, Dst: f.dst,
-			InjectCycle:   f.injectCyc,
-			DeliverCycle:  f.doneCyc,
-			LatencyCycles: f.doneCyc - f.injectCyc,
-			MinHops:       s.t.Hops(f.src, f.dst),
-		})
+		m := &msgs[f.msg]
+		m.ID, m.Src, m.Dst, m.InjectCycle = f.msg, f.src, f.dst, f.injectCyc
+		m.Flits++
+		m.DeliverCycle = max(m.DeliverCycle, f.doneCyc)
 	}
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID < msgs[j].ID })
+	for i := range msgs {
+		msgs[i].LatencyCycles = msgs[i].DeliverCycle - msgs[i].InjectCycle
+		msgs[i].MinHops = s.t.Hops(msgs[i].Src, msgs[i].Dst)
+	}
 	return msgs, nil
 }
