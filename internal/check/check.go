@@ -37,9 +37,11 @@
 //     monotonicity, single-type-mix/homogeneous latency identity, and
 //     cross-catalogue eval cache-key separation.
 //  8. Budgeted search: the metaheuristic layer (internal/search) against the
-//     exhaustive streaming sweep — seed determinism across worker counts,
-//     budget-ledger exactness, optimality-gap bounds, the early-exit
-//     certificate's winner identity, and the exhaustive-fallback contract.
+//     selection oracle over each space's full observation matrix — seed
+//     determinism across worker counts, budget-ledger exactness,
+//     optimality-gap bounds against the oracle winner's area, and an
+//     exhaustive fallback that returns the oracle's winner and feasible count
+//     over the whole space.
 //  9. Multi-fidelity selection: the staged pipeline (DESIGN.md §10) against
 //     a full-fidelity re-derivation through the selection oracle on
 //     sub-spaces, analytical byte-identity across worker counts,

@@ -81,16 +81,7 @@ func bfStaged(models []*workload.Model, space hw.DesignSpace, cons dse.Constrain
 	ev *eval.Evaluator, params fidelity.Params) (int, []bfCandidate, int, error) {
 	nm := len(models)
 	cat := hw.CatalogueOf(space)
-	ana, err := oracle.Build(space.Len(), nm, func(k, i int) (oracle.Obs, error) {
-		c := hw.NewConfig(space.At(k), []*workload.Model{models[i]})
-		c.Cat = cat
-		s, err := ev.EvaluateSummary(models[i], c, 1)
-		if err != nil {
-			return oracle.Obs{}, err
-		}
-		return oracle.Obs{AreaMM2: s.AreaMM2, LatencyS: s.LatencyS,
-			Static: cons.MeetsStatic(s.AreaMM2, s.PowerDensity())}, nil
-	})
+	ana, err := observe(models, space, cons, ev)
 	if err != nil {
 		return -1, nil, 0, err
 	}

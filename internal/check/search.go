@@ -1,8 +1,8 @@
 package check
 
-// Budgeted-search cross-checks: the metaheuristic layer (internal/search)
-// against the exhaustive streaming sweep it approximates, plus the
-// early-exit certificate of the sweep itself.
+// Budgeted-search cross-checks (check family 8): the metaheuristic layer
+// (internal/search) against the brute-force selection oracle
+// (internal/check/oracle) over each space's full observation matrix.
 //
 //   - Determinism: for a fixed seed, both strategies must return the same
 //     winner and byte-identical traces at 1 and 8 evaluator workers.
@@ -11,11 +11,10 @@ package check
 //     evaluations equal unique points x models.
 //   - Optimality gap: on exhaustively verifiable spaces the search winner's
 //     selection area stays within the coarse selfcheck threshold of the
-//     brute-force optimum (the bench gates the tight 1% criterion).
-//   - Early exit: the certified sweep must return the full sweep's exact
-//     winner with a worker-count-independent skip count.
+//     oracle winner's area (the bench gates the tight 1% criterion).
 //   - Fallback: a budget covering the whole space must route to the
-//     exhaustive sweep and reproduce its winner exactly.
+//     exhaustive sweep and return the oracle's winner and feasible count,
+//     with the whole space explored.
 
 import (
 	"context"
@@ -59,23 +58,6 @@ func searchSpaces(o *Options) []struct {
 	return spaces
 }
 
-// selectionAreaAt recomputes the summed per-model selection area of a point,
-// the quantity the search minimizes and the gap check compares.
-func selectionAreaAt(ev *eval.Evaluator, models []*workload.Model, space hw.DesignSpace, pt hw.Point) (float64, error) {
-	area := 0.0
-	for _, m := range models {
-		c := hw.NewConfig(hw.Point{}, []*workload.Model{m})
-		c.Cat = hw.CatalogueOf(space)
-		c.Point = pt
-		s, err := ev.EvaluateSummary(m, c, 1)
-		if err != nil {
-			return 0, err
-		}
-		area += s.AreaMM2
-	}
-	return area, nil
-}
-
 // checkSearch runs the budgeted-search family.
 func checkSearch(o *Options) Section {
 	c := newCollector("search")
@@ -84,33 +66,16 @@ func checkSearch(o *Options) Section {
 	for _, tc := range searchSpaces(o) {
 		n, nm := tc.space.Len(), len(tc.models)
 
-		// Exhaustive reference, full sweep.
-		refEv := eval.New(eval.Options{Workers: 4})
-		full, err := dse.ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons, refEv, nil)
-		if !c.check(err == nil, "", "", tc.name, "exhaustive sweep failed: %v", err) {
+		// Oracle reference over the full observation matrix.
+		mat, err := observe(tc.models, tc.space, cons, eval.New(eval.Options{Workers: 4}))
+		if !c.check(err == nil, "", "", tc.name, "observation matrix: %v", err) {
 			continue
 		}
-		exhArea, err := selectionAreaAt(refEv, tc.models, tc.space, full.Config.Point)
-		if !c.check(err == nil, "", "", tc.name, "selection area of exhaustive winner: %v", err) {
+		want := mat.Select(cons.LatencySlack)
+		if !c.check(want.Winner() >= 0, "", "", tc.name, "oracle found no feasible point") {
 			continue
 		}
-
-		// Early-exit certificate: exact winner, worker-independent skips.
-		var skips []int
-		for _, workers := range []int{1, 8} {
-			var stats dse.ExploreStats
-			ev := eval.New(eval.Options{Workers: workers})
-			res, err := dse.ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons, ev, &dse.ExploreOptions{EarlyExit: true, Stats: &stats})
-			if !c.check(err == nil, "", "", tc.name, "early-exit sweep failed: %v", err) {
-				continue
-			}
-			c.check(res.Config.Point == full.Config.Point, "", "", tc.name,
-				"early-exit winner %+v != full-sweep winner %+v (workers=%d)",
-				res.Config.Point, full.Config.Point, workers)
-			skips = append(skips, stats.SkippedPoints)
-		}
-		c.check(len(skips) == 2 && skips[0] == skips[1], "", "", tc.name,
-			"early-exit skip counts differ across workers: %v", skips)
+		optArea := mat.Area(want.Winner())
 
 		budget := n * nm / 4
 		for _, kind := range []string{"anneal", "genetic"} {
@@ -161,13 +126,14 @@ func checkSearch(o *Options) Section {
 			}
 
 			// Optimality gap at a quarter budget.
-			gap := (runs[0].trace.BestAreaMM2 - exhArea) / exhArea
+			gap := (runs[0].trace.BestAreaMM2 - optArea) / optArea
 			c.check(gap <= searchGapThreshold && gap >= -searchGapThreshold, "", "", cfg,
-				"optimality gap %.4f exceeds +-%.0f%% (search %.4f mm2, exhaustive %.4f mm2)",
-				gap, 100*searchGapThreshold, runs[0].trace.BestAreaMM2, exhArea)
+				"optimality gap %.4f exceeds +-%.0f%% (search %.4f mm2, oracle %.4f mm2)",
+				gap, 100*searchGapThreshold, runs[0].trace.BestAreaMM2, optArea)
 		}
 
-		// Exhaustive fallback: full budget routes to the streaming sweep.
+		// Exhaustive fallback: full budget routes to the streaming sweep and
+		// returns the oracle's selection over the whole space.
 		spec, _ := search.ParseSpec("anneal")
 		opt, err := search.New(spec, search.Options{Seed: o.Seed, Evaluator: eval.New(eval.Options{Workers: 4})})
 		if !c.check(err == nil, "", "", tc.name, "optimizer build failed: %v", err) {
@@ -177,8 +143,12 @@ func checkSearch(o *Options) Section {
 		if c.check(err == nil, "", "", tc.name, "fallback run failed: %v", err) {
 			c.check(tr.Fallback && tr.Strategy == "exhaustive", "", "", tc.name,
 				"full budget did not fall back to the exhaustive sweep: %+v", tr)
-			c.check(res.Config.Point == full.Config.Point, "", "", tc.name,
-				"fallback winner %+v != exhaustive winner %+v", res.Config.Point, full.Config.Point)
+			c.check(res.Config.Point == tc.space.At(want.Winner()), "", "", tc.name,
+				"fallback winner %+v != oracle winner %+v", res.Config.Point, tc.space.At(want.Winner()))
+			c.check(res.Feasible == want.Feasible, "", "", tc.name,
+				"fallback Feasible = %d, oracle %d", res.Feasible, want.Feasible)
+			c.check(res.Explored == n, "", "", tc.name,
+				"fallback Explored = %d, space has %d points", res.Explored, n)
 		}
 	}
 	return c.s

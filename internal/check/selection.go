@@ -14,7 +14,27 @@ import (
 
 	"repro/internal/check/oracle"
 	"repro/internal/dse"
+	"repro/internal/eval"
+	"repro/internal/hw"
+	"repro/internal/workload"
 )
+
+// observe builds the brute-force oracle's observation matrix for models over
+// space — every point's per-model summary through ev's cache, judged by the
+// static constraints — the reference families 8 and 9 select against.
+func observe(models []*workload.Model, space hw.DesignSpace, cons dse.Constraints, ev *eval.Evaluator) (oracle.Matrix, error) {
+	cat := hw.CatalogueOf(space)
+	return oracle.Build(space.Len(), len(models), func(k, i int) (oracle.Obs, error) {
+		c := hw.NewConfig(space.At(k), []*workload.Model{models[i]})
+		c.Cat = cat
+		s, err := ev.EvaluateSummary(models[i], c, 1)
+		if err != nil {
+			return oracle.Obs{}, err
+		}
+		return oracle.Obs{AreaMM2: s.AreaMM2, LatencyS: s.LatencyS,
+			Static: cons.MeetsStatic(s.AreaMM2, s.PowerDensity())}, nil
+	})
+}
 
 // selector is the part of dse.Selector family 6 drives; the family's tests
 // substitute broken selectors to prove it catches them.

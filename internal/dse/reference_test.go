@@ -48,6 +48,32 @@ func replaySelector(mat oracle.Matrix, cons Constraints) *Selector {
 	return sel
 }
 
+// TestSelectorMatchesExplore pins the Selector replay contract the search
+// package depends on: feeding every point of a space through a Selector in
+// enumeration order must reproduce the streaming sweep's winner.
+func TestSelectorMatchesExplore(t *testing.T) {
+	models := []*workload.Model{workload.NewAlexNet(), workload.NewResNet18()}
+	space := hw.PaperSpace()
+	cons := DefaultConstraints()
+	ev := eval.New(eval.Options{Workers: 4})
+	full, err := ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := observeSpace(models, space, cons, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := replaySelector(mat, cons)
+	idx, _, ok := sel.Best()
+	if !ok {
+		t.Fatal("selector found no winner")
+	}
+	if space.At(idx) != full.Config.Point {
+		t.Errorf("selector winner %+v differs from sweep winner %+v", space.At(idx), full.Config.Point)
+	}
+}
+
 // exploreReference is the eager oracle for byte-identity tests: it
 // materializes the full O(points x models) observation matrix, selects with
 // the brute-force oracle, and evaluates the winner like the sweep does. Any
@@ -272,7 +298,7 @@ func TestExploreChunkLoopAllocFree(t *testing.T) {
 		t.Fatal(sh.err)
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		sh.front.reset()
+		sh.sel.front.reset()
 		scan()
 	})
 	if avg != 0 {

@@ -1,6 +1,9 @@
 package dse
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // MeetsStatic checks the constraints that do not depend on the best-latency
 // reference (area and power density) — the exported form the budgeted search
@@ -10,14 +13,16 @@ func (c Constraints) MeetsStatic(areaMM2, powerDensity float64) bool {
 	return c.meetsStatic(areaMM2, powerDensity)
 }
 
-// Selector replays the streaming sweep's selection discipline over an
-// arbitrary stream of candidate observations: a per-model best-latency
-// reference that only tightens, slack re-filtering of retained candidates
-// when it does, and an area-dominance frontier ordered in (area, index)
-// selection order. Feeding it every point of a space in any order yields the
-// same winner as dse.ExploreSpaceCtx over that space (the single-shard case of
-// the merge argument in DESIGN.md §8), which is what makes budgeted-search
-// results bit-compatible with exhaustive ones restricted to the visited set.
+// Selector is the streaming sweep's selection discipline over an arbitrary
+// stream of candidate observations: a per-model best-latency reference that
+// only tightens, slack re-filtering of retained candidates when it does, and
+// an area-dominance frontier ordered in (area, index) selection order. It is
+// the sweep's own reduction — every worker shard of ExploreSpaceCtx reduces
+// its chunks through one — so feeding it every point of a space in any order
+// yields the same winner as ExploreSpaceCtx over that space (the single-shard
+// case of the merge argument in DESIGN.md §8), which is what makes
+// budgeted-search results bit-compatible with exhaustive ones restricted to
+// the visited set.
 //
 // Selector is not safe for concurrent use; callers observe candidates from
 // one goroutine (internal/search scores batches in parallel, then observes
@@ -41,10 +46,9 @@ func NewSelector(nModels int, cons Constraints) *Selector {
 // Observe feeds one candidate: its point index, summed area, per-model
 // latencies, and per-model static feasibility (dse.Constraints.MeetsStatic of
 // each model's summary). Latencies of statically feasible models tighten the
-// reference exactly as the sweep's localBest does; the candidate is retained
-// only when every model is statically feasible and the latencies pass slack
-// against the current reference. lats and statics may be reused by the
-// caller after return.
+// reference; the candidate is retained only when every model is statically
+// feasible and the latencies pass slack against the current reference. lats
+// and statics may be reused by the caller after return.
 func (s *Selector) Observe(idx int, area float64, lats []float64, statics []bool) {
 	tightened := false
 	allOK := true
@@ -63,6 +67,23 @@ func (s *Selector) Observe(idx int, area float64, lats []float64, statics []bool
 	}
 	if allOK && slackOK(lats, s.best, s.cons.LatencySlack) {
 		s.front.add(idx, area, lats)
+	}
+}
+
+// lowerRef lowers the reference to its element-wise min with a snapshot of
+// the sweep's shared watermark cells, re-filtering the frontier when that
+// tightened anything. The cells only ever decrease and each holds some
+// shard's own minimum, so the reference stays >= the final one.
+func (s *Selector) lowerRef(wm []atomic.Uint64) {
+	tightened := false
+	for i := range s.best {
+		if r := math.Float64frombits(wm[i].Load()); r < s.best[i] {
+			s.best[i] = r
+			tightened = true
+		}
+	}
+	if tightened {
+		s.front.filterSlack(s.best, s.cons.LatencySlack)
 	}
 }
 

@@ -66,10 +66,6 @@ type ExploreStats struct {
 	// CacheBypassed reports whether the sweep ran summaries outside the
 	// result cache (large-space mode).
 	CacheBypassed bool
-	// SkippedPoints is the number of trailing points an early-exiting sweep
-	// proved irrelevant and never evaluated (0 unless EarlyExit is set and
-	// the space exposes corner bounds).
-	SkippedPoints int
 	// RefinedPoints and ThermalRejected report the staged pipeline's stage-1
 	// work: frontier candidates re-scored with the physical models, and how
 	// many of them the junction-temperature check rejected. Both zero under
@@ -90,17 +86,6 @@ type ExploreOptions struct {
 	Cache CachePolicy
 	// Stats, when non-nil, receives the sweep's statistics.
 	Stats *ExploreStats
-	// EarlyExit lets the sweep stop once monotone corner bounds (spaces
-	// implementing hw.CornerSpace) prove no remaining point can beat the
-	// incumbent: the selected configuration is provably identical to the
-	// full sweep's, but Result.Feasible and Result.Explored then cover only
-	// the scanned prefix, and errors past the stop index go unseen. The
-	// stop index is checked at fixed worker-independent superblock
-	// boundaries, so results stay deterministic at any worker count.
-	// Ignored under staged fidelity: the early-exit proof certifies the
-	// analytical winner only, while staged selection re-ranks the whole
-	// frontier — which a truncated scan would have computed differently.
-	EarlyExit bool
 	// Fidelity selects the evaluation pipeline (nil: analytical).
 	Fidelity *FidelityOptions
 	// Progress, when non-nil, receives cumulative scan progress after each
@@ -290,7 +275,6 @@ type sweepState struct {
 	n       int
 	wmBits  []atomic.Uint64 // per-model slack watermark; only ever decreases
 	bestLat []float64       // final per-model references, set before pass 2
-	latLB   []float64       // corner latency lower bounds (early-exit mode only)
 	scanned atomic.Int64    // cumulative points scanned (progress reporting)
 }
 
@@ -310,64 +294,46 @@ func newSweepState(ctx context.Context, space hw.DesignSpace, models []*workload
 	return sw
 }
 
-// exploreShard is one worker's persistent reduction state: a local dominance
-// frontier, the per-model running best latencies over every chunk the worker
-// has claimed, the effective slack reference (a snapshot of the global
-// watermark tightened by the shard's own observations), and reusable
+// exploreShard is one worker's persistent reduction state: a Selector — the
+// shard's dominance frontier and its slack reference, the min of the global
+// watermark snapshots and the shard's own observations — plus reusable
 // scratch. Shards never share mutable state, so the chunk loop takes no
 // locks; they merge once, after the sweep.
 type exploreShard struct {
 	sw          *sweepState
-	front       frontier
-	localBest   []float64 // per-model min latency over this shard's statically feasible points
-	wm          []float64 // effective slack reference: min(global watermark, localBest)
+	sel         *Selector
 	lats        []float64 // per-point latency scratch
+	statics     []bool    // per-point static-feasibility scratch
 	maxRetained int       // peak local frontier size
 	feasible    int       // pass-2 feasibility count
 	errIdx      int       // lowest failing point index seen by this shard
 	err         error
-
-	// Early-exit incumbent: the min-(area, index) candidate this shard has
-	// submitted to its frontier, and whether that candidate is certified
-	// feasible against the corner latency lower bounds (and so feasible
-	// under any final reference). Tracked only when sw.latLB is set.
-	admArea float64
-	admIdx  int
-	admCert bool
 }
 
-// newExploreShard builds a shard for the sweep, with all references at +Inf.
+// newExploreShard builds a shard for the sweep, with its reference at +Inf.
 func newExploreShard(sw *sweepState) *exploreShard {
 	m := len(sw.models)
-	sh := &exploreShard{
-		sw:        sw,
-		localBest: make([]float64, m),
-		wm:        make([]float64, m),
-		lats:      make([]float64, m),
-		errIdx:    sw.n,
-		admArea:   math.Inf(1),
-		admIdx:    sw.n,
+	return &exploreShard{
+		sw:      sw,
+		sel:     NewSelector(m, sw.cons),
+		lats:    make([]float64, m),
+		statics: make([]bool, m),
+		errIdx:  sw.n,
 	}
-	sh.front.init(m)
-	for i := 0; i < m; i++ {
-		sh.localBest[i] = math.Inf(1)
-		sh.wm[i] = math.Inf(1)
-	}
-	return sh
 }
 
-// scanChunk reduces points [lo, hi) into the shard's persistent state. The
-// global watermark is read once at chunk start (lock-free atomic loads) and
-// the shard's running bests are published once at chunk end, so the point
-// loop itself synchronizes with nothing; after the first few chunks have
-// warmed the frontier's backing arrays, a steady-state chunk performs no
-// allocations (pinned by TestExploreChunkLoopAllocFree).
+// scanChunk reduces points [lo, hi) into the shard's Selector. The global
+// watermark is read once at chunk start (lock-free atomic loads) and the
+// shard's reference is published once at chunk end, so the point loop itself
+// synchronizes with nothing; after the first few chunks have warmed the
+// frontier's backing arrays, a steady-state chunk performs no allocations
+// (pinned by TestExploreChunkLoopAllocFree).
 //
-// Safety of every prune here rests on one monotonicity argument: watermark
-// cells and localBest entries only ever decrease, and both are everywhere
-// >= the final per-model references. A candidate failing slack against any
-// such intermediate reference therefore also fails the final pass — dropping
-// it early is safe, and keeping it (a stale snapshot) only defers the drop.
+// Safety of every prune rests on one monotonicity argument: watermark cells
+// and the shard's reference only ever decrease, and both are everywhere >=
+// the final per-model references. A candidate failing slack against any such
+// intermediate reference therefore also fails the final pass — dropping it
+// early is safe, and keeping it (a stale snapshot) only defers the drop.
 func (sh *exploreShard) scanChunk(lo, hi int) {
 	sw := sh.sw
 	// Cancellation gate: a cancelled sweep stops at chunk granularity — the
@@ -378,25 +344,7 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 	if sw.ctx.Err() != nil {
 		return
 	}
-	// Refresh the effective reference from the global watermark; if any cell
-	// tightened since this shard's last chunk, re-filter the local frontier
-	// so retained memory tracks the global state of the search.
-	tightened := false
-	for i := range sh.wm {
-		r := math.Float64frombits(sw.wmBits[i].Load())
-		if sh.localBest[i] < r {
-			r = sh.localBest[i]
-		}
-		if r < sh.wm[i] {
-			sh.wm[i] = r
-			tightened = true
-		}
-	}
-	if tightened {
-		sh.front.filterSlack(sh.wm, sw.cons.LatencySlack)
-		tightened = false
-	}
-
+	sh.sel.lowerRef(sw.wmBits)
 	for k := lo; k < hi; k++ {
 		pt := sw.space.At(k)
 		area, ok := 0.0, true
@@ -412,50 +360,22 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 				break
 			}
 			sh.lats[i] = s.LatencyS
+			sh.statics[i] = sw.cons.meetsStatic(s.AreaMM2, s.PowerDensity())
 			area += s.AreaMM2
-			if sw.cons.meetsStatic(s.AreaMM2, s.PowerDensity()) {
-				if s.LatencyS < sh.localBest[i] {
-					sh.localBest[i] = s.LatencyS
-					if s.LatencyS < sh.wm[i] {
-						sh.wm[i] = s.LatencyS
-						tightened = true
-					}
-				}
-			} else {
-				ok = false
-			}
 		}
-		if !ok {
-			continue
+		// A failing point is never observed: the lowest-index error fails
+		// the whole sweep at merge.
+		if ok {
+			sh.sel.Observe(k, area, sh.lats, sh.statics)
 		}
-		// Slack-watermark prune: drop candidates already provably infeasible
-		// against the (monotonically tightening) reference.
-		if !slackOK(sh.lats, sh.wm, sw.cons.LatencySlack) {
-			continue
-		}
-		if sw.latLB != nil {
-			if area < sh.admArea || (area == sh.admArea && k < sh.admIdx) {
-				sh.admArea, sh.admIdx = area, k
-				sh.admCert = slackOK(sh.lats, sw.latLB, sw.cons.LatencySlack)
-			}
-		}
-		sh.front.add(k, area, sh.lats)
 	}
-	// Re-filter at chunk end when this chunk itself tightened the reference,
-	// so candidates admitted early in the chunk cannot linger once provably
-	// infeasible — the bound that keeps per-shard retained memory small even
-	// when no other shard publishes a tighter watermark.
-	if tightened {
-		sh.front.filterSlack(sh.wm, sw.cons.LatencySlack)
+	if n := len(sh.sel.front.cands); n > sh.maxRetained {
+		sh.maxRetained = n
 	}
-	if len(sh.front.cands) > sh.maxRetained {
-		sh.maxRetained = len(sh.front.cands)
-	}
-	// Publish this shard's mins so other shards' next snapshots prune harder.
-	for i, v := range sh.localBest {
-		if !math.IsInf(v, 1) {
-			atomicMinFloat(&sw.wmBits[i], v)
-		}
+	// Publish this shard's reference so other shards' next snapshots prune
+	// harder.
+	for i, v := range sh.sel.best {
+		atomicMinFloat(&sw.wmBits[i], v)
 	}
 }
 
@@ -501,9 +421,11 @@ type merged struct {
 }
 
 // merge folds the shards' state after the scan, in any shard order. Phase 1:
-// the final per-model references are the exact min over every shard's running
-// bests (pure comparisons, so order-independent), and the first error is the
-// one at the lowest point index, as in a serial scan. Phase 2: every shard's
+// the final per-model references are the exact min over every shard's
+// reference (pure comparisons, so order-independent; every watermark value a
+// shard folded in is itself some shard's own minimum, so this is the min over
+// every statically feasible observation), and the first error is the one at
+// the lowest point index, as in a serial scan. Phase 2: every shard's
 // survivors that pass slack against the final references fold into one
 // frontier. That union contains the winner — it can be neither dominated (its
 // dominator would precede it in selection order and pass slack whenever it
@@ -522,7 +444,7 @@ func (sw *sweepState) merge(shards []*exploreShard) merged {
 		}
 		m.shards++
 		m.maxRetained += sh.maxRetained
-		for i, v := range sh.localBest {
+		for i, v := range sh.sel.best {
 			if v < m.bestLat[i] {
 				m.bestLat[i] = v
 			}
@@ -536,10 +458,11 @@ func (sw *sweepState) merge(shards []*exploreShard) merged {
 		if sh == nil {
 			continue
 		}
-		for i := range sh.front.cands {
-			fc := &sh.front.cands[i]
-			if slackOK(sh.front.latsOf(fc), m.bestLat, sw.cons.LatencySlack) {
-				m.front.add(fc.idx, fc.area, sh.front.latsOf(fc))
+		f := &sh.sel.front
+		for i := range f.cands {
+			fc := &f.cands[i]
+			if slackOK(f.latsOf(fc), m.bestLat, sw.cons.LatencySlack) {
+				m.front.add(fc.idx, fc.area, f.latsOf(fc))
 			}
 		}
 	}
@@ -555,111 +478,18 @@ func (m *merged) winner() int {
 	return m.front.cands[0].idx
 }
 
-// cornerBounds holds the monotone bounds an early-exiting sweep stops
-// against: per-model latency lower bounds from the space's latency corners,
-// and the suffix-minimum of per-segment area lower bounds in enumeration
-// order.
-type cornerBounds struct {
-	latLB     []float64
-	starts    []int
-	suffixMin []float64
-}
-
-// buildCornerBounds evaluates the space's corner points into early-exit
-// bounds, or returns nil when the space exposes no usable corners (not a
-// CornerSpace, corner evaluation fails, or malformed segments). Corner
-// summaries go through the sweep's summary path, so with caching on they are
-// future cache hits, not extra work.
-func buildCornerBounds(space hw.DesignSpace, sw *sweepState) *cornerBounds {
-	cs, ok := space.(hw.CornerSpace)
-	if !ok {
-		return nil
-	}
-	corners := cs.LatencyCornerPoints()
-	segs := cs.AreaSegments()
-	if len(corners) == 0 || len(segs) == 0 || segs[0].Start != 0 {
-		return nil
-	}
-	latLB := make([]float64, len(sw.models))
-	for i := range latLB {
-		latLB[i] = math.Inf(1)
-	}
-	for _, pt := range corners {
-		for i, m := range sw.models {
-			c := sw.tmpl[i]
-			c.Point = pt
-			s, err := sw.summary(m, c)
-			if err != nil {
-				return nil
-			}
-			if s.LatencyS < latLB[i] {
-				latLB[i] = s.LatencyS
-			}
-		}
-	}
-	starts := make([]int, len(segs))
-	suffixMin := make([]float64, len(segs))
-	for j, seg := range segs {
-		if seg.Start < 0 || seg.Start >= sw.n || (j > 0 && seg.Start <= starts[j-1]) {
-			return nil
-		}
-		starts[j] = seg.Start
-		// Segment area bound: the corner's summed template area — exactly
-		// the quantity the sweep accumulates (Summary.AreaMM2 is the config
-		// area), computed allocation-free without running kernels.
-		area := 0.0
-		for i := range sw.models {
-			c := sw.tmpl[i]
-			c.Point = seg.Corner
-			area += c.AreaMM2()
-		}
-		suffixMin[j] = area
-	}
-	for j := len(segs) - 2; j >= 0; j-- {
-		if suffixMin[j+1] < suffixMin[j] {
-			suffixMin[j] = suffixMin[j+1]
-		}
-	}
-	return &cornerBounds{latLB: latLB, starts: starts, suffixMin: suffixMin}
-}
-
-// provenOptimal reports whether the merged early-exit incumbent over the
-// scanned prefix [0, end) is certainly the full sweep's winner: the merged
-// min-(area, index) admitted candidate must be certified feasible against the
-// corner latency bounds (so it survives any final reference) and its area
-// must not exceed the area lower bound of every unscanned point. Every
-// unscanned point also has a higher index, so ties go to the incumbent.
-func provenOptimal(shards []*exploreShard, cb *cornerBounds, end int) bool {
-	area, idx, cert := math.Inf(1), int(^uint(0)>>1), false
-	for _, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		if sh.admArea < area || (sh.admArea == area && sh.admIdx < idx) {
-			area, idx, cert = sh.admArea, sh.admIdx, sh.admCert
-		}
-	}
-	if !cert || math.IsInf(area, 1) {
-		return false
-	}
-	// Segment containing end: the largest j with starts[j] <= end. All
-	// unscanned points fall in segments >= j, so suffixMin[j] bounds them.
-	j := sort.Search(len(cb.starts), func(i int) bool { return cb.starts[i] > end }) - 1
-	return area <= cb.suffixMin[j]
-}
-
 // ExploreSpaceCtx is the streaming core of Algorithm 1's configuration
 // selection — lines 1-8 for one model (the custom configuration C_i), lines
 // 9-13 for several (the generic C_g and library C_k configurations): a
 // chunked sweep over a lazily indexed design space. Workers own one
-// reduction shard each — a persistent local frontier (point index, summed
-// area, per-model latencies in a flat backing array) plus reusable scratch —
-// and claim contiguous chunks dynamically. The only cross-worker state during
-// the sweep is the per-model slack watermark, an array of monotonically
-// decreasing atomics read without locking; shards merge exactly once, after
-// the last chunk. Memory stays O(workers x survivors + chunk) instead of the
-// eager implementation's O(points x models) summary matrix, and the chunk
-// loop is lock- and allocation-free, so the sweep scales with cores. A final
+// reduction shard each — a Selector (the same reduction budgeted search
+// uses) plus reusable scratch — and claim contiguous chunks dynamically. The
+// only cross-worker state during the sweep is the per-model slack watermark,
+// an array of monotonically decreasing atomics read without locking; shards
+// merge exactly once, after the last chunk. Memory stays O(workers x
+// survivors + chunk) instead of the eager implementation's O(points x
+// models) summary matrix, and the chunk loop is lock- and allocation-free, so
+// the sweep scales with cores. Every sweep scans the whole space, and a final
 // slack pass over the merged survivors plus a streaming feasibility count
 // reproduce the eager two-pass selection byte for byte at any worker count
 // and chunk size (see DESIGN.md §8 for the argument).
@@ -689,9 +519,6 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 	var o ExploreOptions
 	if opts != nil {
 		o = *opts
-	}
-	if o.Fidelity.Staged() {
-		o.EarlyExit = false
 	}
 	n := space.Len()
 	chunk := o.ChunkSize
@@ -727,57 +554,18 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 
 	sw := newSweepState(ctx, space, models, tmpl, cons, summary)
 	shards := make([]*exploreShard, ev.Workers())
-	scan := func(base, end int) {
-		ev.ForEachChunkWorker(end-base, chunk, func(worker, lo, hi int) {
-			sh := shards[worker]
-			if sh == nil {
-				sh = newExploreShard(sw)
-				shards[worker] = sh
-			}
-			sh.scanChunk(base+lo, base+hi)
-			if o.Progress != nil {
-				o.Progress(int(sw.scanned.Add(int64(hi-lo))), n)
-			}
-		})
-	}
-	// scanned is the exclusive end of the evaluated prefix; the early-exit
-	// path below may stop before n. Stop decisions happen only at superblock
-	// boundaries — fixed multiples independent of worker count and chunk
-	// claiming — so the scanned prefix, and with it every derived output, is
-	// deterministic for a given space and constraint set.
-	scanned := n
-	if o.EarlyExit {
-		if cb := buildCornerBounds(space, sw); cb != nil {
-			sw.latLB = cb.latLB
-			sb := n / 64
-			if sb < 1024 {
-				sb = 1024
-			}
-			if o.ChunkSize <= 0 && chunk*ev.Workers() > sb {
-				// Keep every worker busy inside one superblock; any chunking
-				// yields identical results, so this is purely throughput.
-				chunk = sb / ev.Workers()
-				if chunk < 1 {
-					chunk = 1
-				}
-			}
-			for base := 0; base < n; base += sb {
-				end := base + sb
-				if end > n {
-					end = n
-				}
-				scan(base, end)
-				if end < n && provenOptimal(shards, cb, end) {
-					scanned = end
-					break
-				}
-			}
-		} else {
-			scan(0, n)
+	shard := func(worker int) *exploreShard {
+		if shards[worker] == nil {
+			shards[worker] = newExploreShard(sw)
 		}
-	} else {
-		scan(0, n)
+		return shards[worker]
 	}
+	ev.ForEachChunkWorker(n, chunk, func(worker, lo, hi int) {
+		shard(worker).scanChunk(lo, hi)
+		if o.Progress != nil {
+			o.Progress(int(sw.scanned.Add(int64(hi-lo))), n)
+		}
+	})
 
 	// A cancelled sweep has skipped chunks, so its shard state is partial and
 	// must not be merged into a result.
@@ -825,13 +613,8 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 	// sum, so chunk/worker order cannot affect it. Shards are reused for
 	// their scratch; late-binding workers get a fresh one.
 	sw.bestLat = mg.bestLat
-	ev.ForEachChunkWorker(scanned, chunk, func(worker, lo, hi int) {
-		sh := shards[worker]
-		if sh == nil {
-			sh = newExploreShard(sw)
-			shards[worker] = sh
-		}
-		sh.countChunk(lo, hi)
+	ev.ForEachChunkWorker(n, chunk, func(worker, lo, hi int) {
+		shard(worker).countChunk(lo, hi)
 	})
 	feasible := 0
 	for _, sh := range shards {
@@ -849,7 +632,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 		*o.Stats = ExploreStats{
 			Points:          n,
 			Models:          len(models),
-			Chunks:          (scanned + chunk - 1) / chunk,
+			Chunks:          (n + chunk - 1) / chunk,
 			ChunkSize:       chunk,
 			MaxRetained:     mg.maxRetained,
 			Retained:        len(mg.front.cands),
@@ -857,7 +640,6 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			RetainedBytes:   retainedBytes(mg.maxRetained, len(models)),
 			NaiveBytes:      naiveBytes(n, len(models)),
 			CacheBypassed:   !useCache,
-			SkippedPoints:   n - scanned,
 			RefinedPoints:   refineStats.Refined,
 			ThermalRejected: refineStats.ThermalRejected,
 		}
@@ -879,7 +661,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 		Config:    final,
 		Evals:     evals,
 		Feasible:  feasible,
-		Explored:  scanned,
+		Explored:  n,
 		SpaceDesc: space.Desc(),
 	}
 	if o.Fidelity.Staged() {

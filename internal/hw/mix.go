@@ -271,41 +271,15 @@ func (s MixSpace) IndexOf(coords []int) int {
 	return (j*len(s.spec.NActs)+coords[nt])*len(s.spec.NPools) + coords[nt+1]
 }
 
-// LatencyCornerPoints returns the admitted mixes' maximal-bank corners:
-// latency is non-increasing in every per-type count and in NAct/NPool, but
-// budget filtering means the all-max mix may not be admitted — so the corner
-// set is every admitted mix paired with maximal element banks, capped to the
-// first admitted mixes when the list is large (the bound only needs to be
-// sound, not tight). For unbudgeted specs the all-max mix is admitted and a
-// single corner suffices; detect that case and return it alone.
-func (s MixSpace) LatencyCornerPoints() []Point {
-	nt := len(s.spec.Counts)
-	maxAct := s.spec.NActs[len(s.spec.NActs)-1]
-	maxPool := s.spec.NPools[len(s.spec.NPools)-1]
-	var all Mix
-	for ti := 0; ti < nt; ti++ {
-		all.Counts[ti] = uint16(s.spec.Counts[ti][len(s.spec.Counts[ti])-1])
-	}
-	if _, ok := s.mixIdx[all]; ok {
-		return []Point{{Mix: all, NAct: maxAct, NPool: maxPool}}
-	}
-	// Budgets filtered the all-max mix: no single mix dominates every
-	// admitted one on counts, so a sound latency bound needs one corner per
-	// admitted mix. That is only worth evaluating for small mix lists.
-	const maxCorners = 256
-	if len(s.mixes) > maxCorners {
-		return nil
-	}
-	out := make([]Point, 0, len(s.mixes))
-	for _, m := range s.mixes {
-		out = append(out, Point{Mix: m, NAct: maxAct, NPool: maxPool})
-	}
-	return out
-}
-
-// LatencyCornerIndices returns the point indices of LatencyCornerPoints
-// (every latency corner of a MixSpace is itself a space point: an admitted
-// mix at maximal banks sits last in its enumeration block).
+// LatencyCornerIndices returns the point indices of the admitted mixes'
+// maximal-bank corners — the seed set that calibrates a budgeted search's
+// latency reference exactly. Latency is non-increasing in every per-type
+// count and in NAct/NPool, and each admitted mix at maximal banks sits last
+// in its enumeration block. When the all-max mix is admitted its corner alone
+// holds every model's fastest latency; when budgets filtered it out, no single
+// mix dominates every admitted one on counts, so the set is every admitted
+// mix's corner — or nil past 256 mixes, where seeding them all is not worth
+// the evaluations.
 func (s MixSpace) LatencyCornerIndices() []int {
 	block := len(s.spec.NActs) * len(s.spec.NPools)
 	nt := len(s.spec.Counts)
@@ -323,23 +297,6 @@ func (s MixSpace) LatencyCornerIndices() []int {
 	out := make([]int, 0, len(s.mixes))
 	for j := range s.mixes {
 		out = append(out, (j+1)*block-1)
-	}
-	return out
-}
-
-// AreaSegments returns one segment per admitted mix (each mix spans a
-// contiguous NAct x NPool block of the enumeration), bounded below by the
-// minimal-bank point of that mix.
-func (s MixSpace) AreaSegments() []AreaSegment {
-	block := len(s.spec.NActs) * len(s.spec.NPools)
-	minAct := s.spec.NActs[0]
-	minPool := s.spec.NPools[0]
-	out := make([]AreaSegment, 0, len(s.mixes))
-	for j, m := range s.mixes {
-		out = append(out, AreaSegment{
-			Start:  j * block,
-			Corner: Point{Mix: m, NAct: minAct, NPool: minPool},
-		})
 	}
 	return out
 }

@@ -45,32 +45,6 @@ type CoordSpace interface {
 	IndexOf(coords []int) int
 }
 
-// AreaSegment bounds one contiguous run of a space's enumeration order from
-// below on area: every point with index >= Start in the segment (which ends
-// at the next segment's Start, or Len()) has total area >= the area of
-// Corner. Segments let the streaming sweep prove an incumbent optimal and
-// stop early.
-type AreaSegment struct {
-	Start  int
-	Corner Point
-}
-
-// CornerSpace is the optional DesignSpace extension exposing monotone corner
-// bounds: per-model latency is non-increasing and area non-decreasing in
-// every count axis (an invariant check family 5 validates), so the maximal-
-// count corners lower-bound latency over the whole space and minimal-count
-// corners lower-bound area per enumeration segment.
-type CornerSpace interface {
-	DesignSpace
-	// LatencyCornerPoints returns points whose per-model latency minimum
-	// lower-bounds the latency of every point in the space. Empty means
-	// no bound is available.
-	LatencyCornerPoints() []Point
-	// AreaSegments partitions [0, Len()) in ascending Start order
-	// (Starts[0] == 0) into runs with per-segment area lower bounds.
-	AreaSegments() []AreaSegment
-}
-
 // PointList adapts an explicit, materialized point slice to the DesignSpace
 // interface — the compatibility path for user-supplied spaces.
 type PointList []Point
@@ -160,46 +134,15 @@ func (s SpaceSpec) IndexOf(coords []int) int {
 	return ((coords[0]*len(s.NSAs)+coords[1])*len(s.NActs)+coords[2])*len(s.NPools) + coords[3]
 }
 
-// LatencyCornerPoints returns one maximal-count point per SASize: latency is
-// non-increasing in NSA/NAct/NPool (and not monotone across SASize, hence one
-// corner per size), so the minimum over these corners lower-bounds latency
-// everywhere in the space.
-func (s SpaceSpec) LatencyCornerPoints() []Point {
-	out := make([]Point, 0, len(s.SASizes))
-	for _, sz := range s.SASizes {
-		out = append(out, Point{
-			SASize: sz,
-			NSA:    s.NSAs[len(s.NSAs)-1],
-			NAct:   s.NActs[len(s.NActs)-1],
-			NPool:  s.NPools[len(s.NPools)-1],
-		})
-	}
-	return out
-}
-
-// LatencyCornerIndices returns the point indices of LatencyCornerPoints —
-// the seed set that calibrates a budgeted search's latency reference
-// exactly.
+// LatencyCornerIndices returns the point indices of one maximal-count point
+// per SASize — the seed set that calibrates a budgeted search's latency
+// reference exactly. Latency is non-increasing in NSA/NAct/NPool but not
+// monotone across SASize, so every model's fastest point is among them.
 func (s SpaceSpec) LatencyCornerIndices() []int {
 	block := len(s.NSAs) * len(s.NActs) * len(s.NPools)
 	out := make([]int, 0, len(s.SASizes))
 	for i := range s.SASizes {
 		out = append(out, (i+1)*block-1)
-	}
-	return out
-}
-
-// AreaSegments returns one segment per SASize block of the row-major
-// enumeration, bounded below by the minimal-count point of that block (area
-// is non-decreasing in every count axis).
-func (s SpaceSpec) AreaSegments() []AreaSegment {
-	block := len(s.NSAs) * len(s.NActs) * len(s.NPools)
-	out := make([]AreaSegment, 0, len(s.SASizes))
-	for i, sz := range s.SASizes {
-		out = append(out, AreaSegment{
-			Start:  i * block,
-			Corner: Point{SASize: sz, NSA: s.NSAs[0], NAct: s.NActs[0], NPool: s.NPools[0]},
-		})
 	}
 	return out
 }

@@ -14,15 +14,14 @@ import (
 )
 
 // Optimizer is a budgeted search strategy over a design space. Run returns a
-// dse.Result bit-compatible with dse.ExploreSpace restricted to the points
-// the search visited (same dominance/slack selection discipline, same
+// dse.Result bit-compatible with dse.ExploreSpaceCtx restricted to the points
+// the search visited (the sweep's own dse.Selector reduction, the same
 // materialized winner config shape), plus a Trace of how the budget was
 // spent. The budget is in summary-evaluation units (one point × one model);
 // repeat visits of an already-scored point are cache hits and cost nothing.
 // When budget >= Len(space) × len(models), Run falls back to the exhaustive
-// streaming sweep (with corner-bound early exit where the space supports
-// it). budget <= 0 selects the default: 5% of the exhaustive count, floored
-// at 64 points.
+// streaming sweep and returns its Result unchanged. budget <= 0 selects the
+// default: 5% of the exhaustive count, floored at 64 points.
 type Optimizer interface {
 	// Name is the strategy name ("anneal", "genetic").
 	Name() string
@@ -86,9 +85,8 @@ type Trace struct {
 	// Improvements is the incumbent trajectory in evaluation order.
 	Improvements []Improvement
 	// Fallback reports that the budget covered the space and the exhaustive
-	// sweep ran instead; SkippedPoints is its early-exit saving.
-	Fallback      bool
-	SkippedPoints int
+	// sweep ran instead.
+	Fallback bool
 	// RefinedPoints and ThermalRejected report staged fidelity's stage-1
 	// work: frontier candidates re-scored with the physical models, and how
 	// many the junction-temperature check rejected. Zero under analytical.
@@ -170,29 +168,25 @@ func (g *engine) run(ctx context.Context, models []*workload.Model, space hw.Des
 	return st.finish(g.spec.Kind)
 }
 
-// fallback runs the exhaustive streaming sweep with early exit — the path
-// taken when the budget covers the whole space.
+// fallback runs the exhaustive streaming sweep — the path taken when the
+// budget covers the whole space — and returns its Result unchanged.
 func (g *engine) fallback(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
 	cons dse.Constraints, ev *eval.Evaluator) (dse.Result, Trace, error) {
 	var stats dse.ExploreStats
-	// EarlyExit is safe to request unconditionally: the sweep disables it
-	// itself under staged fidelity (the frontier of a truncated scan is not
-	// the full-space frontier).
 	res, err := dse.ExploreSpaceCtx(ctx, models, space, cons, ev,
-		&dse.ExploreOptions{EarlyExit: true, Stats: &stats, Fidelity: g.opts.Fidelity})
+		&dse.ExploreOptions{Stats: &stats, Fidelity: g.opts.Fidelity})
 	if err != nil {
 		return dse.Result{}, Trace{Strategy: "exhaustive", Fallback: true}, err
 	}
-	scanned := stats.Points - stats.SkippedPoints
+	evals := stats.Points * stats.Models
 	tr := Trace{
 		Strategy:        "exhaustive",
 		Seed:            g.opts.Seed,
-		Budget:          stats.Points * stats.Models,
-		Evaluations:     scanned * stats.Models,
-		UniquePoints:    scanned,
-		EvalsToWin:      scanned * stats.Models,
+		Budget:          evals,
+		Evaluations:     evals,
+		UniquePoints:    stats.Points,
+		EvalsToWin:      evals,
 		Fallback:        true,
-		SkippedPoints:   stats.SkippedPoints,
 		RefinedPoints:   stats.RefinedPoints,
 		ThermalRejected: stats.ThermalRejected,
 	}
@@ -408,11 +402,11 @@ func (st *state) bestByFitness() int {
 	return best
 }
 
-// seedPoints proposes the initial candidate set: the space's coordinate
-// corners (all-max — the latency-reference calibrators — all-min, and an
-// axis-0 sweep against max counts, mirroring hw.CornerSpace's latency
-// corners), topped up with random indices. Invalid corner tuples (budget-
-// filtered mixes) are skipped.
+// seedPoints proposes the initial candidate set: the space's latency corners
+// (LatencyCornerIndices, where the space provides them), its coordinate
+// corners (all-max, all-min, and an axis-0 sweep against max counts), topped
+// up with random indices. Invalid corner tuples (budget-filtered mixes) are
+// skipped.
 func (st *state) seedPoints() []int {
 	var idxs []int
 	seen := make(map[int]bool)

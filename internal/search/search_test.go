@@ -187,10 +187,22 @@ func TestSearchGapRegression(t *testing.T) {
 }
 
 // TestSearchFallbackExhaustive pins the fallback contract: a budget covering
-// the whole space routes to the exhaustive streaming sweep (early-exit
-// enabled) and returns its exact winner with Fallback set.
+// the whole space routes to the exhaustive streaming sweep and returns its
+// Result — winner, feasible count, explored count, space and evaluations —
+// with Fallback set and every point counted as visited. MobileNetV2 alone on
+// the mix space is the case where a sweep that stopped early, counting only
+// a scanned prefix, reported a different feasible count than the full sweep.
 func TestSearchFallbackExhaustive(t *testing.T) {
-	for _, tc := range testSpaces(t) {
+	mix, err := hw.DefaultMixSpec(nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append(testSpaces(t), struct {
+		name   string
+		space  hw.DesignSpace
+		models []*workload.Model
+	}{"mix-mobilenetv2", mix, []*workload.Model{workload.NewMobileNetV2()}})
+	for _, tc := range cases {
 		n, nm := tc.space.Len(), len(tc.models)
 		ev := eval.New(eval.Options{Workers: 4})
 		exh, err := dse.ExploreSpaceCtx(context.Background(), tc.models, tc.space, dse.DefaultConstraints(), ev, nil)
@@ -212,8 +224,11 @@ func TestSearchFallbackExhaustive(t *testing.T) {
 		if !tr.Fallback || tr.Strategy != "exhaustive" {
 			t.Errorf("%s: expected exhaustive fallback, got %+v", tc.name, tr)
 		}
-		if res.Config.Point != exh.Config.Point {
-			t.Errorf("%s: fallback selected %+v, exhaustive %+v", tc.name, res.Config.Point, exh.Config.Point)
+		if got, want := canonResult(res), canonResult(exh); got != want {
+			t.Errorf("%s: fallback result differs from the sweep's\nfallback: %s\nsweep:    %s", tc.name, got, want)
+		}
+		if tr.UniquePoints != n {
+			t.Errorf("%s: UniquePoints = %d, want the whole space %d", tc.name, tr.UniquePoints, n)
 		}
 	}
 }

@@ -5,9 +5,10 @@
 // coordinate-neighborhood moves and a steady-state genetic algorithm with
 // crossover over axis/mix coordinate vectors — behind one interface.
 // Candidates are scored through the eval.Evaluator worker pool and its
-// two-level cache; selection replays the streaming sweep's dominance/slack
-// discipline (dse.Selector), so the returned Result is bit-compatible with
-// dse.ExploreSpace restricted to the visited set; and every run is
+// two-level cache; selection runs through the streaming sweep's own
+// reduction (dse.Selector), so the returned Result is bit-compatible with
+// dse.ExploreSpaceCtx restricted to the visited set, and a budget covering
+// the space returns the sweep's Result itself; and every run is
 // deterministic for a fixed seed at any worker count, because all random
 // decisions happen on the coordinator goroutine over deterministically
 // ordered batch results.

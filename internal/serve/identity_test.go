@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -174,5 +176,29 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if got := s.Manager().Metrics().Accepted.Load(); got != 0 {
 		t.Errorf("invalid requests were admitted: accepted = %d, want 0", got)
+	}
+}
+
+// TestOversizedBodyRejected pins the request-body cap: an explore body past
+// maxBodyBytes gets 413, not the generic 400, and is never admitted.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, hs := startServer(t, ManagerConfig{Workers: 1, MaxQueue: 4})
+	body := `{"models":["` + strings.Repeat("A", maxBodyBytes) + `"],"sync":true}`
+	resp, err := http.Post(hs.URL+"/v1/explore", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body returned %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	var met struct {
+		Accepted int64 `json:"accepted"`
+	}
+	if code := getJSON(t, hs.URL+"/metrics", &met); code != http.StatusOK {
+		t.Fatalf("/metrics returned %d", code)
+	}
+	if met.Accepted != 0 {
+		t.Errorf("oversized body was admitted: accepted = %d, want 0", met.Accepted)
 	}
 }

@@ -2,12 +2,17 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"time"
 )
+
+// maxBodyBytes caps every POST body. Requests are small JSON documents; the
+// cap keeps one client from holding server memory with an endless body.
+const maxBodyBytes = 1 << 20
 
 // Server is the HTTP surface over a job Manager.
 type Server struct {
@@ -64,6 +69,23 @@ func decode(body io.Reader, v any) error {
 	return dec.Decode(v)
 }
 
+// decodeBody decodes a POST body capped at maxBodyBytes. On failure it
+// writes the error response — 413 when the body passed the cap, 400
+// otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "bad %s request: %v", what, err)
+	return false
+}
+
 // submit is the common admission tail of the three POST endpoints: overload
 // maps to 429 + Retry-After, validation errors to 400, accepted async jobs
 // to 202 with the job id, and sync jobs to an attached wait.
@@ -111,8 +133,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, sync bool,
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
-	if err := decode(r.Body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad explore request: %v", err)
+	if !decodeBody(w, r, "explore", &req) {
 		return
 	}
 	s.submit(w, r, req.Sync, func(detached bool) (*Job, bool, error) {
@@ -122,8 +143,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decode(r.Body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
+	if !decodeBody(w, r, "sweep", &req) {
 		return
 	}
 	s.submit(w, r, req.Sync, func(detached bool) (*Job, bool, error) {
@@ -133,8 +153,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSelfcheck(w http.ResponseWriter, r *http.Request) {
 	var req SelfcheckRequest
-	if err := decode(r.Body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad selfcheck request: %v", err)
+	if !decodeBody(w, r, "selfcheck", &req) {
 		return
 	}
 	s.submit(w, r, req.Sync, func(detached bool) (*Job, bool, error) {
