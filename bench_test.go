@@ -278,7 +278,8 @@ func BenchmarkExploreColdParallel(b *testing.B) {
 
 // BenchmarkExploreStreamFine sweeps the 12k-point fine preset with the full
 // training set through the streaming engine — the large-space mode whose
-// naive per-point summary matrix the chunked sweep never materializes.
+// naive per-point summary matrix the chunked sweep never materializes. It
+// reports the sweep's unit cost, wall-clock nanoseconds per point·model.
 func BenchmarkExploreStreamFine(b *testing.B) {
 	models := workload.TrainingSet()
 	fine := hw.FineSpace()
@@ -294,6 +295,7 @@ func BenchmarkExploreStreamFine(b *testing.B) {
 			b.Fatalf("retained %d bytes exceeds 10%% of naive %d", stats.RetainedBytes, stats.NaiveBytes)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fine.Len()*len(models)), "ns/point-model")
 }
 
 // BenchmarkTauSweepCached contrasts the tau sweep (which retrains the whole

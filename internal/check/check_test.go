@@ -12,22 +12,29 @@ import (
 
 // TestSelfCheckCleanOnDefaults is the tier-1 acceptance gate: the full
 // default sweep — all 19 paper networks plus the grouped-stress model, every
-// SA size and bank count of the paper space — must report zero violations.
+// SA size and bank count of the paper space — must report zero violations,
+// and every family must run exactly its pinned number of checks, so a family
+// that silently loses checks fails here.
 func TestSelfCheckCleanOnDefaults(t *testing.T) {
 	r := Run(Options{})
 	if !r.OK() {
 		t.Fatalf("selfcheck not clean:\n%s", r)
 	}
-	if r.Checks() == 0 {
-		t.Fatal("selfcheck ran zero checks")
+	want := map[string]int{
+		"ws-folds": 19935, "ppa-differential": 51606, "os-dataflow": 53103,
+		"pe-exact": 218, "invariants": 800, "selection": 384,
+		"catalogue": 572, "search": 64, "fidelity": 48,
 	}
-	if len(r.Sections) != 9 {
-		t.Fatalf("expected 9 sections, got %d", len(r.Sections))
+	if len(r.Sections) != len(want) {
+		t.Errorf("got %d sections, want %d", len(r.Sections), len(want))
 	}
 	for _, s := range r.Sections {
-		if s.Checks == 0 {
-			t.Errorf("section %s ran zero checks", s.Name)
+		if s.Checks != want[s.Name] {
+			t.Errorf("section %s ran %d checks, want %d", s.Name, s.Checks, want[s.Name])
 		}
+	}
+	if r.Checks() != 126730 {
+		t.Errorf("selfcheck ran %d checks, want 126730", r.Checks())
 	}
 }
 

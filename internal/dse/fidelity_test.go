@@ -162,7 +162,7 @@ func TestFeasibleFrontierLeadsWithBest(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mat.Select(cons.LatencySlack).Frontier
-	sel := replaySelector(mat, cons)
+	sel, _ := replaySelector(mat, cons)
 	cands := sel.FeasibleFrontier()
 	best, _, ok := sel.Best()
 	if !ok || len(cands) == 0 {

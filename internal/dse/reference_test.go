@@ -35,17 +35,20 @@ func observeSpace(models []*workload.Model, space hw.DesignSpace, cons Constrain
 }
 
 // replaySelector feeds every row of mat, in index order, through a Selector.
-func replaySelector(mat oracle.Matrix, cons Constraints) *Selector {
+// It also returns the largest frontier the Selector held after any row.
+func replaySelector(mat oracle.Matrix, cons Constraints) (*Selector, int) {
 	sel := NewSelector(mat.Models, cons)
 	lats := make([]float64, mat.Models)
 	statics := make([]bool, mat.Models)
+	peak := 0
 	for k := 0; k < mat.Points(); k++ {
 		for i, o := range mat.Row(k) {
 			lats[i], statics[i] = o.LatencyS, o.Static
 		}
 		sel.Observe(k, mat.Area(k), lats, statics)
+		peak = max(peak, len(sel.front.cands))
 	}
-	return sel
+	return sel, peak
 }
 
 // TestSelectorMatchesExplore pins the Selector replay contract the search
@@ -64,7 +67,7 @@ func TestSelectorMatchesExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := replaySelector(mat, cons)
+	sel, _ := replaySelector(mat, cons)
 	idx, _, ok := sel.Best()
 	if !ok {
 		t.Fatal("selector found no winner")

@@ -1,9 +1,6 @@
 package dse
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // MeetsStatic checks the constraints that do not depend on the best-latency
 // reference (area and power density) — the exported form the budgeted search
@@ -15,14 +12,20 @@ func (c Constraints) MeetsStatic(areaMM2, powerDensity float64) bool {
 
 // Selector is the streaming sweep's selection discipline over an arbitrary
 // stream of candidate observations: a per-model best-latency reference that
-// only tightens, slack re-filtering of retained candidates when it does, and
-// an area-dominance frontier ordered in (area, index) selection order. It is
+// only tightens, slack re-filtering of every held row when it does, and an
+// area-dominance frontier ordered in (area, index) selection order. It is
 // the sweep's own reduction — every worker shard of ExploreSpaceCtx reduces
 // its chunks through one — so feeding it every point of a space in any order
-// yields the same winner as ExploreSpaceCtx over that space (the single-shard
-// case of the merge argument in DESIGN.md §8), which is what makes
-// budgeted-search results bit-compatible with exhaustive ones restricted to
-// the visited set.
+// yields the same winner and feasible count as ExploreSpaceCtx over that
+// space (the single-shard case of the merge argument in DESIGN.md §8), which
+// is what makes budgeted-search results bit-compatible with exhaustive ones
+// restricted to the visited set.
+//
+// A Selector holds every slack-feasible observation exactly once: the
+// non-dominated ones in the frontier, the dominated ones as bare latency
+// rows in the frontier's band. Both are re-filtered whenever the reference
+// tightens and a row is admitted only when it passes slack, so every held
+// row is feasible under the current reference.
 //
 // Selector is not safe for concurrent use; callers observe candidates from
 // one goroutine (internal/search scores batches in parallel, then observes
@@ -46,7 +49,7 @@ func NewSelector(nModels int, cons Constraints) *Selector {
 // Observe feeds one candidate: its point index, summed area, per-model
 // latencies, and per-model static feasibility (dse.Constraints.MeetsStatic of
 // each model's summary). Latencies of statically feasible models tighten the
-// reference; the candidate is retained only when every model is statically
+// reference; the candidate is held only when every model is statically
 // feasible and the latencies pass slack against the current reference. lats
 // and statics may be reused by the caller after return.
 func (s *Selector) Observe(idx int, area float64, lats []float64, statics []bool) {
@@ -70,14 +73,14 @@ func (s *Selector) Observe(idx int, area float64, lats []float64, statics []bool
 	}
 }
 
-// lowerRef lowers the reference to its element-wise min with a snapshot of
-// the sweep's shared watermark cells, re-filtering the frontier when that
-// tightened anything. The cells only ever decrease and each holds some
-// shard's own minimum, so the reference stays >= the final one.
-func (s *Selector) lowerRef(wm []atomic.Uint64) {
+// lowerTo lowers the reference to its element-wise min with ref, re-filtering
+// the held rows when that tightened anything. Callers pass references that
+// are everywhere >= the final one — a snapshot of the sweep's watermark, or
+// the final references themselves — so no row the final pass keeps is lost.
+func (s *Selector) lowerTo(ref []float64) {
 	tightened := false
-	for i := range s.best {
-		if r := math.Float64frombits(wm[i].Load()); r < s.best[i] {
+	for i, r := range ref {
+		if r < s.best[i] {
 			s.best[i] = r
 			tightened = true
 		}
@@ -90,13 +93,11 @@ func (s *Selector) lowerRef(wm []atomic.Uint64) {
 // Best returns the min-(area, index) candidate feasible under the current
 // reference, or ok=false when nothing observed so far is feasible.
 func (s *Selector) Best() (idx int, area float64, ok bool) {
-	for i := range s.front.cands {
-		fc := &s.front.cands[i]
-		if slackOK(s.front.latsOf(fc), s.best, s.cons.LatencySlack) {
-			return fc.idx, fc.area, true
-		}
+	if len(s.front.cands) == 0 {
+		return -1, 0, false
 	}
-	return -1, 0, false
+	c := s.front.cands[0]
+	return c.idx, c.area, true
 }
 
 // BestLatencies returns the current per-model reference latencies (+Inf for
@@ -104,24 +105,19 @@ func (s *Selector) Best() (idx int, area float64, ok bool) {
 // live; callers must not mutate it.
 func (s *Selector) BestLatencies() []float64 { return s.best }
 
-// SlackOK reports whether the latencies meet the slack constraint against
-// the current reference — the final feasibility predicate search uses to
-// count Result.Feasible over its visited set.
-func (s *Selector) SlackOK(lats []float64) bool {
-	return slackOK(lats, s.best, s.cons.LatencySlack)
-}
+// Feasible returns the number of observed candidates that are statically
+// feasible on every model and pass slack against the current reference —
+// Result.Feasible over the observed set once the reference is final.
+func (s *Selector) Feasible() int { return s.front.held() }
 
-// FeasibleFrontier returns the point indices of retained candidates that are
-// slack-feasible under the current reference, in (area, index) selection
-// order — the candidate list staged fidelity refines (FidelityOptions.
-// RefineSelect). Its first element is Best()'s index.
+// FeasibleFrontier returns the point indices of the non-dominated candidates
+// feasible under the current reference, in (area, index) selection order —
+// the candidate list staged fidelity refines (FidelityOptions.RefineSelect).
+// Its first element is Best()'s index.
 func (s *Selector) FeasibleFrontier() []int {
-	out := make([]int, 0, len(s.front.cands))
+	out := make([]int, len(s.front.cands))
 	for i := range s.front.cands {
-		fc := &s.front.cands[i]
-		if slackOK(s.front.latsOf(fc), s.best, s.cons.LatencySlack) {
-			out = append(out, fc.idx)
-		}
+		out[i] = s.front.cands[i].idx
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
@@ -41,9 +42,10 @@ func TestStatsBytePricingInt64(t *testing.T) {
 	if nb <= math.MaxInt32 {
 		t.Fatalf("naiveBytes = %d does not exceed 32-bit range; regression test lost its teeth", nb)
 	}
-	// A retained set the size of the whole space must also price correctly.
-	rb := retainedBytes(spec.Len(), 13)
-	if want := int64(100_000_000) * 15 * 8; rb != want {
+	// A frontier and a band the size of the whole space must also price
+	// correctly.
+	rb := retainedBytes(spec.Len(), spec.Len(), 13)
+	if want := int64(100_000_000) * (15 + 13) * 8; rb != want {
 		t.Fatalf("retainedBytes = %d, want %d", rb, want)
 	}
 	if rb <= math.MaxInt32 {
@@ -64,10 +66,44 @@ func TestExploreStatsPricingMatchesHelpers(t *testing.T) {
 	if stats.NaiveBytes != naiveBytes(stats.Points, stats.Models) {
 		t.Errorf("NaiveBytes = %d, want %d", stats.NaiveBytes, naiveBytes(stats.Points, stats.Models))
 	}
-	if stats.RetainedBytes != retainedBytes(stats.MaxRetained, stats.Models) {
-		t.Errorf("RetainedBytes = %d, want %d", stats.RetainedBytes, retainedBytes(stats.MaxRetained, stats.Models))
+	if want := retainedBytes(stats.MaxRetained, stats.MaxBand, stats.Models); stats.RetainedBytes != want {
+		t.Errorf("RetainedBytes = %d, want %d", stats.RetainedBytes, want)
 	}
 	if stats.MaxRetained <= 0 || stats.Retained <= 0 {
 		t.Errorf("retained counters not populated: %+v", stats)
+	}
+}
+
+// TestMaxRetainedBoundsFrontierPeak pins MaxRetained as a bound on the
+// frontier at every instant, not just at chunk ends: a one-worker sweep must
+// report at least the largest frontier a point-by-point Selector replay of
+// the same points reaches — including the peak inside a chunk, which a
+// chunk-end sample misses.
+func TestMaxRetainedBoundsFrontierPeak(t *testing.T) {
+	cases := []struct {
+		name   string
+		models []*workload.Model
+		space  hw.DesignSpace
+		chunk  int
+	}{
+		{"paper x training set, one chunk", workload.TrainingSet(), hw.PaperSpace(), hw.PaperSpace().Len()},
+		{"fine x trio", []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()},
+			hw.FineSpace(), 0},
+	}
+	for _, c := range cases {
+		cons := DefaultConstraints()
+		ev := eval.New(eval.Options{Workers: 1})
+		var stats ExploreStats
+		if _, err := ExploreSpaceCtx(context.Background(), c.models, c.space, cons, ev,
+			&ExploreOptions{ChunkSize: c.chunk, Stats: &stats}); err != nil {
+			t.Fatal(err)
+		}
+		mat, err := observeSpace(c.models, c.space, cons, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, peak := replaySelector(mat, cons); stats.MaxRetained < peak {
+			t.Errorf("%s: MaxRetained = %d, below the replayed frontier peak %d", c.name, stats.MaxRetained, peak)
+		}
 	}
 }

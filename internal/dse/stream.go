@@ -44,20 +44,25 @@ type ExploreStats struct {
 	Chunks int
 	// ChunkSize is the resolved chunk size.
 	ChunkSize int
-	// MaxRetained bounds the peak size (in points) of the retained-candidate
-	// state, the sweep's only point-proportional memory: the sum of every
-	// shard's peak local-frontier size, an upper bound on the retained total
-	// at any instant. Dominance and slack-watermark pruning keep it far below
-	// Points on realistic spaces.
+	// MaxRetained bounds the peak size (in points) of the dominance
+	// frontiers: the sum of every shard's peak frontier size, tracked at each
+	// insertion, an upper bound on the frontier total at any instant.
+	// Dominance and slack-watermark pruning keep it far below Points on
+	// realistic spaces.
 	MaxRetained int
+	// MaxBand bounds the peak number of dominated slack-feasible points the
+	// shards hold as bare latency rows, which only Result.Feasible counts:
+	// the sum of every shard's peak band size, tracked like MaxRetained.
+	MaxBand int
 	// Retained is the merged survivor count when the sweep finished.
 	Retained int
 	// Shards is the number of per-worker reduction shards the sweep used.
 	Shards int
-	// RetainedBytes conservatively prices the peak retained set (one index,
-	// one area and Models latencies per candidate, 8 bytes each). Priced in
-	// int64: synthetic spaces can exceed 10^8 points, where a 32-bit byte
-	// product would silently wrap.
+	// RetainedBytes conservatively prices the peak retained set, the sweep's
+	// only point-proportional memory: one index, one area and Models
+	// latencies per frontier candidate, Models latencies per band row, 8
+	// bytes each. Priced in int64: synthetic spaces can exceed 10^8 points,
+	// where a 32-bit byte product would silently wrap.
 	RetainedBytes int64
 	// NaiveBytes prices the eager O(points x models) summary matrix the
 	// pre-streaming implementation allocated (32 bytes per ppa.Summary),
@@ -105,15 +110,16 @@ func naiveBytes(points, models int) int64 {
 	return int64(points) * int64(models) * 32
 }
 
-// retainedBytes prices the peak retained-candidate set in int64.
-func retainedBytes(maxRetained, models int) int64 {
-	return int64(maxRetained) * int64(models+2) * 8
+// retainedBytes prices the peak retained set — maxRetained frontier
+// candidates and maxBand band rows — in int64.
+func retainedBytes(maxRetained, maxBand, models int) int64 {
+	return (int64(maxRetained)*int64(models+2) + int64(maxBand)*int64(models)) * 8
 }
 
-// candidate is the compact per-point record the streaming sweep retains: the
-// point index, its summed area, and the offset of its per-model latencies in
-// the owning frontier's flat backing array — everything the final slack pass
-// and min-area selection need, nothing else. Latencies live out-of-line so
+// candidate is the compact per-point record a frontier retains: the point
+// index, its summed area, and the offset of its per-model latencies in the
+// owning frontier's flat backing array — everything the final slack pass and
+// min-area selection need, nothing else. Latencies live out-of-line so
 // retaining a candidate never allocates (see frontier).
 type candidate struct {
 	idx  int
@@ -156,6 +162,11 @@ func slackOK(lats, ref []float64, slack float64) bool {
 // directions one partial scan: nothing past a candidate's insertion point can
 // dominate it, and nothing before it can be dominated by it.
 //
+// Candidates the frontier drops as dominated — rejected on arrival or
+// evicted — are still slack-feasible, so their latency rows move to the band,
+// a flat array of bare rows that only the feasible count reads; add and
+// filterSlack keep every row in exactly one of the two.
+//
 // Candidate latencies live in one flat backing array (stride = number of
 // models); each candidate stores an offset, and slots of evicted candidates
 // are recycled through a free list. After the backing arrays have grown to
@@ -166,6 +177,10 @@ type frontier struct {
 	cands  []candidate
 	lats   []float64
 	free   []int
+	band   []float64 // latency rows of dominated candidates, stride apart
+	// peak and peakBand are the largest candidate and band-row counts held
+	// so far.
+	peak, peakBand int
 }
 
 // init sets the per-candidate latency stride; it must be called before add.
@@ -176,16 +191,28 @@ func (f *frontier) latsOf(c *candidate) []float64 {
 	return f.lats[c.off : c.off+f.stride]
 }
 
-// reset empties the frontier, keeping every backing array for reuse.
+// held returns the number of rows held: candidates plus band rows.
+func (f *frontier) held() int { return len(f.cands) + len(f.band)/f.stride }
+
+// notePeak records the current sizes in the peaks; add calls it wherever the
+// held set grows.
+func (f *frontier) notePeak() {
+	f.peak = max(f.peak, len(f.cands))
+	f.peakBand = max(f.peakBand, len(f.band)/f.stride)
+}
+
+// reset empties the frontier and its band, keeping every backing array for
+// reuse.
 func (f *frontier) reset() {
 	f.cands = f.cands[:0]
 	f.lats = f.lats[:0]
 	f.free = f.free[:0]
+	f.band = f.band[:0]
 }
 
 // add inserts the candidate (idx, area, lats) unless a retained candidate
-// dominates it, and evicts retained candidates it dominates. lats is copied
-// into the frontier's backing array; the caller's slice may be reused.
+// dominates it, and evicts retained candidates it dominates; dominated rows
+// go to the band. lats is copied; the caller's slice may be reused.
 func (f *frontier) add(idx int, area float64, lats []float64) {
 	// Position of the first candidate ordered after the new one.
 	pos := sort.Search(len(f.cands), func(i int) bool {
@@ -195,15 +222,19 @@ func (f *frontier) add(idx int, area float64, lats []float64) {
 	for i := 0; i < pos; i++ {
 		fc := &f.cands[i]
 		if dominatesVals(fc.area, fc.idx, f.latsOf(fc), area, idx, lats) {
+			f.band = append(f.band, lats...)
+			f.notePeak()
 			return
 		}
 	}
 	// Evict candidates dominated by the new one in place; they all sit at or
-	// after pos. Their latency slots go to the free list.
+	// after pos. Their rows go to the band, their latency slots to the free
+	// list.
 	w := pos
 	for i := pos; i < len(f.cands); i++ {
 		fc := &f.cands[i]
 		if dominatesVals(area, idx, lats, fc.area, fc.idx, f.latsOf(fc)) {
+			f.band = append(f.band, f.latsOf(fc)...)
 			f.free = append(f.free, fc.off)
 		} else {
 			f.cands[w] = f.cands[i]
@@ -226,13 +257,14 @@ func (f *frontier) add(idx int, area float64, lats []float64) {
 	f.cands = append(f.cands, candidate{})
 	copy(f.cands[pos+1:], f.cands[pos:])
 	f.cands[pos] = candidate{idx: idx, area: area, off: off}
+	f.notePeak()
 }
 
-// filterSlack drops candidates whose latencies fail the slack constraint
-// against ref, recycling their latency slots. Order is preserved. Safe
-// whenever ref is everywhere >= the final reference latencies (watermark
-// monotonicity): a candidate failing slack against ref also fails the final
-// pass.
+// filterSlack drops candidates and band rows whose latencies fail the slack
+// constraint against ref, recycling the candidates' latency slots. Order is
+// preserved. Safe whenever ref is everywhere >= the final reference
+// latencies (watermark monotonicity): a row failing slack against ref also
+// fails the final pass.
 func (f *frontier) filterSlack(ref []float64, slack float64) {
 	w := 0
 	for i := range f.cands {
@@ -245,6 +277,13 @@ func (f *frontier) filterSlack(ref []float64, slack float64) {
 		}
 	}
 	f.cands = f.cands[:w]
+	w = 0
+	for r := 0; r < len(f.band); r += f.stride {
+		if row := f.band[r : r+f.stride]; slackOK(row, ref, slack) {
+			w += copy(f.band[w:], row)
+		}
+	}
+	f.band = f.band[:w]
 }
 
 // atomicMinFloat lowers the watermark cell to v when v is smaller, via a CAS
@@ -274,7 +313,6 @@ type sweepState struct {
 	summary func(*workload.Model, hw.Config) (ppa.Summary, error)
 	n       int
 	wmBits  []atomic.Uint64 // per-model slack watermark; only ever decreases
-	bestLat []float64       // final per-model references, set before pass 2
 	scanned atomic.Int64    // cumulative points scanned (progress reporting)
 }
 
@@ -295,19 +333,18 @@ func newSweepState(ctx context.Context, space hw.DesignSpace, models []*workload
 }
 
 // exploreShard is one worker's persistent reduction state: a Selector — the
-// shard's dominance frontier and its slack reference, the min of the global
-// watermark snapshots and the shard's own observations — plus reusable
-// scratch. Shards never share mutable state, so the chunk loop takes no
-// locks; they merge once, after the sweep.
+// shard's slack-feasible observations and its slack reference, the min of
+// the global watermark snapshots and the shard's own observations — plus
+// reusable scratch. Shards never share mutable state, so the chunk loop
+// takes no locks; they merge once, after the sweep.
 type exploreShard struct {
-	sw          *sweepState
-	sel         *Selector
-	lats        []float64 // per-point latency scratch
-	statics     []bool    // per-point static-feasibility scratch
-	maxRetained int       // peak local frontier size
-	feasible    int       // pass-2 feasibility count
-	errIdx      int       // lowest failing point index seen by this shard
-	err         error
+	sw      *sweepState
+	sel     *Selector
+	snap    []float64 // watermark snapshot scratch
+	lats    []float64 // per-point latency scratch
+	statics []bool    // per-point static-feasibility scratch
+	errIdx  int       // lowest failing point index seen by this shard
+	err     error
 }
 
 // newExploreShard builds a shard for the sweep, with its reference at +Inf.
@@ -316,6 +353,7 @@ func newExploreShard(sw *sweepState) *exploreShard {
 	return &exploreShard{
 		sw:      sw,
 		sel:     NewSelector(m, sw.cons),
+		snap:    make([]float64, m),
 		lats:    make([]float64, m),
 		statics: make([]bool, m),
 		errIdx:  sw.n,
@@ -331,7 +369,7 @@ func newExploreShard(sw *sweepState) *exploreShard {
 //
 // Safety of every prune rests on one monotonicity argument: watermark cells
 // and the shard's reference only ever decrease, and both are everywhere >=
-// the final per-model references. A candidate failing slack against any such
+// the final per-model references. A row failing slack against any such
 // intermediate reference therefore also fails the final pass — dropping it
 // early is safe, and keeping it (a stale snapshot) only defers the drop.
 func (sh *exploreShard) scanChunk(lo, hi int) {
@@ -344,7 +382,10 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 	if sw.ctx.Err() != nil {
 		return
 	}
-	sh.sel.lowerRef(sw.wmBits)
+	for i := range sh.snap {
+		sh.snap[i] = math.Float64frombits(sw.wmBits[i].Load())
+	}
+	sh.sel.lowerTo(sh.snap)
 	for k := lo; k < hi; k++ {
 		pt := sw.space.At(k)
 		area, ok := 0.0, true
@@ -369,9 +410,6 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 			sh.sel.Observe(k, area, sh.lats, sh.statics)
 		}
 	}
-	if n := len(sh.sel.front.cands); n > sh.maxRetained {
-		sh.maxRetained = n
-	}
 	// Publish this shard's reference so other shards' next snapshots prune
 	// harder.
 	for i, v := range sh.sel.best {
@@ -379,44 +417,14 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 	}
 }
 
-// countChunk is the pass-2 reduction: counts points in [lo, hi) that are
-// statically feasible and slack-feasible against the final references.
-// Errors are ignored — pass 1 visited every point and already surfaced the
-// lowest-index failure.
-func (sh *exploreShard) countChunk(lo, hi int) {
-	sw := sh.sw
-	if sw.ctx.Err() != nil {
-		return
-	}
-	for k := lo; k < hi; k++ {
-		pt := sw.space.At(k)
-		ok := true
-		for i, m := range sw.models {
-			c := sw.tmpl[i]
-			c.Point = pt
-			s, err := sw.summary(m, c)
-			if err != nil {
-				ok = false
-				break
-			}
-			sh.lats[i] = s.LatencyS
-			if !sw.cons.meetsStatic(s.AreaMM2, s.PowerDensity()) {
-				ok = false
-				break
-			}
-		}
-		if ok && slackOK(sh.lats, sw.bestLat, sw.cons.LatencySlack) {
-			sh.feasible++
-		}
-	}
-}
-
 // merged is a sweep's reduction state once its shards have folded together.
 type merged struct {
 	bestLat     []float64 // exact per-model references
-	front       frontier  // survivors slack-feasible under bestLat, in selection order
+	front       frontier  // non-dominated survivors under bestLat, in selection order
+	feasible    int       // points slack-feasible under bestLat, over every shard
 	err         error     // evaluation error at the lowest point index, if any
 	maxRetained int       // sum of the shards' peak frontier sizes
+	maxBand     int       // sum of the shards' peak band sizes
 	shards      int       // shards that claimed at least one chunk
 }
 
@@ -426,12 +434,16 @@ type merged struct {
 // shard folded in is itself some shard's own minimum, so this is the min over
 // every statically feasible observation), and the first error is the one at
 // the lowest point index, as in a serial scan. Phase 2: every shard's
-// survivors that pass slack against the final references fold into one
-// frontier. That union contains the winner — it can be neither dominated (its
-// dominator would precede it in selection order and pass slack whenever it
-// does) nor watermark-dropped (it passes slack against the final, tightest
-// reference) — and the merged frontier is in selection order, so its first
-// candidate is the min-(area, index) winner. Nil shards are skipped.
+// Selector is lowered to the final references, which drops exactly its rows
+// that fail the final slack pass; what it still holds is its share of
+// Result.Feasible, and its frontier folds into one merged frontier. That
+// union contains the winner — it can be neither dominated (its dominator
+// would precede it in selection order and pass slack whenever it does) nor
+// watermark-dropped (it passes slack against the final, tightest reference)
+// — and the merged frontier is in selection order, so its first candidate is
+// the min-(area, index) winner. Rows the merged frontier drops as dominated
+// land in its band, which nothing reads: each was already counted in its
+// shard. Nil shards are skipped.
 func (sw *sweepState) merge(shards []*exploreShard) merged {
 	m := merged{bestLat: make([]float64, len(sw.models))}
 	for i := range m.bestLat {
@@ -443,7 +455,8 @@ func (sw *sweepState) merge(shards []*exploreShard) merged {
 			continue
 		}
 		m.shards++
-		m.maxRetained += sh.maxRetained
+		m.maxRetained += sh.sel.front.peak
+		m.maxBand += sh.sel.front.peakBand
 		for i, v := range sh.sel.best {
 			if v < m.bestLat[i] {
 				m.bestLat[i] = v
@@ -458,12 +471,12 @@ func (sw *sweepState) merge(shards []*exploreShard) merged {
 		if sh == nil {
 			continue
 		}
+		sh.sel.lowerTo(m.bestLat)
+		m.feasible += sh.sel.Feasible()
 		f := &sh.sel.front
 		for i := range f.cands {
 			fc := &f.cands[i]
-			if slackOK(f.latsOf(fc), m.bestLat, sw.cons.LatencySlack) {
-				m.front.add(fc.idx, fc.area, f.latsOf(fc))
-			}
+			m.front.add(fc.idx, fc.area, f.latsOf(fc))
 		}
 	}
 	return m
@@ -486,13 +499,14 @@ func (m *merged) winner() int {
 // uses) plus reusable scratch — and claim contiguous chunks dynamically. The
 // only cross-worker state during the sweep is the per-model slack watermark,
 // an array of monotonically decreasing atomics read without locking; shards
-// merge exactly once, after the last chunk. Memory stays O(workers x
-// survivors + chunk) instead of the eager implementation's O(points x
-// models) summary matrix, and the chunk loop is lock- and allocation-free, so
-// the sweep scales with cores. Every sweep scans the whole space, and a final
-// slack pass over the merged survivors plus a streaming feasibility count
-// reproduce the eager two-pass selection byte for byte at any worker count
-// and chunk size (see DESIGN.md §8 for the argument).
+// merge exactly once, after the last chunk. Each (point, model) pair is
+// evaluated exactly once. Memory stays O(slack-feasible points + chunk)
+// instead of the eager implementation's O(points x models) summary matrix,
+// and the chunk loop is lock- and allocation-free, so the sweep scales with
+// cores. Every sweep scans the whole space, and the merge's final slack pass
+// over what the shards hold reproduces the eager two-pass selection and its
+// feasible count byte for byte at any worker count and chunk size (see
+// DESIGN.md §8 for the argument).
 //
 // The chunk loop checks ctx at every chunk boundary (not just between
 // phases), so a cancelled sweep stops within one chunk (<= 512 points per
@@ -554,14 +568,11 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 
 	sw := newSweepState(ctx, space, models, tmpl, cons, summary)
 	shards := make([]*exploreShard, ev.Workers())
-	shard := func(worker int) *exploreShard {
+	ev.ForEachChunkWorker(n, chunk, func(worker, lo, hi int) {
 		if shards[worker] == nil {
 			shards[worker] = newExploreShard(sw)
 		}
-		return shards[worker]
-	}
-	ev.ForEachChunkWorker(n, chunk, func(worker, lo, hi int) {
-		shard(worker).scanChunk(lo, hi)
+		shards[worker].scanChunk(lo, hi)
 		if o.Progress != nil {
 			o.Progress(int(sw.scanned.Add(int64(hi-lo))), n)
 		}
@@ -606,28 +617,6 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			len(models), cons)
 	}
 
-	// Feasibility count: pruned points (dominated, or watermark-dropped) can
-	// still be slack-feasible, so Result.Feasible needs its own streaming
-	// pass now that the reference is final. With caching on this is pure
-	// cache hits; without, it re-runs the closed-form kernels. The count is a
-	// sum, so chunk/worker order cannot affect it. Shards are reused for
-	// their scratch; late-binding workers get a fresh one.
-	sw.bestLat = mg.bestLat
-	ev.ForEachChunkWorker(n, chunk, func(worker, lo, hi int) {
-		shard(worker).countChunk(lo, hi)
-	})
-	feasible := 0
-	for _, sh := range shards {
-		if sh != nil {
-			feasible += sh.feasible
-		}
-	}
-	// The pass-2 count skips chunks once cancelled, so it too is only valid
-	// for a run that was live end to end.
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-
 	if o.Stats != nil {
 		*o.Stats = ExploreStats{
 			Points:          n,
@@ -635,9 +624,10 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			Chunks:          (n + chunk - 1) / chunk,
 			ChunkSize:       chunk,
 			MaxRetained:     mg.maxRetained,
+			MaxBand:         mg.maxBand,
 			Retained:        len(mg.front.cands),
 			Shards:          mg.shards,
-			RetainedBytes:   retainedBytes(mg.maxRetained, len(models)),
+			RetainedBytes:   retainedBytes(mg.maxRetained, mg.maxBand, len(models)),
 			NaiveBytes:      naiveBytes(n, len(models)),
 			CacheBypassed:   !useCache,
 			RefinedPoints:   refineStats.Refined,
@@ -660,7 +650,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 	res := Result{
 		Config:    final,
 		Evals:     evals,
-		Feasible:  feasible,
+		Feasible:  mg.feasible,
 		Explored:  n,
 		SpaceDesc: space.Desc(),
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/check/oracle"
+	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/ppa"
 	"repro/internal/workload"
@@ -42,40 +43,25 @@ func oracleSweep(m oracle.Matrix, slack float64) *sweepState {
 
 // runShards drives the sweep's shard loop as ExploreSpaceCtx does, with the
 // scheduling left to rng: 1-4 shards, a random chunk size, a random shard
-// claiming each chunk of both passes, and a random merge order. It returns
-// the merge and the pass-2 feasible count.
-func runShards(rng *rand.Rand, sw *sweepState) (merged, int) {
+// claiming each chunk, and a random merge order. It returns the merge.
+func runShards(rng *rand.Rand, sw *sweepState) merged {
 	nShards := 1 + rng.Intn(4)
 	chunk := 1 + rng.Intn(sw.n)
 	shards := make([]*exploreShard, nShards)
-	claim := func() *exploreShard {
+	for lo := 0; lo < sw.n; lo += chunk {
 		s := rng.Intn(nShards)
 		if shards[s] == nil {
 			shards[s] = newExploreShard(sw)
 		}
-		return shards[s]
-	}
-	for lo := 0; lo < sw.n; lo += chunk {
-		claim().scanChunk(lo, min(lo+chunk, sw.n))
+		shards[s].scanChunk(lo, min(lo+chunk, sw.n))
 	}
 	rng.Shuffle(nShards, func(a, b int) { shards[a], shards[b] = shards[b], shards[a] })
-	mg := sw.merge(shards)
-	sw.bestLat = mg.bestLat
-	for lo := 0; lo < sw.n; lo += chunk {
-		claim().countChunk(lo, min(lo+chunk, sw.n))
-	}
-	feasible := 0
-	for _, sh := range shards {
-		if sh != nil {
-			feasible += sh.feasible
-		}
-	}
-	return mg, feasible
+	return sw.merge(shards)
 }
 
 // TestShardLoopMatchesOracle feeds quantized random candidate sets, with
 // per-model static infeasibility, through the sweep's own reduction code —
-// scanChunk, merge and countChunk — under random shard counts, chunk sizes,
+// scanChunk and merge — under random shard counts, chunk sizes,
 // chunk-to-shard claiming and merge orders. The per-model references, the
 // whole merged frontier (and with it the winner) and the feasible count must
 // equal the brute-force oracle's on every trial.
@@ -85,18 +71,18 @@ func TestShardLoopMatchesOracle(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			m, slack := oracle.RandomTrial(rng)
 			want := m.Select(slack)
-			mg, feasible := runShards(rng, oracleSweep(m, slack))
+			mg := runShards(rng, oracleSweep(m, slack))
 			front := make([]int, 0, len(mg.front.cands))
 			for _, c := range mg.front.cands {
 				front = append(front, c.idx)
 			}
 			if mg.err != nil || mg.winner() != want.Winner() || !slices.Equal(front, want.Frontier) ||
-				feasible != want.Feasible || !slices.Equal(mg.bestLat, want.Ref) {
+				mg.feasible != want.Feasible || !slices.Equal(mg.bestLat, want.Ref) {
 				t.Fatalf("seed %d trial %d (%d points x %d models, slack %.2f):\n"+
 					"shard loop: winner %d frontier %v feasible %d refs %v err %v\n"+
 					"oracle:     winner %d frontier %v feasible %d refs %v",
 					seed, trial, m.Points(), m.Models, slack,
-					mg.winner(), front, feasible, mg.bestLat, mg.err,
+					mg.winner(), front, mg.feasible, mg.bestLat, mg.err,
 					want.Winner(), want.Frontier, want.Feasible, want.Ref)
 			}
 		}
@@ -121,5 +107,23 @@ func TestDominatesValsTieBreaksByIndex(t *testing.T) {
 	cLats := []float64{2}
 	if dominatesVals(1, 0, aLats, 0.5, 2, cLats) && dominatesVals(0.5, 2, cLats, 1, 0, aLats) {
 		t.Error("dominates must be antisymmetric")
+	}
+}
+
+// TestSweepEvaluatesEachPointOnce pins one kernel evaluation per (point,
+// model): on a fresh engine with every summary cached, the sweep misses once
+// per pair and hits only when materializing the winner, whose union config
+// equals each model's own on models sharing unit kinds.
+func TestSweepEvaluatesEachPointOnce(t *testing.T) {
+	models := []*workload.Model{workload.NewResNet18(), workload.NewResNet50(), workload.NewVGG16()}
+	space := hw.PaperSpace()
+	ev := eval.New(eval.Options{Workers: 2})
+	if _, err := ExploreSpaceCtx(context.Background(), models, space, DefaultConstraints(), ev,
+		&ExploreOptions{Cache: CacheAlways}); err != nil {
+		t.Fatal(err)
+	}
+	st := ev.Stats()
+	if want := uint64(space.Len() * len(models)); st.Misses != want || st.Hits != uint64(len(models)) {
+		t.Errorf("engine saw %d misses and %d hits, want %d misses and %d hits", st.Misses, st.Hits, want, len(models))
 	}
 }

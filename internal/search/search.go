@@ -764,9 +764,9 @@ func (st *state) trace(strategy string) Trace {
 
 // finish materializes the selector's winner into a dse.Result with the same
 // shape ExploreSpace produces: the union-kind config (idle-bank leakage
-// priced in), full per-layer evals, the feasible count over the visited set
-// under the final reference, and the space description. Under staged
-// fidelity the winner instead comes from re-scoring the visited-set
+// priced in), full per-layer evals, the Selector's feasible count over the
+// visited set under the final reference, and the space description. Under
+// staged fidelity the winner instead comes from re-scoring the visited-set
 // dominance frontier with the physical models — the same RefineSelect
 // discipline the exhaustive sweep applies to its merged frontier.
 func (st *state) finish(strategy string) (dse.Result, Trace, error) {
@@ -798,23 +798,6 @@ func (st *state) finish(strategy string) (dse.Result, Trace, error) {
 	tr.BestAreaMM2 = bestArea
 	tr.EvalsToWin = st.evalAt[st.slots[best]]
 
-	feasible := 0
-	for s := range st.pts {
-		if st.errs[s] != nil {
-			continue
-		}
-		allOK := true
-		for i := 0; i < st.nm; i++ {
-			if !st.static[s*st.nm+i] {
-				allOK = false
-				break
-			}
-		}
-		if allOK && st.sel.SlackOK(st.lats[s*st.nm:(s+1)*st.nm]) {
-			feasible++
-		}
-	}
-
 	final := hw.NewConfig(st.space.At(best), st.models)
 	final.Cat = hw.CatalogueOf(st.space)
 	evals := make([]*ppa.Eval, st.nm)
@@ -828,7 +811,7 @@ func (st *state) finish(strategy string) (dse.Result, Trace, error) {
 	return dse.Result{
 		Config:    final,
 		Evals:     evals,
-		Feasible:  feasible,
+		Feasible:  st.sel.Feasible(),
 		Explored:  len(st.pts),
 		SpaceDesc: st.space.Desc(),
 		Refined:   refineStats,
