@@ -298,6 +298,28 @@ func BenchmarkExploreStreamFine(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fine.Len()*len(models)), "ns/point-model")
 }
 
+// BenchmarkExploreStreamMixFine is BenchmarkExploreStreamFine on the
+// 110528-point heterogeneous mixfine preset with AlexNet, ViT-base and
+// ResNet18 — the mix cost table's per-layer dispatch to the fastest chiplet
+// type — reporting the same unit cost in ns/point-model.
+func BenchmarkExploreStreamMixFine(b *testing.B) {
+	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}
+	mixfine, err := hw.FineMixSpec(nil).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cons := dse.DefaultConstraints()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := eval.New(eval.Options{})
+		if _, err := dse.ExploreSpaceCtx(context.Background(), models, mixfine, cons, ev, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mixfine.Len()*len(models)), "ns/point-model")
+}
+
 // BenchmarkTauSweepCached contrasts the tau sweep (which retrains the whole
 // library per threshold) with and without a shared memoization cache — the
 // core-layer payoff of the evaluation engine.

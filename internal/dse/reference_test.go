@@ -272,40 +272,40 @@ func TestStreamingByteIdentityMatrix(t *testing.T) {
 // TestExploreChunkLoopAllocFree pins the sharded sweep's allocation contract:
 // once a warm-up pass has sized the frontier's backing arrays and the
 // evaluator's plan tables, the steady-state chunk loop — scanChunk over the
-// whole space — performs zero heap allocations.
+// whole space — performs zero heap allocations. It covers both uncached
+// scoring paths: the per-point kernel on a point list, and the cost tables
+// on a Cartesian and a mix space.
 func TestExploreChunkLoopAllocFree(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase()}
-	space := hw.PointList(hw.Space())
+	mix, err := hw.DefaultMixSpec(nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cons := DefaultConstraints()
-	ev := eval.New(eval.Options{Workers: 1})
-	summary := func(m *workload.Model, c hw.Config) (ppa.Summary, error) {
-		return ev.EvaluateSummaryUncached(m, c, 1)
-	}
-	tmpl := make([]hw.Config, len(models))
-	for i, m := range models {
-		tmpl[i] = hw.NewConfig(hw.Point{}, []*workload.Model{m})
-	}
-	sw := newSweepState(context.Background(), space, models, tmpl, cons, summary)
-	sh := newExploreShard(sw)
-	scan := func() {
-		for lo := 0; lo < sw.n; lo += 16 {
-			hi := lo + 16
-			if hi > sw.n {
-				hi = sw.n
-			}
-			sh.scanChunk(lo, hi)
+	for _, space := range []hw.DesignSpace{hw.PointList(hw.Space()), hw.PaperSpace(), mix} {
+		ev := eval.New(eval.Options{Workers: 1})
+		sc := NewScorer(ev, models, space, cons, CacheNever)
+		if _, list := space.(hw.PointList); list != (sc.tables == nil) {
+			t.Fatalf("%s: tables built = %v", space.Desc(), sc.tables != nil)
 		}
-	}
-	scan() // warm-up: sizes the frontier backing arrays and plan caches
-	if sh.err != nil {
-		t.Fatal(sh.err)
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		sh.sel.front.reset()
-		scan()
-	})
-	if avg != 0 {
-		t.Errorf("steady-state chunk loop allocates %.1f objects per sweep, want 0", avg)
+		sw := newSweepState(context.Background(), sc)
+		sh := newExploreShard(sw)
+		scan := func() {
+			for lo := 0; lo < sw.n; lo += 16 {
+				sh.scanChunk(lo, min(lo+16, sw.n))
+			}
+		}
+		scan() // warm-up: sizes the frontier backing arrays and plan caches
+		if sh.err != nil {
+			t.Fatal(sh.err)
+		}
+		avg := testing.AllocsPerRun(10, func() {
+			sh.sel.front.reset()
+			scan()
+		})
+		if avg != 0 {
+			t.Errorf("%s: steady-state chunk loop allocates %.1f objects per sweep, want 0", space.Desc(), avg)
+		}
 	}
 }
 

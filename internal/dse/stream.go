@@ -26,8 +26,10 @@ const (
 	CacheAuto CachePolicy = iota
 	// CacheAlways forces every summary through the result cache.
 	CacheAlways
-	// CacheNever computes summaries from the per-model plans only. Results
-	// are bit-identical to the cached path.
+	// CacheNever computes summaries from the per-model plans only: through
+	// per-model ppa.Tables on hw.SpaceSpec and hw.MixSpace spaces, with the
+	// per-point kernel elsewhere. Results are bit-identical to the cached
+	// path.
 	CacheNever
 )
 
@@ -302,28 +304,22 @@ func atomicMinFloat(a *atomic.Uint64, v float64) {
 }
 
 // sweepState is the read-mostly shared state of one streaming exploration:
-// the space, the per-model configuration templates, the summary path, and
-// the lock-free slack watermark (per-model float bits, min-only updates).
+// the scorer and the lock-free slack watermark (per-model float bits,
+// min-only updates).
 type sweepState struct {
 	ctx     context.Context
-	space   hw.DesignSpace
-	models  []*workload.Model
-	tmpl    []hw.Config
-	cons    Constraints
-	summary func(*workload.Model, hw.Config) (ppa.Summary, error)
-	n       int
+	score   *Scorer
+	nm, n   int             // models per point, points in the space
 	wmBits  []atomic.Uint64 // per-model slack watermark; only ever decreases
 	scanned atomic.Int64    // cumulative points scanned (progress reporting)
 }
 
 // newSweepState builds the shared sweep state with the watermark at +Inf.
-func newSweepState(ctx context.Context, space hw.DesignSpace, models []*workload.Model, tmpl []hw.Config,
-	cons Constraints, summary func(*workload.Model, hw.Config) (ppa.Summary, error)) *sweepState {
+func newSweepState(ctx context.Context, score *Scorer) *sweepState {
+	nm := len(score.models)
 	sw := &sweepState{
-		ctx:   ctx,
-		space: space, models: models, tmpl: tmpl, cons: cons,
-		summary: summary, n: space.Len(),
-		wmBits: make([]atomic.Uint64, len(models)),
+		ctx: ctx, score: score, nm: nm, n: score.space.Len(),
+		wmBits: make([]atomic.Uint64, nm),
 	}
 	inf := math.Float64bits(math.Inf(1))
 	for i := range sw.wmBits {
@@ -349,10 +345,10 @@ type exploreShard struct {
 
 // newExploreShard builds a shard for the sweep, with its reference at +Inf.
 func newExploreShard(sw *sweepState) *exploreShard {
-	m := len(sw.models)
+	m := sw.nm
 	return &exploreShard{
 		sw:      sw,
-		sel:     NewSelector(m, sw.cons),
+		sel:     NewSelector(m, sw.score.cons),
 		snap:    make([]float64, m),
 		lats:    make([]float64, m),
 		statics: make([]bool, m),
@@ -387,28 +383,16 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 	}
 	sh.sel.lowerTo(sh.snap)
 	for k := lo; k < hi; k++ {
-		pt := sw.space.At(k)
-		area, ok := 0.0, true
-		for i, m := range sw.models {
-			c := sw.tmpl[i]
-			c.Point = pt
-			s, err := sw.summary(m, c)
-			if err != nil {
-				if k < sh.errIdx {
-					sh.errIdx, sh.err = k, err
-				}
-				ok = false
-				break
+		area, err := sw.score.Score(k, sh.lats, sh.statics)
+		if err != nil {
+			// A failing point is never observed: the lowest-index error
+			// fails the whole sweep at merge.
+			if k < sh.errIdx {
+				sh.errIdx, sh.err = k, err
 			}
-			sh.lats[i] = s.LatencyS
-			sh.statics[i] = sw.cons.meetsStatic(s.AreaMM2, s.PowerDensity())
-			area += s.AreaMM2
+			continue
 		}
-		// A failing point is never observed: the lowest-index error fails
-		// the whole sweep at merge.
-		if ok {
-			sh.sel.Observe(k, area, sh.lats, sh.statics)
-		}
+		sh.sel.Observe(k, area, sh.lats, sh.statics)
 	}
 	// Publish this shard's reference so other shards' next snapshots prune
 	// harder.
@@ -445,7 +429,7 @@ type merged struct {
 // land in its band, which nothing reads: each was already counted in its
 // shard. Nil shards are skipped.
 func (sw *sweepState) merge(shards []*exploreShard) merged {
-	m := merged{bestLat: make([]float64, len(sw.models))}
+	m := merged{bestLat: make([]float64, sw.nm)}
 	for i := range m.bestLat {
 		m.bestLat[i] = math.Inf(1)
 	}
@@ -466,7 +450,7 @@ func (sw *sweepState) merge(shards []*exploreShard) merged {
 			errIdx, m.err = sh.errIdx, sh.err
 		}
 	}
-	m.front.init(len(sw.models))
+	m.front.init(sw.nm)
 	for _, sh := range shards {
 		if sh == nil {
 			continue
@@ -547,26 +531,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			chunk = 1
 		}
 	}
-	useCache := o.Cache == CacheAlways || (o.Cache == CacheAuto && int64(n)*int64(len(models)) <= cacheAutoLimit)
-	summary := func(m *workload.Model, c hw.Config) (ppa.Summary, error) {
-		if useCache {
-			return ev.EvaluateSummary(m, c, 1)
-		}
-		return ev.EvaluateSummaryUncached(m, c, 1)
-	}
-
-	// Per-model configuration templates; the point is stamped in per
-	// evaluation so the sweep allocates no per-point configs. Spaces that
-	// carry a catalogue (mix spaces, ParseSpaceWith specs) thread it into
-	// every template so evaluation and cache keys see the right PPA source.
-	cat := hw.CatalogueOf(space)
-	tmpl := make([]hw.Config, len(models))
-	for i, m := range models {
-		tmpl[i] = hw.NewConfig(hw.Point{}, []*workload.Model{m})
-		tmpl[i].Cat = cat
-	}
-
-	sw := newSweepState(ctx, space, models, tmpl, cons, summary)
+	sw := newSweepState(ctx, NewScorer(ev, models, space, cons, o.Cache))
 	shards := make([]*exploreShard, ev.Workers())
 	ev.ForEachChunkWorker(n, chunk, func(worker, lo, hi int) {
 		if shards[worker] == nil {
@@ -629,7 +594,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			Shards:          mg.shards,
 			RetainedBytes:   retainedBytes(mg.maxRetained, mg.maxBand, len(models)),
 			NaiveBytes:      naiveBytes(n, len(models)),
-			CacheBypassed:   !useCache,
+			CacheBypassed:   !sw.score.Cached(),
 			RefinedPoints:   refineStats.Refined,
 			ThermalRejected: refineStats.ThermalRejected,
 		}
@@ -638,7 +603,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 	// Materialize full per-layer evaluations lazily, only for the winner: the
 	// reported PPA must include idle banks' leakage on the union-kind config.
 	final := hw.NewConfig(space.At(best), models)
-	final.Cat = cat
+	final.Cat = hw.CatalogueOf(space)
 	evals := make([]*ppa.Eval, len(models))
 	for i, m := range models {
 		e, err := ev.Evaluate(m, final)

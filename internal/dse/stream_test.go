@@ -38,7 +38,9 @@ func oracleSweep(m oracle.Matrix, slack float64) *sweepState {
 		}
 		return s, nil
 	}
-	return newSweepState(context.Background(), space, models, make([]hw.Config, m.Models), cons, summary)
+	return newSweepState(context.Background(), &Scorer{
+		space: space, models: models, cons: cons, tmpl: make([]hw.Config, m.Models), summary: summary,
+	})
 }
 
 // runShards drives the sweep's shard loop as ExploreSpaceCtx does, with the

@@ -332,9 +332,11 @@ func (ev *Evaluator) ForEachChunkWorker(n, chunk int, fn func(worker, lo, hi int
 // EvaluateSummaryUncached computes the scalar summary from the model's cached
 // plan without touching the result cache — the path for sweeps over spaces so
 // large that memoizing every (point, model) pair would itself cost
-// O(points x models) memory. The model plan (the lower cache level) is still
-// shared, so the per-call cost is the closed-form kernel arithmetic only.
-// Bit-identical to EvaluateSummary for the same inputs.
+// O(points x models) memory, on spaces without per-model cost tables
+// (dse.Scorer tabulates hw.SpaceSpec and hw.MixSpace). The model plan (the
+// lower cache level) is still shared, so the per-call cost is the closed-form
+// kernel arithmetic only. Bit-identical to EvaluateSummary for the same
+// inputs.
 func (ev *Evaluator) EvaluateSummaryUncached(m *workload.Model, c hw.Config, batch int) (ppa.Summary, error) {
 	return ev.Plan(m).Summary(c, batch)
 }

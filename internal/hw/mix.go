@@ -318,9 +318,13 @@ func (s MixSpace) Catalogue() *Catalogue { return s.cat }
 // not mutate).
 func (s MixSpace) Mixes() []Mix { return s.mixes }
 
+// Spec returns the spec the space was built from (shared slices; do not
+// mutate).
+func (s MixSpace) Spec() MixSpec { return s.spec }
+
 // DefaultMixSpec returns the "mix" preset: a coarse count grid over every
 // catalogue type under a 128-slot budget — for the default 3-type catalogue,
-// 124 admitted mixes x 9 element-bank points = 1116 points.
+// 114 admitted mixes x 9 element-bank points = 1026 points.
 func DefaultMixSpec(cat *Catalogue) MixSpec {
 	if cat == nil {
 		cat = Default()

@@ -192,17 +192,31 @@ func TestMixSpecValidateErrors(t *testing.T) {
 }
 
 // TestFineMixSpecScale pins the >=10^5-point acceptance shape of the
-// "mixfine" preset on the default 3-type catalogue.
+// "mixfine" preset on the default 3-type catalogue: 1727 mixes x 64
+// element-bank points.
 func TestFineMixSpecScale(t *testing.T) {
 	sp, err := FineMixSpec(nil).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Len() < 100000 {
-		t.Fatalf("mixfine = %d points, want >= 1e5", sp.Len())
+	if sp.Len() != 110528 {
+		t.Fatalf("mixfine = %d points, want 110528", sp.Len())
 	}
 	if len(sp.Mixes()) != 12*12*12-1 {
 		t.Errorf("mixfine admits %d mixes, want 1727", len(sp.Mixes()))
+	}
+}
+
+// TestDefaultMixSpecSize pins the "mix" preset on the default 3-type
+// catalogue: of the 5^3 - 1 non-zero count vectors, the 128-slot budget
+// admits 114, each crossed with 9 element-bank points.
+func TestDefaultMixSpecSize(t *testing.T) {
+	sp, err := DefaultMixSpec(nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sp.Mixes()) != 114 || sp.Len() != 1026 {
+		t.Errorf("mix admits %d mixes, %d points; want 114 mixes, 1026 points", len(sp.Mixes()), sp.Len())
 	}
 }
 

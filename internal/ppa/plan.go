@@ -469,9 +469,15 @@ func (p *ModelPlan) Summary(c hw.Config, batch int) (Summary, error) {
 			s.DynamicPJ += out.energyPJ
 		}
 	}
-	leakW := cat.LeakageMWPerMM2 * 1e-3 * s.AreaMM2
-	s.LeakagePJ = leakW * s.LatencyS * 1e12
+	s.LeakagePJ = leakagePJ(cat, s.AreaMM2, s.LatencyS)
 	return s, nil
+}
+
+// leakagePJ prices leakage across the whole chip for the whole run; the paper
+// applies no power gating, so idle units leak too.
+func leakagePJ(cat *hw.Catalogue, areaMM2, latencyS float64) float64 {
+	leakW := cat.LeakageMWPerMM2 * 1e-3 * areaMM2
+	return leakW * latencyS * 1e12
 }
 
 // Evaluate materializes the full per-layer evaluation at batch size 1.

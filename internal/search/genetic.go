@@ -67,6 +67,7 @@ func (g *genetic) evolve(st *state) error {
 		return nil
 	}
 	stall := 0
+	fit := make([]float64, len(pop))
 	for !st.exhausted() {
 		batch = batch[:0]
 		for j := 0; j < p.Batch; j++ {
@@ -90,19 +91,24 @@ func (g *genetic) evolve(st *state) error {
 		} else {
 			stall = 0
 		}
+		// Fitness depends on the selector's reference, which only visit
+		// moves, so the members' values hold for the whole replacement pass.
+		for i, ps := range pop {
+			fit[i] = st.fitness(ps)
+		}
 		for _, s := range slots {
 			if s < 0 || inPop[st.pts[s]] {
 				continue
 			}
 			worst, wf := -1, 0.0
-			for i, ps := range pop {
-				if f := st.fitness(ps); worst < 0 || f > wf {
+			for i, f := range fit {
+				if worst < 0 || f > wf {
 					worst, wf = i, f
 				}
 			}
-			if st.fitness(s) < wf {
+			if f := st.fitness(s); f < wf {
 				delete(inPop, st.pts[pop[worst]])
-				pop[worst] = s
+				pop[worst], fit[worst] = s, f
 				inPop[st.pts[s]] = true
 			}
 		}

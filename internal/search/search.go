@@ -221,7 +221,7 @@ type state struct {
 	view   *coordView
 	models []*workload.Model
 	cons   dse.Constraints
-	tmpl   []hw.Config
+	score  *dse.Scorer
 	sel    *dse.Selector
 	rng    *rand.Rand
 	fid    *dse.FidelityOptions
@@ -252,18 +252,16 @@ type state struct {
 func newState(ctx context.Context, ev *eval.Evaluator, space hw.DesignSpace,
 	models []*workload.Model, cons dse.Constraints, seed int64, budget int) *state {
 	nm := len(models)
-	cat := hw.CatalogueOf(space)
-	tmpl := make([]hw.Config, nm)
-	for i, m := range models {
-		tmpl[i] = hw.NewConfig(hw.Point{}, []*workload.Model{m})
-		tmpl[i].Cat = cat
-	}
 	st := &state{
 		ctx: ctx, ev: ev, space: space, view: newCoordView(space),
-		models: models, cons: cons, tmpl: tmpl,
-		sel: dse.NewSelector(nm, cons),
-		rng: rand.New(rand.NewSource(seed)),
-		n:   space.Len(), nm: nm,
+		models: models, cons: cons,
+		// Scoring follows the sweep's cache rule: spaces above CacheAuto's
+		// limit score through per-model cost tables instead of filling the
+		// engine cache with entries no later run rereads.
+		score: dse.NewScorer(ev, models, space, cons, dse.CacheAuto),
+		sel:   dse.NewSelector(nm, cons),
+		rng:   rand.New(rand.NewSource(seed)),
+		n:     space.Len(), nm: nm,
 		seed:    seed,
 		budget0: budget,
 		// Reserve nm evaluations for winner materialization: the final
@@ -322,21 +320,8 @@ func (st *state) visit(cands []int) []int {
 	}
 	st.ev.ForEach(nNew, func(j int) {
 		s := newStart + j
-		pt := st.space.At(st.pts[s])
-		area := 0.0
-		for i, m := range st.models {
-			c := st.tmpl[i]
-			c.Point = pt
-			sum, err := st.ev.EvaluateSummary(m, c, 1)
-			if err != nil {
-				st.errs[s] = err
-				return
-			}
-			st.lats[s*st.nm+i] = sum.LatencyS
-			st.static[s*st.nm+i] = st.cons.MeetsStatic(sum.AreaMM2, sum.PowerDensity())
-			area += sum.AreaMM2
-		}
-		st.areas[s] = area
+		lats, statics := st.lats[s*st.nm:(s+1)*st.nm], st.static[s*st.nm:(s+1)*st.nm]
+		st.areas[s], st.errs[s] = st.score.Score(st.pts[s], lats, statics)
 	})
 	st.evals += nNew * st.nm
 	for j := 0; j < nNew; j++ {

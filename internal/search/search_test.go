@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -68,11 +69,25 @@ func selectionArea(t *testing.T, ev *eval.Evaluator, models []*workload.Model, s
 
 // TestSearchDeterminismAcrossWorkers pins the seed-determinism contract:
 // for a fixed seed, both strategies must return byte-identical results and
-// traces at 1 and 8 evaluator workers, on every test space.
+// traces at 1 and 8 evaluator workers, on every test space at a quarter of
+// the exhaustive budget, and on mixfine × AlexNet, whose 110528 point·models
+// exceed CacheAuto's limit and so score through the cost tables, at 2%.
 func TestSearchDeterminismAcrossWorkers(t *testing.T) {
-	for _, tc := range testSpaces(t) {
+	mixfine, err := hw.FineMixSpec(nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append(testSpaces(t), struct {
+		name   string
+		space  hw.DesignSpace
+		models []*workload.Model
+	}{"mixfine-alexnet", mixfine, []*workload.Model{workload.NewAlexNet()}})
+	for _, tc := range cases {
 		n, nm := tc.space.Len(), len(tc.models)
 		budget := n * nm / 4
+		if tc.name == "mixfine-alexnet" {
+			budget = n * nm / 50
+		}
 		for _, kind := range []string{"anneal", "genetic"} {
 			spec, err := ParseSpec(kind)
 			if err != nil {
@@ -246,5 +261,58 @@ func TestSearchBudgetTooSmall(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewResNet18()}
 	if _, _, err := opt.Run(context.Background(), models, hw.PaperSpace(), dse.DefaultConstraints(), 3); err == nil {
 		t.Fatal("expected an error for a budget below the minimum")
+	}
+}
+
+// TestSearchAcceptanceGate pins the budgeted-search acceptance criterion on
+// the large spaces it was set for: on fine × the training set and on mixfine
+// × (AlexNet, ViT-base, ResNet18), at seed 7 and a budget of 5% of the
+// exhaustive evaluation count, both strategies must land within 1% of the
+// exhaustive optimum's selection area while spending at most that 5%.
+func TestSearchAcceptanceGate(t *testing.T) {
+	mixfine, err := hw.FineMixSpec(nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := dse.DefaultConstraints()
+	for _, tc := range []struct {
+		name   string
+		space  hw.DesignSpace
+		models []*workload.Model
+	}{
+		{"fine", hw.FineSpace(), workload.TrainingSet()},
+		{"mixfine", mixfine, []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}},
+	} {
+		n, nm := tc.space.Len(), len(tc.models)
+		ev := eval.New(eval.Options{})
+		exh, err := dse.ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons, ev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exhArea := selectionArea(t, ev, tc.models, tc.space, exh.Config.Point)
+		budget := n * nm / 20
+		for _, kind := range []string{"anneal", "genetic"} {
+			spec, err := ParseSpec(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt, err := New(spec, Options{Seed: 7, Evaluator: eval.New(eval.Options{})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, tr, err := opt.Run(context.Background(), tc.models, tc.space, cons, budget)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, kind, err)
+			}
+			gap := (tr.BestAreaMM2 - exhArea) / exhArea
+			if math.Abs(gap) > 0.01 {
+				t.Errorf("%s/%s: optimality gap %.4f exceeds ±1%% (search %.4f mm2, exhaustive %.4f mm2)",
+					tc.name, kind, gap, tr.BestAreaMM2, exhArea)
+			}
+			if ratio := float64(tr.Evaluations) / float64(n*nm); ratio > 0.05 {
+				t.Errorf("%s/%s: %d evaluations are %.2f%% of the exhaustive %d, want <= 5%%",
+					tc.name, kind, tr.Evaluations, 100*ratio, n*nm)
+			}
+		}
 	}
 }
