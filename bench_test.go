@@ -245,8 +245,8 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 // BenchmarkExploreCold is the allocation-tracked acceptance benchmark of the
 // layer-granular kernel refactor: a full cold-cache 13-model x 81-point
 // exploration per iteration at Workers=1 (so ns/op and allocs/op are
-// scheduling-noise-free). cmd/clairebench records the same measurement into
-// BENCH_PR2.json for the cross-PR perf trajectory.
+// scheduling-noise-free). CI's perf gate (.github/benchgate.sh) runs it and
+// BenchmarkExploreColdParallel at the base commit and at HEAD on one runner.
 func BenchmarkExploreCold(b *testing.B) {
 	models := workload.TrainingSet()
 	space := hw.PointList(hw.Space())

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dse"
-	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
@@ -72,12 +71,13 @@ func main() {
 	// re-scores the selection frontier with exactly the physical models the
 	// pipeline uses.
 	o := core.DefaultOptions()
+	o.Workers = *workers
 	o.Catalogue = cat
-	o.Evaluator = eval.New(eval.Options{Workers: *workers})
 	if err := o.Resolve(*spaceFlag, *searchFlag, *budget, *seed, *fidelityFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "clairedse:", err)
 		os.Exit(2)
 	}
+	o.Evaluator = o.Engine()
 	ev := o.Evaluator
 	models := []*workload.Model{m}
 

@@ -133,7 +133,8 @@ func DefaultOptions() Options {
 // design space (hw.ParseSpaceWith against o.Catalogue; "" is the paper
 // space), the search strategy with its budget and seed (search.ParseSpec;
 // "" keeps the exhaustive sweep, and budget and seed then play no part), and
-// the fidelity mode (dse.ParseFidelityMode). It also checks o.Constraints.
+// the fidelity mode (dse.ParseFidelityMode). It also checks o.Constraints
+// and rejects a negative o.Workers.
 // This is the one place those strings are parsed: the options plus the model
 // list are the resolved request, ready for Explore. On error o is unchanged.
 func (o *Options) Resolve(space, searchSpec string, budget int, seed int64, fidelity string) error {
@@ -143,6 +144,9 @@ func (o *Options) Resolve(space, searchSpec string, budget int, seed int64, fide
 	}
 	if budget < 0 {
 		return fmt.Errorf("core: negative search budget %d", budget)
+	}
+	if o.Workers < 0 {
+		return fmt.Errorf("core: negative worker count %d", o.Workers)
 	}
 	var so *SearchOptions
 	if searchSpec != "" {

@@ -173,7 +173,9 @@ func TestEngineSharedAcrossPhases(t *testing.T) {
 	}
 }
 
-// TestNegativeWorkersRejected pins Options.Validate's worker check.
+// TestNegativeWorkersRejected pins the worker check of Options.Validate and
+// of Options.Resolve, which every front end calls before it builds an engine,
+// so no CLI or request quietly clamps a negative count.
 func TestNegativeWorkersRejected(t *testing.T) {
 	o := DefaultOptions()
 	o.Workers = -1
@@ -182,6 +184,11 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	}
 	if _, err := Train(workload.TrainingSet()[:1], o); err == nil {
 		t.Error("Train must reject negative Workers")
+	}
+	o.Workers = -5
+	err := o.Resolve("", "", 0, 0, "")
+	if err == nil || err.Error() != "core: negative worker count -5" {
+		t.Errorf("Resolve with Workers -5: err = %v, want core: negative worker count -5", err)
 	}
 }
 

@@ -79,8 +79,8 @@ func (fo *FidelityOptions) Staged() bool {
 // compared instead of the analytical numbers (DESIGN.md §10).
 type RefineStats struct {
 	// Refined is the number of frontier candidates re-scored with the full
-	// physical models — the "expensive evaluations" the ≤5%-of-space budget
-	// in clairebench gates.
+	// physical models — the "expensive evaluations" that
+	// TestStagedRefinesFrontierOnly holds to ≤5% of a large space.
 	Refined int
 	// ThermalRejected is how many of them exceeded the junction limit and
 	// were rejected (the frontier backfills from the next candidate).

@@ -24,9 +24,10 @@ type SpacePoint struct {
 // the given constraints) and area/latency Pareto optimality — the per-point
 // table view of clairedse. Every point is fully evaluated and returned, so it
 // is only sensible for table-sized spaces. Point evaluations fan out over the
-// engine's workers; feasibility references are derived after collection in
-// point order, so results are identical at any worker count. Results are
-// sorted by ascending area, then latency.
+// engine's workers; the latency reference comes from a Selector fed every
+// point in index order after collection, so results are identical at any
+// worker count and the Feasible rows count exactly Result.Feasible of the
+// same sweep. Results are sorted by ascending area, then latency.
 func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator) ([]SpacePoint, error) {
 	if err := cons.Validate(); err != nil {
 		return nil, err
@@ -53,17 +54,16 @@ func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *e
 			return nil, err
 		}
 	}
-	bestLat := -1.0
-	for i := range pts {
-		if pts[i].Feasible && (bestLat < 0 || pts[i].Eval.LatencyS < bestLat) {
-			bestLat = pts[i].Eval.LatencyS
-		}
+	// Feasible holds static feasibility until the reference is final.
+	sel := NewSelector(1, cons)
+	lat, static := make([]float64, 1), make([]bool, 1)
+	for k := range pts {
+		lat[0], static[0] = pts[k].Eval.LatencyS, pts[k].Feasible
+		sel.Observe(k, pts[k].Eval.AreaMM2, lat, static)
 	}
-	for i := range pts {
-		if pts[i].Feasible && bestLat > 0 &&
-			pts[i].Eval.LatencyS > (1+cons.LatencySlack)*bestLat {
-			pts[i].Feasible = false
-		}
+	for k := range pts {
+		lat[0] = pts[k].Eval.LatencyS
+		pts[k].Feasible = pts[k].Feasible && slackOK(lat, sel.BestLatencies(), cons.LatencySlack)
 	}
 	markPareto(pts)
 	sort.Slice(pts, func(i, j int) bool {

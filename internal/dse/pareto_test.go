@@ -1,8 +1,10 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
@@ -29,6 +31,44 @@ func TestSweepShapeAndOrder(t *testing.T) {
 	}
 	if feasible == 0 || feasible == len(pts) {
 		t.Errorf("feasible count %d should be a strict subset", feasible)
+	}
+}
+
+// TestSweepSpaceFeasibleMatchesExplore pins clairedse's two feasibility
+// readouts to each other: the Feasible rows of SweepSpace count exactly
+// ExploreSpaceCtx's Result.Feasible, for every training-set model on the
+// paper point list, the paper spec and the mix space, at slack 0, 0.5 and 1.
+func TestSweepSpaceFeasibleMatchesExplore(t *testing.T) {
+	mix, err := hw.DefaultMixSpec(nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := eval.New(eval.Options{Workers: 2})
+	for _, space := range []hw.DesignSpace{hw.PointList(hw.Space()), hw.PaperSpace(), mix} {
+		for _, slack := range []float64{0, 0.5, 1} {
+			cons := DefaultConstraints()
+			cons.LatencySlack = slack
+			for _, m := range workload.TrainingSet() {
+				pts, err := SweepSpace(m, space, cons, ev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := ExploreSpaceCtx(context.Background(), []*workload.Model{m}, space, cons, ev, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feasible := 0
+				for _, p := range pts {
+					if p.Feasible {
+						feasible++
+					}
+				}
+				if feasible != r.Feasible {
+					t.Errorf("%s on %s at slack %g: %d feasible rows, Result.Feasible = %d",
+						m.Name, space.Desc(), slack, feasible, r.Feasible)
+				}
+			}
+		}
 	}
 }
 

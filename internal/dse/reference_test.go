@@ -309,6 +309,28 @@ func TestExploreChunkLoopAllocFree(t *testing.T) {
 	}
 }
 
+// TestExploreColdAllocs bounds the allocations of one cold explore, the
+// 13-model training set over the 81-point paper list on a fresh
+// single-worker engine, at 4852 objects: 1.25 × the 3882 recorded in
+// BENCH_PR9.json. Unlike wall-clock time, the count barely moves between
+// runs or machines, so it can gate here; .github/benchgate.sh gates the time
+// against the base commit on one runner.
+func TestExploreColdAllocs(t *testing.T) {
+	models := workload.TrainingSet()
+	space := hw.PointList(hw.Space())
+	cons := DefaultConstraints()
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		_, err = ExploreSpaceCtx(context.Background(), models, space, cons, eval.New(eval.Options{Workers: 1}), nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 4852 {
+		t.Errorf("cold explore allocates %.0f objects per run, want <= 4852 (1.25 x 3882)", allocs)
+	}
+}
+
 // TestExploreStatsBoundedMemory checks the streaming sweep's observable
 // memory claim on the fine preset (the >= 10k-point acceptance shape): the
 // sweep must bypass the result cache and the peak retained-candidate set must

@@ -59,7 +59,8 @@ type Improvement struct {
 }
 
 // Trace reports how a search run spent its budget — the observability behind
-// the optimality-gap and evaluations-per-win metrics clairebench gates.
+// the optimality-gap and evaluation-fraction bounds TestSearchAcceptanceGate
+// holds.
 type Trace struct {
 	// Strategy is the strategy that ran ("anneal", "genetic", or
 	// "exhaustive" for the fallback).

@@ -45,7 +45,7 @@ func (s State) String() string {
 func (s State) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
 // UnmarshalJSON parses a state name — the wire inverse of MarshalJSON, so Go
-// clients (clairebench's load mode, the tests) can decode Status directly.
+// clients (the tests) can decode Status directly.
 func (s *State) UnmarshalJSON(b []byte) error {
 	var name string
 	if err := json.Unmarshal(b, &name); err != nil {

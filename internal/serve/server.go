@@ -37,8 +37,7 @@ func New(cfg ManagerConfig) *Server {
 	return s
 }
 
-// Manager exposes the underlying job manager (tests, clairebench's load
-// mode).
+// Manager exposes the underlying job manager to the tests.
 func (s *Server) Manager() *Manager { return s.mgr }
 
 // Handler returns the routing handler.
