@@ -298,6 +298,30 @@ func BenchmarkExploreStreamFine(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fine.Len()*len(models)), "ns/point-model")
 }
 
+// BenchmarkExploreStagedFine is BenchmarkExploreStreamFine with staged
+// fidelity: the same sweep, then stage 1 re-scores its 288-point frontier
+// with the physical models (one clustering, then per candidate a die split,
+// a floorplan and uncached summaries). Each iteration runs on a fresh
+// engine; run it with -benchmem for stage 1's allocation footprint.
+func BenchmarkExploreStagedFine(b *testing.B) {
+	models := workload.TrainingSet()
+	fine := hw.FineSpace()
+	cons := dse.DefaultConstraints()
+	fo := &dse.FidelityOptions{Mode: dse.FidelityStaged, Params: core.DefaultOptions().FidelityParams()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var stats dse.ExploreStats
+		ev := eval.New(eval.Options{})
+		if _, err := dse.ExploreSpaceCtx(context.Background(), models, fine, cons, ev,
+			&dse.ExploreOptions{Fidelity: fo, Stats: &stats}); err != nil {
+			b.Fatal(err)
+		}
+		if stats.RefinedPoints == 0 {
+			b.Fatal("stage 1 refined nothing")
+		}
+	}
+}
+
 // BenchmarkExploreStreamMixFine is BenchmarkExploreStreamFine on the
 // 110528-point heterogeneous mixfine preset with AlexNet, ViT-base and
 // ResNet18 — the mix cost table's per-layer dispatch to the fastest chiplet

@@ -66,7 +66,9 @@ type Options struct {
 	// MaxChipletAreaMM2 bounds a single die after clustering; oversized
 	// communities split their systolic-array bank across several chiplets.
 	MaxChipletAreaMM2 float64
-	// Cluster partitions design graphs into chiplets.
+	// Cluster partitions design graphs into chiplets. It must be
+	// deterministic in (n, edges): staged fidelity calls it once per
+	// exploration and reuses the partition for every frontier candidate.
 	Cluster ClusterFunc
 	// Thermal is the compact package thermal model used to report peak
 	// junction temperatures (the physical backing of PD_limit).

@@ -77,8 +77,9 @@ func TestExploreCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// TestRefineSelectCancel pins staged refinement's cancellation: a context
-// cancelled between candidates aborts RefineSelect with ctx.Err().
+// TestRefineSelectCancel pins staged refinement's cancellation: an already
+// cancelled context aborts RefineSelect with ctx.Err().
+// TestStagedCancelDuringStage1 cancels between candidates.
 func TestRefineSelectCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -89,6 +90,44 @@ func TestRefineSelectCancel(t *testing.T) {
 		DefaultConstraints(), eval.New(eval.Options{Workers: 1}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled RefineSelect returned %v, want context.Canceled", err)
+	}
+}
+
+// cancelingSpace cancels a context on its limit-th At call.
+type cancelingSpace struct {
+	hw.DesignSpace
+	limit  int64
+	cancel context.CancelFunc
+	at     atomic.Int64
+}
+
+func (c *cancelingSpace) At(i int) hw.Point {
+	if c.at.Add(1) == c.limit {
+		c.cancel()
+	}
+	return c.DesignSpace.At(i)
+}
+
+// TestStagedCancelDuringStage1 cancels between stage-1 candidates: the sweep
+// reads each of the space's points once, so the space's next At call is the
+// first candidate's, and it cancels the context. The exploration must return
+// ctx.Err(), with every candidate not yet claimed by a worker skipped.
+func TestStagedCancelDuringStage1(t *testing.T) {
+	models := workload.TrainingSet()
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		space := &cancelingSpace{DesignSpace: hw.PaperSpace(), cancel: cancel}
+		space.limit = int64(space.Len()) + 1
+		fo := &FidelityOptions{Mode: FidelityStaged, Params: testFidelityParams()}
+		_, err := ExploreSpaceCtx(ctx, models, space, DefaultConstraints(), eval.New(eval.Options{Workers: workers}),
+			&ExploreOptions{Fidelity: fo})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: exploration cancelled in stage 1 returned %v, want context.Canceled", workers, err)
+		}
+		if got, limit := space.at.Load(), int64(space.Len()+workers); got > limit {
+			t.Errorf("workers=%d: %d At calls in all, want at most %d (one per point plus one per worker)", workers, got, limit)
+		}
 	}
 }
 

@@ -34,6 +34,14 @@ func canonResult(r Result) string {
 	for _, e := range r.Evals {
 		sb.WriteString(canonEval(e))
 	}
+	if ref := r.Refined; ref != nil {
+		fmt.Fprintf(&sb, "refined=%d rejected=%d peak=%x lat=", ref.Refined, ref.ThermalRejected,
+			math.Float64bits(ref.WinnerPeakTempC))
+		for _, l := range ref.WinnerLatencyS {
+			fmt.Fprintf(&sb, " %x", math.Float64bits(l))
+		}
+		sb.WriteString("\n")
+	}
 	return sb.String()
 }
 

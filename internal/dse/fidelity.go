@@ -12,20 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// evaluateAll materializes the full per-layer evaluation of every model on
-// one configuration (cache hits when the engine has scored the pair before).
-func evaluateAll(ev *eval.Evaluator, models []*workload.Model, cfg hw.Config) ([]*ppa.Eval, error) {
-	evals := make([]*ppa.Eval, len(models))
-	for i, m := range models {
-		e, err := ev.Evaluate(m, cfg)
-		if err != nil {
-			return nil, err
-		}
-		evals[i] = e
-	}
-	return evals, nil
-}
-
 // FidelityMode selects the evaluation pipeline of a design-space exploration.
 type FidelityMode int
 
@@ -94,19 +80,77 @@ type RefineStats struct {
 	WinnerPeakTempC float64
 }
 
+// stage1 is the candidate-invariant state of one staged refinement: the
+// union-kind template configuration, every model's layer traffic on it, and
+// the clustered topology they share. Only the point, and with it the bank
+// sizes and the analytical totals, differ between candidates.
+type stage1 struct {
+	params  fidelity.Params
+	models  []*workload.Model
+	ev      *eval.Evaluator
+	tmpl    hw.Config
+	traffic [][]ppa.LayerTraffic
+	topo    *fidelity.Topology
+}
+
+// newStage1 derives each model's traffic from its plan (batch 1 at the
+// template's precision, as Evaluate prices it) and clusters the universal
+// graph once.
+func newStage1(params fidelity.Params, models []*workload.Model, space hw.DesignSpace, ev *eval.Evaluator) (*stage1, error) {
+	st := &stage1{params: params, models: models, ev: ev, tmpl: hw.NewConfig(hw.Point{}, models)}
+	st.tmpl.Cat = hw.CatalogueOf(space)
+	st.traffic = make([][]ppa.LayerTraffic, len(models))
+	for i, m := range models {
+		st.traffic[i] = ev.Plan(m).Traffic(st.tmpl.Precision, 1)
+	}
+	topo, err := params.NewTopology("stage 1", []hw.Config{st.tmpl}, st.traffic)
+	if err != nil {
+		return nil, err
+	}
+	st.topo = topo
+	return st, nil
+}
+
+// refine re-scores every model on one point's package into out (one Result
+// per model, in model order). The totals come from uncached summaries, so no
+// engine entry is created.
+func (st *stage1) refine(pt hw.Point, out []fidelity.Result) error {
+	cfg := st.tmpl
+	cfg.Point = pt
+	sums := make([]ppa.Summary, len(st.models))
+	for i, m := range st.models {
+		s, err := st.ev.EvaluateSummaryUncached(m, cfg, 1)
+		if err != nil {
+			return err
+		}
+		sums[i] = s
+	}
+	pkg, err := st.params.Realize(st.topo, cfg)
+	if err != nil {
+		return err
+	}
+	for i, s := range sums {
+		out[i] = st.params.Score(pkg, st.traffic[i], s)
+	}
+	return nil
+}
+
 // RefineSelect runs stage 1 of the multi-fidelity pipeline over an ordered
 // candidate list: the analytically slack-feasible dominance frontier, in the
-// sweep's (area, index) selection order. Every candidate is materialized into
-// its union-kind configuration, fully evaluated per model, physically
-// realized (clustering, die split, floorplan), and re-scored with NoC/NoP
-// transfer costs; candidates whose peak junction temperature exceeds
-// Params.JunctionLimitC (when positive) are rejected. The refined per-model
-// reference is the minimum over the surviving candidates, and the winner is
-// the first survivor in selection order whose refined latencies pass the
-// latency-slack constraint against it — the same discipline the analytical
-// stage applies, at higher fidelity. Deterministic: candidates are processed
-// sequentially in the given order. Cancellation is checked between
-// candidates: a cancelled ctx aborts the refinement with ctx.Err().
+// sweep's (area, index) selection order. The universal graph's traffic and
+// its clustering do not depend on the point, so they are built once for all
+// candidates. Each candidate is then realized physically on its union-kind
+// configuration (die split, floorplan) and every model re-scored from its
+// analytical summary with NoC/NoP transfer costs; candidates whose peak
+// junction temperature exceeds Params.JunctionLimitC (when positive) are
+// rejected. The refined per-model reference is the minimum over the
+// surviving candidates, and the winner is the first survivor in selection
+// order whose refined latencies pass the latency-slack constraint against it
+// — the same discipline the analytical stage applies, at higher fidelity.
+// Candidates are refined on the engine's workers into index-addressed slots,
+// and rejection and selection walk the slots in candidate order, so the
+// result is the same at any worker count. A cancelled ctx aborts the
+// refinement with ctx.Err().
 func (fo *FidelityOptions) RefineSelect(ctx context.Context, cands []int, models []*workload.Model, space hw.DesignSpace,
 	cons Constraints, ev *eval.Evaluator) (int, RefineStats, error) {
 	var stats RefineStats
@@ -116,34 +160,41 @@ func (fo *FidelityOptions) RefineSelect(ctx context.Context, cands []int, models
 	if len(cands) == 0 {
 		return -1, stats, fmt.Errorf("dse: staged selection over an empty frontier")
 	}
-	cat := hw.CatalogueOf(space)
+	if err := ctx.Err(); err != nil {
+		return -1, stats, err
+	}
+	st, err := newStage1(fo.Params, models, space, ev)
+	if err != nil {
+		return -1, stats, err
+	}
 	nm := len(models)
+	results := make([]fidelity.Result, len(cands)*nm)
+	errs := make([]error, len(cands))
+	ev.ForEach(len(cands), func(j int) {
+		if ctx.Err() != nil {
+			return
+		}
+		errs[j] = st.refine(space.At(cands[j]), results[j*nm:(j+1)*nm])
+	})
+	if err := ctx.Err(); err != nil {
+		return -1, stats, err
+	}
+
 	type scored struct {
 		idx  int
 		lats []float64
 		peak float64
 	}
 	kept := make([]scored, 0, len(cands))
-	for _, idx := range cands {
-		if err := ctx.Err(); err != nil {
-			return -1, stats, err
-		}
-		cfg := hw.NewConfig(space.At(idx), models)
-		cfg.Cat = cat
-		full, err := evaluateAll(ev, models, cfg)
-		if err != nil {
-			return -1, stats, err
-		}
-		pkg, err := fo.Params.Build(fmt.Sprintf("stage1:%d", idx), full)
-		if err != nil {
-			return -1, stats, err
+	for j, idx := range cands {
+		if errs[j] != nil {
+			return -1, stats, errs[j]
 		}
 		stats.Refined++
-		row := make([]float64, 0, nm)
+		row := make([]float64, nm)
 		peak := 0.0
-		for _, e := range full {
-			r := fo.Params.Eval(pkg, e)
-			row = append(row, r.LatencyS)
+		for i, r := range results[j*nm : (j+1)*nm] {
+			row[i] = r.LatencyS
 			if r.PeakTempC > peak {
 				peak = r.PeakTempC
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/eval"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/louvain"
 	"repro/internal/noc"
+	"repro/internal/ppa"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 )
@@ -85,33 +87,41 @@ func TestAnalyticalFidelityByteIdentity(t *testing.T) {
 }
 
 // TestStagedDeterministicAcrossWorkers guards the staged pipeline's
-// determinism: serial and 8-way staged exploration must select byte-identical
-// configurations and report identical stage-1 counters.
+// determinism: serial and 8-way staged exploration, whose stage 1 refines
+// candidates on the engine's workers, must select byte-identical
+// configurations with bit-identical refined scores and report identical
+// stage-1 counters.
 func TestStagedDeterministicAcrossWorkers(t *testing.T) {
-	models := []*workload.Model{workload.NewAlexNet(), workload.NewResNet18()}
-	space := hw.PaperSpace()
 	cons := DefaultConstraints()
 	fo := &FidelityOptions{Mode: FidelityStaged, Params: testFidelityParams()}
-
-	var out []string
-	var counts []ExploreStats
-	for _, workers := range []int{1, 8} {
-		var stats ExploreStats
-		r, err := ExploreSpaceCtx(context.Background(), models, space, cons, eval.New(eval.Options{Workers: workers}),
-			&ExploreOptions{Fidelity: fo, Stats: &stats})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		models []*workload.Model
+		space  hw.DesignSpace
+	}{
+		{"paper/AlexNet+ResNet18", []*workload.Model{workload.NewAlexNet(), workload.NewResNet18()}, hw.PaperSpace()},
+		{"fine/training", workload.TrainingSet(), hw.FineSpace()},
+	} {
+		var out []string
+		var counts []ExploreStats
+		for _, workers := range []int{1, 8} {
+			var stats ExploreStats
+			r, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons, eval.New(eval.Options{Workers: workers}),
+				&ExploreOptions{Fidelity: fo, Stats: &stats})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			out = append(out, canonResult(r))
+			counts = append(counts, stats)
 		}
-		out = append(out, canonResult(r))
-		counts = append(counts, stats)
-	}
-	if out[0] != out[1] {
-		t.Errorf("staged exploration differs between 1 and 8 workers:\n--- serial ---\n%s--- parallel ---\n%s",
-			out[0], out[1])
-	}
-	if counts[0].RefinedPoints != counts[1].RefinedPoints ||
-		counts[0].ThermalRejected != counts[1].ThermalRejected {
-		t.Errorf("stage-1 counters differ across workers: %+v vs %+v", counts[0], counts[1])
+		if out[0] != out[1] {
+			t.Errorf("%s: staged exploration differs between 1 and 8 workers:\n--- serial ---\n%s--- parallel ---\n%s",
+				tc.name, out[0], out[1])
+		}
+		if counts[0].RefinedPoints != counts[1].RefinedPoints ||
+			counts[0].ThermalRejected != counts[1].ThermalRejected {
+			t.Errorf("%s: stage-1 counters differ across workers: %+v vs %+v", tc.name, counts[0], counts[1])
+		}
 	}
 }
 
@@ -120,8 +130,12 @@ func TestStagedDeterministicAcrossWorkers(t *testing.T) {
 // full sweep, and so on at most half of any space. On spaces of at least 1000
 // points it may refine at most 5% of them (fine × the training set refines
 // 288 of 12288); smaller spaces are exempt from that ratio, since their
-// frontier is a double-digit share of the space by floor effect alone. The
-// physical models run with core's default parameters (testFidelityParams).
+// frontier is a double-digit share of the space by floor effect alone. It
+// clusters once for the whole frontier, since the universal graph's edges do
+// not depend on the point, and it scores candidates from uncached summaries:
+// a staged exploration on a fresh engine leaves exactly the analytical
+// exploration's entries (the sweep's own plus the winner's). The physical
+// models run with core's default parameters (testFidelityParams).
 func TestStagedRefinesFrontierOnly(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -132,14 +146,32 @@ func TestStagedRefinesFrontierOnly(t *testing.T) {
 		{"paper/training", workload.TrainingSet(), hw.PaperSpace()},
 		{"fine/training", workload.TrainingSet(), hw.FineSpace()},
 	} {
+		ana := eval.New(eval.Options{Workers: 4})
+		if _, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, DefaultConstraints(), ana, nil); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		var stats ExploreStats
-		fo := &FidelityOptions{Mode: FidelityStaged, Params: testFidelityParams()}
-		if _, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, DefaultConstraints(), eval.New(eval.Options{Workers: 4}),
+		var calls atomic.Int64
+		params := testFidelityParams()
+		cluster := params.Cluster
+		params.Cluster = func(n int, edges []louvain.Edge) ([]int, error) {
+			calls.Add(1)
+			return cluster(n, edges)
+		}
+		staged := eval.New(eval.Options{Workers: 4})
+		fo := &FidelityOptions{Mode: FidelityStaged, Params: params}
+		if _, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, DefaultConstraints(), staged,
 			&ExploreOptions{Fidelity: fo, Stats: &stats}); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if stats.RefinedPoints == 0 {
 			t.Fatalf("%s: staged sweep refined nothing", tc.name)
+		}
+		if got := calls.Load(); got != 1 {
+			t.Errorf("%s: %d clustering calls for %d refined candidates, want 1", tc.name, got, stats.RefinedPoints)
+		}
+		if a, s := ana.Stats().Entries, staged.Stats().Entries; s != a {
+			t.Errorf("%s: staged exploration left %d engine entries, analytical %d", tc.name, s, a)
 		}
 		if stats.RefinedPoints != stats.Retained {
 			t.Errorf("%s: RefinedPoints = %d, want the merged frontier size %d", tc.name, stats.RefinedPoints, stats.Retained)
@@ -151,6 +183,22 @@ func TestStagedRefinesFrontierOnly(t *testing.T) {
 			t.Errorf("%s: stage 1 refined %.2f%% of %d points, want <= 5%%", tc.name, 100*ratio, stats.Points)
 		}
 	}
+}
+
+// fullEvals materializes every model's full per-layer evaluation on one
+// configuration: the input of fidelity.Params.Build, the oracle stage 1 is
+// checked against.
+func fullEvals(t *testing.T, ev *eval.Evaluator, models []*workload.Model, cfg hw.Config) []*ppa.Eval {
+	t.Helper()
+	full := make([]*ppa.Eval, len(models))
+	for i, m := range models {
+		e, err := ev.Plan(m).Evaluate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full[i] = e
+	}
+	return full
 }
 
 // frontierFor returns the brute-force oracle's feasible dominance frontier in
@@ -209,11 +257,7 @@ func TestRefineSelectThermalRejection(t *testing.T) {
 	params := testFidelityParams()
 	peaks := make([]float64, len(cands))
 	for i, idx := range cands {
-		cfg := hw.NewConfig(space.At(idx), models)
-		full, err := evaluateAll(ev, models, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		full := fullEvals(t, ev, models, hw.NewConfig(space.At(idx), models))
 		pkg, err := params.Build("t", full)
 		if err != nil {
 			t.Fatal(err)

@@ -363,6 +363,29 @@ func NewModelPlan(m *workload.Model) *ModelPlan {
 // Model returns the model the plan was built for.
 func (p *ModelPlan) Model() *workload.Model { return p.model }
 
+// LayerTraffic is one layer's hosting unit kind and output volume: the
+// (Unit, OutBytes) columns of a LayerEval, which the universal graph's edge
+// weights and the fidelity layer's NoC/NoP transfers read.
+type LayerTraffic struct {
+	Unit     hw.Unit
+	OutBytes int64
+}
+
+// Traffic returns every layer's unit and output bytes at one precision and
+// batch size, in layer order. Neither depends on the rest of the
+// configuration, so the result equals the (Unit, OutBytes) of EvaluateBatch's
+// per-layer breakdown on any configuration of that precision that covers the
+// model.
+func (p *ModelPlan) Traffic(prec hw.Precision, batch int) []LayerTraffic {
+	bytesPer := int64(prec.Bytes())
+	b := int64(batch)
+	out := make([]LayerTraffic, len(p.layers))
+	for i := range p.layers {
+		out[i] = LayerTraffic{Unit: p.layers[i].unit, OutBytes: b * p.layers[i].outElems * bytesPer}
+	}
+	return out
+}
+
 // foldsFor returns the fold table for one array dimension, computing and
 // caching it on first use. Across the 81-point space only the distinct
 // SASize values (3) ever trigger a computation.

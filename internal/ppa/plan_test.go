@@ -52,6 +52,43 @@ func TestPlanMatchesDirectEvaluationBitExact(t *testing.T) {
 	}
 }
 
+// TestTrafficMatchesEvaluateBatch pins ModelPlan.Traffic, the input stage 1
+// reads instead of a full evaluation: for every network, at both precisions
+// and two batch sizes, it equals the (Unit, OutBytes) columns of
+// EvaluateBatch's per-layer breakdown, including on a heterogeneous mix.
+func TestTrafficMatchesEvaluateBatch(t *testing.T) {
+	points := []hw.Point{
+		{SASize: 16, NSA: 16, NAct: 16, NPool: 16},
+		{SASize: 64, NSA: 32, NAct: 64, NPool: 32},
+		{NAct: 16, NPool: 16, Mix: hw.Mix{Counts: [hw.MaxMixTypes]uint16{8, 8}}},
+	}
+	for _, m := range allNetworks() {
+		plan := NewModelPlan(m)
+		for _, prec := range []hw.Precision{hw.Int8, hw.Int16} {
+			for _, batch := range []int{1, 4} {
+				tr := plan.Traffic(prec, batch)
+				for _, p := range points {
+					c := hw.NewConfig(p, []*workload.Model{m})
+					c.Precision = prec
+					e, err := plan.EvaluateBatch(c, batch)
+					if err != nil {
+						t.Fatalf("%s %v: %v", m.Name, p, err)
+					}
+					if len(tr) != len(e.Layers) {
+						t.Fatalf("%s: %d traffic rows for %d layers", m.Name, len(tr), len(e.Layers))
+					}
+					for i, le := range e.Layers {
+						if want := (LayerTraffic{Unit: le.Unit, OutBytes: le.OutBytes}); tr[i] != want {
+							t.Fatalf("%s %v %v batch %d layer %d: traffic %+v, evaluation %+v",
+								m.Name, p, prec, batch, i, tr[i], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSummaryDerivedQuantities checks the scalar accessors agree with Eval's.
 func TestSummaryDerivedQuantities(t *testing.T) {
 	m := workload.NewResNet18()
