@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# benchgate.sh compares the cold 81-point explore benchmarks of HEAD against a
-# base commit on the same machine, so the gate reads a regression of the
-# change and not a difference between machines.
+# benchgate.sh compares the cold 81-point explore benchmarks and the staged
+# fine-space exploration of HEAD against a base commit on the same machine, so
+# the gate reads a regression of the change and not a difference between
+# machines.
 #
 # Usage: bash .github/benchgate.sh <base-ref>
 #
 # The base commit is checked out into a temporary git worktree. Both sides'
-# test binaries are built once, then BenchmarkExploreCold (one worker) and
-# BenchmarkExploreColdParallel (GOMAXPROCS workers) run ROUNDS times per side
-# at a fixed iteration count, alternating which side runs first. The script
+# test binaries are built once, then BenchmarkExploreCold (one worker),
+# BenchmarkExploreColdParallel (GOMAXPROCS workers) and
+# BenchmarkExploreStagedFine (the training set on the fine space with staged
+# fidelity, fresh engine per iteration) run ROUNDS times per side at a fixed
+# iteration count, alternating which side runs first. The script
 # prints the median ns/op and allocs/op of each side and exits 1 when a HEAD
 # median is more than MAX_REGRESS above the base median, or when either side
 # lacks a benchmark.
@@ -16,7 +19,7 @@ set -euo pipefail
 
 readonly MAX_REGRESS=0.25
 readonly ROUNDS=5
-readonly BENCHES="BenchmarkExploreCold BenchmarkExploreColdParallel"
+readonly BENCHES="BenchmarkExploreCold BenchmarkExploreColdParallel BenchmarkExploreStagedFine"
 
 base_ref=${1:?usage: benchgate.sh <base-ref>}
 root=$(git rev-parse --show-toplevel)

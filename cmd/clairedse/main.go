@@ -107,16 +107,17 @@ func main() {
 		return
 	}
 
-	// The per-point table below inherently materializes every row, so the
-	// sweep uses SweepSpace's explicit point list; the selection streams.
+	// The per-point table below holds every row's totals, so the sweep uses
+	// SweepSpace; the selection streams.
 	pts, err := dse.SweepSpace(m, o.Space, o.Constraints, ev)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clairedse:", err)
 		os.Exit(1)
 	}
-	// The selection pass re-reads the sweep's evaluations straight from the
-	// engine's cache; under staged fidelity it additionally refines the
-	// surviving frontier with the physical models.
+	// The selection pass scores under the same cache rule, so on cached
+	// spaces it re-reads the sweep's summaries from the engine; under staged
+	// fidelity it additionally refines the surviving frontier with the
+	// physical models.
 	sel, _, err := core.Explore(models, o, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clairedse:", err)
@@ -138,8 +139,8 @@ func main() {
 			mark = "<== C_i"
 		}
 		fmt.Fprintf(w, "%v\t%.1f\t%.3f\t%.2f\t%.2f\t%v\t%v\t%s\n",
-			p.Point, p.Eval.AreaMM2, p.Eval.LatencyS*1e3, p.Eval.EnergyPJ()*1e-9,
-			p.Eval.PowerDensity(), p.Feasible, p.Pareto, mark)
+			p.Point, p.AreaMM2, p.LatencyS*1e3, p.EnergyPJ()*1e-9,
+			p.PowerDensity(), p.Feasible, p.Pareto, mark)
 		printed++
 	}
 	w.Flush()

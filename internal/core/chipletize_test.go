@@ -24,10 +24,11 @@ func TestChipletizeRespectsLimitWithFatActivationBank(t *testing.T) {
 	saPer := hw.SAFor(64, hw.Int8).AreaUM2
 	saCount := int(2.5*o.MaxChipletAreaMM2*1e6/saPer) + 1 // ~2.5 dies of arrays
 
-	g := graph.New("fat-act")
-	g.AddNode(hw.SystolicArray, saCount, 64, 1)
-	g.AddNode(hw.ActGELU, actCount, 0, 1)
-	chiplets := o.chipletize(g, []int{0, 0})
+	nodes := []graph.Node{
+		{ID: 0, Unit: hw.SystolicArray, Count: saCount, SASize: 64},
+		{ID: 1, Unit: hw.ActGELU, Count: actCount},
+	}
+	chiplets := o.FidelityParams().Chipletize(nodes, []int{0, 0})
 
 	if len(chiplets) < 2 {
 		t.Fatalf("expected a split, got %d chiplet(s)", len(chiplets))
@@ -72,9 +73,8 @@ func TestChipletizeSplitBalanced(t *testing.T) {
 	perDie := int(o.MaxChipletAreaMM2 * 1e6 / saPer)
 	saCount := 3*perDie - 1 // needs 3 dies
 
-	g := graph.New("pure-sa")
-	g.AddNode(hw.SystolicArray, saCount, 64, 1)
-	chiplets := o.chipletize(g, []int{0})
+	nodes := []graph.Node{{ID: 0, Unit: hw.SystolicArray, Count: saCount, SASize: 64}}
+	chiplets := o.FidelityParams().Chipletize(nodes, []int{0})
 	if len(chiplets) != 3 {
 		t.Fatalf("got %d chiplets, want 3", len(chiplets))
 	}
@@ -98,10 +98,11 @@ func TestChipletizeSplitBalanced(t *testing.T) {
 // limit stays one chiplet.
 func TestChipletizeNoSplitWhenFits(t *testing.T) {
 	o := DefaultOptions()
-	g := graph.New("small")
-	g.AddNode(hw.SystolicArray, 4, 16, 1)
-	g.AddNode(hw.PoolMax, 8, 0, 1)
-	chiplets := o.chipletize(g, []int{0, 0})
+	nodes := []graph.Node{
+		{ID: 0, Unit: hw.SystolicArray, Count: 4, SASize: 16},
+		{ID: 1, Unit: hw.PoolMax, Count: 8},
+	}
+	chiplets := o.FidelityParams().Chipletize(nodes, []int{0, 0})
 	if len(chiplets) != 1 {
 		t.Fatalf("got %d chiplets, want 1", len(chiplets))
 	}

@@ -7,10 +7,8 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dse"
 	"repro/internal/fidelity"
-	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/metrics"
-	"repro/internal/placement"
 	"repro/internal/ppa"
 	"repro/internal/workload"
 )
@@ -41,34 +39,19 @@ type ModelPPA struct {
 // DesignPoint is a complete chipletized design configuration: the output of
 // Steps #TR2+#TR3 (or #TT3+#TT4) for one configuration.
 type DesignPoint struct {
-	Name     string
-	Config   hw.Config
-	DSE      dse.Result
-	Graph    *graph.Graph // monolithic universal graph (Figure 3a)
-	Assign   []int        // graph node -> chiplet community (pre-split)
-	Chiplets []Chiplet    // after the area-driven split (Figure 3b)
-	// Floorplan places the chiplets on the 2.5-D package; inter-chiplet NoP
-	// hop counts come from its slot distances.
-	Floorplan placement.Placement
-	PerModel  map[string]*ModelPPA
+	Name   string
+	Config hw.Config
+	DSE    dse.Result
+	// Package is the physical realization the design was built from: the
+	// universal graph (Figure 3a), its chiplet communities, the chiplets
+	// after the area-driven split (Figure 3b) and their 2.5-D floorplan.
+	*fidelity.Package
+	PerModel map[string]*ModelPPA
 
 	// NREUSD is the absolute NRE; NRE is normalized to the generic
 	// configuration (filled by the training/test drivers).
 	NREUSD float64
 	NRE    float64
-
-	// pkg caches the fidelity view of the design (host map, per-chiplet
-	// intra-die hop counts) across evalOnDesign calls.
-	pkg *fidelity.Package
-}
-
-// PackageAreaMM2 returns the summed die area of the package.
-func (d *DesignPoint) PackageAreaMM2() float64 {
-	var a float64
-	for _, c := range d.Chiplets {
-		a += c.AreaMM2
-	}
-	return a
 }
 
 // ChipletUnitSets returns, per chiplet, the unit kinds of its banks — the
@@ -95,27 +78,12 @@ func (o Options) FidelityParams() fidelity.Params {
 	}
 }
 
-// chipletize converts a clustered graph into chiplets (see
-// fidelity.Params.Chipletize; kept as a method for the package tests).
-func (o Options) chipletize(g *graph.Graph, communities []int) []Chiplet {
-	return o.FidelityParams().Chipletize(g, communities)
-}
-
-// fidelityPackage returns the design's cached fidelity view, building it from
-// the chiplets and floorplan on first use.
-func (d *DesignPoint) fidelityPackage() *fidelity.Package {
-	if d.pkg == nil {
-		d.pkg = fidelity.NewPackage(d.Chiplets, d.Floorplan)
-	}
-	return d.pkg
-}
-
 // evalOnDesign produces the full ModelPPA of one algorithm on a chipletized
 // design: the fidelity layer's physical re-scoring (per-hosting-chiplet NoC
 // hops, placement-aware NoP hops, compact-thermal peak temperature) plus the
 // composability metrics that need the configuration and model.
 func (o Options) evalOnDesign(d *DesignPoint, e *ppa.Eval) *ModelPPA {
-	r := o.FidelityParams().Eval(d.fidelityPackage(), e)
+	r := o.FidelityParams().Eval(d.Package, e)
 
 	mp := &ModelPPA{
 		Algorithm:   e.Model.Name,
@@ -125,7 +93,7 @@ func (o Options) evalOnDesign(d *DesignPoint, e *ppa.Eval) *ModelPPA {
 		NoPEnergyPJ: r.NoPEnergyPJ,
 		PeakTempC:   r.PeakTempC,
 	}
-	area := d.PackageAreaMM2()
+	area := d.Package.AreaMM2()
 	mp.Compute = metrics.PPA{
 		LatencyS:     e.LatencyS,
 		EnergyPJ:     e.EnergyPJ(),
@@ -146,9 +114,9 @@ func (o Options) evalOnDesign(d *DesignPoint, e *ppa.Eval) *ModelPPA {
 }
 
 // BuildDesign turns a DSE result into a chipletized design point: build the
-// per-model graphs, merge them into the universal graph, cluster it into
-// chiplets (Step #TR3 / #TT4), evaluate every served model with interconnect
-// overheads, and price the NRE.
+// universal graph of its evaluations, cluster it into chiplets (Step #TR3 /
+// #TT4), evaluate every served model with interconnect overheads, and price
+// the NRE.
 func (o Options) BuildDesign(name string, r dse.Result) (*DesignPoint, error) {
 	if len(r.Evals) == 0 {
 		return nil, fmt.Errorf("core: design %q has no evaluations", name)
@@ -158,15 +126,11 @@ func (o Options) BuildDesign(name string, r dse.Result) (*DesignPoint, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	d := &DesignPoint{
-		Name:      name,
-		Config:    r.Config,
-		DSE:       r,
-		Graph:     pkg.Graph,
-		Assign:    pkg.Assign,
-		Chiplets:  pkg.Chiplets,
-		Floorplan: pkg.Floorplan,
-		PerModel:  make(map[string]*ModelPPA, len(r.Evals)),
-		pkg:       pkg,
+		Name:     name,
+		Config:   r.Config,
+		DSE:      r,
+		Package:  pkg,
+		PerModel: make(map[string]*ModelPPA, len(r.Evals)),
 	}
 	for _, e := range r.Evals {
 		d.PerModel[e.Model.Name] = o.evalOnDesign(d, e)

@@ -87,7 +87,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	for i := range serial {
 		a, b := serial[i], parallel[i]
 		if a.Point != b.Point || a.Feasible != b.Feasible || a.Pareto != b.Pareto ||
-			canonEval(a.Eval) != canonEval(b.Eval) {
+			a.Summary != b.Summary {
 			t.Fatalf("sweep point %d differs: %+v vs %+v", i, a.Point, b.Point)
 		}
 	}

@@ -170,7 +170,7 @@ func TestSweepSpaceMatchesPointList(t *testing.T) {
 	for i := range want {
 		if got[i].Point != want[i].Point || got[i].Feasible != want[i].Feasible ||
 			got[i].Pareto != want[i].Pareto ||
-			got[i].Eval.Summary() != want[i].Eval.Summary() {
+			got[i].Summary != want[i].Summary {
 			t.Errorf("row %d differs: %+v vs %+v", i, got[i], want[i])
 		}
 	}

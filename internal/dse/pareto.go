@@ -9,25 +9,26 @@ import (
 	"repro/internal/workload"
 )
 
-// SpacePoint is one fully evaluated coordinate of the design space for one
-// algorithm, with its constraint status.
+// SpacePoint is one scored coordinate of the design space for one
+// algorithm: its analytical totals and its constraint status.
 type SpacePoint struct {
-	Point    hw.Point
-	Eval     *ppa.Eval
+	Point hw.Point
+	ppa.Summary
 	Feasible bool // meets area, power-density and latency-slack constraints
 	Pareto   bool // not dominated in (area, latency) by any other point
 }
 
-// SweepSpace evaluates one algorithm over every point of a lazily indexed
-// space on the given engine (nil: shared default), threading the space's
-// catalogue (if any) into every evaluation, and marks feasibility (against
-// the given constraints) and area/latency Pareto optimality — the per-point
-// table view of clairedse. Every point is fully evaluated and returned, so it
-// is only sensible for table-sized spaces. Point evaluations fan out over the
-// engine's workers; the latency reference comes from a Selector fed every
-// point in index order after collection, so results are identical at any
-// worker count and the Feasible rows count exactly Result.Feasible of the
-// same sweep. Results are sorted by ascending area, then latency.
+// SweepSpace scores one algorithm on every point of a lazily indexed space on
+// the given engine (nil: shared default) through a Scorer under the sweep's
+// cache rule (CacheAuto), so the space's catalogue (if any) reaches every
+// evaluation, and marks feasibility (against the given constraints) and
+// area/latency Pareto optimality — the per-point table view of clairedse.
+// Every point is returned, so it is only sensible for table-sized spaces.
+// Points are scored on the engine's workers; the latency reference comes from
+// a Selector fed every point in index order after collection, so results are
+// identical at any worker count and the Feasible rows count exactly
+// Result.Feasible of the same sweep. Results are sorted by ascending area,
+// then latency.
 func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator) ([]SpacePoint, error) {
 	if err := cons.Validate(); err != nil {
 		return nil, err
@@ -35,19 +36,17 @@ func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *e
 	if ev == nil {
 		ev = eval.Shared()
 	}
-	cat := hw.CatalogueOf(space)
+	sc := NewScorer(ev, []*workload.Model{m}, space, cons, CacheAuto)
 	pts := make([]SpacePoint, space.Len())
 	errs := make([]error, len(pts))
 	ev.ForEach(len(pts), func(k int) {
-		p := space.At(k)
-		c := hw.NewConfig(p, []*workload.Model{m})
-		c.Cat = cat
-		e, err := ev.Evaluate(m, c)
+		pt := space.At(k)
+		s, err := sc.Summary(0, k, pt)
 		if err != nil {
 			errs[k] = err
 			return
 		}
-		pts[k] = SpacePoint{Point: p, Eval: e, Feasible: cons.meetsStatic(e.AreaMM2, e.PowerDensity())}
+		pts[k] = SpacePoint{Point: pt, Summary: s, Feasible: cons.meetsStatic(s.AreaMM2, s.PowerDensity())}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -58,19 +57,19 @@ func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *e
 	sel := NewSelector(1, cons)
 	lat, static := make([]float64, 1), make([]bool, 1)
 	for k := range pts {
-		lat[0], static[0] = pts[k].Eval.LatencyS, pts[k].Feasible
-		sel.Observe(k, pts[k].Eval.AreaMM2, lat, static)
+		lat[0], static[0] = pts[k].LatencyS, pts[k].Feasible
+		sel.Observe(k, pts[k].AreaMM2, lat, static)
 	}
 	for k := range pts {
-		lat[0] = pts[k].Eval.LatencyS
+		lat[0] = pts[k].LatencyS
 		pts[k].Feasible = pts[k].Feasible && slackOK(lat, sel.BestLatencies(), cons.LatencySlack)
 	}
 	markPareto(pts)
 	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].Eval.AreaMM2 != pts[j].Eval.AreaMM2 {
-			return pts[i].Eval.AreaMM2 < pts[j].Eval.AreaMM2
+		if pts[i].AreaMM2 != pts[j].AreaMM2 {
+			return pts[i].AreaMM2 < pts[j].AreaMM2
 		}
-		return pts[i].Eval.LatencyS < pts[j].Eval.LatencyS
+		return pts[i].LatencyS < pts[j].LatencyS
 	})
 	return pts, nil
 }
@@ -85,8 +84,8 @@ func markPareto(pts []SpacePoint) {
 				continue
 			}
 			a, b := &pts[i], &pts[j]
-			if b.Eval.AreaMM2 <= a.Eval.AreaMM2 && b.Eval.LatencyS <= a.Eval.LatencyS &&
-				(b.Eval.AreaMM2 < a.Eval.AreaMM2 || b.Eval.LatencyS < a.Eval.LatencyS) {
+			if b.AreaMM2 <= a.AreaMM2 && b.LatencyS <= a.LatencyS &&
+				(b.AreaMM2 < a.AreaMM2 || b.LatencyS < a.LatencyS) {
 				a.Pareto = false
 				break
 			}

@@ -19,7 +19,7 @@ func TestSweepShapeAndOrder(t *testing.T) {
 		t.Fatalf("sweep has %d points, want 81", len(pts))
 	}
 	for i := 1; i < len(pts); i++ {
-		if pts[i].Eval.AreaMM2 < pts[i-1].Eval.AreaMM2 {
+		if pts[i].AreaMM2 < pts[i-1].AreaMM2 {
 			t.Fatal("sweep not sorted by area")
 		}
 	}
@@ -85,8 +85,8 @@ func TestParetoFrontProperties(t *testing.T) {
 	// No front point dominates another; sorted by area, latency must be
 	// strictly decreasing along the front.
 	for i := 1; i < len(front); i++ {
-		if front[i].Eval.AreaMM2 > front[i-1].Eval.AreaMM2 &&
-			front[i].Eval.LatencyS >= front[i-1].Eval.LatencyS {
+		if front[i].AreaMM2 > front[i-1].AreaMM2 &&
+			front[i].LatencyS >= front[i-1].LatencyS {
 			t.Errorf("front not a proper trade-off curve at %d", i)
 		}
 	}
@@ -97,8 +97,8 @@ func TestParetoFrontProperties(t *testing.T) {
 		}
 		dominated := false
 		for _, f := range front {
-			if f.Eval.AreaMM2 <= p.Eval.AreaMM2 && f.Eval.LatencyS <= p.Eval.LatencyS &&
-				(f.Eval.AreaMM2 < p.Eval.AreaMM2 || f.Eval.LatencyS < p.Eval.LatencyS) {
+			if f.AreaMM2 <= p.AreaMM2 && f.LatencyS <= p.LatencyS &&
+				(f.AreaMM2 < p.AreaMM2 || f.LatencyS < p.LatencyS) {
 				dominated = true
 				break
 			}
@@ -131,7 +131,7 @@ func TestSelectedCustomIsFeasibleSweepPoint(t *testing.T) {
 				t.Error("selected custom point marked infeasible by Sweep")
 			}
 		}
-		if p.Feasible && p.Eval.AreaMM2 < sel.Config.AreaMM2()-1e-9 {
+		if p.Feasible && p.AreaMM2 < sel.Config.AreaMM2()-1e-9 {
 			t.Errorf("feasible point %v undercuts the selected custom area", p.Point)
 		}
 	}

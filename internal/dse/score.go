@@ -70,6 +70,21 @@ func NewScorer(ev *eval.Evaluator, models []*workload.Model, space hw.DesignSpac
 // Cached reports whether scoring goes through the engine's result cache.
 func (s *Scorer) Cached() bool { return s.cached }
 
+// Summary returns model i's analytical summary at point k of the space,
+// where pt is the space's point k: a gather from model i's table when the
+// scorer has tables (which read only k), else the per-point kernel on pt,
+// through the engine's result cache when scoring is cached. Callers pass pt
+// so each point is read from the space once. It performs no allocation on a
+// table gather or a cache hit.
+func (s *Scorer) Summary(i, k int, pt hw.Point) (ppa.Summary, error) {
+	if s.tables != nil {
+		return s.tables[i].Summary(k)
+	}
+	c := s.tmpl[i]
+	c.Point = pt
+	return s.summary(s.models[i], c)
+}
+
 // Score evaluates point k for every model, writing each model's latency and
 // static feasibility (Constraints.MeetsStatic) into lats and statics, and
 // returns the summed per-model area — the observation dse.Selector.Observe
@@ -80,15 +95,8 @@ func (s *Scorer) Score(k int, lats []float64, statics []bool) (area float64, err
 	if s.tables == nil {
 		pt = s.space.At(k)
 	}
-	for i, m := range s.models {
-		var sum ppa.Summary
-		if s.tables != nil {
-			sum, err = s.tables[i].Summary(k)
-		} else {
-			c := s.tmpl[i]
-			c.Point = pt
-			sum, err = s.summary(m, c)
-		}
+	for i := range s.models {
+		sum, err := s.Summary(i, k, pt)
 		if err != nil {
 			return 0, err
 		}

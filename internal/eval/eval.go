@@ -267,17 +267,10 @@ func (ev *Evaluator) ForEach(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForEachChunk splits [0, n) into contiguous chunks of at most chunk items
-// and runs fn(lo, hi) for each half-open range across the engine's workers.
-// Chunks are claimed in ascending order; with Workers == 1 the calls are
-// strictly sequential in range order. fn must be safe to call concurrently.
-// Non-positive chunk selects one chunk per worker (balanced split).
-func (ev *Evaluator) ForEachChunk(n, chunk int, fn func(lo, hi int)) {
-	ev.ForEachChunkWorker(n, chunk, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// ForEachChunkWorker is ForEachChunk with a stable worker identity: fn runs as
-// fn(worker, lo, hi) where worker identifies the goroutine claiming the chunk
+// ForEachChunkWorker splits [0, n) into contiguous chunks of at most chunk
+// items and runs fn(worker, lo, hi) for each half-open range across the
+// engine's workers; non-positive chunk selects one chunk per worker (balanced
+// split). worker identifies the goroutine claiming the chunk
 // (0 <= worker < Workers()), so callers can keep persistent per-worker
 // (sharded) reduction state — scratch buffers, local frontiers — across every
 // chunk that worker claims, without locking. Chunks are claimed dynamically in

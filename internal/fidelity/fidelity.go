@@ -6,9 +6,9 @@
 // compact-thermal peak junction temperature.
 //
 // The realization has a configuration-invariant half (NewTopology: the
-// universal graph's edges and their clustering) and a per-point half
-// (Realize, then Score per model). Build and Eval run both halves for one
-// configuration's full evaluations.
+// universal graph graph.Universal builds, and its clustering) and a
+// per-point half (Realize, then Score per model). Build and Eval run both
+// halves for one configuration's full evaluations.
 //
 // The package exists so both the design-point reporting path (internal/core)
 // and the staged multi-fidelity selection inside the DSE sweep (internal/dse)
@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hw"
-	"repro/internal/louvain"
 	"repro/internal/noc"
 	"repro/internal/placement"
 	"repro/internal/ppa"
@@ -36,7 +35,7 @@ import (
 // chiplet communities. It must be deterministic in (n, edges): staged
 // selection clusters a Topology once per exploration and reuses the partition
 // for every candidate.
-type ClusterFunc func(n int, edges []louvain.Edge) ([]int, error)
+type ClusterFunc func(n int, edges []graph.Edge) ([]int, error)
 
 // Params carries the physical-model inputs of the fidelity layer; it mirrors
 // the corresponding fields of core.Options (Figure 1's Input #5 interconnect,
@@ -96,16 +95,11 @@ func (p Params) RouterAreaUM2(banks int, multiDie bool) float64 {
 	return a
 }
 
-// Chipletize converts a clustered graph into chiplets, splitting any
-// community whose logic area exceeds the per-die limit by dividing its
-// systolic-array bank into equal sub-banks.
-func (p Params) Chipletize(g *graph.Graph, communities []int) []Chiplet {
-	return p.chipletize(g.Nodes, communities)
-}
-
-// chipletize is Chipletize over a node list; it reads each node's ID, unit,
-// instance count and array size.
-func (p Params) chipletize(nodes []graph.Node, communities []int) []Chiplet {
+// Chipletize converts clustered universal-graph nodes into chiplets,
+// splitting any community whose logic area exceeds the per-die limit by
+// dividing its systolic-array bank into equal sub-banks. It reads each node's
+// ID (its index in communities), unit, instance count and array size.
+func (p Params) Chipletize(nodes []graph.Node, communities []int) []Chiplet {
 	byComm := make(map[int][]graph.Node)
 	for _, n := range nodes {
 		byComm[communities[n.ID]] = append(byComm[communities[n.ID]], n)
@@ -237,8 +231,8 @@ type Package struct {
 	intraHops []float64 // per-chiplet average NoC hops on its bank torus
 }
 
-// NewPackage wraps an already-built chiplet set and floorplan (e.g. a
-// core.DesignPoint's) into a Package, computing the derived lookups.
+// NewPackage wraps an already-built chiplet set and floorplan into a Package,
+// computing the derived lookups.
 func NewPackage(chiplets []Chiplet, fp placement.Placement) *Package {
 	pkg := newPackage(chiplets)
 	pkg.Floorplan = fp
@@ -266,129 +260,56 @@ func (pkg *Package) AreaMM2() float64 {
 }
 
 // Topology is the configuration-invariant half of a package realization: for
-// a fixed set of models on a fixed set of unit kinds, the universal graph's
-// nodes and edge weights and their clustering. Louvain reads only the edges,
-// and an edge weight is the bytes consecutive layers move between two unit
-// kinds, which follow the layers' shapes and the precision, not the DSE point.
-// So every point of one exploration shares one Topology: staged selection
-// clusters once and realizes each candidate on it (Realize).
+// a fixed set of models on a fixed set of unit kinds, the universal graph and
+// its clustering. Louvain reads only the edges, and an edge weight is the
+// bytes consecutive layers move between two unit kinds, which follow the
+// layers' shapes and the precision, not the DSE point. So every point of one
+// exploration shares one Topology: staged selection clusters once and
+// realizes each candidate on it (Realize).
 type Topology struct {
-	name    string
-	units   []hw.Unit            // node i's unit kind
-	node    [hw.NumUnits]int     // unit kind -> node index + 1 (0: absent)
+	graph   *graph.Graph
 	traffic [][]ppa.LayerTraffic // per model, in layer order
-	edges   []louvain.Edge       // the clustering input, in (A, B) order
 	assign  []int                // node -> community
 }
 
-// Edges returns the universal graph's edges in (A, B) order, bit-identical to
-// graph.Universal(graph.Build(e)...).Edges() on the same evaluations; callers
-// must not modify them.
-func (t *Topology) Edges() []louvain.Edge { return t.edges }
-
-// nodeOf returns the node index hosting unit kind u, or -1.
-func (t *Topology) nodeOf(u hw.Unit) int {
-	if u < 0 || int(u) >= hw.NumUnits {
-		return -1
-	}
-	return t.node[u] - 1
-}
-
-// bankNodes merges configurations' banks into universal-graph nodes as
-// graph.Universal merges per-model graphs: one node per unit kind, in order
-// of first appearance across cfgs and their Banks(), with the largest
-// instance count and array size among the banks it merges.
-func bankNodes(cfgs []hw.Config) []graph.Node {
-	var nodes []graph.Node
-	var ids [hw.NumUnits]int // unit kind -> node index + 1
-	for _, c := range cfgs {
-		for _, b := range c.Banks() {
-			if ids[b.Unit] == 0 {
-				nodes = append(nodes, graph.Node{ID: len(nodes), Unit: b.Unit, Count: b.Count, SASize: b.SASize})
-				ids[b.Unit] = len(nodes)
-				continue
-			}
-			n := &nodes[ids[b.Unit]-1]
-			n.Count = max(n.Count, b.Count)
-			n.SASize = max(n.SASize, b.SASize)
-		}
-	}
-	return nodes
-}
-
 // NewTopology builds the universal graph of the models' layer traffic over
-// the unit kinds of cfgs and clusters it once. Edge weights sum each model's
-// layer-to-layer bytes in layer order, then the per-model sums in model
-// order — the order graph.Build and graph.Universal accumulate them in — so
-// the clustering input is bit-identical to theirs.
+// the unit kinds of cfgs (graph.Universal) and clusters it once.
 func (p Params) NewTopology(name string, cfgs []hw.Config, traffic [][]ppa.LayerTraffic) (*Topology, error) {
 	if p.Cluster == nil {
 		return nil, fmt.Errorf("fidelity: nil cluster function")
 	}
-	nodes := bankNodes(cfgs)
-	t := &Topology{name: name, units: make([]hw.Unit, len(nodes)), traffic: traffic}
-	for i, nd := range nodes {
-		t.units[i] = nd.Unit
-		t.node[nd.Unit] = i + 1
+	g, err := graph.Universal(name, cfgs, traffic)
+	if err != nil {
+		return nil, fmt.Errorf("fidelity: %w", err)
 	}
-	n := len(nodes)
-	total := make([]float64, n*n) // upper triangle, a*n + b with a <= b
-	model := make([]float64, n*n)
-	for _, tr := range traffic {
-		clear(model)
-		for i, l := range tr {
-			b := t.nodeOf(l.Unit)
-			if b < 0 {
-				return nil, fmt.Errorf("fidelity: %q: layer unit %v missing from the configuration's banks", name, l.Unit)
-			}
-			if i == 0 {
-				continue
-			}
-			a := t.nodeOf(tr[i-1].Unit)
-			if a > b {
-				a, b = b, a
-			}
-			if w := float64(tr[i-1].OutBytes); w > 0 {
-				model[a*n+b] += w
-			}
-		}
-		for k, w := range model {
-			total[k] += w
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := a; b < n; b++ {
-			if w := total[a*n+b]; w > 0 {
-				t.edges = append(t.edges, louvain.Edge{A: a, B: b, Weight: w})
-			}
-		}
-	}
-	communities, err := p.Cluster(n, slices.Clone(t.edges))
+	n := len(g.Nodes)
+	communities, err := p.Cluster(n, slices.Clone(g.Edges))
 	if err != nil {
 		return nil, fmt.Errorf("fidelity: clustering %q: %w", name, err)
 	}
 	if len(communities) != n {
 		return nil, fmt.Errorf("fidelity: cluster function returned %d labels for %d nodes", len(communities), n)
 	}
-	t.assign = communities
-	return t, nil
+	return &Topology{graph: g, traffic: traffic, assign: communities}, nil
 }
 
 // Realize is the per-point half of a package realization: it sizes the
-// topology's nodes from the banks of cfgs (merged as NewTopology merges
-// them), splits oversized communities into dies, and floorplans the package
-// against the inter-chiplet traffic of every model in the topology.
+// topology's nodes from the banks of cfgs (merged by graph.BankNodes, as
+// graph.Universal merges them), splits oversized communities into dies, and
+// floorplans the package against the inter-chiplet traffic of every model in
+// the topology.
 func (p Params) Realize(t *Topology, cfgs ...hw.Config) (*Package, error) {
-	nodes := bankNodes(cfgs)
-	if len(nodes) != len(t.units) {
-		return nil, fmt.Errorf("fidelity: %q: configuration has %d unit kinds, topology %d", t.name, len(nodes), len(t.units))
+	nodes := graph.BankNodes(cfgs)
+	g := t.graph
+	if len(nodes) != len(g.Nodes) {
+		return nil, fmt.Errorf("fidelity: %q: configuration has %d unit kinds, topology %d", g.Name, len(nodes), len(g.Nodes))
 	}
 	for i, nd := range nodes {
-		if nd.Unit != t.units[i] {
-			return nil, fmt.Errorf("fidelity: %q: configuration node %d is %v, topology's is %v", t.name, i, nd.Unit, t.units[i])
+		if nd.Unit != g.Nodes[i].Unit {
+			return nil, fmt.Errorf("fidelity: %q: configuration node %d is %v, topology's is %v", g.Name, i, nd.Unit, g.Nodes[i].Unit)
 		}
 	}
-	pkg := newPackage(p.chipletize(nodes, t.assign))
+	pkg := newPackage(p.Chipletize(nodes, t.assign))
 	pkg.Assign = t.assign
 
 	// Floorplan the package: aggregate inter-chiplet traffic over every
@@ -401,7 +322,7 @@ func (p Params) Realize(t *Topology, cfgs ...hw.Config) (*Package, error) {
 	}
 	fp, err := placement.Solve(prob)
 	if err != nil {
-		return nil, fmt.Errorf("fidelity: floorplanning %q: %w", t.name, err)
+		return nil, fmt.Errorf("fidelity: floorplanning %q: %w", g.Name, err)
 	}
 	pkg.Floorplan = fp
 	return pkg, nil
@@ -418,8 +339,8 @@ func trafficOf(e *ppa.Eval) []ppa.LayerTraffic {
 
 // Build realizes one configuration physically from its per-model analytical
 // evaluations: NewTopology over their configurations and layer traffic, then
-// Realize. It also builds the universal graph itself (graph.Build merged by
-// graph.Universal) for the package's Graph.
+// Realize. The package's Graph is the topology's universal graph with each
+// node weighted by the summed executions of its layers across every model.
 func (p Params) Build(name string, evals []*ppa.Eval) (*Package, error) {
 	if len(evals) == 0 {
 		return nil, fmt.Errorf("fidelity: %q has no evaluations", name)
@@ -438,11 +359,17 @@ func (p Params) Build(name string, evals []*ppa.Eval) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	gs := make([]*graph.Graph, len(evals))
-	for i, e := range evals {
-		gs[i] = graph.Build(e)
+	g := t.graph
+	var node [hw.NumUnits]int // unit kind -> node index; NewTopology checked every layer's unit
+	for i, nd := range g.Nodes {
+		node[nd.Unit] = i
 	}
-	pkg.Graph = graph.Universal(name, gs...)
+	for _, e := range evals {
+		for _, le := range e.Layers {
+			g.Nodes[node[le.Unit]].Weight += float64(le.Executions)
+		}
+	}
+	pkg.Graph = g
 	return pkg, nil
 }
 

@@ -4,11 +4,13 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/noc"
 	"repro/internal/placement"
 	"repro/internal/ppa"
 	"repro/internal/thermal"
+	"repro/internal/workload"
 )
 
 func testParams() Params {
@@ -20,6 +22,9 @@ func testParams() Params {
 		JunctionLimitC:    105,
 	}
 }
+
+// oneCommunity clusters every node into community 0.
+func oneCommunity(n int, _ []graph.Edge) ([]int, error) { return make([]int, n), nil }
 
 // asymmetricPackage builds a two-chiplet package with different bank counts:
 // chiplet 0 hosts 2 banks, chiplet 1 hosts 3, adjacent on a 2x1 grid.
@@ -149,6 +154,64 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := p.Build("x", []*ppa.Eval{{}}); err == nil {
 		t.Error("Build must reject a nil cluster function")
+	}
+	p.Cluster = oneCommunity
+	bankless := &ppa.Eval{
+		Config: hw.Config{Point: hw.Point{SASize: 16, NSA: 1}},
+		Layers: []ppa.LayerEval{{Unit: hw.SystolicArray}, {Unit: hw.ActGELU}},
+	}
+	if _, err := p.Build("x", []*ppa.Eval{bankless}); err == nil {
+		t.Error("Build must reject a layer whose unit has no bank")
+	}
+}
+
+// TestBuildWeightsNodesByExecutions: Build's graph gives each node the
+// summed executions of its layers across every model, here AlexNet and
+// ViT-base on their own configurations of one point, so the SA node sums
+// both models' SA layers.
+func TestBuildWeightsNodesByExecutions(t *testing.T) {
+	p := testParams()
+	p.Cluster = oneCommunity
+	pt := hw.Point{SASize: 32, NSA: 32, NAct: 16, NPool: 16}
+	want := make(map[hw.Unit]float64)
+	var saPerModel []float64
+	var evals []*ppa.Eval
+	for _, m := range []*workload.Model{workload.NewAlexNet(), workload.NewViTBase()} {
+		e, err := ppa.Evaluate(m, hw.NewConfig(pt, []*workload.Model{m}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		evals = append(evals, e)
+		var sa float64
+		for _, le := range e.Layers {
+			want[le.Unit] += float64(le.Executions)
+			if le.Unit == hw.SystolicArray {
+				sa += float64(le.Executions)
+			}
+		}
+		saPerModel = append(saPerModel, sa)
+	}
+	pkg, err := p.Build("UG", evals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := pkg.Graph
+	if g == nil || g.Name != "UG" {
+		t.Fatalf("Build's graph = %+v, want the universal graph named UG", g)
+	}
+	if len(g.Nodes) != len(want) {
+		t.Fatalf("graph has %d nodes, the layers use %d unit kinds", len(g.Nodes), len(want))
+	}
+	for _, n := range g.Nodes {
+		if n.Weight != want[n.Unit] || n.Weight <= 0 {
+			t.Errorf("%v weight = %v, want its layers' %v executions", n.Unit, n.Weight, want[n.Unit])
+		}
+	}
+	if saPerModel[0] <= 0 || saPerModel[1] <= 0 {
+		t.Fatalf("test premise broken: per-model SA executions %v", saPerModel)
+	}
+	if sa := g.Nodes[0]; sa.Unit != hw.SystolicArray || sa.Weight != saPerModel[0]+saPerModel[1] {
+		t.Errorf("node 0 = %+v, want the SA bank weighted %v", sa, saPerModel[0]+saPerModel[1])
 	}
 }
 

@@ -1,10 +1,10 @@
-// Package graph implements the weighted graphs of CLAIRE's Step #TR1:
-// G(N, E, w_N, w_E) where each node is a hardware unit bank, node weights
-// count how many times the bank executes to run the algorithm, and edge
-// weights carry the data volume communicated between banks. Individual
-// algorithm graphs merge into the universal graph UG used for the generic
-// configuration, and graphs are what the Louvain step partitions into
-// chiplets.
+// Package graph builds the universal graph of CLAIRE's Step #TR1:
+// UG(N, E, w_N, w_E) where each node is a hardware unit bank, node weights
+// count how many times the bank executes to run the algorithms, and edge
+// weights carry the data volume consecutive layers move between banks.
+// Universal merges the algorithms' banks and layer traffic into one graph;
+// its edges are what the Louvain step partitions into chiplets, and with
+// node weights it is the Figure 3 view.
 package graph
 
 import (
@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/hw"
+	"repro/internal/louvain"
 	"repro/internal/ppa"
 )
 
@@ -30,183 +31,92 @@ func (n Node) Label() string {
 	return hw.Bank{Unit: n.Unit, Count: n.Count, SASize: n.SASize}.String()
 }
 
-// Graph is an undirected weighted multigraph over unit banks. Self-edges
+// Edge is an undirected weighted edge with A <= B; the clustering input is a
+// graph's edge list as it stands.
+type Edge = louvain.Edge
+
+// Graph is an undirected weighted graph over unit banks. Self-edges
 // (consecutive layers on the same bank, e.g. LINEAR-LINEAR) are retained:
 // they carry the data locality that clustering must preserve.
 type Graph struct {
 	Name  string
 	Nodes []Node
-	// edges maps a canonical (min,max) node-ID pair to accumulated bytes.
-	edges map[[2]int]float64
+	Edges []Edge // in (A, B) order, positive weights only
 }
 
-// New creates an empty graph.
-func New(name string) *Graph {
-	return &Graph{Name: name, edges: make(map[[2]int]float64)}
-}
-
-// AddNode appends a node and returns its ID.
-func (g *Graph) AddNode(u hw.Unit, count, saSize int, weight float64) int {
-	id := len(g.Nodes)
-	g.Nodes = append(g.Nodes, Node{ID: id, Unit: u, Count: count, SASize: saSize, Weight: weight})
-	return id
-}
-
-func edgeKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}
-
-// AddEdge accumulates weight onto the undirected edge (a, b).
-func (g *Graph) AddEdge(a, b int, w float64) {
-	if a < 0 || b < 0 || a >= len(g.Nodes) || b >= len(g.Nodes) {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range", a, b))
-	}
-	if w <= 0 {
-		return
-	}
-	g.edges[edgeKey(a, b)] += w
-}
-
-// EdgeWeight returns the accumulated weight between a and b (0 if absent).
-func (g *Graph) EdgeWeight(a, b int) float64 { return g.edges[edgeKey(a, b)] }
-
-// Edge is an undirected weighted edge.
-type Edge struct {
-	A, B   int
-	Weight float64
-}
-
-// Edges returns all edges in deterministic (A, B) order.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.edges))
-	for k, w := range g.edges {
-		out = append(out, Edge{A: k[0], B: k[1], Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// NumEdges returns the number of distinct edges (self-edges included).
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
-// TotalEdgeWeight returns the sum of all edge weights (self-edges once).
-func (g *Graph) TotalEdgeWeight() float64 {
-	var t float64
-	for _, w := range g.edges {
-		t += w
-	}
-	return t
-}
-
-// Degree returns the weighted degree of node id: the sum of incident edge
-// weights with self-edges counted twice (the Louvain convention).
-func (g *Graph) Degree(id int) float64 {
-	var d float64
-	for k, w := range g.edges {
-		if k[0] == id && k[1] == id {
-			d += 2 * w
-		} else if k[0] == id || k[1] == id {
-			d += w
-		}
-	}
-	return d
-}
-
-// Neighbor is an adjacency entry.
-type Neighbor struct {
-	To     int
-	Weight float64
-}
-
-// Adjacency returns the adjacency list representation used by clustering.
-// Self-edges appear once in the owning node's list.
-func (g *Graph) Adjacency() [][]Neighbor {
-	adj := make([][]Neighbor, len(g.Nodes))
-	for k, w := range g.edges {
-		a, b := k[0], k[1]
-		adj[a] = append(adj[a], Neighbor{To: b, Weight: w})
-		if a != b {
-			adj[b] = append(adj[b], Neighbor{To: a, Weight: w})
-		}
-	}
-	for _, l := range adj {
-		sort.Slice(l, func(i, j int) bool { return l[i].To < l[j].To })
-	}
-	return adj
-}
-
-// NodeByUnit returns the ID of the first node with the given unit kind, or
-// -1 when absent. Bank graphs have at most one node per unit kind.
-func (g *Graph) NodeByUnit(u hw.Unit) int {
-	for _, n := range g.Nodes {
-		if n.Unit == u {
-			return n.ID
-		}
-	}
-	return -1
-}
-
-// Build constructs the per-algorithm graph G_i(N, E, w_N, w_E) from an
-// analytical evaluation: one node per configuration bank, node weights from
-// per-layer execution counts, edge weights from consecutive-layer data
-// volumes (Step #TR1).
-func Build(e *ppa.Eval) *Graph {
-	g := New(fmt.Sprintf("%s on %v", e.Model.Name, e.Config.Point))
-	ids := make(map[hw.Unit]int)
-	for _, b := range e.Config.Banks() {
-		ids[b.Unit] = g.AddNode(b.Unit, b.Count, b.SASize, 0)
-	}
-	prev := -1
-	for _, le := range e.Layers {
-		id, ok := ids[le.Unit]
-		if !ok {
-			panic(fmt.Sprintf("graph: layer unit %v missing from config banks", le.Unit))
-		}
-		g.Nodes[id].Weight += float64(le.Executions)
-		if prev >= 0 {
-			g.AddEdge(prev, id, float64(e.Layers[le.Index-1].OutBytes))
-		}
-		prev = id
-	}
-	return g
-}
-
-// Universal merges per-algorithm graphs into UG(N, E, w_N, w_E): the node set
-// is the union of bank kinds (max instance counts win) and node/edge weights
-// are summed across algorithms.
-func Universal(name string, graphs ...*Graph) *Graph {
-	ug := New(name)
-	ids := make(map[hw.Unit]int)
-	for _, g := range graphs {
-		for _, n := range g.Nodes {
-			id, ok := ids[n.Unit]
-			if !ok {
-				id = ug.AddNode(n.Unit, n.Count, n.SASize, 0)
-				ids[n.Unit] = id
+// BankNodes merges configurations' banks into universal-graph nodes: one
+// node per unit kind, in order of first appearance across cfgs and their
+// Banks(), with the largest instance count and array size among the banks it
+// merges. Node weights are zero.
+func BankNodes(cfgs []hw.Config) []Node {
+	var nodes []Node
+	var ids [hw.NumUnits]int // unit kind -> node index + 1
+	for _, c := range cfgs {
+		for _, b := range c.Banks() {
+			if ids[b.Unit] == 0 {
+				nodes = append(nodes, Node{ID: len(nodes), Unit: b.Unit, Count: b.Count, SASize: b.SASize})
+				ids[b.Unit] = len(nodes)
+				continue
 			}
-			if n.Count > ug.Nodes[id].Count {
-				ug.Nodes[id].Count = n.Count
-			}
-			if n.SASize > ug.Nodes[id].SASize {
-				ug.Nodes[id].SASize = n.SASize
-			}
-			ug.Nodes[id].Weight += n.Weight
-		}
-		for _, e := range g.Edges() {
-			a := ids[g.Nodes[e.A].Unit]
-			b := ids[g.Nodes[e.B].Unit]
-			ug.AddEdge(a, b, e.Weight)
+			n := &nodes[ids[b.Unit]-1]
+			n.Count = max(n.Count, b.Count)
+			n.SASize = max(n.SASize, b.SASize)
 		}
 	}
-	return ug
+	return nodes
+}
+
+// Universal builds UG over the banks of cfgs (merged by BankNodes) from each
+// model's layer traffic, in layer order: consecutive layers i-1 and i add
+// layer i-1's output bytes to the undirected edge between their banks. Edge
+// weights sum each model's bytes in layer order, then the per-model sums in
+// model order. Node weights are left zero; traffic does not carry
+// executions. A layer whose unit has no bank is an error.
+func Universal(name string, cfgs []hw.Config, traffic [][]ppa.LayerTraffic) (*Graph, error) {
+	g := &Graph{Name: name, Nodes: BankNodes(cfgs)}
+	var node [hw.NumUnits]int // unit kind -> node index + 1
+	for i, nd := range g.Nodes {
+		node[nd.Unit] = i + 1
+	}
+	nodeOf := func(u hw.Unit) int {
+		if u < 0 || int(u) >= hw.NumUnits {
+			return -1
+		}
+		return node[u] - 1
+	}
+	n := len(g.Nodes)
+	total := make([]float64, n*n) // upper triangle, a*n + b with a <= b
+	model := make([]float64, n*n)
+	for _, tr := range traffic {
+		clear(model)
+		for i, l := range tr {
+			b := nodeOf(l.Unit)
+			if b < 0 {
+				return nil, fmt.Errorf("graph: %q: layer unit %v missing from the configuration's banks", name, l.Unit)
+			}
+			if i == 0 {
+				continue
+			}
+			a := nodeOf(tr[i-1].Unit)
+			if a > b {
+				a, b = b, a
+			}
+			if w := float64(tr[i-1].OutBytes); w > 0 {
+				model[a*n+b] += w
+			}
+		}
+		for k, w := range model {
+			total[k] += w
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a; b < n; b++ {
+			if w := total[a*n+b]; w > 0 {
+				g.Edges = append(g.Edges, Edge{A: a, B: b, Weight: w})
+			}
+		}
+	}
+	return g, nil
 }
 
 // DOT renders the graph in Graphviz format; clusters, when non-nil, assigns
@@ -237,7 +147,7 @@ func (g *Graph) DOT(clusters []int) string {
 			sb.WriteString("  }\n")
 		}
 	}
-	for _, e := range g.Edges() {
+	for _, e := range g.Edges {
 		fmt.Fprintf(&sb, "  n%d -- n%d [label=\"%.3g\"];\n", e.A, e.B, e.Weight)
 	}
 	sb.WriteString("}\n")

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,137 +10,192 @@ import (
 	"repro/internal/workload"
 )
 
-func evalOf(t *testing.T, m *workload.Model) *ppa.Eval {
+// universalOf builds the universal graph of models, each on its own
+// configuration of one point, from their plan traffic.
+func universalOf(t *testing.T, models ...*workload.Model) *Graph {
 	t.Helper()
-	c := hw.NewConfig(hw.Point{SASize: 32, NSA: 32, NAct: 16, NPool: 16},
-		[]*workload.Model{m})
-	e, err := ppa.Evaluate(m, c)
+	pt := hw.Point{SASize: 32, NSA: 32, NAct: 16, NPool: 16}
+	cfgs := make([]hw.Config, len(models))
+	traffic := make([][]ppa.LayerTraffic, len(models))
+	for i, m := range models {
+		cfgs[i] = hw.NewConfig(pt, []*workload.Model{m})
+		traffic[i] = ppa.NewModelPlan(m).Traffic(cfgs[i].Precision, 1)
+	}
+	g, err := Universal("UG", cfgs, traffic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return g
+}
+
+// nodeOf returns the index of the node with unit kind u, or -1.
+func nodeOf(g *Graph, u hw.Unit) int {
+	for i, n := range g.Nodes {
+		if n.Unit == u {
+			return i
+		}
+	}
+	return -1
+}
+
+// edgeWeight returns the weight of the undirected edge (a, b), or 0.
+func edgeWeight(g *Graph, a, b int) float64 {
+	a, b = min(a, b), max(a, b)
+	for _, e := range g.Edges {
+		if e.A == a && e.B == b {
+			return e.Weight
+		}
+	}
+	return 0
+}
+
+// lt is one layer's traffic: its unit and output bytes.
+func lt(u hw.Unit, outBytes int64) ppa.LayerTraffic {
+	return ppa.LayerTraffic{Unit: u, OutBytes: outBytes}
+}
+
+func totalWeight(g *Graph) float64 {
+	var w float64
+	for _, e := range g.Edges {
+		w += e.Weight
+	}
+	return w
 }
 
 func TestBuildBankGraph(t *testing.T) {
-	m := workload.NewAlexNet()
-	g := Build(evalOf(t, m))
+	g := universalOf(t, workload.NewAlexNet())
 	// One node per config bank: SA, RELU, MAXPOOL, ADAPTIVEAVGPOOL, FLATTEN.
 	if len(g.Nodes) != 5 {
 		t.Fatalf("AlexNet graph has %d nodes, want 5 (%v)", len(g.Nodes), g.Nodes)
 	}
-	sa := g.NodeByUnit(hw.SystolicArray)
-	if sa < 0 {
-		t.Fatal("no systolic-array node")
-	}
-	if g.Nodes[sa].Weight <= 0 {
-		t.Error("SA node weight (executions) must be positive")
-	}
-	// CONV2D->RELU consecutive layers create an SA--RELU edge.
-	relu := g.NodeByUnit(hw.ActReLU)
-	if g.EdgeWeight(sa, relu) <= 0 {
-		t.Error("missing SA--RELU edge")
-	}
-	// Every node weight equals the summed executions of its layers.
-	var saExec float64
-	for _, le := range evalOf(t, m).Layers {
-		if le.Unit == hw.SystolicArray {
-			saExec += float64(le.Executions)
+	for i, n := range g.Nodes {
+		if n.ID != i {
+			t.Errorf("node %d has ID %d", i, n.ID)
 		}
 	}
-	if g.Nodes[sa].Weight != saExec {
-		t.Errorf("SA weight = %v, want %v", g.Nodes[sa].Weight, saExec)
+	sa, relu := nodeOf(g, hw.SystolicArray), nodeOf(g, hw.ActReLU)
+	if sa < 0 || relu < 0 {
+		t.Fatalf("missing SA or RELU node: %v", g.Nodes)
+	}
+	// CONV2D->RELU consecutive layers create an SA--RELU edge.
+	if edgeWeight(g, sa, relu) <= 0 {
+		t.Error("missing SA--RELU edge")
 	}
 }
 
 func TestSelfEdgeForConsecutiveSameBankLayers(t *testing.T) {
 	// BERT is linear-dominated: consecutive LINEAR layers map to the SA bank
 	// and must create a self-edge carrying the inter-layer data volume.
-	g := Build(evalOf(t, workload.NewBERTBase()))
-	sa := g.NodeByUnit(hw.SystolicArray)
-	if g.EdgeWeight(sa, sa) <= 0 {
+	g := universalOf(t, workload.NewBERTBase())
+	sa := nodeOf(g, hw.SystolicArray)
+	if edgeWeight(g, sa, sa) <= 0 {
 		t.Error("expected SA self-edge for LINEAR-LINEAR traffic")
 	}
 }
 
+// TestEdgeAccumulation pins Universal on a hand-worked case: two
+// configurations whose banks merge to the largest of each dimension (the SA
+// node takes the first's array size and the second's count, the RELU node
+// the first's count), one undirected edge fed from both directions and by
+// both models, and a zero-byte output that adds no edge.
 func TestEdgeAccumulation(t *testing.T) {
-	g := New("t")
-	a := g.AddNode(hw.SystolicArray, 4, 32, 1)
-	b := g.AddNode(hw.ActReLU, 8, 0, 2)
-	g.AddEdge(a, b, 10)
-	g.AddEdge(b, a, 5) // same undirected edge
-	if got := g.EdgeWeight(a, b); got != 15 {
-		t.Errorf("edge weight = %v, want 15", got)
+	cfgs := []hw.Config{
+		{Point: hw.Point{SASize: 32, NSA: 4, NAct: 4}, Acts: []hw.Unit{hw.ActReLU}},
+		{Point: hw.Point{SASize: 16, NSA: 8, NAct: 2, NPool: 3},
+			Acts: []hw.Unit{hw.ActReLU, hw.ActGELU}, Pools: []hw.Unit{hw.PoolMax}},
 	}
-	g.AddEdge(a, b, 0) // zero weight ignored
-	if g.NumEdges() != 1 {
-		t.Errorf("edges = %d, want 1", g.NumEdges())
+	traffic := [][]ppa.LayerTraffic{
+		// SA->RELU 100 and RELU->SA 50 feed the same edge; the last
+		// layer's output goes nowhere.
+		{lt(hw.SystolicArray, 100), lt(hw.ActReLU, 50), lt(hw.SystolicArray, 7)},
+		// GELU->GELU 30 is a self-edge, GELU->MAXPOOL moves nothing,
+		// MAXPOOL->RELU 9 and RELU->SA 1.
+		{lt(hw.ActGELU, 30), lt(hw.ActGELU, 0), lt(hw.PoolMax, 9), lt(hw.ActReLU, 1), lt(hw.SystolicArray, 5)},
 	}
-	if g.TotalEdgeWeight() != 15 {
-		t.Errorf("total = %v, want 15", g.TotalEdgeWeight())
+	g, err := Universal("hand", cfgs, traffic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNodes := []Node{
+		{ID: 0, Unit: hw.SystolicArray, Count: 8, SASize: 32},
+		{ID: 1, Unit: hw.ActReLU, Count: 4},
+		{ID: 2, Unit: hw.ActGELU, Count: 2},
+		{ID: 3, Unit: hw.PoolMax, Count: 3},
+	}
+	if !reflect.DeepEqual(g.Nodes, wantNodes) {
+		t.Errorf("nodes = %v, want %v", g.Nodes, wantNodes)
+	}
+	wantEdges := []Edge{{A: 0, B: 1, Weight: 151}, {A: 1, B: 3, Weight: 9}, {A: 2, B: 2, Weight: 30}}
+	if !reflect.DeepEqual(g.Edges, wantEdges) {
+		t.Errorf("edges = %v, want %v", g.Edges, wantEdges)
+	}
+	if g.Name != "hand" {
+		t.Errorf("name = %q", g.Name)
 	}
 }
 
-func TestDegreeCountsSelfEdgesTwice(t *testing.T) {
-	g := New("t")
-	a := g.AddNode(hw.SystolicArray, 1, 16, 0)
-	b := g.AddNode(hw.ActGELU, 1, 0, 0)
-	g.AddEdge(a, a, 3)
-	g.AddEdge(a, b, 4)
-	if got := g.Degree(a); got != 10 {
-		t.Errorf("degree(a) = %v, want 10 (2*3+4)", got)
+func TestEdgesDeterministicOrder(t *testing.T) {
+	cfgs := []hw.Config{{Point: hw.Point{SASize: 16, NSA: 1, NAct: 1, NPool: 1},
+		Acts: []hw.Unit{hw.ActReLU, hw.ActGELU}, Pools: []hw.Unit{hw.PoolMax}, Flatten: true}}
+	// Nodes SA 0, RELU 1, GELU 2, MAXPOOL 3, FLATTEN 4; edges produced in
+	// the order (1,3), (0,4), (2,2).
+	traffic := [][]ppa.LayerTraffic{
+		{lt(hw.PoolMax, 1), lt(hw.ActReLU, 0), lt(hw.SystolicArray, 1), lt(hw.EngFlatten, 0)},
+		{lt(hw.ActGELU, 1), lt(hw.ActGELU, 0)},
 	}
-	if got := g.Degree(b); got != 4 {
-		t.Errorf("degree(b) = %v, want 4", got)
+	g, err := Universal("t", cfgs, traffic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Edge{{A: 0, B: 4, Weight: 1}, {A: 1, B: 3, Weight: 1}, {A: 2, B: 2, Weight: 1}}
+	if !reflect.DeepEqual(g.Edges, want) {
+		t.Errorf("edges = %v, want %v", g.Edges, want)
 	}
 }
 
-func TestAdjacency(t *testing.T) {
-	g := New("t")
-	a := g.AddNode(hw.SystolicArray, 1, 16, 0)
-	b := g.AddNode(hw.ActGELU, 1, 0, 0)
-	c := g.AddNode(hw.PoolMax, 1, 0, 0)
-	g.AddEdge(a, b, 1)
-	g.AddEdge(a, c, 2)
-	g.AddEdge(b, b, 5)
-	adj := g.Adjacency()
-	if len(adj[a]) != 2 {
-		t.Errorf("adj[a] = %v, want 2 entries", adj[a])
-	}
-	// b has its self-edge once plus the edge to a.
-	if len(adj[b]) != 2 {
-		t.Errorf("adj[b] = %v, want 2 entries", adj[b])
-	}
-	if len(adj[c]) != 1 || adj[c][0].To != a || adj[c][0].Weight != 2 {
-		t.Errorf("adj[c] = %v", adj[c])
+// TestUniversalLayerWithoutBank: traffic through a unit kind the
+// configurations do not provision is an error naming the unit.
+func TestUniversalLayerWithoutBank(t *testing.T) {
+	cfgs := []hw.Config{{Point: hw.Point{SASize: 16, NSA: 1, NAct: 1}, Acts: []hw.Unit{hw.ActReLU}}}
+	for _, tr := range [][]ppa.LayerTraffic{
+		{lt(hw.SystolicArray, 1), lt(hw.ActGELU, 1)},
+		{lt(hw.PoolMax, 1)},
+		{lt(hw.SystolicArray, 1), lt(hw.Unit(hw.NumUnits), 1)},
+		{lt(hw.Unit(-1), 1)},
+	} {
+		_, err := Universal("t", cfgs, [][]ppa.LayerTraffic{tr})
+		if err == nil {
+			t.Errorf("traffic %v: no error", tr)
+			continue
+		}
+		if u := tr[len(tr)-1].Unit; !strings.Contains(err.Error(), u.String()) {
+			t.Errorf("traffic %v: error %q does not name %v", tr, err, u)
+		}
 	}
 }
 
 func TestUniversalMerge(t *testing.T) {
-	ga := Build(evalOf(t, workload.NewAlexNet()))
-	gv := Build(evalOf(t, workload.NewViTBase()))
-	ug := Universal("UG", ga, gv)
+	ga := universalOf(t, workload.NewAlexNet())
+	gv := universalOf(t, workload.NewViTBase())
+	ug := universalOf(t, workload.NewAlexNet(), workload.NewViTBase())
 	// Union of unit kinds.
 	for _, u := range []hw.Unit{hw.SystolicArray, hw.ActReLU, hw.ActGELU,
 		hw.PoolMax, hw.PoolAdaptiveAvg, hw.EngFlatten, hw.EngPermute} {
-		if ug.NodeByUnit(u) < 0 {
+		if nodeOf(ug, u) < 0 {
 			t.Errorf("universal graph missing %v", u)
 		}
 	}
-	// Node weights sum.
-	saA := ga.Nodes[ga.NodeByUnit(hw.SystolicArray)].Weight
-	saV := gv.Nodes[gv.NodeByUnit(hw.SystolicArray)].Weight
-	saU := ug.Nodes[ug.NodeByUnit(hw.SystolicArray)].Weight
-	if saU != saA+saV {
-		t.Errorf("universal SA weight %v, want %v", saU, saA+saV)
+	if len(ug.Nodes) != 7 {
+		t.Errorf("universal graph has %d nodes, want 7 (%v)", len(ug.Nodes), ug.Nodes)
 	}
 	// Total edge weight sums.
-	if got, want := ug.TotalEdgeWeight(), ga.TotalEdgeWeight()+gv.TotalEdgeWeight(); got != want {
+	if got, want := totalWeight(ug), totalWeight(ga)+totalWeight(gv); got != want {
 		t.Errorf("universal edge weight %v, want %v", got, want)
 	}
 }
 
 func TestDOTOutput(t *testing.T) {
-	g := Build(evalOf(t, workload.NewAlexNet()))
+	g := universalOf(t, workload.NewAlexNet())
 	mono := g.DOT(nil)
 	for _, frag := range []string{"graph", "SA[32x32]x32", "--"} {
 		if !strings.Contains(mono, frag) {
@@ -156,33 +212,5 @@ func TestDOTOutput(t *testing.T) {
 	}
 	if !strings.Contains(dot, "Chiplet L2") {
 		t.Error("clustered DOT missing second chiplet")
-	}
-}
-
-func TestAddEdgePanicsOutOfRange(t *testing.T) {
-	g := New("t")
-	g.AddNode(hw.SystolicArray, 1, 16, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("AddEdge out of range should panic")
-		}
-	}()
-	g.AddEdge(0, 3, 1)
-}
-
-func TestEdgesDeterministicOrder(t *testing.T) {
-	g := New("t")
-	for i := 0; i < 5; i++ {
-		g.AddNode(hw.ActReLU, 1, 0, 0)
-	}
-	g.AddEdge(3, 1, 1)
-	g.AddEdge(0, 4, 1)
-	g.AddEdge(2, 2, 1)
-	es := g.Edges()
-	want := []Edge{{0, 4, 1}, {1, 3, 1}, {2, 2, 1}}
-	for i, e := range es {
-		if e != want[i] {
-			t.Errorf("edge %d = %v, want %v", i, e, want[i])
-		}
 	}
 }

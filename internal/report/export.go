@@ -169,7 +169,7 @@ func configSummary(d *core.DesignPoint) ConfigSummary {
 		Name:         d.Name,
 		Point:        d.Config.Point.String(),
 		Chiplets:     len(d.Chiplets),
-		PackageMM2:   d.PackageAreaMM2(),
+		PackageMM2:   d.Package.AreaMM2(),
 		NRE:          d.NRE,
 		ChipletTypes: len(types),
 	}

@@ -24,7 +24,7 @@ func Markdown(tr *core.TrainResult, tt *core.TestResult) string {
 	sb.WriteString("|---|---|---|---|---|---|\n")
 	writeCfg := func(name, members string, d *core.DesignPoint) {
 		fmt.Fprintf(&sb, "| %s | %s | %d | %d | %.1f | %.3f |\n",
-			name, members, len(d.Chiplets), distinctTypes(d), d.PackageAreaMM2(), d.NRE)
+			name, members, len(d.Chiplets), distinctTypes(d), d.Package.AreaMM2(), d.NRE)
 	}
 	writeCfg("C_g (generic)", "all", tr.Generic)
 	for _, s := range tr.Subsets {
