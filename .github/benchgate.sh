@@ -1,25 +1,33 @@
 #!/usr/bin/env bash
-# benchgate.sh compares the cold 81-point explore benchmarks and the staged
-# fine-space exploration of HEAD against a base commit on the same machine, so
-# the gate reads a regression of the change and not a difference between
-# machines.
+# benchgate.sh compares the cold 81-point explore benchmarks, the streaming
+# fine and mixfine sweeps and the staged fine-space exploration of HEAD
+# against a base commit on the same machine, so the gate reads a regression
+# of the change and not a difference between machines.
 #
 # Usage: bash .github/benchgate.sh <base-ref>
 #
 # The base commit is checked out into a temporary git worktree. Both sides'
 # test binaries are built once, then BenchmarkExploreCold (one worker),
-# BenchmarkExploreColdParallel (GOMAXPROCS workers) and
+# BenchmarkExploreColdParallel (GOMAXPROCS workers),
 # BenchmarkExploreStagedFine (the training set on the fine space with staged
-# fidelity, fresh engine per iteration) run ROUNDS times per side at a fixed
-# iteration count, alternating which side runs first. The script
-# prints the median ns/op and allocs/op of each side and exits 1 when a HEAD
-# median is more than MAX_REGRESS above the base median, or when either side
-# lacks a benchmark.
+# fidelity, fresh engine per iteration), BenchmarkExploreStreamFine (the
+# training set on the fine space) and BenchmarkExploreStreamMixFine (three
+# networks on the mixfine space) run ROUNDS times per side at a fixed
+# iteration count. A round runs the base and HEAD once each, alternating
+# which side goes first, so both runs of a round see the same host speed.
+# The verdict rests on those pairs: for each benchmark and unit the script
+# takes each round's HEAD/base ratio and exits 1 when the median ratio is
+# more than MAX_REGRESS above 1, or when either side lacks a benchmark. It
+# prints both sides' medians, the median ratio and the ratio's quartiles.
+#
+# BenchmarkPipeline (perfbench's pipeline operation) is not gated yet: the
+# script fails when the base lacks a benchmark, so it joins BENCHES once the
+# base commit has it.
 set -euo pipefail
 
 readonly MAX_REGRESS=0.25
 readonly ROUNDS=5
-readonly BENCHES="BenchmarkExploreCold BenchmarkExploreColdParallel BenchmarkExploreStagedFine"
+readonly BENCHES="BenchmarkExploreCold BenchmarkExploreColdParallel BenchmarkExploreStagedFine BenchmarkExploreStreamFine BenchmarkExploreStreamMixFine"
 
 base_ref=${1:?usage: benchgate.sh <base-ref>}
 root=$(git rev-parse --show-toplevel)
@@ -35,7 +43,7 @@ git -C "$root" worktree add --quiet --detach "$work/base" "$base"
 (cd "$work/base" && go test -c -o "$work/base.test" .)
 (cd "$root" && go test -c -o "$work/head.test" .)
 
-run() { # run <side> <dir>: one round of both benchmarks, appended to <side>.txt
+run() { # run <side> <dir>: one round of every benchmark, appended to <side>.txt
 	(cd "$2" && "$work/$1.test" -test.run '^$' \
 		-test.bench "^(${BENCHES// /|})\$" \
 		-test.benchtime 20x -test.benchmem -test.timeout 10m) >>"$work/$1.txt"
@@ -50,15 +58,18 @@ for ((r = 0; r < ROUNDS; r++)); do
 	fi
 done
 
-echo "benchgate: HEAD $(git -C "$root" rev-parse --short HEAD) vs base $(git -C "$root" rev-parse --short "$base"), median of $ROUNDS rounds"
+echo "benchgate: HEAD $(git -C "$root" rev-parse --short HEAD) vs base $(git -C "$root" rev-parse --short "$base"), $ROUNDS paired rounds"
 awk -v benches="$BENCHES" -v rounds="$ROUNDS" -v max="$MAX_REGRESS" '
-# median sorts the values recorded for one side, benchmark and unit.
-function median(side, name, unit,    n, i, j, v, t) {
-	n = runs[side, name]
-	for (i = 1; i <= n; i++) v[i] = val[side, name, unit, i]
+# sorted copies the n values of arr[1..n] into out[1..n] in ascending order.
+function sorted(arr, n, out,    i, j, t) {
+	for (i = 1; i <= n; i++) out[i] = arr[i]
 	for (i = 2; i <= n; i++)
-		for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
-	return v[int((n + 1) / 2)]
+		for (j = i; j > 1 && out[j - 1] > out[j]; j--) { t = out[j]; out[j] = out[j - 1]; out[j - 1] = t }
+}
+# rank returns the p-quantile of the sorted values s[1..n] by nearest rank.
+function rank(s, n, p,    k) {
+	k = int(p * n + 0.999999)
+	return s[k < 1 ? 1 : k]
 }
 $1 ~ /^Benchmark/ {
 	name = $1
@@ -70,7 +81,7 @@ $1 ~ /^Benchmark/ {
 	}
 }
 END {
-	printf "%-30s %-10s %14s %14s %8s\n", "benchmark", "unit", "base", "head", "delta"
+	printf "%-30s %-10s %14s %14s %8s %19s\n", "benchmark", "unit", "base median", "head median", "ratio", "ratio quartiles"
 	fail = 0
 	nb = split(benches, names, " ")
 	for (b = 1; b <= nb; b++) {
@@ -83,14 +94,24 @@ END {
 		}
 		for (u = 1; u <= 2; u++) {
 			unit = (u == 1 ? "ns/op" : "allocs/op")
-			bm = median("base", name, unit)
-			hm = median("head", name, unit)
+			delete bv; delete hv; delete rv; delete bs; delete hs; delete rs
+			for (r = 1; r <= rounds; r++) {
+				bv[r] = val["base", name, unit, r]
+				hv[r] = val["head", name, unit, r]
+				rv[r] = bv[r] > 0 ? hv[r] / bv[r] : 1
+			}
+			sorted(bv, rounds, bs)
+			sorted(hv, rounds, hs)
+			sorted(rv, rounds, rs)
+			ratio = rank(rs, rounds, 0.5)
 			flag = ""
-			if (hm > bm * (1 + max)) { flag = "  REGRESSED"; fail = 1 }
-			printf "%-30s %-10s %14.0f %14.0f %+7.1f%%%s\n", name, unit, bm, hm, 100 * (hm - bm) / bm, flag
+			if (ratio > 1 + max) { flag = "  REGRESSED"; fail = 1 }
+			printf "%-30s %-10s %14.0f %14.0f %7.3fx %9.3f-%.3f%s\n", name, unit,
+				rank(bs, rounds, 0.5), rank(hs, rounds, 0.5), ratio,
+				rank(rs, rounds, 0.25), rank(rs, rounds, 0.75), flag
 		}
 	}
-	if (fail) printf "benchgate: FAIL (bound: HEAD median at most %.0f%% above base)\n", 100 * max
-	else printf "benchgate: ok (HEAD median within %.0f%% of base on every benchmark)\n", 100 * max
+	if (fail) printf "benchgate: FAIL (bound: median HEAD/base ratio over the rounds at most %.2f)\n", 1 + max
+	else printf "benchgate: ok (median HEAD/base ratio within %.0f%% on every benchmark)\n", 100 * max
 	exit fail
 }' side=base "$work/base.txt" side=head "$work/head.txt"

@@ -322,6 +322,29 @@ func BenchmarkExploreStagedFine(b *testing.B) {
 	}
 }
 
+// BenchmarkPipeline is perfbench's pipeline operation: one Table I run, the
+// training set through core.Train and then the test set through core.Test,
+// on the fine space with staged fidelity and a fresh engine per iteration.
+// Each run makes 25 sweeps (one per custom, generic and library
+// configuration), so the sweep's chunk loop dominates it.
+func BenchmarkPipeline(b *testing.B) {
+	train, test := workload.TrainingSet(), workload.TestSet()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		o := core.DefaultOptions()
+		o.Space = hw.FineSpace()
+		o.Fidelity = dse.FidelityStaged
+		o.Evaluator = o.Engine()
+		tr, err := core.Train(train, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Test(tr, test, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExploreStreamMixFine is BenchmarkExploreStreamFine on the
 // 110528-point heterogeneous mixfine preset with AlexNet, ViT-base and
 // ResNet18 — the mix cost table's per-layer dispatch to the fastest chiplet

@@ -225,7 +225,7 @@ func TestFeasibleFrontierLeadsWithBest(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mat.Select(cons.LatencySlack).Frontier
-	sel, _ := replaySelector(mat, cons)
+	sel, _ := replaySelector(mat, cons, 1)
 	cands := sel.FeasibleFrontier()
 	best, _, ok := sel.Best()
 	if !ok || len(cands) == 0 {

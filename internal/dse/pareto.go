@@ -25,7 +25,7 @@ type SpacePoint struct {
 // area/latency Pareto optimality — the per-point table view of clairedse.
 // Every point is returned, so it is only sensible for table-sized spaces.
 // Points are scored on the engine's workers; the latency reference comes from
-// a Selector fed every point in index order after collection, so results are
+// a Selector fed every point as one batch after collection, so results are
 // identical at any worker count and the Feasible rows count exactly
 // Result.Feasible of the same sweep. Results are sorted by ascending area,
 // then latency.
@@ -54,15 +54,15 @@ func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *e
 		}
 	}
 	// Feasible holds static feasibility until the reference is final.
-	sel := NewSelector(1, cons)
-	lat, static := make([]float64, 1), make([]bool, 1)
+	n := len(pts)
+	idxs, areas, lats, statics := make([]int, n), make([]float64, n), make([]float64, n), make([]bool, n)
 	for k := range pts {
-		lat[0], static[0] = pts[k].LatencyS, pts[k].Feasible
-		sel.Observe(k, pts[k].AreaMM2, lat, static)
+		idxs[k], areas[k], lats[k], statics[k] = k, pts[k].AreaMM2, pts[k].LatencyS, pts[k].Feasible
 	}
+	sel := NewSelector(1, cons)
+	sel.ObserveBatch(idxs, areas, lats, statics, nil)
 	for k := range pts {
-		lat[0] = pts[k].LatencyS
-		pts[k].Feasible = pts[k].Feasible && slackOK(lat, sel.BestLatencies(), cons.LatencySlack)
+		pts[k].Feasible = pts[k].Feasible && slackOK(lats[k:k+1], sel.BestLatencies(), cons.LatencySlack)
 	}
 	markPareto(pts)
 	sort.Slice(pts, func(i, j int) bool {

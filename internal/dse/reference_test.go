@@ -34,14 +34,31 @@ func observeSpace(models []*workload.Model, space hw.DesignSpace, cons Constrain
 	})
 }
 
-// replaySelector feeds every row of mat, in index order, through a Selector.
-// It also returns the largest frontier the Selector held after any row.
-func replaySelector(mat oracle.Matrix, cons Constraints) (*Selector, int) {
+// replaySelector feeds every row of mat, in index order, through a Selector,
+// moving the reference only at chunk boundaries as a one-worker sweep does:
+// at the start of each chunk of the given size it lowers the reference to
+// the chunk's statically feasible minima, then observes the chunk's rows one
+// at a time. It also returns the largest frontier the Selector held after
+// any row, a peak inside a chunk included. Chunk size 1 is plain
+// point-by-point observation.
+func replaySelector(mat oracle.Matrix, cons Constraints, chunk int) (*Selector, int) {
 	sel := NewSelector(mat.Models, cons)
 	lats := make([]float64, mat.Models)
 	statics := make([]bool, mat.Models)
+	minima := make([]float64, mat.Models)
 	peak := 0
 	for k := 0; k < mat.Points(); k++ {
+		if k%chunk == 0 {
+			copy(minima, sel.BestLatencies())
+			for r := k; r < min(k+chunk, mat.Points()); r++ {
+				for i, o := range mat.Row(r) {
+					if o.Static {
+						minima[i] = min(minima[i], o.LatencyS)
+					}
+				}
+			}
+			sel.lowerTo(minima)
+		}
 		for i, o := range mat.Row(k) {
 			lats[i], statics[i] = o.LatencyS, o.Static
 		}
@@ -67,7 +84,7 @@ func TestSelectorMatchesExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, _ := replaySelector(mat, cons)
+	sel, _ := replaySelector(mat, cons, 1)
 	idx, _, ok := sel.Best()
 	if !ok {
 		t.Fatal("selector found no winner")

@@ -1,6 +1,8 @@
 package dse
 
 import (
+	"sync"
+
 	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/ppa"
@@ -89,20 +91,104 @@ func (s *Scorer) Summary(i, k int, pt hw.Point) (ppa.Summary, error) {
 // static feasibility (Constraints.MeetsStatic) into lats and statics, and
 // returns the summed per-model area — the observation dse.Selector.Observe
 // takes. On an evaluation error it returns the first failing model's error,
-// and lats and statics are partly written. It performs no allocation.
+// and lats and statics are partly written. It is the one-point case of the
+// chunk scoring the sweep runs, and performs no allocation.
 func (s *Scorer) Score(k int, lats []float64, statics []bool) (area float64, err error) {
-	var pt hw.Point
+	var areas [1]float64
+	var errs, sumErrs [1]error
+	var sums [1]ppa.Summary
+	s.scoreRange(k, &scores{area: areas[:], lat: lats, static: statics, err: errs[:],
+		sums: sums[:], sumErrs: sumErrs[:]})
+	if errs[0] != nil {
+		return 0, errs[0]
+	}
+	return areas[0], nil
+}
+
+// scores holds a block of scored points in the layout Selector.ObserveBatch
+// reads, plus the scratch a table gather writes one model's summaries into.
+// Every slice holds one entry per point, except lat and static, which hold
+// one per (point, model), point-major.
+type scores struct {
+	idx     []int
+	area    []float64
+	lat     []float64
+	static  []bool
+	err     []error
+	sums    []ppa.Summary
+	sumErrs []error
+}
+
+// sizeScores sets b to n points of the scorer's models, growing a buffer
+// only when it is too small, so a shard's buffers settle at its chunk size.
+// The gather scratch exists only when the scorer reads tables.
+func (s *Scorer) sizeScores(b *scores, n int) {
+	m := len(s.models)
+	b.idx, b.area, b.err = grow(b.idx, n), grow(b.area, n), grow(b.err, n)
+	b.lat, b.static = grow(b.lat, n*m), grow(b.static, n*m)
+	if s.tables != nil {
+		b.sums, b.sumErrs = grow(b.sums, n), grow(b.sumErrs, n)
+	}
+}
+
+// grow returns s resliced to n elements, or a new slice when s is too
+// small.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// scoresPool recycles chunk buffers across sweeps: a sweep's shards take
+// theirs from it and return them when the scan ends, so back-to-back sweeps
+// do not each allocate a chunk's worth of buffers per worker.
+var scoresPool = sync.Pool{New: func() any { return new(scores) }}
+
+// scoreRange scores the len(b.area) points from lo on for every model into
+// b: for the point at offset j, each model i's latency and static
+// feasibility at b.lat[j*m+i] and b.static[j*m+i], the summed per-model area
+// (added in model order, as Score adds it) at b.area[j], and the first
+// failing model's error, or nil, at b.err[j]; a failing point's other
+// entries are partly written. With tables, each model's summaries over the
+// whole range come from one Table.SummaryRange gather. It performs no
+// allocation.
+func (s *Scorer) scoreRange(lo int, b *scores) {
+	m := len(s.models)
+	for j := range b.area {
+		b.area[j], b.err[j] = 0, nil
+	}
 	if s.tables == nil {
-		pt = s.space.At(k)
-	}
-	for i := range s.models {
-		sum, err := s.Summary(i, k, pt)
-		if err != nil {
-			return 0, err
+		for j := range b.area {
+			pt := s.space.At(lo + j)
+			for i := range s.models {
+				sum, err := s.Summary(i, lo+j, pt)
+				if err != nil {
+					b.err[j] = err
+					break
+				}
+				s.record(b, j*m+i, j, &sum)
+			}
 		}
-		lats[i] = sum.LatencyS
-		statics[i] = s.cons.meetsStatic(sum.AreaMM2, sum.PowerDensity())
-		area += sum.AreaMM2
+		return
 	}
-	return area, nil
+	for i, tab := range s.tables {
+		tab.SummaryRange(lo, b.sums, b.sumErrs)
+		for j := range b.sums {
+			switch {
+			case b.err[j] != nil:
+			case b.sumErrs[j] != nil:
+				b.err[j] = b.sumErrs[j]
+			default:
+				s.record(b, j*m+i, j, &b.sums[j])
+			}
+		}
+	}
+}
+
+// record stores one model's summary of point j at row-major cell x.
+func (s *Scorer) record(b *scores, x, j int, sum *ppa.Summary) {
+	b.lat[x] = sum.LatencyS
+	b.static[x] = s.cons.meetsStatic(sum.AreaMM2, sum.PowerDensity())
+	b.area[j] += sum.AreaMM2
 }

@@ -1,6 +1,9 @@
 package dse
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // MeetsStatic checks the constraints that do not depend on the best-latency
 // reference (area and power density) — the exported form the budgeted search
@@ -51,25 +54,50 @@ func NewSelector(nModels int, cons Constraints) *Selector {
 // each model's summary). Latencies of statically feasible models tighten the
 // reference; the candidate is held only when every model is statically
 // feasible and the latencies pass slack against the current reference. lats
-// and statics may be reused by the caller after return.
+// and statics may be reused by the caller after return. It is the one-row
+// case of ObserveBatch.
 func (s *Selector) Observe(idx int, area float64, lats []float64, statics []bool) {
+	s.ObserveBatch([]int{idx}, []float64{area}, lats, statics, nil)
+}
+
+// ObserveBatch feeds a batch of scored candidates at once. Row j is point
+// idxs[j] with summed area areas[j], and with per-model latencies and static
+// feasibility at lats[j*m:(j+1)*m] and statics[j*m:(j+1)*m], for the
+// Selector's m models. A row whose errs[j] is non-nil failed to score and is
+// skipped; a nil errs means no row failed. The reference first lowers to the
+// batch's statically feasible minima and the held rows are re-filtered once;
+// then the rows statically feasible on every model that pass slack are added
+// in row order. The Selector then holds exactly what observing the rows one
+// at a time, in any order, would leave it holding: under a given reference
+// the held set does not depend on observation order (DESIGN.md §8), and a
+// row failing slack against the batch's reference also fails every later
+// one. Only the peak sizes can differ, since rows that fail slack are never
+// added. The slices may be reused by the caller after return.
+func (s *Selector) ObserveBatch(idxs []int, areas, lats []float64, statics []bool, errs []error) {
+	m := len(s.best)
 	tightened := false
-	allOK := true
-	for i := range lats {
-		if !statics[i] {
-			allOK = false
+	for j := range idxs {
+		if errs != nil && errs[j] != nil {
 			continue
 		}
-		if lats[i] < s.best[i] {
-			s.best[i] = lats[i]
-			tightened = true
+		row, ok := lats[j*m:(j+1)*m], statics[j*m:(j+1)*m]
+		for i, l := range row {
+			if ok[i] && l < s.best[i] {
+				s.best[i] = l
+				tightened = true
+			}
 		}
 	}
 	if tightened {
 		s.front.filterSlack(s.best, s.cons.LatencySlack)
 	}
-	if allOK && slackOK(lats, s.best, s.cons.LatencySlack) {
-		s.front.add(idx, area, lats)
+	for j, idx := range idxs {
+		if errs != nil && errs[j] != nil || slices.Contains(statics[j*m:(j+1)*m], false) {
+			continue
+		}
+		if row := lats[j*m : (j+1)*m]; slackOK(row, s.best, s.cons.LatencySlack) {
+			s.front.add(idx, areas[j], row)
+		}
 	}
 }
 

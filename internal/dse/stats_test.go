@@ -76,9 +76,9 @@ func TestExploreStatsPricingMatchesHelpers(t *testing.T) {
 
 // TestMaxRetainedBoundsFrontierPeak pins MaxRetained as a bound on the
 // frontier at every instant, not just at chunk ends: a one-worker sweep must
-// report at least the largest frontier a point-by-point Selector replay of
-// the same points reaches — including the peak inside a chunk, which a
-// chunk-end sample misses.
+// report at least the largest frontier a Selector replay of the same points
+// at the sweep's chunk boundaries reaches — including the peak inside a
+// chunk, which a chunk-end sample misses.
 func TestMaxRetainedBoundsFrontierPeak(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -102,7 +102,7 @@ func TestMaxRetainedBoundsFrontierPeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, peak := replaySelector(mat, cons); stats.MaxRetained < peak {
+		if _, peak := replaySelector(mat, cons, stats.ChunkSize); stats.MaxRetained < peak {
 			t.Errorf("%s: MaxRetained = %d, below the replayed frontier peak %d", c.name, stats.MaxRetained, peak)
 		}
 	}

@@ -331,37 +331,38 @@ func newSweepState(ctx context.Context, score *Scorer) *sweepState {
 // exploreShard is one worker's persistent reduction state: a Selector — the
 // shard's slack-feasible observations and its slack reference, the min of
 // the global watermark snapshots and the shard's own observations — plus
-// reusable scratch. Shards never share mutable state, so the chunk loop
-// takes no locks; they merge once, after the sweep.
+// reusable scratch, the chunk's scores among it. Shards never share mutable
+// state, so the chunk loop takes no locks; they merge once, after the sweep.
 type exploreShard struct {
-	sw      *sweepState
-	sel     *Selector
-	snap    []float64 // watermark snapshot scratch
-	lats    []float64 // per-point latency scratch
-	statics []bool    // per-point static-feasibility scratch
-	errIdx  int       // lowest failing point index seen by this shard
-	err     error
+	sw     *sweepState
+	sel    *Selector
+	snap   []float64 // watermark snapshot scratch
+	chunk  *scores   // the current chunk's scores, from scoresPool
+	errIdx int       // lowest failing point index seen by this shard
+	err    error
 }
 
 // newExploreShard builds a shard for the sweep, with its reference at +Inf.
 func newExploreShard(sw *sweepState) *exploreShard {
 	m := sw.nm
 	return &exploreShard{
-		sw:      sw,
-		sel:     NewSelector(m, sw.score.cons),
-		snap:    make([]float64, m),
-		lats:    make([]float64, m),
-		statics: make([]bool, m),
-		errIdx:  sw.n,
+		sw:     sw,
+		sel:    NewSelector(m, sw.score.cons),
+		snap:   make([]float64, m),
+		chunk:  scoresPool.Get().(*scores),
+		errIdx: sw.n,
 	}
 }
 
-// scanChunk reduces points [lo, hi) into the shard's Selector. The global
-// watermark is read once at chunk start (lock-free atomic loads) and the
-// shard's reference is published once at chunk end, so the point loop itself
-// synchronizes with nothing; after the first few chunks have warmed the
-// frontier's backing arrays, a steady-state chunk performs no allocations
-// (pinned by TestExploreChunkLoopAllocFree).
+// scanChunk reduces points [lo, hi) into the shard's Selector, a chunk at a
+// time: the Scorer scores the whole chunk into the shard's buffers, and the
+// Selector observes it as one batch — one reference update, at most one
+// re-filter of the held rows, then the chunk's rows that pass slack. The
+// global watermark is read once at chunk start (lock-free atomic loads) and
+// the shard's reference is published once at chunk end, so the chunk itself
+// synchronizes with nothing; once the first chunk has sized the buffers and
+// the next few have warmed the frontier's backing arrays, a steady-state
+// chunk performs no allocations (pinned by TestExploreChunkLoopAllocFree).
 //
 // Safety of every prune rests on one monotonicity argument: watermark cells
 // and the shard's reference only ever decrease, and both are everywhere >=
@@ -382,18 +383,23 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 		sh.snap[i] = math.Float64frombits(sw.wmBits[i].Load())
 	}
 	sh.sel.lowerTo(sh.snap)
-	for k := lo; k < hi; k++ {
-		area, err := sw.score.Score(k, sh.lats, sh.statics)
-		if err != nil {
-			// A failing point is never observed: the lowest-index error
-			// fails the whole sweep at merge.
-			if k < sh.errIdx {
-				sh.errIdx, sh.err = k, err
-			}
-			continue
-		}
-		sh.sel.Observe(k, area, sh.lats, sh.statics)
+	b := sh.chunk
+	sw.score.sizeScores(b, hi-lo)
+	sw.score.scoreRange(lo, b)
+	for j := range b.idx {
+		b.idx[j] = lo + j
 	}
+	// A failing point is never observed: the lowest-index error fails the
+	// whole sweep at merge.
+	for j, err := range b.err {
+		if err != nil {
+			if lo+j < sh.errIdx {
+				sh.errIdx, sh.err = lo+j, err
+			}
+			break
+		}
+	}
+	sh.sel.ObserveBatch(b.idx, b.area, b.lat, b.static, b.err)
 	// Publish this shard's reference so other shards' next snapshots prune
 	// harder.
 	for i, v := range sh.sel.best {
@@ -542,6 +548,11 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			o.Progress(int(sw.scanned.Add(int64(hi-lo))), n)
 		}
 	})
+	for _, sh := range shards {
+		if sh != nil {
+			scoresPool.Put(sh.chunk)
+		}
+	}
 
 	// A cancelled sweep has skipped chunks, so its shard state is partial and
 	// must not be merged into a result.

@@ -195,7 +195,13 @@ func (c Config) Banks() []Bank {
 // (interconnect overhead is added by the NoC/NoP models). The accumulation
 // visits banks in exactly Banks() order without materializing the slice —
 // AreaMM2 sits on the sweep hot path and must not allocate.
-func (c Config) AreaMM2() float64 {
+func (c Config) AreaMM2() float64 { return c.AreaMM2From(c.AreaPrefixUM2()) }
+
+// AreaPrefixUM2 returns the leading terms of AreaMM2's sum, in um^2: the
+// compute banks, then the activation banks. They do not depend on NPool, so
+// a sweep over points that differ only in NPool computes them once and
+// finishes each point with AreaMM2From.
+func (c Config) AreaPrefixUM2() float64 {
 	cat := c.Catalogue()
 	var um2 float64
 	if c.Mix.IsZero() {
@@ -206,6 +212,16 @@ func (c Config) AreaMM2() float64 {
 	for _, u := range c.Acts {
 		um2 += float64(c.NAct) * cat.PPA(u).AreaUM2
 	}
+	return um2
+}
+
+// AreaMM2From finishes AreaMM2 from prefix, the configuration's
+// AreaPrefixUM2 at any NPool: it adds the pooling banks at c.NPool and then
+// the engines, in AreaMM2's order, so the result is bit-identical to
+// AreaMM2.
+func (c Config) AreaMM2From(prefix float64) float64 {
+	cat := c.Catalogue()
+	um2 := prefix
 	for _, u := range c.Pools {
 		um2 += float64(c.NPool) * cat.PPA(u).AreaUM2
 	}

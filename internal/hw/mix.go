@@ -162,6 +162,7 @@ func (s MixSpec) Build() (MixSpace, error) {
 	}
 	cat := s.catalogue()
 	var mixes []Mix
+	var coords []uint16
 	idx := make([]int, len(s.Counts))
 	for {
 		var m Mix
@@ -170,6 +171,9 @@ func (s MixSpec) Build() (MixSpace, error) {
 		}
 		if s.admits(cat, m) {
 			mixes = append(mixes, m)
+			for _, vi := range idx {
+				coords = append(coords, uint16(vi))
+			}
 		}
 		// Odometer increment, last axis fastest.
 		ti := len(idx) - 1
@@ -191,7 +195,10 @@ func (s MixSpec) Build() (MixSpace, error) {
 	for i, m := range mixes {
 		mixIdx[m] = i
 	}
-	return MixSpace{spec: s, cat: cat, mixes: mixes, mixIdx: mixIdx}, nil
+	// Built spaces are kept (a served job holds its resolved space), so the
+	// coordinates are copied to their exact size.
+	coords = append([]uint16(nil), coords...)
+	return MixSpace{spec: s, cat: cat, mixes: mixes, mixIdx: mixIdx, coords: coords}, nil
 }
 
 // MixSpace is the built, lazily indexable heterogeneous design space:
@@ -203,6 +210,10 @@ type MixSpace struct {
 	cat    *Catalogue
 	mixes  []Mix
 	mixIdx map[Mix]int
+	// coords holds each admitted mix's count-axis indices, one per type,
+	// mix-major. An axis holds at most 1<<16 distinct counts, so an index
+	// fits in a uint16.
+	coords []uint16
 }
 
 // Len returns the number of points.
@@ -243,16 +254,9 @@ func (s MixSpace) CoordsOf(i int, out []int) {
 	out[nt+1] = i % len(s.spec.NPools)
 	i /= len(s.spec.NPools)
 	out[nt] = i % len(s.spec.NActs)
-	m := s.mixes[i/len(s.spec.NActs)]
-	for ti := 0; ti < nt; ti++ {
-		out[ti] = 0
-		want := int(m.Counts[ti])
-		for vi, v := range s.spec.Counts[ti] {
-			if v == want {
-				out[ti] = vi
-				break
-			}
-		}
+	j := i / len(s.spec.NActs)
+	for ti, c := range s.coords[j*nt : (j+1)*nt] {
+		out[ti] = int(c)
 	}
 }
 

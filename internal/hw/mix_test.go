@@ -86,7 +86,9 @@ func TestMixSpaceRowMajorOrder(t *testing.T) {
 }
 
 // TestMixSpaceBijection checks Len/At over the presets: every index yields a
-// distinct, catalogue-valid point with zero homogeneous axes.
+// distinct, catalogue-valid point with zero homogeneous axes, whose
+// coordinates (CoordsOf) name its axis values and recompose (IndexOf) to
+// the index.
 func TestMixSpaceBijection(t *testing.T) {
 	for _, build := range []func() (MixSpace, error){
 		DefaultMixSpec(Default()).Build,
@@ -109,6 +111,20 @@ func TestMixSpaceBijection(t *testing.T) {
 			}
 			if err := cat.ValidateMix(p.Mix); err != nil {
 				t.Fatalf("%s: At(%d): %v", sp.Desc(), i, err)
+			}
+			coords := make([]int, sp.Dims())
+			sp.CoordsOf(i, coords)
+			spec, nt := sp.Spec(), len(sp.Spec().Counts)
+			for ti := 0; ti < nt; ti++ {
+				if got := spec.Counts[ti][coords[ti]]; got != int(p.Mix.Counts[ti]) {
+					t.Fatalf("%s: CoordsOf(%d) type %d count %d, point has %d", sp.Desc(), i, ti, got, p.Mix.Counts[ti])
+				}
+			}
+			if spec.NActs[coords[nt]] != p.NAct || spec.NPools[coords[nt+1]] != p.NPool {
+				t.Fatalf("%s: CoordsOf(%d) = %v does not name %v", sp.Desc(), i, coords, p)
+			}
+			if j := sp.IndexOf(coords); j != i {
+				t.Fatalf("%s: IndexOf(CoordsOf(%d)) = %d", sp.Desc(), i, j)
 			}
 		}
 	}

@@ -32,17 +32,28 @@ type Table struct {
 	delegate bool
 
 	// Axis values. Points enumerate as block x NAct x NPool, NPool fastest,
-	// where a block is one (SASize, NSA) pair, SASize outer, or one mix.
+	// where a block is one (SASize, NSA) pair, SASize outer, or one mix. A
+	// run is one block and NAct value: len(pools) consecutive points that
+	// differ only in NPool.
 	sas, nsas   []int
 	mixes       []hw.Mix
 	acts, pools []int
 
-	// Latency rows of len(plan.layers) entries each. A row is zero at every
-	// layer it does not price, so exactly one of a layer's compute, act, pool
-	// and engine entries can be non-zero and their sum is that entry exactly.
-	comp      []float64 // per (SASize, NSA) pair: compute layers
-	act, pool []float64 // per NAct / NPool value: activation / pooling layers
-	eng       []float64 // engine layers
+	// Latency rows. A row is zero at every layer it does not price, so
+	// exactly one of a layer's compute, act, pool and engine entries can be
+	// non-zero and their sum is that entry exactly. comp holds one row of
+	// len(plan.layers) entries per (SASize, NSA) pair, act one per NAct
+	// value, and eng one row. pool is layer-major: per layer, one entry per
+	// NPool value, zero-padded to poolStride, a multiple of lanes, so a lane
+	// group reads each layer's entries from one contiguous span. isPool
+	// marks the pooling layers, the only ones whose latency differs between
+	// the points of a run.
+	comp       []float64 // compute layers
+	act        []float64 // activation layers
+	pool       []float64 // pooling layers
+	eng        []float64 // engine layers
+	poolStride int
+	isPool     []bool
 
 	// dyn is the model's whole dynamic energy per SASize, summed in layer
 	// order: on a homogeneous space no layer's energy depends on NSA, NAct
@@ -109,22 +120,27 @@ func (t *Table) elementRows() {
 	n := len(soa.compute)
 	cat := t.cat
 	bytesPer := int64(t.tmpl.Precision.Bytes())
+	t.poolStride = (len(t.pools) + lanes - 1) / lanes * lanes
 	t.act = make([]float64, len(t.acts)*n)
-	t.pool = make([]float64, len(t.pools)*n)
+	t.pool = make([]float64, t.poolStride*n)
 	t.eng = make([]float64, n)
+	t.isPool = make([]bool, n)
 	t.elemDyn = make([]float64, n)
 	c := t.tmpl
 	for i := range soa.compute {
 		u := soa.unit[i]
+		// Value j of the layer's axis lands at row[base+j*step].
 		var row []float64
 		var values []int
+		var base, step int
 		switch {
 		case soa.compute[i]:
 			continue
 		case u.IsActivation():
-			row, values = t.act, t.acts
+			row, values, base, step = t.act, t.acts, i, n
 		case u.IsPooling():
-			row, values = t.pool, t.pools
+			row, values, base, step = t.pool, t.pools, i*t.poolStride, 1
+			t.isPool[i] = true
 		default:
 			out := elementKernelVals(u, soa.elemOps[i], soa.outElems[i], bankCount(u, &c), cat, bytesPer, 1)
 			t.eng[i], t.elemDyn[i] = out.latencyS, out.energyPJ
@@ -134,7 +150,7 @@ func (t *Table) elementRows() {
 			c.NAct, c.NPool = v, v
 			out := elementKernelVals(u, soa.elemOps[i], soa.outElems[i], bankCount(u, &c), cat, bytesPer, 1)
 			// An element layer's energy does not depend on the bank size.
-			row[j*n+i], t.elemDyn[i] = out.latencyS, out.energyPJ
+			row[base+j*step], t.elemDyn[i] = out.latencyS, out.energyPJ
 		}
 	}
 }
@@ -224,60 +240,180 @@ func (t *Table) mixRows() {
 
 // Summary returns the model's totals at point k of the table's space:
 // bit-identical, error included, to ModelPlan.Summary(c, 1) where c is the
-// template with space.At(k) stamped in. It performs no allocation.
+// template with space.At(k) stamped in. It is the one-point case of
+// SummaryRange and performs no allocation.
 func (t *Table) Summary(k int) (Summary, error) {
-	n := len(t.plan.layers)
-	block := len(t.acts) * len(t.pools)
-	b, ai, pi := k/block, k%block/len(t.pools), k%len(t.pools)
+	var out [1]Summary
+	var errs [1]error
+	t.SummaryRange(k, out[:], errs[:])
+	return out[0], errs[0]
+}
+
+// lanes is the number of points whose latency chains a gather sums at once,
+// one register accumulator each: a lane group is lanes consecutive NPool
+// indices of one run, starting at a multiple of lanes.
+const lanes = 8
+
+// SummaryRange writes the model's totals at the len(out) points from lo on
+// into out, and each point's error, or nil, into errs, which has out's
+// length: out[j] and errs[j] are what Summary(lo+j) returns. The range is
+// gathered one run at a time. A run's points share their compute,
+// activation and engine rows and differ only in their pool entries, so
+// their latency chains are summed interleaved, a lane group at a time; each
+// point still adds its layers in layer order, the same floats in the same
+// order as ModelPlan.Summary. It performs no allocation.
+func (t *Table) SummaryRange(lo int, out []Summary, errs []error) {
+	np := len(t.pools)
+	for j := 0; j < len(out); {
+		k := lo + j
+		m := min(np-k%np, len(out)-j)
+		t.gatherRun(k/np, k%np, out[j:j+m], errs[j:j+m])
+		j += m
+	}
+}
+
+// gatherRun writes the totals of run r's points from NPool index p on into
+// out, and their errors into errs.
+func (t *Table) gatherRun(r, p int, out []Summary, errs []error) {
+	b, ai := r/len(t.acts), r%len(t.acts)
 	c := t.tmpl
 	if t.mixes != nil {
-		c.Point = hw.Point{Mix: t.mixes[b], NAct: t.acts[ai], NPool: t.pools[pi]}
+		c.Point = hw.Point{Mix: t.mixes[b], NAct: t.acts[ai]}
 	} else {
-		c.Point = hw.Point{SASize: t.sas[b/len(t.nsas)], NSA: t.nsas[b%len(t.nsas)],
-			NAct: t.acts[ai], NPool: t.pools[pi]}
+		c.Point = hw.Point{SASize: t.sas[b/len(t.nsas)], NSA: t.nsas[b%len(t.nsas)], NAct: t.acts[ai]}
 	}
+	pools := t.pools[p : p+len(out)]
 	if t.delegate {
-		return t.plan.Summary(c, 1)
+		for j, v := range pools {
+			c.NPool = v
+			out[j], errs[j] = t.plan.Summary(c, 1)
+		}
+		return
 	}
-	s := Summary{AreaMM2: c.AreaMM2()}
-	act := t.act[ai*n : (ai+1)*n]
-	pool := t.pool[pi*n : (pi+1)*n]
-	eng := t.eng[:n]
+	// The compute and activation area terms are shared by the run.
+	prefix := c.AreaPrefixUM2()
+	for j, v := range pools {
+		c.NPool = v
+		out[j] = Summary{AreaMM2: c.AreaMM2From(prefix)}
+		errs[j] = nil
+	}
+	var dyn float64
 	if t.mixes == nil {
-		comp := t.comp[b*n : (b+1)*n]
-		for i := range comp {
-			s.LatencyS += comp[i] + act[i] + pool[i] + eng[i]
+		dyn = t.dyn[b/len(t.nsas)]
+	}
+	// Lanes of a group that fall outside the range are summed and dropped.
+	for g := p - p%lanes; g < p+len(out); g += lanes {
+		var acc [lanes]float64
+		if t.mixes == nil {
+			acc = t.laneSums(b, ai, g)
+		} else {
+			acc, dyn = t.mixLaneSums(b, ai, g)
 		}
-		s.DynamicPJ = t.dyn[b/len(t.nsas)]
-	} else {
-		// The rows and energies of the types this mix instantiates, in type
-		// order, so the per-layer dispatch below keeps mixComputeKernel's
-		// tie-break toward the lowest type index.
-		var lat, dyn [hw.MaxMixTypes][]float64
-		nt := 0
-		for ti, r := range t.mixRow[b*t.nTypes : (b+1)*t.nTypes] {
-			if r >= 0 {
-				lat[nt] = t.typeLat[int(r)*n : int(r+1)*n]
-				dyn[nt] = t.typeDyn[ti*n : (ti+1)*n]
-				nt++
-			}
+		for x := max(g, p); x < min(g+lanes, p+len(out)); x++ {
+			out[x-p].LatencyS = acc[x-g]
 		}
-		for i, compute := range t.plan.soa.compute {
-			if !compute {
-				s.LatencyS += act[i] + pool[i] + eng[i]
-				s.DynamicPJ += t.elemDyn[i]
-				continue
-			}
-			best, v := 0, lat[0][i]
+	}
+	for j := range out {
+		s := &out[j]
+		s.DynamicPJ = dyn
+		s.LeakagePJ = leakagePJ(t.cat, s.AreaMM2, s.LatencyS)
+	}
+}
+
+// laneSums returns the latencies of the lane group at NPool index g of
+// block b and NAct index ai on a homogeneous space. Every layer but a
+// pooling one adds comp + act + eng, the layer's one non-zero entry, to
+// every lane; a pooling layer adds each lane's own pool entry. Either way a
+// lane adds exactly the per-layer sum ModelPlan.Summary adds, in layer
+// order.
+func (t *Table) laneSums(b, ai, g int) [lanes]float64 {
+	n := len(t.plan.layers)
+	comp, act, eng := t.comp[b*n:(b+1)*n], t.act[ai*n:(ai+1)*n], t.eng[:n]
+	isPool, pool, stride := t.isPool[:n], t.pool[g:], t.poolStride
+	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+	for i := range comp {
+		if isPool[i] {
+			row := pool[i*stride:][:lanes]
+			a0 += row[0]
+			a1 += row[1]
+			a2 += row[2]
+			a3 += row[3]
+			a4 += row[4]
+			a5 += row[5]
+			a6 += row[6]
+			a7 += row[7]
+			continue
+		}
+		v := comp[i] + act[i] + eng[i]
+		a0 += v
+		a1 += v
+		a2 += v
+		a3 += v
+		a4 += v
+		a5 += v
+		a6 += v
+		a7 += v
+	}
+	return [lanes]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+}
+
+// mixLaneSums is laneSums on a mix space, where each compute layer runs on
+// the fastest chiplet type mix b instantiates (ties toward the lowest type
+// index, as mixComputeKernel breaks them). It also returns the mix's
+// dynamic energy, summed in layer order; it depends on neither NAct nor
+// NPool.
+func (t *Table) mixLaneSums(b, ai, g int) ([lanes]float64, float64) {
+	n := len(t.plan.layers)
+	// The rows and energies of the types this mix instantiates, in type
+	// order.
+	var lat, typeDyn [hw.MaxMixTypes][]float64
+	nt := 0
+	for ti, row := range t.mixRow[b*t.nTypes : (b+1)*t.nTypes] {
+		if row >= 0 {
+			lat[nt] = t.typeLat[int(row)*n : int(row+1)*n]
+			typeDyn[nt] = t.typeDyn[ti*n : (ti+1)*n]
+			nt++
+		}
+	}
+	compute, act, eng, elemDyn := t.plan.soa.compute[:n], t.act[ai*n:(ai+1)*n], t.eng[:n], t.elemDyn[:n]
+	isPool, pool, stride := t.isPool[:n], t.pool[g:], t.poolStride
+	var dyn, a0, a1, a2, a3, a4, a5, a6, a7 float64
+	for i := range compute {
+		if isPool[i] {
+			row := pool[i*stride:][:lanes]
+			a0 += row[0]
+			a1 += row[1]
+			a2 += row[2]
+			a3 += row[3]
+			a4 += row[4]
+			a5 += row[5]
+			a6 += row[6]
+			a7 += row[7]
+			dyn += elemDyn[i]
+			continue
+		}
+		var v float64
+		if compute[i] {
+			best := 0
+			v = lat[0][i]
 			for x := 1; x < nt; x++ {
 				if l := lat[x][i]; l < v {
 					best, v = x, l
 				}
 			}
-			s.LatencyS += v
-			s.DynamicPJ += dyn[best][i]
+			dyn += typeDyn[best][i]
+		} else {
+			v = act[i] + eng[i]
+			dyn += elemDyn[i]
 		}
+		a0 += v
+		a1 += v
+		a2 += v
+		a3 += v
+		a4 += v
+		a5 += v
+		a6 += v
+		a7 += v
 	}
-	s.LeakagePJ = leakagePJ(t.cat, s.AreaMM2, s.LatencyS)
-	return s, nil
+	return [lanes]float64{a0, a1, a2, a3, a4, a5, a6, a7}, dyn
 }

@@ -51,9 +51,10 @@ func sameSummary(a, b Summary) bool {
 // TestTableMatchesSummaryBitExact is the table path's differential: for all
 // 19 networks, on paper, fine, a custom space, mix and strided mixfine, under
 // the built-in and the mobile-7nm catalogue at Int8 and Int16, a Table's
-// Summary must equal ModelPlan.Summary on the same template and point in
-// every bit of all four fields. Fine and mix are swept whole on the built-in
-// catalogue at Int8 and sampled otherwise.
+// Summary, and its SummaryRange gathers in chunks of 512, 7 and 1 points
+// that straddle runs, must equal ModelPlan.Summary on the same template and
+// point in every bit of all four fields. Fine and mix are swept whole on the
+// built-in catalogue at Int8 and sampled otherwise.
 func TestTableMatchesSummaryBitExact(t *testing.T) {
 	mobile, err := hw.LoadCatalogue("../../examples/catalogue/mobile-7nm.json")
 	if err != nil {
@@ -71,7 +72,9 @@ func TestTableMatchesSummaryBitExact(t *testing.T) {
 					if tab == nil {
 						t.Fatalf("%s: no table on %s", m.Name, sp.space.Desc())
 					}
-					for k := 0; k < sp.space.Len(); k += sp.stride {
+					n := sp.space.Len()
+					wants := make([]Summary, 0, n/sp.stride+1)
+					for k := 0; k < n; k += sp.stride {
 						c := tmpl
 						c.Point = sp.space.At(k)
 						want, werr := plan.Summary(c, 1)
@@ -83,7 +86,36 @@ func TestTableMatchesSummaryBitExact(t *testing.T) {
 							t.Fatalf("%s %v %v on %s: table %+v != summary %+v",
 								m.Name, prec, c.Point, sp.space.Desc(), got, want)
 						}
+						wants = append(wants, want)
 						compared++
+					}
+					// Range gathers. The first chunk holds 5 points, so on
+					// every space the chunks after it start off the NPool
+					// grid and straddle runs. A chunk is gathered when it
+					// holds a sampled point and the points gathered so far
+					// stay within 8 per sampled point, which bounds the
+					// work on strided spaces by their sampling.
+					for _, size := range []int{512, 7, 1} {
+						out, errs := make([]Summary, size), make([]error, size)
+						gathered := 0
+						for lo, hi := 0, min(5, size); lo < n; lo, hi = hi, min(hi+size, n) {
+							first := (lo + sp.stride - 1) / sp.stride * sp.stride
+							if first >= hi || gathered > 8*(hi/sp.stride) {
+								continue
+							}
+							gathered += hi - lo
+							tab.SummaryRange(lo, out[:hi-lo], errs[:hi-lo])
+							for k := first; k < hi; k += sp.stride {
+								if errs[k-lo] != nil {
+									t.Fatalf("%s %v: range [%d, %d) error %v", m.Name, sp.space.At(k), lo, hi, errs[k-lo])
+								}
+								if got := out[k-lo]; !sameSummary(got, wants[k/sp.stride]) {
+									t.Fatalf("%s %v %v on %s: range [%d, %d) %+v != summary %+v",
+										m.Name, prec, sp.space.At(k), sp.space.Desc(), lo, hi, got, wants[k/sp.stride])
+								}
+								compared++
+							}
+						}
 					}
 				}
 			}

@@ -66,12 +66,12 @@ func (g *genetic) evolve(st *state) error {
 	if len(pop) == 0 {
 		return nil
 	}
+	br := newBreeder(st, p, pop)
 	stall := 0
-	fit := make([]float64, len(pop))
 	for !st.exhausted() {
 		batch = batch[:0]
 		for j := 0; j < p.Batch; j++ {
-			batch = append(batch, g.offspring(st, pop))
+			batch = append(batch, br.offspring())
 		}
 		// A converged population can breed only already-scored offspring;
 		// those are cache hits, the budget stops moving, and the loop would
@@ -91,24 +91,20 @@ func (g *genetic) evolve(st *state) error {
 		} else {
 			stall = 0
 		}
-		// Fitness depends on the selector's reference, which only visit
-		// moves, so the members' values hold for the whole replacement pass.
-		for i, ps := range pop {
-			fit[i] = st.fitness(ps)
-		}
+		br.refresh()
 		for _, s := range slots {
 			if s < 0 || inPop[st.pts[s]] {
 				continue
 			}
 			worst, wf := -1, 0.0
-			for i, f := range fit {
+			for i, f := range br.fit {
 				if worst < 0 || f > wf {
 					worst, wf = i, f
 				}
 			}
 			if f := st.fitness(s); f < wf {
-				delete(inPop, st.pts[pop[worst]])
-				pop[worst], fit[worst] = s, f
+				delete(inPop, st.pts[br.pop[worst]])
+				br.pop[worst], br.fit[worst] = s, f
 				inPop[st.pts[s]] = true
 			}
 		}
@@ -116,34 +112,79 @@ func (g *genetic) evolve(st *state) error {
 	return nil
 }
 
+// breeder is a genetic run's breeding state: the population's slots, each
+// member's fitness, the selector reference that fitness was computed
+// against, and the coordinate scratch offspring are bred in. Fitness
+// depends only on the slot and the reference, and only visit moves the
+// reference, so the members' values are recomputed only after a visit that
+// moved it.
+type breeder struct {
+	st     *state
+	p      GeneticParams
+	pop    []int     // population slots
+	fit    []float64 // fit[i] is st.fitness(pop[i]) under ref
+	ref    []float64
+	c1, c2 []int
+}
+
+// newBreeder computes the population's fitness under the current reference.
+func newBreeder(st *state, p GeneticParams, pop []int) *breeder {
+	br := &breeder{st: st, p: p, pop: pop, fit: make([]float64, len(pop)), ref: make([]float64, st.nm)}
+	if v := st.view; v != nil {
+		br.c1, br.c2 = make([]int, v.dims), make([]int, v.dims)
+	}
+	copy(br.ref, st.sel.BestLatencies())
+	for i, s := range pop {
+		br.fit[i] = st.fitness(s)
+	}
+	return br
+}
+
+// refresh recomputes the members' fitness when the selector's reference has
+// moved since it was last computed.
+func (br *breeder) refresh() {
+	ref := br.st.sel.BestLatencies()
+	same := true
+	for i, r := range ref {
+		if r != br.ref[i] {
+			same = false
+			break
+		}
+	}
+	if same {
+		return
+	}
+	copy(br.ref, ref)
+	for i, s := range br.pop {
+		br.fit[i] = br.st.fitness(s)
+	}
+}
+
 // tournament returns the population slot with the best fitness among Tourn
 // uniformly drawn members.
-func (g *genetic) tournament(st *state, pop []int) int {
-	k := g.eng.spec.Genetic.Tourn
+func (br *breeder) tournament() int {
 	best, bf := -1, 0.0
-	for i := 0; i < k; i++ {
-		s := pop[st.rng.Intn(len(pop))]
-		if f := st.fitness(s); best < 0 || f < bf {
-			best, bf = s, f
+	for i := 0; i < br.p.Tourn; i++ {
+		j := br.st.rng.Intn(len(br.pop))
+		if f := br.fit[j]; best < 0 || f < bf {
+			best, bf = br.pop[j], f
 		}
 	}
 	return best
 }
 
 // offspring proposes one child point index from the population.
-func (g *genetic) offspring(st *state, pop []int) int {
+func (br *breeder) offspring() int {
+	st, p := br.st, br.p
 	v := st.view
 	if v == nil {
 		return st.rng.Intn(st.n)
 	}
-	p := g.eng.spec.Genetic
-	p1 := g.tournament(st, pop)
-	p2 := g.tournament(st, pop)
-	c1 := make([]int, v.dims)
-	c2 := make([]int, v.dims)
-	v.coordsOf(st.pts[p1], c1)
+	p1 := br.tournament()
+	p2 := br.tournament()
+	child, c2 := br.c1, br.c2
+	v.coordsOf(st.pts[p1], child)
 	v.coordsOf(st.pts[p2], c2)
-	child := c1
 	if st.rng.Float64() < p.Cross {
 		for d := 0; d < v.dims; d++ {
 			if st.rng.Intn(2) == 1 {

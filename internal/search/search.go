@@ -288,7 +288,8 @@ func (st *state) exhausted() bool {
 // candidate, aligned: already-scored points resolve to their existing slot
 // (a cache hit, free under the budget), new points are scored in parallel
 // through the evaluator, and candidates past the budget resolve to -1. New
-// results are fed to the selector in slot order on the coordinator.
+// results are fed to the selector as one batch, in slot order, on the
+// coordinator.
 func (st *state) visit(cands []int) []int {
 	st.slotScratch = st.slotScratch[:0]
 	newStart := len(st.pts)
@@ -325,17 +326,17 @@ func (st *state) visit(cands []int) []int {
 		st.areas[s], st.errs[s] = st.score.Score(st.pts[s], lats, statics)
 	})
 	st.evals += nNew * st.nm
-	for j := 0; j < nNew; j++ {
-		s := newStart + j
+	for s := newStart; s < len(st.pts); s++ {
 		if st.errs[s] != nil {
 			if st.err == nil {
 				st.err = st.errs[s]
 			}
 			continue
 		}
-		st.sel.Observe(st.pts[s], st.areas[s], st.lats[s*st.nm:(s+1)*st.nm], st.static[s*st.nm:(s+1)*st.nm])
 		st.evalAt[s] = st.evals
 	}
+	st.sel.ObserveBatch(st.pts[newStart:], st.areas[newStart:], st.lats[newStart*st.nm:],
+		st.static[newStart*st.nm:], st.errs[newStart:])
 	if idx, area, ok := st.sel.Best(); ok && idx != st.lastBest {
 		st.lastBest = idx
 		st.improvements = append(st.improvements, Improvement{
