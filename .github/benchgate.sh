@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # benchgate.sh compares the cold 81-point explore benchmarks, the streaming
-# fine and mixfine sweeps and the staged fine-space exploration of HEAD
-# against a base commit on the same machine, so the gate reads a regression
-# of the change and not a difference between machines.
+# fine and mixfine sweeps, the staged fine-space exploration and the Table I
+# pipeline of HEAD against a base commit on the same machine, so the gate
+# reads a regression of the change and not a difference between machines.
 #
 # Usage: bash .github/benchgate.sh <base-ref>
 #
@@ -11,23 +11,27 @@
 # BenchmarkExploreColdParallel (GOMAXPROCS workers),
 # BenchmarkExploreStagedFine (the training set on the fine space with staged
 # fidelity, fresh engine per iteration), BenchmarkExploreStreamFine (the
-# training set on the fine space) and BenchmarkExploreStreamMixFine (three
-# networks on the mixfine space) run ROUNDS times per side at a fixed
-# iteration count. A round runs the base and HEAD once each, alternating
-# which side goes first, so both runs of a round see the same host speed.
-# The verdict rests on those pairs: for each benchmark and unit the script
-# takes each round's HEAD/base ratio and exits 1 when the median ratio is
-# more than MAX_REGRESS above 1, or when either side lacks a benchmark. It
-# prints both sides' medians, the median ratio and the ratio's quartiles.
-#
-# BenchmarkPipeline (perfbench's pipeline operation) is not gated yet: the
-# script fails when the base lacks a benchmark, so it joins BENCHES once the
-# base commit has it.
+# training set on the fine space), BenchmarkExploreStreamMixFine (three
+# networks on the mixfine space) and BenchmarkPipeline (perfbench's pipeline
+# operation: train and test on the fine space with staged fidelity) run
+# ROUNDS times per side at a fixed iteration count: COLD_ITERS for the two
+# cold explores, which take about 5 ms each, so one side's run lasts about
+# half a second and host noise moves it less, and ITERS for the rest. A round
+# runs the base and HEAD once each, alternating which side goes first, so
+# both runs of a round see the same host speed. The verdict rests on those
+# pairs: for each benchmark and unit the script takes each round's HEAD/base
+# ratio and exits 1 when the median ratio is more than MAX_REGRESS above 1,
+# or when either side lacks a benchmark. It prints both sides' medians, the
+# median ratio and the ratio's quartiles.
 set -euo pipefail
 
 readonly MAX_REGRESS=0.25
 readonly ROUNDS=5
-readonly BENCHES="BenchmarkExploreCold BenchmarkExploreColdParallel BenchmarkExploreStagedFine BenchmarkExploreStreamFine BenchmarkExploreStreamMixFine"
+readonly COLD_ITERS=100
+readonly ITERS=20
+readonly COLD="BenchmarkExploreCold BenchmarkExploreColdParallel"
+readonly REST="BenchmarkExploreStagedFine BenchmarkExploreStreamFine BenchmarkExploreStreamMixFine BenchmarkPipeline"
+readonly BENCHES="$COLD $REST"
 
 base_ref=${1:?usage: benchgate.sh <base-ref>}
 root=$(git rev-parse --show-toplevel)
@@ -43,10 +47,14 @@ git -C "$root" worktree add --quiet --detach "$work/base" "$base"
 (cd "$work/base" && go test -c -o "$work/base.test" .)
 (cd "$root" && go test -c -o "$work/head.test" .)
 
-run() { # run <side> <dir>: one round of every benchmark, appended to <side>.txt
+bench() { # bench <side> <dir> <iterations> <names>: one run of the named benchmarks, appended to <side>.txt
 	(cd "$2" && "$work/$1.test" -test.run '^$' \
-		-test.bench "^(${BENCHES// /|})\$" \
-		-test.benchtime 20x -test.benchmem -test.timeout 10m) >>"$work/$1.txt"
+		-test.bench "^(${4// /|})\$" \
+		-test.benchtime "$3x" -test.benchmem -test.timeout 10m) >>"$work/$1.txt"
+}
+run() { # run <side> <dir>: one round of every benchmark
+	bench "$1" "$2" "$COLD_ITERS" "$COLD"
+	bench "$1" "$2" "$ITERS" "$REST"
 }
 for ((r = 0; r < ROUNDS; r++)); do
 	if ((r % 2 == 0)); then

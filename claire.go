@@ -158,7 +158,7 @@ type Results struct {
 
 // Run executes the complete pipeline on the paper's training and test sets.
 // Both phases share one evaluation engine, so the test phase reuses the
-// training phase's memoized evaluations.
+// training phase's plans and built designs.
 func Run(o Options) (*Results, error) {
 	o.Evaluator = o.Engine()
 	tr, err := Train(TrainingSet(), o)

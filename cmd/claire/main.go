@@ -89,7 +89,7 @@ func main() {
 		}
 	}()
 	// One engine for both phases: the test phase reuses the training phase's
-	// memoized evaluations.
+	// plans and built designs.
 	o.Evaluator = o.Engine()
 	switch *cluster {
 	case "louvain":

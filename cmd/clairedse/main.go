@@ -114,10 +114,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "clairedse:", err)
 		os.Exit(1)
 	}
-	// The selection pass scores under the same cache rule, so on cached
-	// spaces it re-reads the sweep's summaries from the engine; under staged
-	// fidelity it additionally refines the surviving frontier with the
-	// physical models.
+	// The selection pass scores the space again through the same Scorer
+	// paths, so it reads the same summaries; under staged fidelity it
+	// additionally refines the surviving frontier with the physical models.
 	sel, _, err := core.Explore(models, o, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clairedse:", err)

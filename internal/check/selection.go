@@ -20,8 +20,8 @@ import (
 )
 
 // observe builds the brute-force oracle's observation matrix for models over
-// space — every point's per-model summary through ev's cache, judged by the
-// static constraints — the reference families 8 and 9 select against.
+// space — every point's per-model summary from ev's per-point kernel, judged
+// by the static constraints — the reference families 8 and 9 select against.
 func observe(models []*workload.Model, space hw.DesignSpace, cons dse.Constraints, ev *eval.Evaluator) (oracle.Matrix, error) {
 	cat := hw.CatalogueOf(space)
 	return oracle.Build(space.Len(), len(models), func(k, i int) (oracle.Obs, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/workload"
@@ -41,14 +42,17 @@ func TestSweepTauZeroMissesAfterWarm(t *testing.T) {
 }
 
 // TestSweepSlackZeroMissesAfterWarm does the same for the slack sweep: the
-// slack constraint is applied after evaluation, so every re-sweep reuses the
-// first sweep's summaries and no re-slack issues a new evaluation.
+// slack constraint is applied after scoring, and a sweep's only engine
+// entries are its winner's, so re-running slacks already swept finds every
+// winner materialized and issues no new evaluation.
 func TestSweepSlackZeroMissesAfterWarm(t *testing.T) {
 	m := workload.NewResNet50()
 	o := DefaultOptions()
 	o.Evaluator = o.Engine()
+	slacks := []float64{2.0, 1.0, 0.5, 0.25}
 
-	if _, err := SweepSlack(m, o, []float64{2.0}); err != nil {
+	first, err := SweepSlack(m, o, slacks)
+	if err != nil {
 		t.Fatal(err)
 	}
 	warm := o.Evaluator.Stats()
@@ -56,12 +60,12 @@ func TestSweepSlackZeroMissesAfterWarm(t *testing.T) {
 		t.Fatal("warm run issued no evaluations")
 	}
 
-	pts, err := SweepSlack(m, o, []float64{2.0, 1.0, 0.5, 0.25})
+	pts, err := SweepSlack(m, o, slacks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 4 {
-		t.Fatalf("got %d points", len(pts))
+	if !reflect.DeepEqual(pts, first) {
+		t.Errorf("re-run slack sweep differs:\n%+v\n%+v", pts, first)
 	}
 	after := o.Evaluator.Stats()
 	if after.Misses != warm.Misses {
@@ -71,5 +75,9 @@ func TestSweepSlackZeroMissesAfterWarm(t *testing.T) {
 	if after.Entries != warm.Entries {
 		t.Errorf("slack sweep grew the cache %d -> %d entries, want unchanged",
 			warm.Entries, after.Entries)
+	}
+	if after.Hits < warm.Hits+uint64(len(slacks)) {
+		t.Errorf("re-run slack sweep hit the cache %d times, want >= %d (one winner per slack)",
+			after.Hits-warm.Hits, len(slacks))
 	}
 }

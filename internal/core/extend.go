@@ -46,8 +46,8 @@ func (tr *TrainResult) Extend(m *workload.Model, o Options) (*ExtendOutcome, err
 	if tr.SubsetOf(m.Name) >= 0 {
 		return nil, fmt.Errorf("core: %s is already served by the library", m.Name)
 	}
-	// Reuse the training engine when available so evolution sweeps hit the
-	// cache populated while the library was trained.
+	// Reuse the training engine when available so evolution shares the
+	// plans and designs cached while the library was trained.
 	if o.Evaluator == nil {
 		o.Evaluator = tr.Options.Evaluator
 	}

@@ -24,11 +24,12 @@ func SweepTau(models []*workload.Model, o Options, taus []float64) ([]TauPoint, 
 	if len(taus) == 0 {
 		return nil, fmt.Errorf("core: empty tau sweep")
 	}
-	// One engine for the whole sweep: custom and per-point evaluations do not
-	// depend on tau, so every retraining after the first hits cache. The
-	// first tau runs alone to warm the cache; the rest fan out over the
-	// engine's workers and assemble in input order, so the output is
-	// identical to the serial sweep at any worker count.
+	// One engine for the whole sweep: the custom configurations do not depend
+	// on tau, so every retraining after the first finds their designs, and
+	// the models' plans, in the engine's cache. The first tau runs alone to
+	// warm the cache; the rest fan out over the engine's workers and
+	// assemble in input order, so the output is identical to the serial
+	// sweep at any worker count.
 	o.Evaluator = o.Engine()
 	out := make([]TauPoint, len(taus))
 	errs := make([]error, len(taus))
@@ -88,9 +89,10 @@ func SweepSlack(m *workload.Model, o Options, slacks []float64) ([]SlackPoint, e
 		return nil, fmt.Errorf("core: empty slack sweep")
 	}
 	// One engine for the whole sweep: the slack constraint is applied after
-	// evaluation, so every re-sweep after the first hits cache. Warm the
-	// cache on the first slack, then fan the rest out over the engine's
-	// workers, assembling in input order.
+	// scoring, so every re-sweep reads the same plan and a winner already
+	// materialized hits the engine's cache. Warm the cache on the first
+	// slack, then fan the rest out over the engine's workers, assembling in
+	// input order.
 	o.Evaluator = o.Engine()
 	out := make([]SlackPoint, len(slacks))
 	errs := make([]error, len(slacks))

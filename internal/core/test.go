@@ -69,7 +69,8 @@ func Test(tr *TrainResult, models []*workload.Model, o Options) (*TestResult, er
 		return nil, fmt.Errorf("core: empty test set")
 	}
 	// Reuse the training phase's engine when the caller doesn't supply one,
-	// so test-phase sweeps hit the cache the training sweeps populated.
+	// so the test phase shares its plans, its worker pool and the designs
+	// the training phase materialized.
 	if o.Evaluator == nil {
 		o.Evaluator = tr.Options.Evaluator
 	}

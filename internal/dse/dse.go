@@ -5,8 +5,9 @@
 // (C_g) and library-synthesized (C_k) design flows.
 //
 // All exploration funnels through the shared parallel evaluation engine in
-// internal/eval: point evaluations fan out across the engine's workers and
-// repeated sweeps hit its memoization cache. Selection is deterministic at
+// internal/eval: point scoring fans out across the engine's workers from the
+// models' cached plans, and only the selected designs' full evaluations
+// enter its memoization cache. Selection is deterministic at
 // any worker count — candidates are compared in ascending point-index order
 // and area ties keep the lowest index, never goroutine arrival order.
 package dse

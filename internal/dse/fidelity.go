@@ -112,14 +112,14 @@ func newStage1(params fidelity.Params, models []*workload.Model, space hw.Design
 }
 
 // refine re-scores every model on one point's package into out (one Result
-// per model, in model order). The totals come from uncached summaries, so no
+// per model, in model order). The totals come from plan summaries, so no
 // engine entry is created.
 func (st *stage1) refine(pt hw.Point, out []fidelity.Result) error {
 	cfg := st.tmpl
 	cfg.Point = pt
 	sums := make([]ppa.Summary, len(st.models))
 	for i, m := range st.models {
-		s, err := st.ev.EvaluateSummaryUncached(m, cfg, 1)
+		s, err := st.ev.EvaluateSummary(m, cfg, 1)
 		if err != nil {
 			return err
 		}

@@ -34,8 +34,8 @@ func smallMixSpace(t *testing.T, cat *hw.Catalogue) hw.MixSpace {
 // TestMixStreamingMatchesReference extends the streaming-vs-eager oracle gate
 // to heterogeneous spaces: over a default-catalogue mix space (where the
 // nil-Cat reference evaluates identically), ExploreSpace must return
-// byte-identical results at worker counts {1, 8}, several chunk sizes, and
-// both cache policies.
+// byte-identical results through the mix space's cost tables at worker counts
+// {1, 8} and several chunk sizes.
 func TestMixStreamingMatchesReference(t *testing.T) {
 	sp := smallMixSpace(t, nil)
 	pts := make([]hw.Point, sp.Len())
@@ -55,18 +55,15 @@ func TestMixStreamingMatchesReference(t *testing.T) {
 		ref := canonResult(want)
 		for _, workers := range []int{1, 8} {
 			for _, chunk := range []int{1, 7, sp.Len()} {
-				for _, cache := range []CachePolicy{CacheAlways, CacheNever} {
-					got, err := ExploreSpaceCtx(context.Background(), models, sp, cons,
-						eval.New(eval.Options{Workers: workers}),
-						&ExploreOptions{ChunkSize: chunk, Cache: cache})
-					if err != nil {
-						t.Fatalf("models=%d workers=%d chunk=%d cache=%d: %v",
-							mi, workers, chunk, cache, err)
-					}
-					if canonResult(got) != ref {
-						t.Errorf("models=%d workers=%d chunk=%d cache=%d: streaming differs from reference\n--- reference ---\n%s--- streaming ---\n%s",
-							mi, workers, chunk, cache, ref, canonResult(got))
-					}
+				got, err := ExploreSpaceCtx(context.Background(), models, sp, cons,
+					eval.New(eval.Options{Workers: workers}),
+					&ExploreOptions{ChunkSize: chunk})
+				if err != nil {
+					t.Fatalf("models=%d workers=%d chunk=%d: %v", mi, workers, chunk, err)
+				}
+				if canonResult(got) != ref {
+					t.Errorf("models=%d workers=%d chunk=%d: streaming differs from reference\n--- reference ---\n%s--- streaming ---\n%s",
+						mi, workers, chunk, ref, canonResult(got))
 				}
 			}
 		}
@@ -110,9 +107,9 @@ func TestMixStreamingDeterministicOnAltCatalogue(t *testing.T) {
 
 // TestMixFineStreamBoundedMemory is the >=10^5-point heterogeneous acceptance
 // gate: the full "mixfine" preset (110528 points on the default catalogue)
-// must stream through ExploreSpace with frontier-only retention — the result
-// cache bypassed and peak retained candidates at most 10% of the naive
-// summary matrix.
+// must stream through ExploreSpace with frontier-only retention — no engine
+// entry but the winner's and peak retained candidates at most 10% of the
+// naive summary matrix.
 func TestMixFineStreamBoundedMemory(t *testing.T) {
 	sp, err := hw.FineMixSpec(nil).Build()
 	if err != nil {
@@ -123,16 +120,17 @@ func TestMixFineStreamBoundedMemory(t *testing.T) {
 	}
 	models := []*workload.Model{workload.NewAlexNet()}
 	var stats ExploreStats
+	ev := eval.New(eval.Options{Workers: 0})
 	r, err := ExploreSpaceCtx(context.Background(), models, sp, DefaultConstraints(),
-		eval.New(eval.Options{Workers: 0}), &ExploreOptions{Stats: &stats})
+		ev, &ExploreOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Points != sp.Len() || stats.Models != 1 {
 		t.Fatalf("stats = %+v, want %d points x 1 model", stats, sp.Len())
 	}
-	if !stats.CacheBypassed {
-		t.Errorf("expected cache bypass for a %d-point sweep", sp.Len())
+	if st := ev.Stats(); st.Entries != 1 {
+		t.Errorf("a %d-point sweep left %d engine entries, want 1 (the winner)", sp.Len(), st.Entries)
 	}
 	if ratio := float64(stats.RetainedBytes) / float64(stats.NaiveBytes); ratio > 0.10 {
 		t.Errorf("retained memory %.1f%% of naive matrix, want <= 10%% (%+v)", 100*ratio, stats)

@@ -19,16 +19,15 @@ type SpacePoint struct {
 }
 
 // SweepSpace scores one algorithm on every point of a lazily indexed space on
-// the given engine (nil: shared default) through a Scorer under the sweep's
-// cache rule (CacheAuto), so the space's catalogue (if any) reaches every
-// evaluation, and marks feasibility (against the given constraints) and
-// area/latency Pareto optimality — the per-point table view of clairedse.
-// Every point is returned, so it is only sensible for table-sized spaces.
-// Points are scored on the engine's workers; the latency reference comes from
-// a Selector fed every point as one batch after collection, so results are
-// identical at any worker count and the Feasible rows count exactly
-// Result.Feasible of the same sweep. Results are sorted by ascending area,
-// then latency.
+// the given engine (nil: shared default) through the sweep's Scorer, so the
+// space's catalogue (if any) reaches every evaluation, and marks feasibility
+// (against the given constraints) and area/latency Pareto optimality — the
+// per-point table view of clairedse. Every point is returned, so it is only
+// sensible for table-sized spaces. Points are scored on the engine's workers;
+// the latency reference comes from a Selector fed every point as one batch
+// after collection, so results are identical at any worker count and the
+// Feasible rows count exactly Result.Feasible of the same sweep. Results are
+// sorted by ascending area, then latency.
 func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator) ([]SpacePoint, error) {
 	if err := cons.Validate(); err != nil {
 		return nil, err
@@ -36,7 +35,7 @@ func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *e
 	if ev == nil {
 		ev = eval.Shared()
 	}
-	sc := NewScorer(ev, []*workload.Model{m}, space, cons, CacheAuto)
+	sc := NewScorer(ev, []*workload.Model{m}, space, cons)
 	pts := make([]SpacePoint, space.Len())
 	errs := make([]error, len(pts))
 	ev.ForEach(len(pts), func(k int) {

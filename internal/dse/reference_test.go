@@ -14,8 +14,8 @@ import (
 )
 
 // observeSpace builds the brute-force oracle's eager observation matrix for
-// models over space: every point's per-model summary through the engine's
-// cache, judged by the sweep's static constraint check.
+// models over space: every point's per-model summary from the per-point
+// kernel, judged by the sweep's static constraint check.
 func observeSpace(models []*workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator) (oracle.Matrix, error) {
 	tmpl := make([]hw.Config, len(models))
 	for i, m := range models {
@@ -139,10 +139,10 @@ func exploreReference(models []*workload.Model, space []hw.Point, cons Constrain
 	return Result{Config: final, Evals: evals, Feasible: sel.Feasible, Explored: len(space)}, nil
 }
 
-// TestStreamingMatchesReference is the PR's central acceptance gate: over the
-// paper's 81-point space the streaming sweep must return byte-identical
-// Results to the eager two-pass reference at worker counts {1, 3, 8} and
-// chunk sizes {1, 7, 81}, with and without the result cache.
+// TestStreamingMatchesReference is the streaming sweep's central acceptance
+// gate: over the paper's 81 points as a point list the streaming sweep must
+// return byte-identical Results to the eager two-pass reference at worker
+// counts {1, 3, 8} and chunk sizes {1, 7, 81}.
 func TestStreamingMatchesReference(t *testing.T) {
 	modelSets := [][]*workload.Model{
 		{workload.NewAlexNet()},
@@ -163,18 +163,16 @@ func TestStreamingMatchesReference(t *testing.T) {
 			ref := canonResult(want)
 			for _, workers := range []int{1, 3, 8} {
 				for _, chunk := range []int{1, 7, 81} {
-					for _, cache := range []CachePolicy{CacheAlways, CacheNever} {
-						got, err := ExploreSpaceCtx(context.Background(), models, hw.PointList(space), cons,
-							eval.New(eval.Options{Workers: workers}),
-							&ExploreOptions{ChunkSize: chunk, Cache: cache})
-						if err != nil {
-							t.Fatalf("models=%d cons=%d workers=%d chunk=%d cache=%d: %v",
-								mi, ci, workers, chunk, cache, err)
-						}
-						if canonResult(got) != ref {
-							t.Errorf("models=%d cons=%d workers=%d chunk=%d cache=%d: streaming differs from reference\n--- reference ---\n%s--- streaming ---\n%s",
-								mi, ci, workers, chunk, cache, ref, canonResult(got))
-						}
+					got, err := ExploreSpaceCtx(context.Background(), models, hw.PointList(space), cons,
+						eval.New(eval.Options{Workers: workers}),
+						&ExploreOptions{ChunkSize: chunk})
+					if err != nil {
+						t.Fatalf("models=%d cons=%d workers=%d chunk=%d: %v",
+							mi, ci, workers, chunk, err)
+					}
+					if canonResult(got) != ref {
+						t.Errorf("models=%d cons=%d workers=%d chunk=%d: streaming differs from reference\n--- reference ---\n%s--- streaming ---\n%s",
+							mi, ci, workers, chunk, ref, canonResult(got))
 					}
 				}
 			}
@@ -230,9 +228,10 @@ func TestStreamingErrorMatchesReference(t *testing.T) {
 // TestStreamingByteIdentityMatrix extends the byte-identity gate to the
 // sharded reduction's full determinism matrix on lazily enumerated spaces: a
 // generated fine subset and the heterogeneous mix catalogue space, each swept
-// at worker counts {1, 3, 8} x chunk sizes {1, 7, n} x all three cache
-// policies. Every cell must reproduce the eager reference byte for byte —
-// shard count, chunk boundaries and caching must be unobservable.
+// through its cost tables at worker counts {1, 3, 8} x chunk sizes {1, 7, n}.
+// Every cell must reproduce the eager reference, which scores the same points
+// as a point list with the per-point kernel, byte for byte — shard count,
+// chunk boundaries and the scoring path must be unobservable.
 func TestStreamingByteIdentityMatrix(t *testing.T) {
 	fineSub, err := hw.ParseSpace("5x5x3x3")
 	if err != nil {
@@ -268,17 +267,15 @@ func TestStreamingByteIdentityMatrix(t *testing.T) {
 			n := len(tc.points)
 			for _, workers := range []int{1, 3, 8} {
 				for _, chunk := range []int{1, 7, n} {
-					for _, cache := range []CachePolicy{CacheAuto, CacheAlways, CacheNever} {
-						got, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons,
-							eval.New(eval.Options{Workers: workers}),
-							&ExploreOptions{ChunkSize: chunk, Cache: cache})
-						if err != nil {
-							t.Fatalf("workers=%d chunk=%d cache=%d: %v", workers, chunk, cache, err)
-						}
-						if canonResult(got) != ref {
-							t.Errorf("workers=%d chunk=%d cache=%d: streaming differs from reference\n--- reference ---\n%s--- streaming ---\n%s",
-								workers, chunk, cache, ref, canonResult(got))
-						}
+					got, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons,
+						eval.New(eval.Options{Workers: workers}),
+						&ExploreOptions{ChunkSize: chunk})
+					if err != nil {
+						t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
+					}
+					if canonResult(got) != ref {
+						t.Errorf("workers=%d chunk=%d: streaming differs from reference\n--- reference ---\n%s--- streaming ---\n%s",
+							workers, chunk, ref, canonResult(got))
 					}
 				}
 			}
@@ -289,9 +286,9 @@ func TestStreamingByteIdentityMatrix(t *testing.T) {
 // TestExploreChunkLoopAllocFree pins the sharded sweep's allocation contract:
 // once a warm-up pass has sized the frontier's backing arrays and the
 // evaluator's plan tables, the steady-state chunk loop — scanChunk over the
-// whole space — performs zero heap allocations. It covers both uncached
-// scoring paths: the per-point kernel on a point list, and the cost tables
-// on a Cartesian and a mix space.
+// whole space — performs zero heap allocations. It covers both scoring
+// paths: the per-point kernel on a point list, and the cost tables on a
+// Cartesian and a mix space.
 func TestExploreChunkLoopAllocFree(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase()}
 	mix, err := hw.DefaultMixSpec(nil).Build()
@@ -301,7 +298,7 @@ func TestExploreChunkLoopAllocFree(t *testing.T) {
 	cons := DefaultConstraints()
 	for _, space := range []hw.DesignSpace{hw.PointList(hw.Space()), hw.PaperSpace(), mix} {
 		ev := eval.New(eval.Options{Workers: 1})
-		sc := NewScorer(ev, models, space, cons, CacheNever)
+		sc := NewScorer(ev, models, space, cons)
 		if _, list := space.(hw.PointList); list != (sc.tables == nil) {
 			t.Fatalf("%s: tables built = %v", space.Desc(), sc.tables != nil)
 		}
@@ -328,10 +325,10 @@ func TestExploreChunkLoopAllocFree(t *testing.T) {
 
 // TestExploreColdAllocs bounds the allocations of one cold explore, the
 // 13-model training set over the 81-point paper list on a fresh
-// single-worker engine, at 4852 objects: 1.25 × the 3882 recorded in
-// BENCH_PR9.json. Unlike wall-clock time, the count barely moves between
-// runs or machines, so it can gate here; .github/benchgate.sh gates the time
-// against the base commit on one runner.
+// single-worker engine, at 3528 objects: 1.25 × the 2822 it reads. Unlike
+// wall-clock time, the count barely moves between runs or machines, so it
+// can gate here; .github/benchgate.sh gates the time against the base commit
+// on one runner.
 func TestExploreColdAllocs(t *testing.T) {
 	models := workload.TrainingSet()
 	space := hw.PointList(hw.Space())
@@ -343,23 +340,25 @@ func TestExploreColdAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs > 4852 {
-		t.Errorf("cold explore allocates %.0f objects per run, want <= 4852 (1.25 x 3882)", allocs)
+	if allocs > 3528 {
+		t.Errorf("cold explore allocates %.0f objects per run, want <= 3528 (1.25 x 2822)", allocs)
 	}
 }
 
 // TestExploreStatsBoundedMemory checks the streaming sweep's observable
 // memory claim on the fine preset (the >= 10k-point acceptance shape): the
-// sweep must bypass the result cache and the peak retained-candidate set must
-// cost no more than 10% of the naive summary matrix.
+// sweep must leave no engine entry but the winner's, and the peak
+// retained-candidate set must cost no more than 10% of the naive summary
+// matrix.
 func TestExploreStatsBoundedMemory(t *testing.T) {
 	spec := hw.FineSpace()
 	models := []*workload.Model{
 		workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18(),
 	}
 	var stats ExploreStats
+	ev := eval.New(eval.Options{Workers: 4})
 	r, err := ExploreSpaceCtx(context.Background(), models, spec, DefaultConstraints(),
-		eval.New(eval.Options{Workers: 4}), &ExploreOptions{Stats: &stats})
+		ev, &ExploreOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +374,8 @@ func TestExploreStatsBoundedMemory(t *testing.T) {
 	if r.SpaceDesc != spec.Desc() {
 		t.Errorf("SpaceDesc = %q, want %q", r.SpaceDesc, spec.Desc())
 	}
-	if !stats.CacheBypassed {
-		t.Errorf("expected cache bypass for %d-entry sweep (limit %d)", spec.Len()*len(models), cacheAutoLimit)
+	if st := ev.Stats(); st.Entries != len(models) {
+		t.Errorf("a %d-entry sweep left %d engine entries, want %d (the winner)",
+			spec.Len()*len(models), st.Entries, len(models))
 	}
 }

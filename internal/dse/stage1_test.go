@@ -16,7 +16,7 @@ import (
 func scoredFrontier(t *testing.T, models []*workload.Model, space hw.DesignSpace, ev *eval.Evaluator) []int {
 	t.Helper()
 	cons := DefaultConstraints()
-	sc := NewScorer(ev, models, space, cons, CacheNever)
+	sc := NewScorer(ev, models, space, cons)
 	sel := NewSelector(len(models), cons)
 	lats := make([]float64, len(models))
 	statics := make([]bool, len(models))

@@ -13,30 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// CachePolicy decides whether a sweep's per-(point, model) summaries go
-// through the engine's result cache. The cache is what makes repeated sweeps
-// (tau/slack sweeps, test-after-train) nearly free, but it holds one entry
-// per key — for a 100k-point space that is itself an O(points x models)
-// structure, exactly the footprint the streaming sweep exists to avoid.
-type CachePolicy int
-
-const (
-	// CacheAuto caches when points x models is small enough to be worth
-	// memoizing (<= cacheAutoLimit entries) and bypasses otherwise.
-	CacheAuto CachePolicy = iota
-	// CacheAlways forces every summary through the result cache.
-	CacheAlways
-	// CacheNever computes summaries from the per-model plans only: through
-	// per-model ppa.Tables on hw.SpaceSpec and hw.MixSpace spaces, with the
-	// per-point kernel elsewhere. Results are bit-identical to the cached
-	// path.
-	CacheNever
-)
-
-// cacheAutoLimit is the CacheAuto threshold on points x models. The paper
-// space is 81 x 13 = 1053; the fine preset is 12288 x 13 ≈ 160k and bypasses.
-const cacheAutoLimit = 1 << 13
-
 // ExploreStats reports how a streaming sweep behaved — the observability
 // needed to assert the bounded-memory claim without guessing.
 type ExploreStats struct {
@@ -70,9 +46,6 @@ type ExploreStats struct {
 	// pre-streaming implementation allocated (32 bytes per ppa.Summary),
 	// also in int64 for the same reason.
 	NaiveBytes int64
-	// CacheBypassed reports whether the sweep ran summaries outside the
-	// result cache (large-space mode).
-	CacheBypassed bool
 	// RefinedPoints and ThermalRejected report the staged pipeline's stage-1
 	// work: frontier candidates re-scored with the physical models, and how
 	// many of them the junction-temperature check rejected. Both zero under
@@ -82,15 +55,13 @@ type ExploreStats struct {
 }
 
 // ExploreOptions tunes a streaming exploration. The zero value (or a nil
-// pointer) gives the defaults: engine-sized chunks and CacheAuto.
+// pointer) gives the defaults: engine-sized chunks and analytical fidelity.
 type ExploreOptions struct {
 	// ChunkSize is the number of consecutive points one worker reduces before
 	// refreshing its watermark snapshot. 0 picks a size that gives each
 	// worker several chunks (dynamic load balancing) while keeping snapshot
 	// refreshes rare. Results are identical at any value.
 	ChunkSize int
-	// Cache selects the summary caching policy.
-	Cache CachePolicy
 	// Stats, when non-nil, receives the sweep's statistics.
 	Stats *ExploreStats
 	// Fidelity selects the evaluation pipeline (nil: analytical).
@@ -490,7 +461,10 @@ func (m *merged) winner() int {
 // only cross-worker state during the sweep is the per-model slack watermark,
 // an array of monotonically decreasing atomics read without locking; shards
 // merge exactly once, after the last chunk. Each (point, model) pair is
-// evaluated exactly once. Memory stays O(slack-feasible points + chunk)
+// scored exactly once, through a Scorer: from per-model cost tables built
+// when the sweep starts and dropped when it ends, or with the per-point
+// kernel on spaces without tables; only the winner's full evaluations enter
+// the engine's result cache. Memory stays O(slack-feasible points + chunk)
 // instead of the eager implementation's O(points x models) summary matrix,
 // and the chunk loop is lock- and allocation-free, so the sweep scales with
 // cores. Every sweep scans the whole space, and the merge's final slack pass
@@ -537,7 +511,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			chunk = 1
 		}
 	}
-	sw := newSweepState(ctx, NewScorer(ev, models, space, cons, o.Cache))
+	sw := newSweepState(ctx, NewScorer(ev, models, space, cons))
 	shards := make([]*exploreShard, ev.Workers())
 	ev.ForEachChunkWorker(n, chunk, func(worker, lo, hi int) {
 		if shards[worker] == nil {
@@ -605,7 +579,6 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			Shards:          mg.shards,
 			RetainedBytes:   retainedBytes(mg.maxRetained, mg.maxBand, len(models)),
 			NaiveBytes:      naiveBytes(n, len(models)),
-			CacheBypassed:   !sw.score.Cached(),
 			RefinedPoints:   refineStats.Refined,
 			ThermalRejected: refineStats.ThermalRejected,
 		}

@@ -20,27 +20,37 @@ import (
 // power-density limit, so the sweep's own meetsStatic rejects it.
 func oracleSweep(m oracle.Matrix, slack float64) *sweepState {
 	models := make([]*workload.Model, m.Models)
-	col := make(map[*workload.Model]int, m.Models)
 	for i := range models {
 		models[i] = &workload.Model{Name: fmt.Sprintf("m%d", i)}
-		col[models[i]] = i
 	}
 	space := make(hw.PointList, m.Points())
 	for k := range space {
 		space[k] = hw.Point{SASize: k}
 	}
 	cons := Constraints{MaxChipAreaMM2: 100, MaxPowerDensityWPerMM2: 1, LatencySlack: slack}
-	summary := func(md *workload.Model, c hw.Config) (ppa.Summary, error) {
-		o := m.Row(c.Point.SASize)[col[md]]
-		s := ppa.Summary{LatencyS: o.LatencyS, AreaMM2: o.AreaMM2}
-		if !o.Static {
-			s.DynamicPJ = 1e15 // 1 kJ: hundreds of W/mm² on these latencies and areas
-		}
-		return s, nil
+	plans := make([]summarizer, m.Models)
+	for i := range plans {
+		plans[i] = oracleColumn{m, i}
 	}
 	return newSweepState(context.Background(), &Scorer{
-		space: space, models: models, cons: cons, tmpl: make([]hw.Config, m.Models), summary: summary,
+		space: space, models: models, cons: cons, tmpl: make([]hw.Config, m.Models), plans: plans,
 	})
+}
+
+// oracleColumn is one model's column of an oracle matrix as a per-point
+// kernel: the summary of hw.Point{SASize: k} is row k's observation.
+type oracleColumn struct {
+	m oracle.Matrix
+	i int
+}
+
+func (o oracleColumn) Summary(c hw.Config, _ int) (ppa.Summary, error) {
+	obs := o.m.Row(c.Point.SASize)[o.i]
+	s := ppa.Summary{LatencyS: obs.LatencyS, AreaMM2: obs.AreaMM2}
+	if !obs.Static {
+		s.DynamicPJ = 1e15 // 1 kJ: hundreds of W/mm² on these latencies and areas
+	}
+	return s, nil
 }
 
 // runShards drives the sweep's shard loop as ExploreSpaceCtx does, with the
@@ -112,20 +122,39 @@ func TestDominatesValsTieBreaksByIndex(t *testing.T) {
 	}
 }
 
-// TestSweepEvaluatesEachPointOnce pins one kernel evaluation per (point,
-// model): on a fresh engine with every summary cached, the sweep misses once
-// per pair and hits only when materializing the winner, whose union config
-// equals each model's own on models sharing unit kinds.
-func TestSweepEvaluatesEachPointOnce(t *testing.T) {
+// TestSweepCachesOnlyTheWinner pins what a sweep leaves on its engine: it
+// scores every (point, model) pair outside the result cache, from cost tables
+// on the paper and mix spaces and with the per-point kernel on a point list,
+// so a fresh engine ends with exactly one entry per model — the winner's
+// materialization, which re-evaluating the winner then hits.
+func TestSweepCachesOnlyTheWinner(t *testing.T) {
 	models := []*workload.Model{workload.NewResNet18(), workload.NewResNet50(), workload.NewVGG16()}
-	space := hw.PaperSpace()
-	ev := eval.New(eval.Options{Workers: 2})
-	if _, err := ExploreSpaceCtx(context.Background(), models, space, DefaultConstraints(), ev,
-		&ExploreOptions{Cache: CacheAlways}); err != nil {
+	mix, err := hw.DefaultMixSpec(nil).Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := ev.Stats()
-	if want := uint64(space.Len() * len(models)); st.Misses != want || st.Hits != uint64(len(models)) {
-		t.Errorf("engine saw %d misses and %d hits, want %d misses and %d hits", st.Misses, st.Hits, want, len(models))
+	for _, space := range []hw.DesignSpace{hw.PaperSpace(), mix, hw.PointList(hw.Space())} {
+		ev := eval.New(eval.Options{Workers: 2})
+		res, err := ExploreSpaceCtx(context.Background(), models, space, DefaultConstraints(), ev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := eval.Stats{Misses: uint64(len(models)), Entries: len(models)}
+		if st := ev.Stats(); st != want {
+			t.Errorf("%s: engine stats %+v after the sweep, want %+v", space.Desc(), st, want)
+		}
+		for i, m := range models {
+			e, err := ev.Evaluate(m, res.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e != res.Evals[i] {
+				t.Errorf("%s: %s's winner evaluation is not the cached one", space.Desc(), m.Name)
+			}
+		}
+		want.Hits = uint64(len(models))
+		if st := ev.Stats(); st != want {
+			t.Errorf("%s: engine stats %+v after re-evaluating the winner, want %+v", space.Desc(), st, want)
+		}
 	}
 }

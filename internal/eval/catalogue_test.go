@@ -41,11 +41,11 @@ func TestCataloguesDoNotShareCacheEntries(t *testing.T) {
 		t.Fatalf("configs under different catalogues share key %q", ConfigKey(base, 1))
 	}
 
-	s0, err := ev.EvaluateSummary(m, base, 1)
+	e0, err := ev.Evaluate(m, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := ev.EvaluateSummary(m, alt, 1)
+	e1, err := ev.Evaluate(m, alt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +54,7 @@ func TestCataloguesDoNotShareCacheEntries(t *testing.T) {
 	}
 	// Doubling SRAMBytePJ must change dynamic energy, and must not change
 	// latency or area (the perturbed constant touches neither).
+	s0, s1 := e0.Summary(), e1.Summary()
 	if s1.DynamicPJ == s0.DynamicPJ {
 		t.Error("perturbed catalogue produced identical dynamic energy")
 	}
@@ -61,12 +62,12 @@ func TestCataloguesDoNotShareCacheEntries(t *testing.T) {
 		t.Errorf("perturbing SRAM energy changed latency/area: %+v vs %+v", s1, s0)
 	}
 
-	// Re-evaluating both must hit the cache, not add entries.
-	if _, err := ev.EvaluateSummary(m, base, 1); err != nil {
-		t.Fatal(err)
+	// Re-evaluating both must hit their own entries, not add entries.
+	if e, err := ev.Evaluate(m, base); err != nil || e != e0 {
+		t.Fatalf("base re-evaluation = %p, %v; want the cached %p", e, err, e0)
 	}
-	if _, err := ev.EvaluateSummary(m, alt, 1); err != nil {
-		t.Fatal(err)
+	if e, err := ev.Evaluate(m, alt); err != nil || e != e1 {
+		t.Fatalf("alt re-evaluation = %p, %v; want the cached %p", e, err, e1)
 	}
 	if st := ev.Stats(); st.Entries != 2 || st.Hits != 2 {
 		t.Errorf("stats after re-evaluation = %+v, want 2 entries / 2 hits", st)

@@ -2,14 +2,13 @@
 // executor that fans (model × configuration) evaluations out over up to
 // GOMAXPROCS goroutines, backed by a two-level concurrency-safe cache. The
 // lower level memoizes one ppa.ModelPlan per model (the precomputed
-// layer-granular cost plans); the upper level memoizes results per (model
-// fingerprint, configuration, batch), with the scalar Summary and the full
-// per-layer Eval materialized independently, so a sweep that only filters on
-// totals never builds a []LayerEval. Every sweep in the framework — the
-// 81-point DSE, tau sweeps, slack sweeps, assignment-stability checks and
-// library evolution — funnels its evaluations through one Evaluator, so
-// repeated sweeps over the same (model, configuration) pairs hit cache
-// instead of recomputing the analytical model.
+// layer-granular cost plans); the upper level memoizes the full per-layer
+// ppa.Eval per (model fingerprint, configuration, batch). Sweeps and searches
+// score their points from the plans (per-sweep cost tables or the per-point
+// kernel, see dse.Scorer) and never enter the upper level; it holds only the
+// designs that get built — sweep winners, library and assignment designs —
+// so its size grows with the designs a process builds, not with the points
+// it scores.
 //
 // Determinism contract: the engine only parallelizes pure per-(model,
 // configuration) evaluations and callers collect results by index, never by
@@ -42,7 +41,8 @@ type Options struct {
 	Workers int
 }
 
-// Stats is a snapshot of the cache counters.
+// Stats is a snapshot of the result cache's counters: lookups of full
+// evaluations (Evaluate, EvaluateBatch).
 type Stats struct {
 	Hits    uint64 // lookups served from (or coalesced onto) an existing entry
 	Misses  uint64 // lookups that created a new entry and computed it
@@ -57,19 +57,12 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// entry is one memoized (model, configuration, batch) evaluation. The scalar
-// summary and the full per-layer breakdown are materialized independently and
-// lazily: sweeps that only filter on totals never pay for a []LayerEval, and
-// a later full evaluation of the same key reuses the entry. Each sync.Once
-// coalesces concurrent first lookups onto a single computation.
+// entry is one memoized (model, configuration, batch) full evaluation; the
+// sync.Once coalesces concurrent first lookups onto a single computation.
 type entry struct {
-	sumOnce sync.Once
-	sum     ppa.Summary
-	sumErr  error
-
-	evalOnce sync.Once
-	eval     *ppa.Eval
-	err      error
+	once sync.Once
+	eval *ppa.Eval
+	err  error
 }
 
 // cacheKey is the comparable cache key: the model fingerprint plus every
@@ -185,19 +178,16 @@ func (ev *Evaluator) Evaluate(m *workload.Model, c hw.Config) (*ppa.Eval, error)
 // computed from the model's cached plan.
 func (ev *Evaluator) EvaluateBatch(m *workload.Model, c hw.Config, batch int) (*ppa.Eval, error) {
 	e := ev.entryFor(m, c, batch)
-	e.evalOnce.Do(func() { e.eval, e.err = ev.Plan(m).EvaluateBatch(c, batch) })
+	e.once.Do(func() { e.eval, e.err = ev.Plan(m).EvaluateBatch(c, batch) })
 	return e.eval, e.err
 }
 
-// EvaluateSummary memoizes the allocation-lean scalar evaluation: the totals
-// of EvaluateBatch (bit-identical) without materializing the per-layer
-// breakdown. Sweeps that only filter on latency, area, energy or power
-// density should use this and call EvaluateBatch lazily on the points they
-// report; both forms share one cache entry per key.
+// EvaluateSummary computes the allocation-lean scalar evaluation from the
+// model's cached plan: the totals of EvaluateBatch (bit-identical) without
+// the per-layer breakdown. It leaves the result cache and its counters alone,
+// so scoring any number of points costs the engine no memory.
 func (ev *Evaluator) EvaluateSummary(m *workload.Model, c hw.Config, batch int) (ppa.Summary, error) {
-	e := ev.entryFor(m, c, batch)
-	e.sumOnce.Do(func() { e.sum, e.sumErr = ev.Plan(m).Summary(c, batch) })
-	return e.sum, e.sumErr
+	return ev.Plan(m).Summary(c, batch)
 }
 
 // Plan returns the engine's precomputed cost plan for the model, building it
@@ -322,16 +312,10 @@ func (ev *Evaluator) ForEachChunkWorker(n, chunk int, fn func(worker, lo, hi int
 	wg.Wait()
 }
 
-// EvaluateSummaryUncached computes the scalar summary from the model's cached
-// plan without touching the result cache — the path for sweeps over spaces so
-// large that memoizing every (point, model) pair would itself cost
-// O(points x models) memory, on spaces without per-model cost tables
-// (dse.Scorer tabulates hw.SpaceSpec and hw.MixSpace). The model plan (the
-// lower cache level) is still shared, so the per-call cost is the closed-form
-// kernel arithmetic only. Bit-identical to EvaluateSummary for the same
-// inputs.
+// EvaluateSummaryUncached is EvaluateSummary under its older name, kept
+// because the perfbench harness calls both.
 func (ev *Evaluator) EvaluateSummaryUncached(m *workload.Model, c hw.Config, batch int) (ppa.Summary, error) {
-	return ev.Plan(m).Summary(c, batch)
+	return ev.EvaluateSummary(m, c, batch)
 }
 
 // Fingerprint returns the package-level Fingerprint of m, memoized by

@@ -192,8 +192,8 @@ func (g *engine) fallback(ctx context.Context, models []*workload.Model, space h
 		ThermalRejected: stats.ThermalRejected,
 	}
 	// The sweep's selection area (summed per-model template areas) for the
-	// winner, recomputed so gap metrics compare like with like. With
-	// caching on these are hits; without, nm closed-form kernel runs.
+	// winner, recomputed so gap metrics compare like with like: nm
+	// closed-form kernel runs, which leave the engine's cache alone.
 	area := 0.0
 	for _, m := range models {
 		c := hw.NewConfig(hw.Point{}, []*workload.Model{m})
@@ -256,10 +256,7 @@ func newState(ctx context.Context, ev *eval.Evaluator, space hw.DesignSpace,
 	st := &state{
 		ctx: ctx, ev: ev, space: space, view: newCoordView(space),
 		models: models, cons: cons,
-		// Scoring follows the sweep's cache rule: spaces above CacheAuto's
-		// limit score through per-model cost tables instead of filling the
-		// engine cache with entries no later run rereads.
-		score: dse.NewScorer(ev, models, space, cons, dse.CacheAuto),
+		score: dse.NewScorer(ev, models, space, cons),
 		sel:   dse.NewSelector(nm, cons),
 		rng:   rand.New(rand.NewSource(seed)),
 		n:     space.Len(), nm: nm,

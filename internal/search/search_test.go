@@ -70,8 +70,8 @@ func selectionArea(t *testing.T, ev *eval.Evaluator, models []*workload.Model, s
 // TestSearchDeterminismAcrossWorkers pins the seed-determinism contract:
 // for a fixed seed, both strategies must return byte-identical results and
 // traces at 1 and 8 evaluator workers, on every test space at a quarter of
-// the exhaustive budget, and on mixfine × AlexNet, whose 110528 point·models
-// exceed CacheAuto's limit and so score through the cost tables, at 2%.
+// the exhaustive budget, and on mixfine × AlexNet (110528 point·models), at
+// 2%.
 func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 	mixfine, err := hw.FineMixSpec(nil).Build()
 	if err != nil {

@@ -4,8 +4,8 @@
 // evaluations. Two strategies ship — simulated annealing with
 // coordinate-neighborhood moves and a steady-state genetic algorithm with
 // crossover over axis/mix coordinate vectors — behind one interface.
-// Candidates are scored through the eval.Evaluator worker pool and its
-// two-level cache; selection runs through the streaming sweep's own
+// Candidates are scored through the eval.Evaluator worker pool and the
+// sweep's dse.Scorer; selection runs through the streaming sweep's own
 // reduction (dse.Selector), so the returned Result is bit-compatible with
 // dse.ExploreSpaceCtx restricted to the visited set, and a budget covering
 // the space returns the sweep's Result itself; and every run is

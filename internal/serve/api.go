@@ -235,7 +235,7 @@ type SelfcheckResult struct {
 // each on first use. One *workload.Model per known name for the process
 // lifetime matters because the shared evaluator memoizes fingerprints and
 // plans by pointer: a fresh model per request would pin one more model, plan
-// and memo entry every time. Sharing is safe because models are immutable
+// and winner entry every time. Sharing is safe because models are immutable
 // after construction. Unknown names are never stored, so the table is
 // bounded by the workload registry.
 func (m *Manager) models(names []string) ([]*workload.Model, error) {

@@ -13,8 +13,8 @@ import (
 
 // Execution: the mapping from an admitted job to the library call serving
 // it. Every path runs on the manager's process-lifetime evaluator, so
-// repeated and overlapping requests share one two-level cache; every path
-// threads the job context so DELETE/disconnect/shutdown cancellation is
+// repeated and overlapping requests share its plans and built designs; every
+// path threads the job context so DELETE/disconnect/shutdown cancellation is
 // prompt (chunk-granular inside the streaming sweep).
 
 // exploreExec binds an explore job to its resolved models and options; the

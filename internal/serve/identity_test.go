@@ -4,8 +4,8 @@ package serve
 // request must be byte-for-byte what ExploreResultOf produces from the same
 // library call made directly (which is exactly what the clairedse CLI runs).
 // Pinned for the exhaustive sweep, the budgeted search and staged fidelity —
-// across a fresh evaluator vs the server's warm shared cache, proving the
-// cache layer cannot leak into results.
+// across a fresh evaluator vs the server's warm shared engine, proving its
+// caches (plans and built designs) cannot leak into results.
 
 import (
 	"bytes"
@@ -100,8 +100,9 @@ func TestServerMatchesCLIByteForByte(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := directExplore(t, tc.req)
-			// Twice: the second pass answers entirely from the server's warm
-			// cross-request cache and must still match the cold direct run.
+			// Twice: the second pass runs on the server's warm engine, which
+			// holds the first pass's plans and winners, and must still match
+			// the cold direct run.
 			for pass := 0; pass < 2; pass++ {
 				req := tc.req
 				req.Sync = true

@@ -103,7 +103,9 @@ type Job struct {
 	done chan struct{}
 
 	// exec carries the job's work, bound at submission. It receives the job
-	// itself so long-running sweeps can publish progress to it.
+	// itself so long-running sweeps can publish progress to it. finish drops
+	// it, so a job kept in the history holds its outcome, not the resolved
+	// request (models, options, a built mix space) the closure captured.
 	exec func(ctx context.Context, j *Job) (any, error)
 }
 
@@ -213,7 +215,7 @@ type ManagerConfig struct {
 
 // Manager owns the job lifecycle: admission, coalescing, execution, history.
 // One Manager holds one process-lifetime eval.Evaluator, so every job shares
-// the two-level cache — repeated workloads hit warm plans and results.
+// its cache — repeated workloads hit warm plans and built designs.
 type Manager struct {
 	cfg     ManagerConfig
 	cat     *hw.Catalogue
@@ -433,10 +435,11 @@ func (m *Manager) run(j *Job) {
 	m.finish(j, res, err)
 }
 
-// finish settles the terminal state, releases the coalescing slot, records
-// metrics and evicts old history.
+// finish settles the terminal state, releases the job's work and the
+// coalescing slot, records metrics and evicts old history.
 func (m *Manager) finish(j *Job, res any, err error) {
 	j.mu.Lock()
+	j.exec = nil
 	j.finished = time.Now()
 	switch {
 	case err == nil:

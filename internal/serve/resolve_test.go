@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dse"
 	"repro/internal/workload"
@@ -80,6 +81,55 @@ func TestInternedModelsKeepHeapBounded(t *testing.T) {
 	if after := liveHeap(); after > before+1<<20 {
 		t.Errorf("live heap grew %d KiB over %d warm requests (%d B per request), want bounded",
 			(after-before)>>10, warm, (after-before)/warm)
+	}
+}
+
+// TestFinishedJobsReleaseTheirWork pins what a finished job keeps while it
+// sits in the history: its status and result, not the work closure, which
+// holds the resolved request — for a mix request a freshly built
+// hw.MixSpace of about 10 KiB. With every job kept in history, each finished
+// mix request may grow the live heap by at most 4 KiB.
+func TestFinishedJobsReleaseTheirWork(t *testing.T) {
+	m := NewManager(ManagerConfig{Workers: 1, MaxQueue: 4, History: 4096})
+	defer m.Close()
+	req := ExploreRequest{Models: workload.Names()[1:3], Space: "mix"}
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			r := req
+			j, coalesced, err := m.SubmitExplore(&r, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if coalesced {
+				t.Fatal("request coalesced onto a finished job")
+			}
+			<-j.Done()
+			if st := j.Snapshot(false); st.State != StateDone {
+				t.Fatalf("request %+v settled %v: %s", req, st.State, st.Error)
+			}
+			// finish files the job in the history just after Done closes;
+			// wait for it, so the next request runs as a job of its own.
+			waitCond(t, 5*time.Second, func() bool {
+				m.mu.Lock()
+				defer m.mu.Unlock()
+				return len(m.active) == 0
+			})
+		}
+	}
+	serve(20) // warm the engine's plans and winner, and the intern table
+	before := liveHeap()
+	const jobs = 400
+	serve(jobs)
+	after := liveHeap()
+	m.mu.Lock()
+	kept := len(m.history)
+	m.mu.Unlock()
+	if kept != 20+jobs {
+		t.Fatalf("history holds %d jobs, want %d", kept, 20+jobs)
+	}
+	if after > before && (after-before)/jobs > 4<<10 {
+		t.Errorf("live heap grew %d B per finished mix job over %d jobs, want <= 4096",
+			(after-before)/jobs, jobs)
 	}
 }
 
