@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -81,29 +82,27 @@ type RefineStats struct {
 }
 
 // stage1 is the candidate-invariant state of one staged refinement: the
-// union-kind template configuration, every model's layer traffic on it, and
-// the clustered topology they share. Only the point, and with it the bank
-// sizes and the analytical totals, differ between candidates.
+// union-kind template configuration and the clustered topology every
+// model's layer traffic shares. Only the point, and with it the bank sizes,
+// the union area and the analytical totals, differ between candidates.
 type stage1 struct {
-	params  fidelity.Params
-	models  []*workload.Model
-	ev      *eval.Evaluator
-	tmpl    hw.Config
-	traffic [][]ppa.LayerTraffic
-	topo    *fidelity.Topology
+	tmpl hw.Config
+	cat  *hw.Catalogue // tmpl.Catalogue(), resolved once
+	topo *fidelity.Topology
 }
 
 // newStage1 derives each model's traffic from its plan (batch 1 at the
 // template's precision, as Evaluate prices it) and clusters the universal
 // graph once.
 func newStage1(params fidelity.Params, models []*workload.Model, space hw.DesignSpace, ev *eval.Evaluator) (*stage1, error) {
-	st := &stage1{params: params, models: models, ev: ev, tmpl: hw.NewConfig(hw.Point{}, models)}
+	st := &stage1{tmpl: hw.NewConfig(hw.Point{}, models)}
 	st.tmpl.Cat = hw.CatalogueOf(space)
-	st.traffic = make([][]ppa.LayerTraffic, len(models))
+	st.cat = st.tmpl.Catalogue()
+	traffic := make([][]ppa.LayerTraffic, len(models))
 	for i, m := range models {
-		st.traffic[i] = ev.Plan(m).Traffic(st.tmpl.Precision, 1)
+		traffic[i] = ev.Plan(m).Traffic(st.tmpl.Precision, 1)
 	}
-	topo, err := params.NewTopology("stage 1", []hw.Config{st.tmpl}, st.traffic)
+	topo, err := params.NewTopology("stage 1", []hw.Config{st.tmpl}, traffic)
 	if err != nil {
 		return nil, err
 	}
@@ -112,55 +111,118 @@ func newStage1(params fidelity.Params, models []*workload.Model, space hw.Design
 }
 
 // refine re-scores every model on one point's package into out (one Result
-// per model, in model order). The totals come from plan summaries, so no
-// engine entry is created.
-func (st *stage1) refine(pt hw.Point, out []fidelity.Result) error {
+// per model, in model order) from sums, the models' summaries at the point
+// as the sweep's Scorer reads them. A model's summary there prices only its
+// own units, so refine first re-prices each one, in place, on the union
+// configuration's area, computed once for the point. No engine entry is
+// created.
+func (st *stage1) refine(pt hw.Point, sums []ppa.Summary, out []fidelity.Result) error {
 	cfg := st.tmpl
 	cfg.Point = pt
-	sums := make([]ppa.Summary, len(st.models))
-	for i, m := range st.models {
-		s, err := st.ev.EvaluateSummary(m, cfg, 1)
-		if err != nil {
-			return err
+	area := cfg.AreaMM2()
+	for i := range sums {
+		sums[i] = sums[i].OnArea(st.cat, area)
+	}
+	return st.topo.Rescore(cfg, sums, out)
+}
+
+// candBlock is all stage 1 reads of the sweep: each candidate's point and
+// every model's analytical summary there, candidate-major, nm per candidate.
+type candBlock struct {
+	nm   int
+	pts  []hw.Point
+	sums []ppa.Summary
+}
+
+// refineAll refines every candidate of b on the engine's workers into
+// index-addressed slots: b.nm results, in model order, and one error per
+// candidate. Workers skip the candidates they claim once ctx is cancelled.
+func (st *stage1) refineAll(ctx context.Context, b candBlock, ev *eval.Evaluator) ([]fidelity.Result, []error) {
+	nm := b.nm
+	results := make([]fidelity.Result, len(b.pts)*nm)
+	errs := make([]error, len(b.pts))
+	ev.ForEach(len(b.pts), func(j int) {
+		if ctx.Err() != nil {
+			return
 		}
-		sums[i] = s
+		errs[j] = st.refine(b.pts[j], b.sums[j*nm:(j+1)*nm], results[j*nm:(j+1)*nm])
+	})
+	return results, errs
+}
+
+// gatherCands reads the candidates' points and summaries from sc, in
+// candidate order, and stops with ctx.Err() at the first candidate it finds
+// ctx cancelled before.
+func gatherCands(ctx context.Context, sc *Scorer, cands []int) (candBlock, error) {
+	nm := len(sc.models)
+	b := candBlock{nm: nm, pts: make([]hw.Point, len(cands)), sums: make([]ppa.Summary, len(cands)*nm)}
+	for j, k := range cands {
+		if err := ctx.Err(); err != nil {
+			return candBlock{}, err
+		}
+		b.pts[j] = sc.space.At(k)
+		for i := 0; i < nm; i++ {
+			s, err := sc.Summary(i, k, b.pts[j])
+			if err != nil {
+				return candBlock{}, err
+			}
+			b.sums[j*nm+i] = s
+		}
 	}
-	pkg, err := st.params.Realize(st.topo, cfg)
-	if err != nil {
-		return err
-	}
-	for i, s := range sums {
-		out[i] = st.params.Score(pkg, st.traffic[i], s)
-	}
-	return nil
+	return b, nil
 }
 
 // RefineSelect runs stage 1 of the multi-fidelity pipeline over an ordered
-// candidate list: the analytically slack-feasible dominance frontier, in the
-// sweep's (area, index) selection order. The universal graph's traffic and
-// its clustering do not depend on the point, so they are built once for all
-// candidates. Each candidate is then realized physically on its union-kind
-// configuration (die split, floorplan) and every model re-scored from its
-// analytical summary with NoC/NoP transfer costs; candidates whose peak
-// junction temperature exceeds Params.JunctionLimitC (when positive) are
-// rejected. The refined per-model reference is the minimum over the
-// surviving candidates, and the winner is the first survivor in selection
-// order whose refined latencies pass the latency-slack constraint against it
-// — the same discipline the analytical stage applies, at higher fidelity.
-// Candidates are refined on the engine's workers into index-addressed slots,
-// and rejection and selection walk the slots in candidate order, so the
-// result is the same at any worker count. A cancelled ctx aborts the
-// refinement with ctx.Err().
+// candidate list: the analytically slack-feasible dominance frontier of
+// space, in the sweep's (area, index) selection order. It builds the
+// sweep's Scorer of models on space and refines from it (RefineScored).
 func (fo *FidelityOptions) RefineSelect(ctx context.Context, cands []int, models []*workload.Model, space hw.DesignSpace,
 	cons Constraints, ev *eval.Evaluator) (int, RefineStats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if len(cands) == 0 {
+		return -1, RefineStats{}, errEmptyFrontier
+	}
+	if err := ctx.Err(); err != nil {
+		return -1, RefineStats{}, err
+	}
+	return fo.RefineScored(ctx, NewScorer(ev, models, space, cons), cands, ev)
+}
+
+// errEmptyFrontier is stage 1's error for an empty candidate list.
+var errEmptyFrontier = errors.New("dse: staged selection over an empty frontier")
+
+// RefineScored is stage 1 over candidates that sc, the sweep's or the
+// search's Scorer, has scored. It reads every candidate's point and
+// per-model analytical summaries from sc first and reads sc no more, so the
+// caller can drop its cost tables before refinement starts. The universal
+// graph's traffic and its clustering do not depend on the point, so they
+// are built once for all candidates. Each candidate is then realized
+// physically on its union-kind configuration (die split, floorplan) and
+// every model re-scored from its summary, re-priced on that configuration's
+// area, with NoC/NoP transfer costs (fidelity.Topology.Rescore, which
+// realizes each package shape once); candidates whose peak junction
+// temperature exceeds Params.JunctionLimitC (when positive) are rejected.
+// The refined per-model reference is the minimum over the surviving
+// candidates, and the winner is the first survivor in selection order whose
+// refined latencies pass the latency-slack constraint against it — the same
+// discipline the analytical stage applies, at higher fidelity. Candidates
+// are refined on the engine's workers into index-addressed slots, and
+// rejection and selection walk the slots in candidate order, so the result
+// is the same at any worker count. A cancelled ctx aborts the refinement
+// with ctx.Err().
+func (fo *FidelityOptions) RefineScored(ctx context.Context, sc *Scorer, cands []int, ev *eval.Evaluator) (int, RefineStats, error) {
 	var stats RefineStats
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(cands) == 0 {
-		return -1, stats, fmt.Errorf("dse: staged selection over an empty frontier")
+		return -1, stats, errEmptyFrontier
 	}
-	if err := ctx.Err(); err != nil {
+	models, space, cons := sc.models, sc.space, sc.cons
+	blk, err := gatherCands(ctx, sc, cands)
+	if err != nil {
 		return -1, stats, err
 	}
 	st, err := newStage1(fo.Params, models, space, ev)
@@ -168,14 +230,7 @@ func (fo *FidelityOptions) RefineSelect(ctx context.Context, cands []int, models
 		return -1, stats, err
 	}
 	nm := len(models)
-	results := make([]fidelity.Result, len(cands)*nm)
-	errs := make([]error, len(cands))
-	ev.ForEach(len(cands), func(j int) {
-		if ctx.Err() != nil {
-			return
-		}
-		errs[j] = st.refine(space.At(cands[j]), results[j*nm:(j+1)*nm])
-	})
+	results, errs := st.refineAll(ctx, blk, ev)
 	if err := ctx.Err(); err != nil {
 		return -1, stats, err
 	}

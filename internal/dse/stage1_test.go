@@ -1,6 +1,8 @@
 package dse
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -41,9 +43,11 @@ func strided(xs []int, step int) []int {
 
 // TestStage1MatchesBuildEval is stage 1's bit-identity differential: on
 // every point checked, the refined per-model results built from plan
-// traffic, the shared topology and uncached summaries must equal, in every
-// fidelity.Result field and bit for bit, Params.Eval on Params.Build over
-// the full per-layer evaluations of the point's union-kind configuration.
+// traffic, the shared topology and its memo of package shapes, and the
+// sweep Scorer's per-model summaries re-priced on the union area must equal,
+// in every fidelity.Result field and bit for bit, Params.Eval on
+// Params.Build over the full per-layer evaluations of the point's union-kind
+// configuration.
 // The mix cases include truly mixed points such as mix(8,8), whose
 // systolic-array banks the universal graph merges into one node.
 func TestStage1MatchesBuildEval(t *testing.T) {
@@ -87,12 +91,17 @@ func TestStage1MatchesBuildEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		sc := NewScorer(ev, tc.models, tc.space, DefaultConstraints())
 		got := make([]fidelity.Result, len(tc.models))
 		seen := tc.mustSee.IsZero()
 		for _, k := range tc.points {
 			pt := tc.space.At(k)
 			seen = seen || pt.Mix == tc.mustSee
-			if err := st.refine(pt, got); err != nil {
+			blk, err := gatherCands(context.Background(), sc, []int{k})
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, pt, err)
+			}
+			if err := st.refine(pt, blk.sums, got); err != nil {
 				t.Fatalf("%s %v: %v", tc.name, pt, err)
 			}
 			cfg := hw.NewConfig(pt, tc.models)
@@ -124,4 +133,116 @@ func diffResultBits(a, b fidelity.Result) string {
 		}
 	}
 	return ""
+}
+
+// shapeKey renders what a package's floorplan and NoC/NoP terms read of it:
+// the chiplet count, each chiplet's bank count and the unit-kind host map.
+func shapeKey(pkg *fidelity.Package) string {
+	banks := make([]int, len(pkg.Chiplets))
+	for i, c := range pkg.Chiplets {
+		banks[i] = len(c.Banks)
+	}
+	return fmt.Sprint(len(pkg.Chiplets), banks, fidelity.HostMap(pkg.Chiplets))
+}
+
+// TestStage1RealizesEachShapeOnce pins stage 1's memo of package shapes on
+// the Table I training set over the fine space and on three networks over
+// the mix space. Refining the whole frontier solves one floorplan per
+// distinct package shape, as the un-memoized Realize tells the shapes
+// apart, and fewer than one per candidate; the refined results are
+// bit-identical at one and eight workers; and candidates that share a shape
+// each equal Params.Eval on Params.Build over their own full evaluations.
+func TestStage1RealizesEachShapeOnce(t *testing.T) {
+	mix, err := hw.DefaultMixSpec(nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	three := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		models []*workload.Model
+		space  hw.DesignSpace
+	}{
+		{"fine/training", workload.TrainingSet(), hw.FineSpace()},
+		{"mix/three", three, mix},
+	} {
+		// A 5 mm^2 die limit splits the larger candidates' arrays across
+		// several dies, so the frontier spans about a dozen shapes.
+		params := testFidelityParams()
+		params.MaxChipletAreaMM2 = 5
+		ev := eval.New(eval.Options{Workers: 2})
+		cands := scoredFrontier(t, tc.models, tc.space, ev)
+		nm := len(tc.models)
+		var want []fidelity.Result
+		var st *stage1
+		for _, workers := range []int{1, 8} {
+			evw := eval.New(eval.Options{Workers: workers})
+			s, err := newStage1(params, tc.models, tc.space, evw)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			blk, err := gatherCands(ctx, NewScorer(evw, tc.models, tc.space, DefaultConstraints()), cands)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			got, errs := s.refineAll(ctx, blk, evw)
+			for j, err := range errs {
+				if err != nil {
+					t.Fatalf("%s %v: %v", tc.name, tc.space.At(cands[j]), err)
+				}
+			}
+			if want == nil {
+				want, st = got, s
+				continue
+			}
+			for x := range got {
+				if f := diffResultBits(got[x], want[x]); f != "" {
+					t.Fatalf("%s %v %s: %s differs between 1 and %d workers", tc.name,
+						tc.space.At(cands[x/nm]), tc.models[x%nm].Name, f, workers)
+				}
+			}
+			if a, b := st.topo.Floorplans(), s.topo.Floorplans(); a != b {
+				t.Errorf("%s: %d floorplans at 1 worker, %d at %d", tc.name, a, b, workers)
+			}
+		}
+
+		byShape := make(map[string][]int)
+		cfg := st.tmpl
+		for j, k := range cands {
+			cfg.Point = tc.space.At(k)
+			pkg, err := params.Realize(st.topo, cfg)
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, cfg.Point, err)
+			}
+			byShape[shapeKey(pkg)] = append(byShape[shapeKey(pkg)], j)
+		}
+		if got := st.topo.Floorplans(); got != len(byShape) {
+			t.Errorf("%s: %d floorplans solved for %d distinct shapes over %d candidates",
+				tc.name, got, len(byShape), len(cands))
+		}
+		if len(byShape) >= len(cands) {
+			t.Fatalf("%s: %d candidates in %d shapes; no shape is shared", tc.name, len(cands), len(byShape))
+		}
+		for _, js := range byShape {
+			if len(js) < 2 {
+				continue
+			}
+			for _, j := range js[:2] {
+				cfg := hw.NewConfig(tc.space.At(cands[j]), tc.models)
+				cfg.Cat = hw.CatalogueOf(tc.space)
+				full := fullEvals(t, ev, tc.models, cfg)
+				pkg, err := params.Build("oracle", full)
+				if err != nil {
+					t.Fatalf("%s %v: %v", tc.name, cfg.Point, err)
+				}
+				for i, e := range full {
+					if f := diffResultBits(want[j*nm+i], params.Eval(pkg, e)); f != "" {
+						t.Errorf("%s %v %s: memoized %s differs from Build+Eval", tc.name, cfg.Point, tc.models[i].Name, f)
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d candidates, %d shapes", tc.name, len(cands), len(byShape))
+	}
 }

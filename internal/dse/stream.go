@@ -551,13 +551,16 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 		// with the physical models in selection order, and the winner comes
 		// from the refined ranking (DESIGN.md §10). The frontier is already
 		// dominance-pruned, so this evaluates the expensive models on a tiny
-		// fraction of the space (RefinedPoints in the stats).
+		// fraction of the space (RefinedPoints in the stats). Stage 1 reads
+		// the candidates' summaries from the sweep's Scorer before it refines
+		// them; nothing reads the Scorer after that, so its tables are freed
+		// while the candidates refine.
 		cands := make([]int, len(mg.front.cands))
 		for i := range mg.front.cands {
 			cands[i] = mg.front.cands[i].idx
 		}
 		var rerr error
-		best, refineStats, rerr = o.Fidelity.RefineSelect(ctx, cands, models, space, cons, ev)
+		best, refineStats, rerr = o.Fidelity.RefineScored(ctx, sw.score, cands, ev)
 		if rerr != nil {
 			return Result{}, rerr
 		}

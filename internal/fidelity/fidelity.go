@@ -8,7 +8,9 @@
 // The realization has a configuration-invariant half (NewTopology: the
 // universal graph graph.Universal builds, and its clustering) and a
 // per-point half (Realize, then Score per model). Build and Eval run both
-// halves for one configuration's full evaluations.
+// halves for one configuration's full evaluations. Topology.Rescore runs the
+// per-point half for staged selection's candidates and computes the part of
+// it that depends only on the package's shape once per shape.
 //
 // The package exists so both the design-point reporting path (internal/core)
 // and the staged multi-fidelity selection inside the DSE sweep (internal/dse)
@@ -18,10 +20,14 @@
 package fidelity
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/hw"
@@ -189,7 +195,7 @@ func (p Params) Chipletize(nodes []graph.Node, communities []int) []Chiplet {
 		}
 		total := logic + p.RouterAreaUM2(len(banks), multi)
 		chiplets[i] = Chiplet{
-			Label:        fmt.Sprintf("L%d", i+1),
+			Label:        "L" + strconv.Itoa(i+1),
 			Banks:        banks,
 			LogicAreaMM2: hw.UM2ToMM2(logic),
 			AreaMM2:      hw.UM2ToMM2(total),
@@ -251,9 +257,12 @@ func newPackage(chiplets []Chiplet) *Package {
 }
 
 // AreaMM2 returns the summed die area of the package.
-func (pkg *Package) AreaMM2() float64 {
+func (pkg *Package) AreaMM2() float64 { return areaMM2(pkg.Chiplets) }
+
+// areaMM2 sums the chiplets' die areas in order.
+func areaMM2(chiplets []Chiplet) float64 {
 	var a float64
-	for _, c := range pkg.Chiplets {
+	for _, c := range chiplets {
 		a += c.AreaMM2
 	}
 	return a
@@ -265,11 +274,29 @@ func (pkg *Package) AreaMM2() float64 {
 // bytes consecutive layers move between two unit kinds, which follow the
 // layers' shapes and the precision, not the DSE point. So every point of one
 // exploration shares one Topology: staged selection clusters once and
-// realizes each candidate on it (Realize).
+// realizes each candidate on it (Rescore).
+//
+// A Topology also memoizes, per package shape, the part of a realization
+// that reads nothing else (see Rescore). The memo lives as long as the
+// Topology, so it holds at most one entry per candidate realized on it.
 type Topology struct {
+	params  Params // the parameters the topology was built with
 	graph   *graph.Graph
 	traffic [][]ppa.LayerTraffic // per model, in layer order
 	assign  []int                // node -> community
+
+	mu         sync.Mutex
+	shapes     map[string]*shape
+	floorplans atomic.Int64 // floorplans solved for shapes
+}
+
+// shape is the memo entry of one package shape: the floorplan and each
+// model's interconnect terms, filled once.
+type shape struct {
+	once  sync.Once
+	fp    placement.Placement
+	links []Result // per model, in the topology's order; NoC and NoP fields only
+	err   error
 }
 
 // NewTopology builds the universal graph of the models' layer traffic over
@@ -290,7 +317,7 @@ func (p Params) NewTopology(name string, cfgs []hw.Config, traffic [][]ppa.Layer
 	if len(communities) != n {
 		return nil, fmt.Errorf("fidelity: cluster function returned %d labels for %d nodes", len(communities), n)
 	}
-	return &Topology{graph: g, traffic: traffic, assign: communities}, nil
+	return &Topology{params: p, graph: g, traffic: traffic, assign: communities}, nil
 }
 
 // Realize is the per-point half of a package realization: it sizes the
@@ -299,6 +326,21 @@ func (p Params) NewTopology(name string, cfgs []hw.Config, traffic [][]ppa.Layer
 // floorplans the package against the inter-chiplet traffic of every model in
 // the topology.
 func (p Params) Realize(t *Topology, cfgs ...hw.Config) (*Package, error) {
+	chiplets, err := p.chipletize(t, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	pkg := newPackage(chiplets)
+	pkg.Assign = t.assign
+	if pkg.Floorplan, err = t.place(len(chiplets), &pkg.host); err != nil {
+		return nil, err
+	}
+	return pkg, nil
+}
+
+// chipletize sizes the topology's nodes from the banks of cfgs and splits
+// their communities into dies.
+func (p *Params) chipletize(t *Topology, cfgs []hw.Config) ([]Chiplet, error) {
 	nodes := graph.BankNodes(cfgs)
 	g := t.graph
 	if len(nodes) != len(g.Nodes) {
@@ -309,24 +351,96 @@ func (p Params) Realize(t *Topology, cfgs ...hw.Config) (*Package, error) {
 			return nil, fmt.Errorf("fidelity: %q: configuration node %d is %v, topology's is %v", g.Name, i, nd.Unit, g.Nodes[i].Unit)
 		}
 	}
-	pkg := newPackage(p.Chipletize(nodes, t.assign))
-	pkg.Assign = t.assign
+	return p.Chipletize(nodes, t.assign), nil
+}
 
-	// Floorplan the package: aggregate inter-chiplet traffic over every
-	// served model and minimize traffic-weighted trace length.
-	prob := placement.NewProblem(len(pkg.Chiplets))
+// place floorplans a package of n chiplets whose unit kinds host maps to
+// chiplets: it aggregates the inter-chiplet traffic of every model in the
+// topology and minimizes the traffic-weighted trace length.
+func (t *Topology) place(n int, host *[hw.NumUnits]int) (placement.Placement, error) {
+	prob := placement.NewProblem(n)
 	for _, tr := range t.traffic {
 		for i := 1; i < len(tr); i++ {
-			prob.AddTraffic(pkg.host[tr[i-1].Unit], pkg.host[tr[i].Unit], float64(tr[i-1].OutBytes))
+			prob.AddTraffic(host[tr[i-1].Unit], host[tr[i].Unit], float64(tr[i-1].OutBytes))
 		}
 	}
 	fp, err := placement.Solve(prob)
 	if err != nil {
-		return nil, fmt.Errorf("fidelity: floorplanning %q: %w", g.Name, err)
+		return placement.Placement{}, fmt.Errorf("fidelity: floorplanning %q: %w", t.graph.Name, err)
 	}
-	pkg.Floorplan = fp
-	return pkg, nil
+	return fp, nil
 }
+
+// Rescore is Score on Realize(t, cfg) for every model of the topology,
+// under the Params that built t, the way staged selection refines each
+// candidate: sums holds the models' analytical totals on cfg, in the
+// topology's model order, and out receives their Results in the same order.
+// The results equal Score on Realize bit for bit.
+//
+// The floorplan and each model's NoC/NoP terms read three things of the
+// package: its chiplet count, each chiplet's bank count (the torus a
+// transfer inside it crosses) and the unit-kind host map. Rescore computes
+// them once per such shape and reuses them for every later candidate of that
+// shape. Chipletization and the thermal peak, which read the die areas, run
+// per call. Rescore is safe for concurrent use: each shape is filled exactly
+// once, and its entry does not depend on which call filled it.
+func (t *Topology) Rescore(cfg hw.Config, sums []ppa.Summary, out []Result) error {
+	p := &t.params
+	chiplets, err := p.chipletize(t, []hw.Config{cfg})
+	if err != nil {
+		return err
+	}
+	host := HostMap(chiplets)
+	sh := t.shapeOf(chiplets, &host)
+	if sh.err != nil {
+		return sh.err
+	}
+	for i := range out {
+		out[i] = sh.links[i]
+		p.finish(&out[i], chiplets, &sh.fp, sums[i])
+	}
+	return nil
+}
+
+// shapeOf returns the memo entry of the chiplets' shape, whose unit kinds
+// host maps to chiplets, filling it on first use.
+func (t *Topology) shapeOf(chiplets []Chiplet, host *[hw.NumUnits]int) *shape {
+	var buf [64]byte
+	key := binary.AppendUvarint(buf[:0], uint64(len(chiplets)))
+	for _, c := range chiplets {
+		key = binary.AppendUvarint(key, uint64(len(c.Banks)))
+	}
+	for _, h := range host {
+		key = binary.AppendUvarint(key, uint64(h))
+	}
+	t.mu.Lock()
+	sh, ok := t.shapes[string(key)]
+	if !ok {
+		if t.shapes == nil {
+			t.shapes = make(map[string]*shape)
+		}
+		sh = new(shape)
+		t.shapes[string(key)] = sh
+	}
+	t.mu.Unlock()
+	sh.once.Do(func() {
+		t.floorplans.Add(1)
+		pkg := newPackage(chiplets)
+		if sh.fp, sh.err = t.place(len(chiplets), &pkg.host); sh.err != nil {
+			return
+		}
+		pkg.Floorplan = sh.fp
+		sh.links = make([]Result, len(t.traffic))
+		for i, tr := range t.traffic {
+			sh.links[i] = t.params.links(pkg, tr)
+		}
+	})
+	return sh
+}
+
+// Floorplans returns how many floorplans Rescore has solved on the
+// topology: one per distinct package shape it has seen.
+func (t *Topology) Floorplans() int { return int(t.floorplans.Load()) }
 
 // trafficOf projects a full evaluation onto its layer traffic.
 func trafficOf(e *ppa.Eval) []ppa.LayerTraffic {
@@ -408,6 +522,15 @@ func (p Params) Eval(pkg *Package, e *ppa.Eval) Result {
 // over-priced traffic inside small dies and under-priced it after rounding
 // down, and the error moved with whichever die happened to be largest.
 func (p Params) Score(pkg *Package, traffic []ppa.LayerTraffic, s ppa.Summary) Result {
+	r := p.links(pkg, traffic)
+	p.finish(&r, pkg.Chiplets, &pkg.Floorplan, s)
+	return r
+}
+
+// links is Score's interconnect half: the NoC and NoP transfer latency and
+// energy of the model's layer-to-layer traffic on the package, which read
+// only the package's shape.
+func (p *Params) links(pkg *Package, traffic []ppa.LayerTraffic) Result {
 	var r Result
 	for i := 1; i < len(traffic); i++ {
 		bytes := traffic[i-1].OutBytes
@@ -423,26 +546,32 @@ func (p Params) Score(pkg *Package, traffic []ppa.LayerTraffic, s ppa.Summary) R
 			r.NoPEnergyPJ += p.NoP.TransferEnergyPJ(bytes, hops)
 		}
 	}
+	return r
+}
+
+// finish is Score's per-package half: it completes r, whose interconnect
+// terms links set, with the refined totals over the analytical totals s and
+// the peak junction temperature of the chiplets on floorplan fp.
+func (p *Params) finish(r *Result, chiplets []Chiplet, fp *placement.Placement, s ppa.Summary) {
 	r.LatencyS = s.LatencyS + r.NoCLatencyS + r.NoPLatencyS
 	r.EnergyPJ = s.EnergyPJ() + r.NoCEnergyPJ + r.NoPEnergyPJ
 
 	// Peak junction temperature: each chiplet dissipates the model's average
 	// power in proportion to its area share (uniform power density across the
 	// package, matching the no-power-gating assumption).
-	area := pkg.AreaMM2()
+	area := areaMM2(chiplets)
 	if r.LatencyS > 0 && area > 0 {
 		totalW := r.EnergyPJ * 1e-12 / r.LatencyS
-		srcs := make([]thermal.Source, len(pkg.Chiplets))
-		for i, c := range pkg.Chiplets {
+		srcs := make([]thermal.Source, len(chiplets))
+		for i, c := range chiplets {
 			srcs[i] = thermal.Source{
 				PowerW:  totalW * c.AreaMM2 / area,
 				AreaMM2: c.AreaMM2,
-				Slot:    pkg.Floorplan.Slot[i],
+				Slot:    fp.Slot[i],
 			}
 		}
-		if peak, err := p.Thermal.Peak(srcs, pkg.Floorplan.Grid.W); err == nil {
+		if peak, err := p.Thermal.Peak(srcs, fp.Grid.W); err == nil {
 			r.PeakTempC = peak
 		}
 	}
-	return r
 }

@@ -1,7 +1,9 @@
 package fidelity
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -226,5 +228,90 @@ func TestHostMapFirstHost(t *testing.T) {
 	}
 	if m[hw.ActReLU] != 1 {
 		t.Errorf("ReLU host = %d, want 1", m[hw.ActReLU])
+	}
+}
+
+// shapeOfPackage renders what Rescore's memo must tell apart: the chiplet
+// count, each chiplet's bank count and the unit-kind host map.
+func shapeOfPackage(pkg *Package) string {
+	banks := make([]int, len(pkg.Chiplets))
+	for i, c := range pkg.Chiplets {
+		banks[i] = len(c.Banks)
+	}
+	return fmt.Sprint(len(pkg.Chiplets), banks, HostMap(pkg.Chiplets))
+}
+
+// sameBits reports whether two results agree bit for bit in every field.
+func sameBits(a, b Result) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		if math.Float64bits(va.Field(i).Float()) != math.Float64bits(vb.Field(i).Float()) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRescoreMatchesScoreOnRealize pins Rescore's memo of package shapes
+// against the un-memoized Score on Realize. Every unit sits in one
+// community and the die limit holds two and a half arrays, so the
+// systolic-array bank splits across dies; as the activation and pooling
+// banks grow, the first die keeps fewer arrays and then none. That yields
+// distinct shapes with the same chiplet count: with arrays on the first die
+// or all of them moved off it. Every result must equal Score on Realize bit
+// for bit, in grid order on one topology, and the topology must solve one
+// floorplan per distinct shape.
+func TestRescoreMatchesScoreOnRealize(t *testing.T) {
+	m := workload.NewAlexNet()
+	plan := ppa.NewModelPlan(m)
+	traffic := [][]ppa.LayerTraffic{plan.Traffic(hw.Int8, 1)}
+	p := testParams()
+	p.Cluster = oneCommunity
+	perSA := hw.Bank{Unit: hw.SystolicArray, Count: 1, SASize: 32}.AreaUM2()
+	p.MaxChipletAreaMM2 = hw.UM2ToMM2(2.5 * perSA)
+	tmpl := hw.NewConfig(hw.Point{}, []*workload.Model{m})
+	topo, err := p.NewTopology("rescore", []hw.Config{tmpl}, traffic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := make(map[string]bool)
+	byCount := make(map[int]map[string]bool)
+	for _, nsa := range []int{4, 6} {
+		for units := 1; units <= 4096; units *= 2 {
+			cfg := tmpl
+			cfg.Point = hw.Point{SASize: 32, NSA: nsa, NAct: units, NPool: units}
+			s, err := plan.Summary(cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkg, err := p.Realize(topo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := p.Score(pkg, traffic[0], s)
+			got := make([]Result, 1)
+			if err := topo.Rescore(cfg, []ppa.Summary{s}, got); err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got[0], want) {
+				t.Errorf("%v: Rescore %+v, Score on Realize %+v", cfg.Point, got[0], want)
+			}
+			key := shapeOfPackage(pkg)
+			shapes[key] = true
+			if byCount[len(pkg.Chiplets)] == nil {
+				byCount[len(pkg.Chiplets)] = make(map[string]bool)
+			}
+			byCount[len(pkg.Chiplets)][key] = true
+		}
+	}
+	if got := topo.Floorplans(); got != len(shapes) {
+		t.Errorf("%d floorplans solved for %d distinct shapes", got, len(shapes))
+	}
+	shared := false
+	for _, ks := range byCount {
+		shared = shared || len(ks) > 1
+	}
+	if !shared {
+		t.Fatalf("no two shapes share a chiplet count: %v", byCount)
 	}
 }

@@ -74,9 +74,12 @@ type Config struct {
 
 // Catalogue returns the configuration's catalogue, defaulting to the
 // built-in one; never nil.
-func (c Config) Catalogue() *Catalogue {
-	if c.Cat != nil {
-		return c.Cat
+func (c Config) Catalogue() *Catalogue { return orDefault(c.Cat) }
+
+// orDefault returns cat, or the built-in catalogue when cat is nil.
+func orDefault(cat *Catalogue) *Catalogue {
+	if cat != nil {
+		return cat
 	}
 	return Default()
 }
@@ -200,9 +203,10 @@ func (c Config) AreaMM2() float64 { return c.AreaMM2From(c.AreaPrefixUM2()) }
 // AreaPrefixUM2 returns the leading terms of AreaMM2's sum, in um^2: the
 // compute banks, then the activation banks. They do not depend on NPool, so
 // a sweep over points that differ only in NPool computes them once and
-// finishes each point with AreaMM2From.
-func (c Config) AreaPrefixUM2() float64 {
-	cat := c.Catalogue()
+// finishes each point with AreaMM2From. It and AreaMM2From take a pointer so
+// that a gather calling them per point does not copy the configuration.
+func (c *Config) AreaPrefixUM2() float64 {
+	cat := orDefault(c.Cat)
 	var um2 float64
 	if c.Mix.IsZero() {
 		um2 = Bank{Unit: SystolicArray, Count: c.NSA, SASize: c.SASize, Precision: c.Precision, Cat: c.Cat}.AreaUM2()
@@ -219,8 +223,8 @@ func (c Config) AreaPrefixUM2() float64 {
 // AreaPrefixUM2 at any NPool: it adds the pooling banks at c.NPool and then
 // the engines, in AreaMM2's order, so the result is bit-identical to
 // AreaMM2.
-func (c Config) AreaMM2From(prefix float64) float64 {
-	cat := c.Catalogue()
+func (c *Config) AreaMM2From(prefix float64) float64 {
+	cat := orDefault(c.Cat)
 	um2 := prefix
 	for _, u := range c.Pools {
 		um2 += float64(c.NPool) * cat.PPA(u).AreaUM2

@@ -312,6 +312,18 @@ func (s Summary) PowerDensity() float64 {
 	return s.PowerW() / s.AreaMM2
 }
 
+// OnArea returns s re-priced on a configuration of areaMM2 mm^2 under
+// catalogue cat: the same latency and dynamic energy, with that area and the
+// leakage it draws over the run (idle units leak too). A model's summary on
+// a configuration that also holds other models' units is its summary on its
+// own units re-priced on the larger configuration's area, bit for bit: the
+// units it does not use change only the area.
+func (s Summary) OnArea(cat *hw.Catalogue, areaMM2 float64) Summary {
+	s.AreaMM2 = areaMM2
+	s.LeakagePJ = leakagePJ(cat, areaMM2, s.LatencyS)
+	return s
+}
+
 // Summary extracts the scalar totals of a full evaluation.
 func (e *Eval) Summary() Summary {
 	return Summary{

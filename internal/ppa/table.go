@@ -254,6 +254,11 @@ func (t *Table) Summary(k int) (Summary, error) {
 // indices of one run, starting at a multiple of lanes.
 const lanes = 8
 
+// fewLanes is the most points of one lane group a gather sums one lane at a
+// time (laneSum) rather than all lanes at once (laneSums): a one-point
+// gather then walks the layers once for its one point.
+const fewLanes = 2
+
 // SummaryRange writes the model's totals at the len(out) points from lo on
 // into out, and each point's error, or nil, into errs, which has out's
 // length: out[j] and errs[j] are what Summary(lo+j) returns. The range is
@@ -301,15 +306,28 @@ func (t *Table) gatherRun(r, p int, out []Summary, errs []error) {
 	if t.mixes == nil {
 		dyn = t.dyn[b/len(t.nsas)]
 	}
-	// Lanes of a group that fall outside the range are summed and dropped.
 	for g := p - p%lanes; g < p+len(out); g += lanes {
+		lo, hi := max(g, p), min(g+lanes, p+len(out))
+		if hi-lo <= fewLanes {
+			// A group the range barely covers is summed one lane at a time.
+			for x := lo; x < hi; x++ {
+				if t.mixes == nil {
+					out[x-p].LatencyS = t.laneSum(b, ai, x)
+				} else {
+					out[x-p].LatencyS, dyn = t.mixLaneSum(b, ai, x)
+				}
+			}
+			continue
+		}
+		// Lanes of the group that fall outside the range are summed and
+		// dropped.
 		var acc [lanes]float64
 		if t.mixes == nil {
 			acc = t.laneSums(b, ai, g)
 		} else {
 			acc, dyn = t.mixLaneSums(b, ai, g)
 		}
-		for x := max(g, p); x < min(g+lanes, p+len(out)); x++ {
+		for x := lo; x < hi; x++ {
 			out[x-p].LatencyS = acc[x-g]
 		}
 	}
@@ -357,17 +375,27 @@ func (t *Table) laneSums(b, ai, g int) [lanes]float64 {
 	return [lanes]float64{a0, a1, a2, a3, a4, a5, a6, a7}
 }
 
-// mixLaneSums is laneSums on a mix space, where each compute layer runs on
-// the fastest chiplet type mix b instantiates (ties toward the lowest type
-// index, as mixComputeKernel breaks them). It also returns the mix's
-// dynamic energy, summed in layer order; it depends on neither NAct nor
-// NPool.
-func (t *Table) mixLaneSums(b, ai, g int) ([lanes]float64, float64) {
+// laneSum is laneSums for the one lane at NPool index x: the same per-layer
+// values added in the same order, so it returns laneSums' lane x exactly.
+func (t *Table) laneSum(b, ai, x int) float64 {
 	n := len(t.plan.layers)
-	// The rows and energies of the types this mix instantiates, in type
-	// order.
-	var lat, typeDyn [hw.MaxMixTypes][]float64
-	nt := 0
+	comp, act, eng := t.comp[b*n:(b+1)*n], t.act[ai*n:(ai+1)*n], t.eng[:n]
+	isPool, pool, stride := t.isPool[:n], t.pool[x:], t.poolStride
+	var a float64
+	for i := range comp {
+		if isPool[i] {
+			a += pool[i*stride]
+			continue
+		}
+		a += comp[i] + act[i] + eng[i]
+	}
+	return a
+}
+
+// mixTypes returns the compute latency rows and energies of the nt chiplet
+// types mix b instantiates, in type order.
+func (t *Table) mixTypes(b int) (lat, typeDyn [hw.MaxMixTypes][]float64, nt int) {
+	n := len(t.plan.layers)
 	for ti, row := range t.mixRow[b*t.nTypes : (b+1)*t.nTypes] {
 		if row >= 0 {
 			lat[nt] = t.typeLat[int(row)*n : int(row+1)*n]
@@ -375,6 +403,17 @@ func (t *Table) mixLaneSums(b, ai, g int) ([lanes]float64, float64) {
 			nt++
 		}
 	}
+	return lat, typeDyn, nt
+}
+
+// mixLaneSums is laneSums on a mix space, where each compute layer runs on
+// the fastest chiplet type mix b instantiates (ties toward the lowest type
+// index, as mixComputeKernel breaks them). It also returns the mix's
+// dynamic energy, summed in layer order; it depends on neither NAct nor
+// NPool.
+func (t *Table) mixLaneSums(b, ai, g int) ([lanes]float64, float64) {
+	n := len(t.plan.layers)
+	lat, typeDyn, nt := t.mixTypes(b)
 	compute, act, eng, elemDyn := t.plan.soa.compute[:n], t.act[ai*n:(ai+1)*n], t.eng[:n], t.elemDyn[:n]
 	isPool, pool, stride := t.isPool[:n], t.pool[g:], t.poolStride
 	var dyn, a0, a1, a2, a3, a4, a5, a6, a7 float64
@@ -416,4 +455,35 @@ func (t *Table) mixLaneSums(b, ai, g int) ([lanes]float64, float64) {
 		a7 += v
 	}
 	return [lanes]float64{a0, a1, a2, a3, a4, a5, a6, a7}, dyn
+}
+
+// mixLaneSum is mixLaneSums for the one lane at NPool index x, with the
+// mix's dynamic energy.
+func (t *Table) mixLaneSum(b, ai, x int) (float64, float64) {
+	n := len(t.plan.layers)
+	lat, typeDyn, nt := t.mixTypes(b)
+	compute, act, eng, elemDyn := t.plan.soa.compute[:n], t.act[ai*n:(ai+1)*n], t.eng[:n], t.elemDyn[:n]
+	isPool, pool, stride := t.isPool[:n], t.pool[x:], t.poolStride
+	var dyn, a float64
+	for i := range compute {
+		switch {
+		case isPool[i]:
+			a += pool[i*stride]
+			dyn += elemDyn[i]
+		case compute[i]:
+			best := 0
+			v := lat[0][i]
+			for y := 1; y < nt; y++ {
+				if l := lat[y][i]; l < v {
+					best, v = y, l
+				}
+			}
+			a += v
+			dyn += typeDyn[best][i]
+		default:
+			a += act[i] + eng[i]
+			dyn += elemDyn[i]
+		}
+	}
+	return a, dyn
 }

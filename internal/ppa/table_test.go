@@ -175,3 +175,29 @@ func TestTableErrorsMatchSummary(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTableSummaryPoint times the one-point gather, Table.Summary, the
+// way search visits and a per-point table read it: every point of the fine
+// space one at a time, for each of the 13 training networks. It reports the
+// cost per gathered point.
+func BenchmarkTableSummaryPoint(b *testing.B) {
+	space := hw.FineSpace()
+	var tabs []*Table
+	for _, m := range workload.TrainingSet() {
+		tmpl := hw.NewConfig(hw.Point{}, []*workload.Model{m})
+		tabs = append(tabs, NewTable(NewModelPlan(m), tmpl, space))
+	}
+	n := space.Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for _, tab := range tabs {
+			for k := 0; k < n; k++ {
+				if _, err := tab.Summary(k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*len(tabs)), "ns/point")
+}

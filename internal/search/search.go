@@ -768,8 +768,11 @@ func (st *state) finish(strategy string) (dse.Result, Trace, error) {
 	}
 	var refineStats *dse.RefineStats
 	if st.fid.Staged() {
-		refined, stats, err := st.fid.RefineSelect(st.ctx, st.sel.FeasibleFrontier(),
-			st.models, st.space, st.cons, st.ev)
+		// Stage 1 reads the candidates' summaries from the scorer first;
+		// dropping the state's reference frees its tables while they refine.
+		sc := st.score
+		st.score = nil
+		refined, stats, err := st.fid.RefineScored(st.ctx, sc, st.sel.FeasibleFrontier(), st.ev)
 		tr.RefinedPoints = stats.Refined
 		tr.ThermalRejected = stats.ThermalRejected
 		if err != nil {

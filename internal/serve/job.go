@@ -436,7 +436,9 @@ func (m *Manager) run(j *Job) {
 }
 
 // finish settles the terminal state, releases the job's work and the
-// coalescing slot, records metrics and evicts old history.
+// coalescing slot, records metrics and evicts old history. Done closes last,
+// so a request submitted after a waiter saw the job finish never coalesces
+// onto it: it runs as a job of its own.
 func (m *Manager) finish(j *Job, res any, err error) {
 	j.mu.Lock()
 	j.exec = nil
@@ -455,8 +457,6 @@ func (m *Manager) finish(j *Job, res any, err error) {
 	state := j.state
 	latency := j.finished.Sub(j.created)
 	j.mu.Unlock()
-	close(j.done)
-	j.cancel(nil) // release the context's resources
 
 	switch state {
 	case StateDone:
@@ -478,4 +478,6 @@ func (m *Manager) finish(j *Job, res any, err error) {
 		m.history = m.history[1:]
 	}
 	m.mu.Unlock()
+	close(j.done)
+	j.cancel(nil) // release the context's resources
 }

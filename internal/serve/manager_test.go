@@ -114,6 +114,80 @@ func TestCoalesceOneExecution(t *testing.T) {
 	}
 }
 
+// TestFinishedJobIsNotCoalescedOnto pins that a job stops taking
+// attachments before its waiters see it finish: identical submissions, each
+// awaited before the next, must each be admitted and run as a job of their
+// own. The same holds right after a cancelled job, whose cancellation a
+// later request must not inherit.
+func TestFinishedJobIsNotCoalescedOnto(t *testing.T) {
+	m := NewManager(ManagerConfig{Workers: 2, MaxQueue: 4})
+	defer m.Close()
+	var execs atomic.Int64
+	quick := func(context.Context, *Job) (any, error) {
+		execs.Add(1)
+		return "done", nil
+	}
+	const n = 300
+	for i := 0; i < n; i++ {
+		j, coalesced, err := m.Submit("explore", "key-A", true, quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coalesced {
+			t.Fatalf("submission %d coalesced onto finished job %s", i, j.ID)
+		}
+		spinUntilDone(j)
+	}
+	if got := m.Metrics().Accepted.Load(); got != n {
+		t.Errorf("accepted %d jobs for %d sequential submissions, want %d", got, n, n)
+	}
+	if got := execs.Load(); got != n {
+		t.Errorf("%d executions for %d sequential submissions, want %d", got, n, n)
+	}
+
+	const rounds = 50
+	for i := 0; i < rounds; i++ {
+		entered := make(chan struct{}, 1)
+		victim, _, err := m.Submit("explore", "key-B", true, blockingExec(new(atomic.Int64), entered, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+		m.Cancel(victim.ID)
+		spinUntilDone(victim)
+		if st := victim.Snapshot(false); st.State != StateCancelled {
+			t.Fatalf("round %d: cancelled job settled %v", i, st.State)
+		}
+		j, coalesced, err := m.Submit("explore", "key-B", true, quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coalesced || j == victim {
+			t.Fatalf("round %d: submission after a cancelled job coalesced onto it", i)
+		}
+		<-j.Done()
+		if st := j.Snapshot(true); st.State != StateDone || st.Result != "done" {
+			t.Fatalf("round %d: submission after a cancelled job settled %+v, want done", i, st)
+		}
+	}
+	if got := m.Metrics().Coalesced.Load(); got != 0 {
+		t.Errorf("coalesced %d sequential submissions, want 0", got)
+	}
+}
+
+// spinUntilDone waits for j to finish without parking, so the caller acts
+// the moment Done closes, as a request arriving just then would.
+func spinUntilDone(j *Job) {
+	for {
+		select {
+		case <-j.Done():
+			return
+		default:
+			runtime.Gosched()
+		}
+	}
+}
+
 // TestCoalesceOverHTTP drives the same contract end to end: with the single
 // worker pinned by a blocker, N identical sync explores all ride one queued
 // job and receive byte-identical responses, with exactly one admission.

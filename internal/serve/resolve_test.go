@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/dse"
 	"repro/internal/workload"
@@ -76,11 +75,17 @@ func TestInternedModelsKeepHeapBounded(t *testing.T) {
 	}
 	serve(30) // warm the cache, the intern table and the job history
 	before := liveHeap()
+	accepted := m.Metrics().Accepted.Load()
 	const warm = 300
 	serve(warm)
 	if after := liveHeap(); after > before+1<<20 {
 		t.Errorf("live heap grew %d KiB over %d warm requests (%d B per request), want bounded",
 			(after-before)>>10, warm, (after-before)/warm)
+	}
+	// Each request was awaited before the next, so each ran as its own job
+	// and the bound above is per execution.
+	if ran := m.Metrics().Accepted.Load() - accepted; ran != warm {
+		t.Errorf("%d warm requests ran as %d jobs, want %d", warm, ran, warm)
 	}
 }
 
@@ -107,13 +112,6 @@ func TestFinishedJobsReleaseTheirWork(t *testing.T) {
 			if st := j.Snapshot(false); st.State != StateDone {
 				t.Fatalf("request %+v settled %v: %s", req, st.State, st.Error)
 			}
-			// finish files the job in the history just after Done closes;
-			// wait for it, so the next request runs as a job of its own.
-			waitCond(t, 5*time.Second, func() bool {
-				m.mu.Lock()
-				defer m.mu.Unlock()
-				return len(m.active) == 0
-			})
 		}
 	}
 	serve(20) // warm the engine's plans and winner, and the intern table
