@@ -312,13 +312,13 @@ func BenchmarkExploreStagedFine(b *testing.B) {
 	fo := &dse.FidelityOptions{Mode: dse.FidelityStaged, Params: core.DefaultOptions().FidelityParams()}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var stats dse.ExploreStats
 		ev := eval.New(eval.Options{})
-		if _, err := dse.ExploreSpaceCtx(context.Background(), models, fine, cons, ev,
-			&dse.ExploreOptions{Fidelity: fo, Stats: &stats}); err != nil {
+		res, err := dse.ExploreSpaceCtx(context.Background(), models, fine, cons, ev,
+			&dse.ExploreOptions{Fidelity: fo})
+		if err != nil {
 			b.Fatal(err)
 		}
-		if stats.RefinedPoints == 0 {
+		if res.Refined.Refined == 0 {
 			b.Fatal("stage 1 refined nothing")
 		}
 	}
@@ -406,12 +406,11 @@ func BenchmarkAblationGranularity(b *testing.B) {
 	for i, c := range tr.Generic.Chiplets {
 		banks[i] = c.Banks
 	}
-	units := tr.Generic.ChipletUnitSets()
 	need := hw.UnitsFor(workload.NewBERTBase())
 	b.ResetTimer()
 	var bankU, instU float64
 	for i := 0; i < b.N; i++ {
-		bankU = metrics.Utilization(units, need)
+		bankU = metrics.Utilization(banks, need)
 		instU = metrics.WeightedUtilization(banks, need)
 	}
 	b.ReportMetric(bankU, "bank-utilization")

@@ -198,9 +198,8 @@ func checkFidelity(o *Options) Section {
 			continue
 		}
 		fo := &dse.FidelityOptions{Mode: dse.FidelityStaged, Params: tc.params}
-		var stats dse.ExploreStats
 		res, err := dse.ExploreSpaceCtx(context.Background(), models, tc.space, cons, ev,
-			&dse.ExploreOptions{Fidelity: fo, Stats: &stats})
+			&dse.ExploreOptions{Fidelity: fo})
 		if wantIdx < 0 {
 			col.check(err != nil, "", "", tc.name,
 				"oracle rejected every candidate but the staged sweep selected %v", res.Config.Point)
@@ -211,11 +210,15 @@ func checkFidelity(o *Options) Section {
 		}
 		col.check(res.Config.Point == tc.space.At(wantIdx), "", "", tc.name,
 			"staged winner %v != brute-force winner %v", res.Config.Point, tc.space.At(wantIdx))
-		col.check(stats.RefinedPoints == len(cands), "", "", tc.name,
-			"RefinedPoints = %d, brute-force frontier has %d", stats.RefinedPoints, len(cands))
-		col.check(stats.ThermalRejected == wantRejected, "", "", tc.name,
-			"ThermalRejected = %d, brute-force rejected %d", stats.ThermalRejected, wantRejected)
-		col.check(stats.RefinedPoints < tc.space.Len() || tc.space.Len() < 8, "", "", tc.name,
+		var ref dse.RefineStats
+		if res.Refined != nil {
+			ref = *res.Refined
+		}
+		col.check(ref.Refined == len(cands), "", "", tc.name,
+			"Refined = %d, brute-force frontier has %d", ref.Refined, len(cands))
+		col.check(ref.ThermalRejected == wantRejected, "", "", tc.name,
+			"ThermalRejected = %d, brute-force rejected %d", ref.ThermalRejected, wantRejected)
+		col.check(ref.Refined < tc.space.Len() || tc.space.Len() < 8, "", "", tc.name,
 			"stage 1 refined the whole %d-point space; frontier pruning is broken", tc.space.Len())
 		if len(straddle.cands) == 0 && len(cands) >= 2 {
 			straddle.params, straddle.space, straddle.cands = tc.params, tc.space, cands
@@ -240,11 +243,9 @@ func checkAnalyticalIdentity(o *Options, col *collector, models []*workload.Mode
 		if !col.check(err == nil, "", "", cfgName, "default sweep: %v", err) {
 			continue
 		}
-		var stats dse.ExploreStats
 		got, err := dse.ExploreSpaceCtx(context.Background(), models, grid, cons, eval.New(eval.Options{Workers: workers}),
 			&dse.ExploreOptions{
 				Fidelity: &dse.FidelityOptions{Mode: dse.FidelityAnalytical, Params: fidelityParams(o.Catalogue)},
-				Stats:    &stats,
 			})
 		if !col.check(err == nil, "", "", cfgName, "analytical-mode sweep: %v", err) {
 			continue
@@ -253,8 +254,8 @@ func checkAnalyticalIdentity(o *Options, col *collector, models []*workload.Mode
 			base.Explored == got.Explored, "", "", cfgName,
 			"analytical mode differs from default: %v/%d/%d vs %v/%d/%d",
 			got.Config.Point, got.Feasible, got.Explored, base.Config.Point, base.Feasible, base.Explored)
-		col.check(stats.RefinedPoints == 0 && stats.ThermalRejected == 0, "", "", cfgName,
-			"analytical mode reported stage-1 work: %+v", stats)
+		col.check(got.Refined == nil, "", "", cfgName,
+			"analytical mode reported stage-1 work: %+v", got.Refined)
 		for i := range base.Evals {
 			a, b := base.Evals[i], got.Evals[i]
 			col.check(math.Float64bits(a.LatencyS) == math.Float64bits(b.LatencyS) &&

@@ -54,16 +54,6 @@ type DesignPoint struct {
 	NRE    float64
 }
 
-// ChipletUnitSets returns, per chiplet, the unit kinds of its banks — the
-// input of the utilization metric.
-func (d *DesignPoint) ChipletUnitSets() [][]hw.Unit {
-	out := make([][]hw.Unit, len(d.Chiplets))
-	for i, c := range d.Chiplets {
-		out[i] = c.Units()
-	}
-	return out
-}
-
 // FidelityParams projects the options onto the physical-fidelity layer's
 // parameter set; the same projection feeds staged selection (explore.go).
 func (o Options) FidelityParams() fidelity.Params {
@@ -109,7 +99,11 @@ func (o Options) evalOnDesign(d *DesignPoint, e *ppa.Eval) *ModelPPA {
 		mp.Total.PowerDensity = r.EnergyPJ * 1e-12 / r.LatencyS / area
 	}
 	mp.Coverage = d.Config.Coverage(e.Model)
-	mp.Utilization = metrics.Utilization(d.ChipletUnitSets(), hw.UnitsFor(e.Model))
+	banks := make([][]hw.Bank, len(d.Chiplets))
+	for i, c := range d.Chiplets {
+		banks[i] = c.Banks
+	}
+	mp.Utilization = metrics.Utilization(banks, hw.UnitsFor(e.Model))
 	return mp
 }
 

@@ -67,10 +67,8 @@ func TestAnalyticalFidelityByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var stats ExploreStats
 		opts := &ExploreOptions{
 			Fidelity: &FidelityOptions{Mode: FidelityAnalytical, Params: testFidelityParams()},
-			Stats:    &stats,
 		}
 		got, err := ExploreSpaceCtx(context.Background(), models, space, cons, eval.New(eval.Options{Workers: workers}), opts)
 		if err != nil {
@@ -80,8 +78,8 @@ func TestAnalyticalFidelityByteIdentity(t *testing.T) {
 			t.Errorf("workers=%d: analytical fidelity differs from default:\n--- default ---\n%s--- analytical ---\n%s",
 				workers, a, b)
 		}
-		if stats.RefinedPoints != 0 || stats.ThermalRejected != 0 {
-			t.Errorf("workers=%d: analytical mode reported stage-1 work: %+v", workers, stats)
+		if got.Refined != nil {
+			t.Errorf("workers=%d: analytical mode reported stage-1 work: %+v", workers, *got.Refined)
 		}
 	}
 }
@@ -90,7 +88,7 @@ func TestAnalyticalFidelityByteIdentity(t *testing.T) {
 // determinism: serial and 8-way staged exploration, whose stage 1 refines
 // candidates on the engine's workers, must select byte-identical
 // configurations with bit-identical refined scores and report identical
-// stage-1 counters.
+// stage-1 counters (canonResult renders Result.Refined).
 func TestStagedDeterministicAcrossWorkers(t *testing.T) {
 	cons := DefaultConstraints()
 	fo := &FidelityOptions{Mode: FidelityStaged, Params: testFidelityParams()}
@@ -103,24 +101,17 @@ func TestStagedDeterministicAcrossWorkers(t *testing.T) {
 		{"fine/training", workload.TrainingSet(), hw.FineSpace()},
 	} {
 		var out []string
-		var counts []ExploreStats
 		for _, workers := range []int{1, 8} {
-			var stats ExploreStats
 			r, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, cons, eval.New(eval.Options{Workers: workers}),
-				&ExploreOptions{Fidelity: fo, Stats: &stats})
+				&ExploreOptions{Fidelity: fo})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			out = append(out, canonResult(r))
-			counts = append(counts, stats)
 		}
 		if out[0] != out[1] {
 			t.Errorf("%s: staged exploration differs between 1 and 8 workers:\n--- serial ---\n%s--- parallel ---\n%s",
 				tc.name, out[0], out[1])
-		}
-		if counts[0].RefinedPoints != counts[1].RefinedPoints ||
-			counts[0].ThermalRejected != counts[1].ThermalRejected {
-			t.Errorf("%s: stage-1 counters differ across workers: %+v vs %+v", tc.name, counts[0], counts[1])
 		}
 	}
 }
@@ -160,26 +151,28 @@ func TestStagedRefinesFrontierOnly(t *testing.T) {
 		}
 		staged := eval.New(eval.Options{Workers: 4})
 		fo := &FidelityOptions{Mode: FidelityStaged, Params: params}
-		if _, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, DefaultConstraints(), staged,
-			&ExploreOptions{Fidelity: fo, Stats: &stats}); err != nil {
+		res, err := ExploreSpaceCtx(context.Background(), tc.models, tc.space, DefaultConstraints(), staged,
+			&ExploreOptions{Fidelity: fo, Stats: &stats})
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if stats.RefinedPoints == 0 {
+		refined := res.Refined.Refined
+		if refined == 0 {
 			t.Fatalf("%s: staged sweep refined nothing", tc.name)
 		}
 		if got := calls.Load(); got != 1 {
-			t.Errorf("%s: %d clustering calls for %d refined candidates, want 1", tc.name, got, stats.RefinedPoints)
+			t.Errorf("%s: %d clustering calls for %d refined candidates, want 1", tc.name, got, refined)
 		}
 		if a, s := ana.Stats().Entries, staged.Stats().Entries; s != a {
 			t.Errorf("%s: staged exploration left %d engine entries, analytical %d", tc.name, s, a)
 		}
-		if stats.RefinedPoints != stats.Retained {
-			t.Errorf("%s: RefinedPoints = %d, want the merged frontier size %d", tc.name, stats.RefinedPoints, stats.Retained)
+		if refined != stats.Retained {
+			t.Errorf("%s: Refined = %d, want the merged frontier size %d", tc.name, refined, stats.Retained)
 		}
-		if stats.RefinedPoints > stats.Points/2 {
-			t.Errorf("%s: stage 1 refined %d of %d points; frontier pruning is not working", tc.name, stats.RefinedPoints, stats.Points)
+		if refined > stats.Points/2 {
+			t.Errorf("%s: stage 1 refined %d of %d points; frontier pruning is not working", tc.name, refined, stats.Points)
 		}
-		if ratio := float64(stats.RefinedPoints) / float64(stats.Points); stats.Points >= 1000 && ratio > 0.05 {
+		if ratio := float64(refined) / float64(stats.Points); stats.Points >= 1000 && ratio > 0.05 {
 			t.Errorf("%s: stage 1 refined %.2f%% of %d points, want <= 5%%", tc.name, 100*ratio, stats.Points)
 		}
 	}

@@ -46,12 +46,6 @@ type ExploreStats struct {
 	// pre-streaming implementation allocated (32 bytes per ppa.Summary),
 	// also in int64 for the same reason.
 	NaiveBytes int64
-	// RefinedPoints and ThermalRejected report the staged pipeline's stage-1
-	// work: frontier candidates re-scored with the physical models, and how
-	// many of them the junction-temperature check rejected. Both zero under
-	// the analytical mode.
-	RefinedPoints   int
-	ThermalRejected int
 }
 
 // ExploreOptions tunes a streaming exploration. The zero value (or a nil
@@ -551,7 +545,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 		// with the physical models in selection order, and the winner comes
 		// from the refined ranking (DESIGN.md §10). The frontier is already
 		// dominance-pruned, so this evaluates the expensive models on a tiny
-		// fraction of the space (RefinedPoints in the stats). Stage 1 reads
+		// fraction of the space (Result.Refined counts it). Stage 1 reads
 		// the candidates' summaries from the sweep's Scorer before it refines
 		// them; nothing reads the Scorer after that, so its tables are freed
 		// while the candidates refine.
@@ -572,18 +566,16 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 
 	if o.Stats != nil {
 		*o.Stats = ExploreStats{
-			Points:          n,
-			Models:          len(models),
-			Chunks:          (n + chunk - 1) / chunk,
-			ChunkSize:       chunk,
-			MaxRetained:     mg.maxRetained,
-			MaxBand:         mg.maxBand,
-			Retained:        len(mg.front.cands),
-			Shards:          mg.shards,
-			RetainedBytes:   retainedBytes(mg.maxRetained, mg.maxBand, len(models)),
-			NaiveBytes:      naiveBytes(n, len(models)),
-			RefinedPoints:   refineStats.Refined,
-			ThermalRejected: refineStats.ThermalRejected,
+			Points:        n,
+			Models:        len(models),
+			Chunks:        (n + chunk - 1) / chunk,
+			ChunkSize:     chunk,
+			MaxRetained:   mg.maxRetained,
+			MaxBand:       mg.maxBand,
+			Retained:      len(mg.front.cands),
+			Shards:        mg.shards,
+			RetainedBytes: retainedBytes(mg.maxRetained, mg.maxBand, len(models)),
+			NaiveBytes:    naiveBytes(n, len(models)),
 		}
 	}
 

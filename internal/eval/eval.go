@@ -65,23 +65,14 @@ type entry struct {
 	err  error
 }
 
-// cacheKey is the comparable cache key: the model fingerprint plus every
-// hw.Config field that influences ppa evaluation, with the canonical
-// (ascending, duplicate-free) unit lists folded into bitmasks so key
-// construction allocates nothing. Non-canonical configurations fall back to
-// the rendered ConfigKey string in extra, keeping the key collision-free for
-// arbitrary inputs.
+// cacheKey is the comparable cache key: the model and catalogue
+// fingerprints, the configuration value with its catalogue pointer cleared,
+// and the batch size. Building it allocates nothing.
 type cacheKey struct {
-	fp      string
-	cat     string // catalogue fingerprint: cross-catalogue results never collide
-	point   hw.Point
-	prec    hw.Precision
-	batch   int
-	acts    uint32
-	pools   uint32
-	flatten bool
-	permute bool
-	extra   string
+	fp    string
+	cat   string // catalogue fingerprint: cross-catalogue results never collide
+	cfg   hw.Config
+	batch int
 }
 
 // keyFor builds the cache key for one lookup. The catalogue fingerprint is
@@ -89,33 +80,9 @@ type cacheKey struct {
 // Cat resolves to the default catalogue's fingerprint, so explicitly
 // attaching the default catalogue shares cache with the zero-config path.
 func (ev *Evaluator) keyFor(m *workload.Model, c hw.Config, batch int) cacheKey {
-	k := cacheKey{
-		fp: ev.Fingerprint(m), cat: c.Catalogue().Fingerprint(),
-		point: c.Point, prec: c.Precision, batch: batch,
-		flatten: c.Flatten, permute: c.Permute,
-	}
-	if ascending(c.Acts) && ascending(c.Pools) {
-		for _, u := range c.Acts {
-			k.acts |= 1 << uint(u)
-		}
-		for _, u := range c.Pools {
-			k.pools |= 1 << uint(u)
-		}
-	} else {
-		k.extra = ConfigKey(c, batch)
-	}
+	k := cacheKey{fp: ev.Fingerprint(m), cat: c.Catalogue().Fingerprint(), cfg: c, batch: batch}
+	k.cfg.Cat = nil
 	return k
-}
-
-// ascending reports whether the unit list is strictly ascending — the
-// canonical form hw.NewConfig produces.
-func ascending(us []hw.Unit) bool {
-	for i := 1; i < len(us); i++ {
-		if us[i] <= us[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // Evaluator is the parallel, memoizing evaluation engine. The zero value is
@@ -221,40 +188,13 @@ func (ev *Evaluator) entryFor(m *workload.Model, c hw.Config, batch int) *entry 
 }
 
 // ForEach runs fn(i) for every i in [0, n) across the engine's workers and
-// returns when all calls have completed. fn must be safe to call concurrently
-// and should write its result into an index-addressed slot; item order of
-// execution is unspecified, but with Workers == 1 the calls are strictly
-// sequential in index order.
+// returns when all calls have completed: ForEachChunkWorker with one-item
+// chunks. fn must be safe to call concurrently and should write its result
+// into an index-addressed slot; item order of execution is unspecified, but
+// with Workers == 1 the calls are strictly sequential in index order. fn may
+// itself call ForEach.
 func (ev *Evaluator) ForEach(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := ev.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	ev.ForEachChunkWorker(n, 1, func(_, i, _ int) { fn(i) })
 }
 
 // ForEachChunkWorker splits [0, n) into contiguous chunks of at most chunk
@@ -360,31 +300,20 @@ func Fingerprint(m *workload.Model) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ConfigKey renders a hardware configuration (plus the batch size) into the
-// canonical cache-key component: every field of hw.Config that influences
-// ppa.EvaluateBatch appears, so configurations that differ in any dimension
-// never share a key; see FuzzConfigKey.
+// ConfigKey renders a hardware configuration (plus the batch size) as a
+// string: every field of hw.Config that influences ppa.EvaluateBatch
+// appears, the unit set as its bitmask and the catalogue as its fingerprint,
+// so configurations that differ in any dimension never share a key; see
+// FuzzConfigKey.
 func ConfigKey(c hw.Config, batch int) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "sa%d n%d a%d o%d prec%d batch%d",
-		c.SASize, c.NSA, c.NAct, c.NPool, c.Precision, batch)
+	fmt.Fprintf(&sb, "sa%d n%d a%d o%d prec%d batch%d units%#x",
+		c.SASize, c.NSA, c.NAct, c.NPool, c.Precision, batch, uint16(c.Units))
 	if !c.Mix.IsZero() {
 		sb.WriteString(" mix")
 		for i := 0; i < hw.MaxMixTypes; i++ {
 			fmt.Fprintf(&sb, ",%d", c.Mix.Counts[i])
 		}
-	}
-	for _, u := range c.Acts {
-		fmt.Fprintf(&sb, " A%d", u)
-	}
-	for _, u := range c.Pools {
-		fmt.Fprintf(&sb, " O%d", u)
-	}
-	if c.Flatten {
-		sb.WriteString(" F")
-	}
-	if c.Permute {
-		sb.WriteString(" P")
 	}
 	fmt.Fprintf(&sb, " cat%s", c.Catalogue().Fingerprint())
 	return sb.String()

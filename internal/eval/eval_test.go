@@ -200,11 +200,10 @@ func TestConfigKeySensitivity(t *testing.T) {
 	v.Precision = hw.Int16
 	variants = append(variants, v)
 	v = c
-	v.Flatten = !v.Flatten
+	v.Units ^= hw.SetOf(hw.EngFlatten)
 	variants = append(variants, v)
 	v = c
-	v.Acts = append([]hw.Unit{}, v.Acts...)
-	v.Acts = v.Acts[:len(v.Acts)-1]
+	v.Units ^= hw.SetOf(hw.ActReLU)
 	variants = append(variants, v)
 	for i, vc := range variants {
 		if ConfigKey(vc, 1) == key {

@@ -73,24 +73,8 @@ func configFromBytes(raw []byte) (hw.Config, int) {
 		NAct:   dims[int(get(2))%3],
 		NPool:  dims[int(get(3))%3],
 	}}
-	// Unit membership from a bitmask, in ascending unit order (the same
-	// canonical order hw.NewConfig produces).
-	mask := int(get(4)) | int(get(5))<<8
-	for u := hw.Unit(0); int(u) < hw.NumUnits; u++ {
-		if mask&(1<<int(u)) == 0 {
-			continue
-		}
-		switch {
-		case u.IsActivation():
-			c.Acts = append(c.Acts, u)
-		case u.IsPooling():
-			c.Pools = append(c.Pools, u)
-		case u == hw.EngFlatten:
-			c.Flatten = true
-		case u == hw.EngPermute:
-			c.Permute = true
-		}
-	}
+	// Unit membership from a bitmask over the unit kinds.
+	c.Units = hw.UnitSet(get(4)) | hw.UnitSet(get(5))<<8
 	if get(6)%2 == 1 {
 		c.Precision = hw.Int16
 	}
@@ -112,7 +96,7 @@ func FuzzConfigKey(f *testing.F) {
 		if again, _ := configFromBytes(a); ConfigKey(again, batchA) != ka {
 			t.Fatal("config key is nondeterministic")
 		}
-		same := reflect.DeepEqual(ca, cb) && batchA == batchB
+		same := ca == cb && batchA == batchB
 		if same != (ka == kb) {
 			t.Fatalf("configs identical=%v but keys equal=%v\na=%q\nb=%q", same, ka == kb, ka, kb)
 		}

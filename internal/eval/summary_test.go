@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/hw"
 	"repro/internal/workload"
 )
 
@@ -65,30 +64,6 @@ func TestPlanCachedPerModel(t *testing.T) {
 	}
 	if ev.Plan(workload.NewResNet18()) == plans[0] {
 		t.Error("distinct model pointers must get distinct plans")
-	}
-}
-
-// TestCacheKeyNonCanonicalConfigs guards the struct-key fast path's fallback:
-// configurations whose unit lists are not in canonical ascending order (never
-// produced by hw.NewConfig, but legal inputs) must not collide with their
-// canonical twins unless truly identical.
-func TestCacheKeyNonCanonicalConfigs(t *testing.T) {
-	ev := New(Options{Workers: 1})
-	m := workload.NewAlexNet()
-	canon := testConfig(m)
-	dup := canon
-	dup.Acts = append(append([]hw.Unit{}, canon.Acts...), canon.Acts[0]) // duplicate entry
-	if _, err := ev.Evaluate(m, canon); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Evaluate(m, dup); err != nil {
-		t.Fatal(err)
-	}
-	if s := ev.Stats(); s.Entries != 2 {
-		t.Errorf("duplicated-unit config collided with canonical config: %+v", s)
-	}
-	if !ascending(canon.Acts) || ascending(dup.Acts) {
-		t.Error("ascending() misclassifies the test configs")
 	}
 }
 

@@ -83,15 +83,6 @@ func (c Chiplet) Signature() string {
 	return strings.Join(parts, "+")
 }
 
-// Units returns the unit kinds of the chiplet's banks.
-func (c Chiplet) Units() []hw.Unit {
-	us := make([]hw.Unit, len(c.Banks))
-	for i, b := range c.Banks {
-		us[i] = b.Unit
-	}
-	return us
-}
-
 // RouterAreaUM2 returns interconnect area for a chiplet with n banks.
 func (p Params) RouterAreaUM2(banks int, multiDie bool) float64 {
 	a := float64(banks) * p.NoC.RouterAreaUM2
@@ -208,11 +199,11 @@ func (p Params) Chipletize(nodes []graph.Node, communities []int) []Chiplet {
 // hosting chiplet for split systolic-array banks); unhosted kinds map to 0.
 func HostMap(chiplets []Chiplet) [hw.NumUnits]int {
 	var m [hw.NumUnits]int
-	var seen [hw.NumUnits]bool
+	var seen hw.UnitSet
 	for i, c := range chiplets {
 		for _, b := range c.Banks {
-			if !seen[b.Unit] {
-				m[b.Unit], seen[b.Unit] = i, true
+			if !seen.Has(b.Unit) {
+				m[b.Unit], seen = i, seen.With(b.Unit)
 			}
 		}
 	}

@@ -100,9 +100,9 @@ func TestSelfEdgeForConsecutiveSameBankLayers(t *testing.T) {
 // both models, and a zero-byte output that adds no edge.
 func TestEdgeAccumulation(t *testing.T) {
 	cfgs := []hw.Config{
-		{Point: hw.Point{SASize: 32, NSA: 4, NAct: 4}, Acts: []hw.Unit{hw.ActReLU}},
+		{Point: hw.Point{SASize: 32, NSA: 4, NAct: 4}, Units: hw.SetOf(hw.ActReLU)},
 		{Point: hw.Point{SASize: 16, NSA: 8, NAct: 2, NPool: 3},
-			Acts: []hw.Unit{hw.ActReLU, hw.ActGELU}, Pools: []hw.Unit{hw.PoolMax}},
+			Units: hw.SetOf(hw.ActReLU, hw.ActGELU, hw.PoolMax)},
 	}
 	traffic := [][]ppa.LayerTraffic{
 		// SA->RELU 100 and RELU->SA 50 feed the same edge; the last
@@ -136,7 +136,7 @@ func TestEdgeAccumulation(t *testing.T) {
 
 func TestEdgesDeterministicOrder(t *testing.T) {
 	cfgs := []hw.Config{{Point: hw.Point{SASize: 16, NSA: 1, NAct: 1, NPool: 1},
-		Acts: []hw.Unit{hw.ActReLU, hw.ActGELU}, Pools: []hw.Unit{hw.PoolMax}, Flatten: true}}
+		Units: hw.SetOf(hw.ActReLU, hw.ActGELU, hw.PoolMax, hw.EngFlatten)}}
 	// Nodes SA 0, RELU 1, GELU 2, MAXPOOL 3, FLATTEN 4; edges produced in
 	// the order (1,3), (0,4), (2,2).
 	traffic := [][]ppa.LayerTraffic{
@@ -156,7 +156,7 @@ func TestEdgesDeterministicOrder(t *testing.T) {
 // TestUniversalLayerWithoutBank: traffic through a unit kind the
 // configurations do not provision is an error naming the unit.
 func TestUniversalLayerWithoutBank(t *testing.T) {
-	cfgs := []hw.Config{{Point: hw.Point{SASize: 16, NSA: 1, NAct: 1}, Acts: []hw.Unit{hw.ActReLU}}}
+	cfgs := []hw.Config{{Point: hw.Point{SASize: 16, NSA: 1, NAct: 1}, Units: hw.SetOf(hw.ActReLU)}}
 	for _, tr := range [][]ppa.LayerTraffic{
 		{lt(hw.SystolicArray, 1), lt(hw.ActGELU, 1)},
 		{lt(hw.PoolMax, 1)},

@@ -91,11 +91,12 @@ type Catalogue struct {
 	fpOnce sync.Once
 	fp     string
 
-	// unitsOnce/unitsArr project the Units map onto a dense array so the
-	// per-layer hot path (PPA) is an index, not a map lookup.
+	// unitsOnce/unitsArr/unitsSet project the Units map onto a dense array
+	// and the set of its keys, so the per-layer hot path (PPA) is an index,
+	// not a map lookup.
 	unitsOnce sync.Once
 	unitsArr  [NumUnits]UnitPPA
-	unitsSet  [NumUnits]bool
+	unitsSet  UnitSet
 }
 
 var (
@@ -157,11 +158,11 @@ func (c *Catalogue) PPA(u Unit) UnitPPA {
 		for mu, p := range c.Units {
 			if mu >= 0 && int(mu) < NumUnits {
 				c.unitsArr[mu] = p
-				c.unitsSet[mu] = true
+				c.unitsSet = c.unitsSet.With(mu)
 			}
 		}
 	})
-	if u < 0 || int(u) >= NumUnits || !c.unitsSet[u] {
+	if u < 0 || int(u) >= NumUnits || !c.unitsSet.Has(u) {
 		panic("hw: PPA() is not defined for the systolic array; use SA(size)")
 	}
 	return c.unitsArr[u]

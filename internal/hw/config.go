@@ -2,7 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/workload"
@@ -57,13 +56,13 @@ const EngineCount = 4
 
 // Config is a complete hardware design configuration: a DSE point plus the
 // unit kinds the served algorithms require. It corresponds to one row of
-// Table II once clustered into chiplets.
+// Table II once clustered into chiplets. A Config is a comparable value.
 type Config struct {
 	Point
-	Acts    []Unit // activation banks present, ascending unit order
-	Pools   []Unit // pooling banks present, ascending unit order
-	Flatten bool
-	Permute bool
+	// Units is the set of unit kinds provisioned. NewConfig always includes
+	// the systolic array, whose banks the point sizes; every other kind gets
+	// one bank.
+	Units UnitSet
 	// Precision is the compute datapath width (zero value: Int8, the
 	// paper's datapath; Int16 for the D8 ablation).
 	Precision Precision
@@ -87,35 +86,25 @@ func orDefault(cat *Catalogue) *Catalogue {
 // NewConfig builds a configuration from a DSE point and the unit requirements
 // of the models it must serve.
 func NewConfig(p Point, models []*workload.Model) Config {
-	need := make(map[Unit]bool)
+	c := Config{Point: p, Units: SetOf(SystolicArray)}
 	for _, m := range models {
-		for u := range UnitsFor(m) {
-			need[u] = true
-		}
+		c.Units |= UnitsFor(m)
 	}
-	return configFromUnits(p, need)
+	return c
 }
 
-func configFromUnits(p Point, need map[Unit]bool) Config {
-	c := Config{Point: p}
-	for u := Unit(0); int(u) < NumUnits; u++ {
-		if !need[u] {
-			continue
-		}
-		switch {
-		case u.IsActivation():
-			c.Acts = append(c.Acts, u)
-		case u.IsPooling():
-			c.Pools = append(c.Pools, u)
-		case u == EngFlatten:
-			c.Flatten = true
-		case u == EngPermute:
-			c.Permute = true
-		}
+// BankCount returns the instance count of the bank of kind u: NSA arrays,
+// NAct or NPool element-wise units, or EngineCount engines.
+func (c *Config) BankCount(u Unit) int {
+	switch {
+	case u == SystolicArray:
+		return c.NSA
+	case u.IsActivation():
+		return c.NAct
+	case u.IsPooling():
+		return c.NPool
 	}
-	sort.Slice(c.Acts, func(i, j int) bool { return c.Acts[i] < c.Acts[j] })
-	sort.Slice(c.Pools, func(i, j int) bool { return c.Pools[i] < c.Pools[j] })
-	return c
+	return EngineCount
 }
 
 // Bank is a group of identical unit instances: the node granularity of the
@@ -162,8 +151,8 @@ func (b Bank) String() string {
 
 // Banks expands the configuration into its unit banks: the compute banks
 // (one homogeneous systolic-array bank, or one bank per active mix type),
-// one bank per provisioned activation kind, one per pooling kind, and the
-// data-movement engines.
+// then one bank per other provisioned kind in ascending unit order, which
+// puts the activations before the pools and the data-movement engines last.
 func (c Config) Banks() []Bank {
 	var banks []Bank
 	if c.Mix.IsZero() {
@@ -179,17 +168,9 @@ func (c Config) Banks() []Bank {
 			}
 		}
 	}
-	for _, u := range c.Acts {
-		banks = append(banks, Bank{Unit: u, Count: c.NAct, Cat: c.Cat})
-	}
-	for _, u := range c.Pools {
-		banks = append(banks, Bank{Unit: u, Count: c.NPool, Cat: c.Cat})
-	}
-	if c.Flatten {
-		banks = append(banks, Bank{Unit: EngFlatten, Count: EngineCount, Cat: c.Cat})
-	}
-	if c.Permute {
-		banks = append(banks, Bank{Unit: EngPermute, Count: EngineCount, Cat: c.Cat})
+	for s := c.Units &^ SetOf(SystolicArray); s != 0; s = s.Rest() {
+		u := s.First()
+		banks = append(banks, Bank{Unit: u, Count: c.BankCount(u), Cat: c.Cat})
 	}
 	return banks
 }
@@ -213,8 +194,8 @@ func (c *Config) AreaPrefixUM2() float64 {
 	} else {
 		um2 = cat.MixAreaUM2(c.Mix)
 	}
-	for _, u := range c.Acts {
-		um2 += float64(c.NAct) * cat.PPA(u).AreaUM2
+	for s := c.Units & activations; s != 0; s = s.Rest() {
+		um2 += float64(c.NAct) * cat.PPA(s.First()).AreaUM2
 	}
 	return um2
 }
@@ -226,72 +207,32 @@ func (c *Config) AreaPrefixUM2() float64 {
 func (c *Config) AreaMM2From(prefix float64) float64 {
 	cat := orDefault(c.Cat)
 	um2 := prefix
-	for _, u := range c.Pools {
-		um2 += float64(c.NPool) * cat.PPA(u).AreaUM2
+	for s := c.Units & poolings; s != 0; s = s.Rest() {
+		um2 += float64(c.NPool) * cat.PPA(s.First()).AreaUM2
 	}
-	if c.Flatten {
+	if c.Units.Has(EngFlatten) {
 		um2 += float64(EngineCount) * cat.PPA(EngFlatten).AreaUM2
 	}
-	if c.Permute {
+	if c.Units.Has(EngPermute) {
 		um2 += float64(EngineCount) * cat.PPA(EngPermute).AreaUM2
 	}
 	return UM2ToMM2(um2)
 }
 
-// Units returns the set of unit kinds provisioned by the configuration.
-func (c Config) Units() map[Unit]bool {
-	us := make(map[Unit]bool)
-	for _, b := range c.Banks() {
-		us[b.Unit] = true
-	}
-	return us
-}
-
-// HasUnit reports whether the configuration provisions the unit kind, without
-// materializing the bank list — the allocation-free primitive behind coverage
-// checks on hot sweep paths.
-func (c Config) HasUnit(u Unit) bool {
-	switch {
-	case u == SystolicArray:
-		return true
-	case u.IsActivation():
-		for _, a := range c.Acts {
-			if a == u {
-				return true
-			}
-		}
-	case u.IsPooling():
-		for _, p := range c.Pools {
-			if p == u {
-				return true
-			}
-		}
-	case u == EngFlatten:
-		return c.Flatten
-	case u == EngPermute:
-		return c.Permute
-	}
-	return false
-}
-
 // Supports reports whether every layer kind of the model has a matching unit,
 // i.e. whether algorithm coverage C_layer(model, c) is 100%.
-func (c Config) Supports(m *workload.Model) bool {
-	for u := range UnitsFor(m) {
-		if !c.HasUnit(u) {
-			return false
-		}
-	}
-	return true
-}
+func (c Config) Supports(m *workload.Model) bool { return c.Units.Contains(UnitsFor(m)) }
 
 // Coverage returns the paper's C_layer metric: the fraction of the model's
-// layers whose kind is implementable on the configuration.
+// layers whose kind is implementable on the configuration (0 for a model
+// without layers).
 func (c Config) Coverage(m *workload.Model) float64 {
-	have := c.Units()
+	if len(m.Layers) == 0 {
+		return 0
+	}
 	covered := 0
-	for _, l := range m.Layers {
-		if have[UnitFor(l.Kind)] {
+	for i := range m.Layers {
+		if c.Units.Has(UnitFor(m.Layers[i].Kind)) {
 			covered++
 		}
 	}
@@ -301,15 +242,7 @@ func (c Config) Coverage(m *workload.Model) float64 {
 // Merge returns a configuration that serves the union of both configurations'
 // unit kinds at this configuration's DSE point.
 func (c Config) Merge(o Config) Config {
-	need := c.Units()
-	for u := range o.Units() {
-		need[u] = true
-	}
-	delete(need, SystolicArray)
-	need[SystolicArray] = true
-	out := configFromUnits(c.Point, need)
-	out.Cat = c.Cat
-	return out
+	return Config{Point: c.Point, Units: (c.Units | o.Units).With(SystolicArray), Cat: c.Cat}
 }
 
 // CheckMix validates the heterogeneous-mix fields against the catalogue: a
@@ -330,24 +263,22 @@ func (c Config) String() string {
 	} else {
 		fmt.Fprintf(&sb, "%dx%d x%d", c.SASize, c.SASize, c.NSA)
 	}
-	if len(c.Acts) > 0 {
-		names := make([]string, len(c.Acts))
-		for i, u := range c.Acts {
-			names[i] = u.String()
+	group := func(name string, s UnitSet, n int) {
+		if s == 0 {
+			return
 		}
-		fmt.Fprintf(&sb, " act{%s}x%d", strings.Join(names, ","), c.NAct)
-	}
-	if len(c.Pools) > 0 {
-		names := make([]string, len(c.Pools))
-		for i, u := range c.Pools {
-			names[i] = u.String()
+		fmt.Fprintf(&sb, " %s{%v", name, s.First())
+		for s = s.Rest(); s != 0; s = s.Rest() {
+			fmt.Fprintf(&sb, ",%v", s.First())
 		}
-		fmt.Fprintf(&sb, " pool{%s}x%d", strings.Join(names, ","), c.NPool)
+		fmt.Fprintf(&sb, "}x%d", n)
 	}
-	if c.Flatten {
+	group("act", c.Units&activations, c.NAct)
+	group("pool", c.Units&poolings, c.NPool)
+	if c.Units.Has(EngFlatten) {
 		sb.WriteString(" +FLATTEN")
 	}
-	if c.Permute {
+	if c.Units.Has(EngPermute) {
 		sb.WriteString(" +PERMUTE")
 	}
 	return sb.String()

@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -116,16 +118,8 @@ func TestNewConfigDerivesKindsFromModels(t *testing.T) {
 	if !c.Supports(workload.NewAlexNet()) {
 		t.Fatal("config built for AlexNet does not support it")
 	}
-	units := c.Units()
-	for _, want := range []Unit{SystolicArray, ActReLU, PoolMax, PoolAdaptiveAvg, EngFlatten} {
-		if !units[want] {
-			t.Errorf("AlexNet config missing %v", want)
-		}
-	}
-	for _, no := range []Unit{ActGELU, ActSiLU, PoolROIAlign, EngPermute} {
-		if units[no] {
-			t.Errorf("AlexNet config has unnecessary %v", no)
-		}
+	if want := SetOf(SystolicArray, ActReLU, PoolMax, PoolAdaptiveAvg, EngFlatten); c.Units != want {
+		t.Errorf("AlexNet config provisions %b, want %b", c.Units, want)
 	}
 	if c.Coverage(workload.NewBERTBase()) >= 1 {
 		t.Error("AlexNet config should not fully cover BERT (no GELU)")
@@ -140,18 +134,71 @@ func TestConfigMergeIsUnionOfUnits(t *testing.T) {
 	a := NewConfig(p, []*workload.Model{workload.NewAlexNet()})
 	v := NewConfig(p, []*workload.Model{workload.NewViTBase()})
 	m := a.Merge(v)
-	for u := range a.Units() {
-		if !m.Units()[u] {
-			t.Errorf("merge lost %v", u)
-		}
-	}
-	for u := range v.Units() {
-		if !m.Units()[u] {
-			t.Errorf("merge lost %v", u)
-		}
+	if !m.Units.Contains(a.Units) || !m.Units.Contains(v.Units) {
+		t.Errorf("merge %b lost a kind of %b or %b", m.Units, a.Units, v.Units)
 	}
 	if !m.Supports(workload.NewAlexNet()) || !m.Supports(workload.NewViTBase()) {
 		t.Error("merged config must support both models")
+	}
+}
+
+// TestUnitSetOrderAndAllocs pins the set's walk order, the bank order it
+// gives a configuration, that building and querying configurations
+// allocates nothing, and that equal inputs build equal (==) configurations.
+func TestUnitSetOrderAndAllocs(t *testing.T) {
+	s := SetOf(EngPermute, ActGELU, PoolMax, SystolicArray, ActReLU)
+	var walked []Unit
+	for r := s; r != 0; r = r.Rest() {
+		walked = append(walked, r.First())
+	}
+	if want := []Unit{SystolicArray, ActReLU, ActGELU, PoolMax, EngPermute}; !reflect.DeepEqual(walked, want) {
+		t.Errorf("walk = %v, want %v", walked, want)
+	}
+
+	models := workload.TrainingSet()
+	p := Point{SASize: 32, NSA: 32, NAct: 16, NPool: 16}
+	c := NewConfig(p, models)
+	var got []Unit
+	for _, b := range c.Banks() {
+		got = append(got, b.Unit)
+	}
+	want := []Unit{SystolicArray, ActReLU, ActReLU6, ActGELU, ActSiLU,
+		PoolMax, PoolAvg, PoolAdaptiveAvg, PoolLastLevelMax, PoolROIAlign, EngFlatten, EngPermute}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("training-union banks = %v, want the array, activations, pools, FLATTEN, PERMUTE: %v", got, want)
+	}
+
+	m := workload.NewViTBase()
+	if n := testing.AllocsPerRun(100, func() { c = NewConfig(p, models) }); n != 0 {
+		t.Errorf("NewConfig allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.Supports(m) }); n != 0 {
+		t.Errorf("Supports allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.Coverage(m) }); n != 0 {
+		t.Errorf("Coverage allocates %v times", n)
+	}
+	if NewConfig(p, models) != NewConfig(p, workload.TrainingSet()) {
+		t.Error("NewConfig on equal inputs built unequal configurations")
+	}
+}
+
+// TestCoverage pins C_layer: full, partial (1 minus the ReLU share when the
+// ReLU unit is missing), and 0 for a model without layers.
+func TestCoverage(t *testing.T) {
+	m := workload.NewAlexNet()
+	all := Config{Units: SetOf(SystolicArray, ActReLU, PoolMax, PoolAdaptiveAvg, EngFlatten)}
+	if got := all.Coverage(m); got != 1 {
+		t.Errorf("full coverage = %v, want 1", got)
+	}
+	noReLU := Config{Units: SetOf(SystolicArray, PoolMax, PoolAdaptiveAvg, EngFlatten)}
+	got := noReLU.Coverage(m)
+	want := 1 - float64(m.CountByKind()[workload.ReLU])/float64(m.LayerCount())
+	if math.Abs(got-want) > 1e-12 {
+		t.Errorf("partial coverage = %v, want %v", got, want)
+	}
+	if got := all.Coverage(&workload.Model{Name: "x"}); got != 0 {
+		t.Errorf("layerless model coverage = %v, want 0", got)
 	}
 }
 

@@ -6,6 +6,7 @@ package hw
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/workload"
 )
@@ -107,10 +108,49 @@ func UnitFor(k workload.OpKind) Unit {
 
 // UnitsFor returns the set of hardware units a model requires, i.e. the unit
 // image of its layer kinds.
-func UnitsFor(m *workload.Model) map[Unit]bool {
-	us := make(map[Unit]bool)
-	for k := range m.Kinds() {
-		us[UnitFor(k)] = true
+func UnitsFor(m *workload.Model) UnitSet {
+	var s UnitSet
+	for i := range m.Layers {
+		s = s.With(UnitFor(m.Layers[i].Kind))
 	}
-	return us
+	return s
 }
+
+// UnitSet is a set of unit kinds, one bit per kind. Every walk over a set
+// (First, then Rest until empty) visits its kinds in ascending unit order,
+// which is the order of a configuration's banks, its area sum and its String.
+type UnitSet uint16
+
+// UnitSet must have a bit for every kind: this fails to compile once
+// NumUnits exceeds 16.
+var _ [16 - NumUnits]struct{}
+
+// The element-wise unit classes as sets.
+const (
+	activations UnitSet = 1<<(ActTanh+1) - 1<<ActReLU
+	poolings    UnitSet = 1<<(PoolROIAlign+1) - 1<<PoolMax
+)
+
+// SetOf returns the set holding the given kinds.
+func SetOf(us ...Unit) UnitSet {
+	var s UnitSet
+	for _, u := range us {
+		s = s.With(u)
+	}
+	return s
+}
+
+// With returns the set plus kind u.
+func (s UnitSet) With(u Unit) UnitSet { return s | 1<<u }
+
+// Has reports whether kind u is in the set.
+func (s UnitSet) Has(u Unit) bool { return s&(1<<u) != 0 }
+
+// Contains reports whether every kind of o is in the set.
+func (s UnitSet) Contains(o UnitSet) bool { return o&^s == 0 }
+
+// First returns the set's smallest kind; the set must not be empty.
+func (s UnitSet) First() Unit { return Unit(bits.TrailingZeros16(uint16(s))) }
+
+// Rest returns the set without its smallest kind.
+func (s UnitSet) Rest() UnitSet { return s & (s - 1) }

@@ -9,34 +9,19 @@ import (
 	"math"
 
 	"repro/internal/hw"
-	"repro/internal/workload"
 )
 
-// Coverage returns C_layer(i, k): the fraction of model i's layers
-// implementable on a configuration providing the given unit kinds.
-func Coverage(m *workload.Model, provided map[hw.Unit]bool) float64 {
-	if len(m.Layers) == 0 {
-		return 0
-	}
-	covered := 0
-	for _, l := range m.Layers {
-		if provided[hw.UnitFor(l.Kind)] {
-			covered++
-		}
-	}
-	return float64(covered) / float64(len(m.Layers))
-}
-
 // Utilization returns U_chiplet(i, k): the fraction of module banks across
-// all chiplets of the package that algorithm i exercises. chiplets lists, for
-// each chiplet, the unit kinds of its banks (a split bank appears in several
-// chiplets and each appearance counts separately).
-func Utilization(chiplets [][]hw.Unit, need map[hw.Unit]bool) float64 {
+// all chiplets of the package that algorithm i, needing the unit kinds need,
+// exercises. chiplets lists each chiplet's banks (a split bank appears in
+// several chiplets and each appearance counts separately). C_layer is
+// hw.Config.Coverage.
+func Utilization(chiplets [][]hw.Bank, need hw.UnitSet) float64 {
 	total, used := 0, 0
 	for _, banks := range chiplets {
-		for _, u := range banks {
+		for _, b := range banks {
 			total++
-			if need[u] {
+			if need.Has(b.Unit) {
 				used++
 			}
 		}
@@ -51,12 +36,12 @@ func Utilization(chiplets [][]hw.Unit, need map[hw.Unit]bool) float64 {
 // counting banks, it counts unit instances, so a 64-array systolic bank
 // weighs 64 units against a 16-unit activation bank. banks lists each
 // chiplet's banks.
-func WeightedUtilization(chiplets [][]hw.Bank, need map[hw.Unit]bool) float64 {
+func WeightedUtilization(chiplets [][]hw.Bank, need hw.UnitSet) float64 {
 	var total, used float64
 	for _, banks := range chiplets {
 		for _, b := range banks {
 			total += float64(b.Count)
-			if need[b.Unit] {
+			if need.Has(b.Unit) {
 				used += float64(b.Count)
 			}
 		}

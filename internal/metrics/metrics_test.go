@@ -5,38 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/hw"
-	"repro/internal/workload"
 )
 
-func TestCoverage(t *testing.T) {
-	m := workload.NewAlexNet()
-	all := map[hw.Unit]bool{
-		hw.SystolicArray: true, hw.ActReLU: true, hw.PoolMax: true,
-		hw.PoolAdaptiveAvg: true, hw.EngFlatten: true,
-	}
-	if got := Coverage(m, all); got != 1 {
-		t.Errorf("full coverage = %v, want 1", got)
-	}
-	noRelu := map[hw.Unit]bool{
-		hw.SystolicArray: true, hw.PoolMax: true,
-		hw.PoolAdaptiveAvg: true, hw.EngFlatten: true,
-	}
-	got := Coverage(m, noRelu)
-	want := 1 - float64(m.CountByKind()[workload.ReLU])/float64(m.LayerCount())
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("partial coverage = %v, want %v", got, want)
-	}
-	if Coverage(&workload.Model{Name: "x"}, all) != 0 {
-		t.Error("layerless model coverage should be 0")
-	}
-}
-
 func TestUtilization(t *testing.T) {
-	chiplets := [][]hw.Unit{
-		{hw.SystolicArray, hw.ActReLU, hw.PoolMax},
-		{hw.SystolicArray, hw.ActGELU},
+	chiplets := [][]hw.Bank{
+		{{Unit: hw.SystolicArray}, {Unit: hw.ActReLU}, {Unit: hw.PoolMax}},
+		{{Unit: hw.SystolicArray}, {Unit: hw.ActGELU}},
 	}
-	need := map[hw.Unit]bool{hw.SystolicArray: true, hw.ActGELU: true}
+	need := hw.SetOf(hw.SystolicArray, hw.ActGELU)
 	// Used: SA (x2, both chiplets), GELU -> 3 of 5 banks.
 	if got := Utilization(chiplets, need); got != 0.6 {
 		t.Errorf("utilization = %v, want 0.6", got)
@@ -44,12 +20,10 @@ func TestUtilization(t *testing.T) {
 	if Utilization(nil, need) != 0 {
 		t.Error("no chiplets -> zero utilization")
 	}
-	if got := Utilization(chiplets, nil); got != 0 {
+	if got := Utilization(chiplets, 0); got != 0 {
 		t.Errorf("no needs -> zero utilization, got %v", got)
 	}
-	all := map[hw.Unit]bool{
-		hw.SystolicArray: true, hw.ActReLU: true, hw.PoolMax: true, hw.ActGELU: true,
-	}
+	all := hw.SetOf(hw.SystolicArray, hw.ActReLU, hw.PoolMax, hw.ActGELU)
 	if got := Utilization(chiplets, all); got != 1 {
 		t.Errorf("full use = %v, want 1", got)
 	}

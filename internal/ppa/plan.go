@@ -277,7 +277,7 @@ func elementKernelVals(u hw.Unit, elemOps, outElems int64, bank int, cat *hw.Cat
 // materialization path uses.
 func elementKernel(lp *layerPlan, c *hw.Config, cat *hw.Catalogue, batch int) kernelOut {
 	return elementKernelVals(lp.unit, lp.elementOps, lp.outElems,
-		bankCount(lp.unit, c), cat, int64(c.Precision.Bytes()), int64(batch))
+		c.BankCount(lp.unit), cat, int64(c.Precision.Bytes()), int64(batch))
 }
 
 // Summary is the scalar result of an evaluation: exactly the whole-algorithm
@@ -344,7 +344,7 @@ type ModelPlan struct {
 	model  *workload.Model
 	layers []layerPlan
 	soa    planSoA
-	units  []hw.Unit // distinct required units, for allocation-free coverage checks
+	units  hw.UnitSet // required units, for allocation-free coverage checks
 
 	mu    sync.RWMutex
 	folds map[int]*foldTable // SASize -> decomposition table (zero rows for non-compute)
@@ -356,18 +356,13 @@ func NewModelPlan(m *workload.Model) *ModelPlan {
 	p := &ModelPlan{
 		model:  m,
 		layers: make([]layerPlan, len(m.Layers)),
-		units:  make([]hw.Unit, 0, hw.NumUnits),
 		folds:  make(map[int]*foldTable, 8),
 	}
 	p.soa.grow(len(m.Layers))
-	seen := [hw.NumUnits]bool{}
 	for i, l := range m.Layers {
 		p.layers[i] = layerPlanOf(l)
 		p.soa.set(i, p.layers[i])
-		if u := p.layers[i].unit; !seen[u] {
-			seen[u] = true
-			p.units = append(p.units, u)
-		}
+		p.units = p.units.With(p.layers[i].unit)
 	}
 	return p
 }
@@ -419,17 +414,6 @@ func (p *ModelPlan) foldsFor(size int) *foldTable {
 	return ft
 }
 
-// supports reports whether the configuration covers every unit the model
-// needs, without allocating (the plan equivalent of hw.Config.Supports).
-func (p *ModelPlan) supports(c hw.Config) bool {
-	for _, u := range p.units {
-		if !c.HasUnit(u) {
-			return false
-		}
-	}
-	return true
-}
-
 // check validates the batch size, mix sanity and unit coverage, mirroring
 // EvaluateBatch's error contract.
 func (p *ModelPlan) check(c hw.Config, batch int) error {
@@ -439,7 +423,7 @@ func (p *ModelPlan) check(c hw.Config, batch int) error {
 	if err := c.CheckMix(); err != nil {
 		return err
 	}
-	if !p.supports(c) {
+	if !c.Units.Contains(p.units) {
 		return fmt.Errorf("ppa: config %v does not cover %s (coverage %.0f%%)",
 			c.Point, p.model.Name, 100*c.Coverage(p.model))
 	}
@@ -498,7 +482,7 @@ func (p *ModelPlan) Summary(c hw.Config, batch int) (Summary, error) {
 					macPJ, clockGHz, sramBytePJ, bytesPer, b)
 			} else {
 				out = elementKernelVals(soa.unit[i], soa.elemOps[i], soa.outElems[i],
-					bankCount(soa.unit[i], &c), cat, bytesPer, b)
+					c.BankCount(soa.unit[i]), cat, bytesPer, b)
 			}
 			s.LatencyS += out.latencyS
 			s.DynamicPJ += out.energyPJ

@@ -173,7 +173,7 @@ func TestElementwiseTinyThroughputNoPanic(t *testing.T) {
 	l := workload.Layer{Kind: workload.ReLU, OFMX: 8, OFMY: 8, NOFM: 16}
 	c := hw.Config{
 		Point: hw.Point{SASize: 32, NSA: 32, NAct: 0, NPool: 0},
-		Acts:  []hw.Unit{hw.ActReLU},
+		Units: hw.SetOf(hw.SystolicArray, hw.ActReLU),
 	}
 	le := evalElementwise(l, c, 1)
 	if le.LatencyS <= 0 {

@@ -182,20 +182,6 @@ func evalElementwise(l workload.Layer, c hw.Config, batch int) LayerEval {
 	}
 }
 
-// bankCount returns the instance count of the bank hosting the unit.
-func bankCount(u hw.Unit, c *hw.Config) int {
-	switch {
-	case u == hw.SystolicArray:
-		return c.NSA
-	case u.IsActivation():
-		return c.NAct
-	case u.IsPooling():
-		return c.NPool
-	default:
-		return hw.EngineCount
-	}
-}
-
 // Evaluate runs the analytical PPA model for one algorithm on one
 // configuration (batch size 1). It returns an error when the configuration
 // lacks a unit for any layer kind (coverage below 100%).

@@ -190,7 +190,7 @@ func TestQuickFoldsPositive(t *testing.T) {
 
 // TestQuickLatencyScalesDown: halving work never increases latency.
 func TestQuickLatencyScalesDown(t *testing.T) {
-	c := hw.Config{Point: centralPoint(), Acts: []hw.Unit{hw.ActReLU}}
+	c := hw.Config{Point: centralPoint(), Units: hw.SetOf(hw.SystolicArray, hw.ActReLU)}
 	f := func(tok uint8) bool {
 		rows := int(tok%200) + 2
 		big := workload.Layer{Kind: workload.Linear, NIFM: 1024, NOFM: 1024, IFMX: rows}

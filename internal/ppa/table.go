@@ -142,13 +142,13 @@ func (t *Table) elementRows() {
 			row, values, base, step = t.pool, t.pools, i*t.poolStride, 1
 			t.isPool[i] = true
 		default:
-			out := elementKernelVals(u, soa.elemOps[i], soa.outElems[i], bankCount(u, &c), cat, bytesPer, 1)
+			out := elementKernelVals(u, soa.elemOps[i], soa.outElems[i], c.BankCount(u), cat, bytesPer, 1)
 			t.eng[i], t.elemDyn[i] = out.latencyS, out.energyPJ
 			continue
 		}
 		for j, v := range values {
 			c.NAct, c.NPool = v, v
-			out := elementKernelVals(u, soa.elemOps[i], soa.outElems[i], bankCount(u, &c), cat, bytesPer, 1)
+			out := elementKernelVals(u, soa.elemOps[i], soa.outElems[i], c.BankCount(u), cat, bytesPer, 1)
 			// An element layer's energy does not depend on the bank size.
 			row[base+j*step], t.elemDyn[i] = out.latencyS, out.energyPJ
 		}

@@ -50,6 +50,7 @@ func TestSearchStagedDeterminism(t *testing.T) {
 	}
 	var out []string
 	var traces []Trace
+	var refined []*dse.RefineStats
 	for _, workers := range []int{1, 8} {
 		opt, err := New(spec, Options{
 			Seed:      7,
@@ -65,6 +66,7 @@ func TestSearchStagedDeterminism(t *testing.T) {
 		}
 		out = append(out, canonResult(res))
 		traces = append(traces, tr)
+		refined = append(refined, res.Refined)
 	}
 	if out[0] != out[1] {
 		t.Errorf("staged search differs across workers\nw1: %s\nw8: %s", out[0], out[1])
@@ -72,19 +74,22 @@ func TestSearchStagedDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(traces[0], traces[1]) {
 		t.Errorf("staged trace differs across workers\nw1: %+v\nw8: %+v", traces[0], traces[1])
 	}
-	if traces[0].RefinedPoints == 0 {
-		t.Error("staged search refined nothing")
+	if !reflect.DeepEqual(refined[0], refined[1]) {
+		t.Errorf("stage-1 stats differ across workers\nw1: %+v\nw8: %+v", refined[0], refined[1])
 	}
-	if traces[0].RefinedPoints > traces[0].UniquePoints {
+	if refined[0] == nil || refined[0].Refined == 0 {
+		t.Fatal("staged search refined nothing")
+	}
+	if refined[0].Refined > traces[0].UniquePoints {
 		t.Errorf("refined %d of %d visited points; frontier pruning is not working",
-			traces[0].RefinedPoints, traces[0].UniquePoints)
+			refined[0].Refined, traces[0].UniquePoints)
 	}
 }
 
 // TestSearchStagedFallback pins the fallback interplay: a space-covering
 // budget routes through the exhaustive sweep with fidelity threaded, the
 // sweep explores the whole space, and the stage-1 counters surface in the
-// trace.
+// result.
 func TestSearchStagedFallback(t *testing.T) {
 	space := hw.PaperSpace()
 	models := []*workload.Model{workload.NewAlexNet()}
@@ -108,7 +113,7 @@ func TestSearchStagedFallback(t *testing.T) {
 	if !tr.Fallback {
 		t.Fatal("space-covering budget must fall back to the exhaustive sweep")
 	}
-	if tr.RefinedPoints == 0 {
+	if res.Refined == nil || res.Refined.Refined == 0 {
 		t.Error("staged fallback refined nothing")
 	}
 	if res.Explored != space.Len() {

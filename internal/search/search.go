@@ -42,7 +42,7 @@ type Options struct {
 	// staged mode the run's winner comes from re-scoring the visited-set
 	// dominance frontier with the physical models (dse.FidelityOptions.
 	// RefineSelect); stage-1 evaluations run outside the summary budget and
-	// are reported in Trace.RefinedPoints.
+	// are reported in the result's Refined stats.
 	Fidelity *dse.FidelityOptions
 }
 
@@ -88,11 +88,6 @@ type Trace struct {
 	// Fallback reports that the budget covered the space and the exhaustive
 	// sweep ran instead.
 	Fallback bool
-	// RefinedPoints and ThermalRejected report staged fidelity's stage-1
-	// work: frontier candidates re-scored with the physical models, and how
-	// many the junction-temperature check rejected. Zero under analytical.
-	RefinedPoints   int
-	ThermalRejected int
 }
 
 // New builds the Optimizer for a spec. The spec must validate.
@@ -181,15 +176,13 @@ func (g *engine) fallback(ctx context.Context, models []*workload.Model, space h
 	}
 	evals := stats.Points * stats.Models
 	tr := Trace{
-		Strategy:        "exhaustive",
-		Seed:            g.opts.Seed,
-		Budget:          evals,
-		Evaluations:     evals,
-		UniquePoints:    stats.Points,
-		EvalsToWin:      evals,
-		Fallback:        true,
-		RefinedPoints:   stats.RefinedPoints,
-		ThermalRejected: stats.ThermalRejected,
+		Strategy:     "exhaustive",
+		Seed:         g.opts.Seed,
+		Budget:       evals,
+		Evaluations:  evals,
+		UniquePoints: stats.Points,
+		EvalsToWin:   evals,
+		Fallback:     true,
 	}
 	// The sweep's selection area (summed per-model template areas) for the
 	// winner, recomputed so gap metrics compare like with like: nm
@@ -773,8 +766,6 @@ func (st *state) finish(strategy string) (dse.Result, Trace, error) {
 		sc := st.score
 		st.score = nil
 		refined, stats, err := st.fid.RefineScored(st.ctx, sc, st.sel.FeasibleFrontier(), st.ev)
-		tr.RefinedPoints = stats.Refined
-		tr.ThermalRejected = stats.ThermalRejected
 		if err != nil {
 			return dse.Result{}, tr, err
 		}
