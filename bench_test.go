@@ -24,6 +24,7 @@ import (
 	"repro/internal/ppa"
 	"repro/internal/report"
 	"repro/internal/schedule"
+	"repro/internal/search"
 	"repro/internal/systolic"
 	"repro/internal/workload"
 )
@@ -154,7 +155,7 @@ func BenchmarkTestPhase(b *testing.B) {
 
 func BenchmarkDSESweep81Points(b *testing.B) {
 	m := workload.NewResNet50()
-	space := hw.PointList(hw.Space())
+	space := hw.PointList(hw.PaperSpace().Points())
 	cons := dse.DefaultConstraints()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -177,7 +178,7 @@ func BenchmarkDSESweep81Points(b *testing.B) {
 // materialization hits, which the reported hit rate counts.
 func BenchmarkExplore(b *testing.B) {
 	models := workload.TrainingSet()
-	space := hw.PointList(hw.Space())
+	space := hw.PointList(hw.PaperSpace().Points())
 	cons := dse.DefaultConstraints()
 	counts := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
@@ -251,7 +252,7 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 // BenchmarkExploreColdParallel at the base commit and at HEAD on one runner.
 func BenchmarkExploreCold(b *testing.B) {
 	models := workload.TrainingSet()
-	space := hw.PointList(hw.Space())
+	space := hw.PointList(hw.PaperSpace().Points())
 	cons := dse.DefaultConstraints()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -267,7 +268,7 @@ func BenchmarkExploreCold(b *testing.B) {
 // reduction across core counts — the CI parallel-scaling smoke.
 func BenchmarkExploreColdParallel(b *testing.B) {
 	models := workload.TrainingSet()
-	space := hw.PointList(hw.Space())
+	space := hw.PointList(hw.PaperSpace().Points())
 	cons := dse.DefaultConstraints()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -343,6 +344,50 @@ func BenchmarkPipeline(b *testing.B) {
 		}
 		if _, err := core.Test(tr, test, o); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSearchFine is perfbench's explore searches as a Go benchmark:
+// anneal and genetic at a 5% budget on the fine space with the Table I
+// training set, and on the mixfine space with AlexNet, ViT-base and
+// ResNet18, at seed 7. Each search runs on a fresh engine, as perfbench's
+// do; one op is all four searches.
+func BenchmarkSearchFine(b *testing.B) {
+	mixfine, err := hw.FineMixSpec(nil).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs := []struct {
+		space  hw.DesignSpace
+		models []*workload.Model
+	}{
+		{hw.FineSpace(), workload.TrainingSet()},
+		{mixfine, []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}},
+	}
+	var specs []search.Spec
+	for _, kind := range []string{"anneal", "genetic"} {
+		spec, err := search.ParseSpec(kind)
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	cons := dse.DefaultConstraints()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			budget := j.space.Len() * len(j.models) / 20
+			for _, spec := range specs {
+				opt, err := search.New(spec, search.Options{Seed: 7, Evaluator: eval.New(eval.Options{})})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := opt.Run(context.Background(), j.models, j.space, cons, budget); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }
@@ -468,7 +513,7 @@ func BenchmarkAblationCluster(b *testing.B) {
 // constraint tightens.
 func BenchmarkAblationSlack(b *testing.B) {
 	m := workload.NewResNet50()
-	space := hw.PointList(hw.Space())
+	space := hw.PointList(hw.PaperSpace().Points())
 	for _, slack := range []float64{2.0, 1.0, 0.5} {
 		slack := slack
 		b.Run(fmt.Sprintf("slack=%.1f", slack), func(b *testing.B) {

@@ -89,7 +89,7 @@ func TestPaperExploreByteIdenticalUnderLegacyCatalogue(t *testing.T) {
 		base := hw.NewConfig(hw.Point{}, []*workload.Model{m})
 		withCat := base
 		withCat.Cat = lit
-		for _, p := range hw.Space() {
+		for _, p := range hw.PaperSpace().Points() {
 			base.Point, withCat.Point = p, p
 			s0, err := ev.EvaluateSummary(m, base, 1)
 			if err != nil {
@@ -107,7 +107,7 @@ func TestPaperExploreByteIdenticalUnderLegacyCatalogue(t *testing.T) {
 	}
 
 	cons := dse.DefaultConstraints()
-	want, err := dse.ExploreSpaceCtx(context.Background(), models, hw.PointList(hw.Space()), cons, NewEvaluator(0), nil)
+	want, err := dse.ExploreSpaceCtx(context.Background(), models, hw.PointList(hw.PaperSpace().Points()), cons, NewEvaluator(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

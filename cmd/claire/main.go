@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"text/tabwriter"
 
 	"repro/internal/check"
@@ -53,6 +54,10 @@ func main() {
 	budget := flag.Int("budget", 0, "search evaluation budget in point x model units per exploration (0: 5% of the space)")
 	fidelityFlag := flag.String("fidelity", "analytical", "evaluation pipeline: analytical (single-stage) or staged (frontier re-scored with NoC/placement/thermal models)")
 	flag.Parse()
+	if err := checkSelection(*table, *figure); err != nil {
+		fmt.Fprintln(os.Stderr, "claire:", err)
+		os.Exit(2)
+	}
 
 	cat, err := hw.LoadCatalogue(*catalogueFlag)
 	if err != nil {
@@ -114,52 +119,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	sections := []struct {
-		table, figure int
-		title         string
-		body          func() string
-	}{
-		{1, 0, "Table I: AI algorithms in the training set",
-			func() string { return report.TableI(tr.Models) }},
-		{2, 0, "Table II: chiplet libraries of the library-synthesized configurations",
-			func() string { return report.TableII(tr) }},
-		{3, 0, "Table III: configuration subsets and test assignment",
-			func() string { return report.TableIII(tr, tt) }},
-		{4, 0, "Table IV: training-phase NRE costs",
-			func() string { return report.TableIV(tr) }},
-		{5, 0, "Table V: chiplet utilization on generic vs library configurations",
-			func() string { return report.TableV(tr, tt) }},
-		{6, 0, "Table VI: test-phase NRE costs",
-			func() string { return report.TableVI(tr, tt) }},
-		{0, 2, "Figure 2: most frequent edge combinations in the training set",
-			func() string { return report.Figure2(tr.Models, 12) }},
-		{0, 3, "Figure 3: CNN-class library graph before/after clustering (DOT)",
-			func() string {
-				before, after := report.Figure3(tr)
-				return "--- before clustering (monolithic) ---\n" + before +
-					"--- after clustering (chiplets) ---\n" + after
-			}},
-		{0, 4, "Figure 4: area/latency/energy of generic, custom and library configurations",
-			func() string { return report.Figure4(tr, tt) }},
-	}
-
-	printed := 0
 	for _, s := range sections {
-		if *table != 0 && s.table != *table {
-			continue
+		if s.selected(*table, *figure) {
+			fmt.Printf("=== %s ===\n%s\n", s.title, s.body(tr, tt))
 		}
-		if *figure != 0 && s.figure != *figure {
-			continue
-		}
-		if (*table != 0 && s.table == 0) || (*figure != 0 && s.figure == 0) {
-			continue
-		}
-		fmt.Printf("=== %s ===\n%s\n", s.title, s.body())
-		printed++
-	}
-	if printed == 0 {
-		fmt.Fprintln(os.Stderr, "nothing selected; use -table 1..6 or -figure 2..4")
-		os.Exit(2)
 	}
 
 	if *memoryAdvisory {
@@ -229,6 +192,57 @@ func main() {
 		fmt.Printf("training phase converged in %v over %d DSE configurations (%s; %d workers, eval cache: %d entries, %.0f%% hit rate)\n",
 			tr.Elapsed, o.Space.Len(), o.Space.Desc(), o.Evaluator.Workers(), s.Entries, 100*s.HitRate())
 	}
+}
+
+// section is one table or figure of the paper that claire prints: exactly
+// one of table and figure is non-zero.
+type section struct {
+	table, figure int
+	title         string
+	body          func(*core.TrainResult, *core.TestResult) string
+}
+
+// sections lists every printable section in print order.
+var sections = []section{
+	{1, 0, "Table I: AI algorithms in the training set",
+		func(tr *core.TrainResult, _ *core.TestResult) string { return report.TableI(tr.Models) }},
+	{2, 0, "Table II: chiplet libraries of the library-synthesized configurations",
+		func(tr *core.TrainResult, _ *core.TestResult) string { return report.TableII(tr) }},
+	{3, 0, "Table III: configuration subsets and test assignment", report.TableIII},
+	{4, 0, "Table IV: training-phase NRE costs",
+		func(tr *core.TrainResult, _ *core.TestResult) string { return report.TableIV(tr) }},
+	{5, 0, "Table V: chiplet utilization on generic vs library configurations", report.TableV},
+	{6, 0, "Table VI: test-phase NRE costs", report.TableVI},
+	{0, 2, "Figure 2: most frequent edge combinations in the training set",
+		func(tr *core.TrainResult, _ *core.TestResult) string { return report.Figure2(tr.Models, 12) }},
+	{0, 3, "Figure 3: CNN-class library graph before/after clustering (DOT)",
+		func(tr *core.TrainResult, _ *core.TestResult) string {
+			before, after := report.Figure3(tr)
+			return "--- before clustering (monolithic) ---\n" + before +
+				"--- after clustering (chiplets) ---\n" + after
+		}},
+	{0, 4, "Figure 4: area/latency/energy of generic, custom and library configurations", report.Figure4},
+}
+
+// selected reports whether the section prints under the -table and -figure
+// flags (0: unset): every section when neither is set, else the union of
+// the selected table and the selected figure.
+func (s section) selected(table, figure int) bool {
+	if table == 0 && figure == 0 {
+		return true
+	}
+	return (table != 0 && s.table == table) || (figure != 0 && s.figure == figure)
+}
+
+// checkSelection rejects a -table or -figure value that names no section.
+func checkSelection(table, figure int) error {
+	if table != 0 && !slices.ContainsFunc(sections, func(s section) bool { return s.table == table }) {
+		return fmt.Errorf("-table %d selects nothing; use -table 1..6 or -figure 2..4", table)
+	}
+	if figure != 0 && !slices.ContainsFunc(sections, func(s section) bool { return s.figure == figure }) {
+		return fmt.Errorf("-figure %d selects nothing; use -table 1..6 or -figure 2..4", figure)
+	}
+	return nil
 }
 
 // printMemoryAdvisory reports, per training algorithm, whether its weights

@@ -157,7 +157,7 @@ func fidelitySpaces(o *Options) ([]struct {
 			params fidelity.Params
 		}{spec, s, fidelityParams(o.Catalogue)})
 	}
-	all := hw.Space()
+	all := hw.PaperSpace().Points()
 	rng := rand.New(rand.NewSource(o.Seed))
 	sample := make(hw.PointList, 0, 20)
 	seen := map[int]bool{}

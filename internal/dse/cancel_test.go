@@ -84,7 +84,7 @@ func TestRefineSelectCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	models := []*workload.Model{workload.NewAlexNet()}
-	space := hw.PointList(hw.Space())
+	space := hw.PointList(hw.PaperSpace().Points())
 	fo := &FidelityOptions{Mode: FidelityStaged, Params: testFidelityParams()}
 	_, _, err := fo.RefineSelect(ctx, []int{0, 1}, models, space,
 		DefaultConstraints(), eval.New(eval.Options{Workers: 1}))
@@ -136,7 +136,7 @@ func TestStagedCancelDuringStage1(t *testing.T) {
 // and the result is byte-identical to a run without the hook.
 func TestProgressReportsFullScan(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet()}
-	space := hw.PointList(hw.Space())
+	space := hw.PointList(hw.PaperSpace().Points())
 	cons := DefaultConstraints()
 	base, err := ExploreSpaceCtx(context.Background(), models, space, cons, eval.New(eval.Options{Workers: 2}), nil)
 	if err != nil {

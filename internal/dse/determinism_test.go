@@ -52,7 +52,7 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	models := []*workload.Model{
 		workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18(),
 	}
-	space := hw.Space()
+	space := hw.PaperSpace().Points()
 	cons := DefaultConstraints()
 
 	serial, err := explorePoints(models, space, cons, eval.New(eval.Options{Workers: 1}))
@@ -71,7 +71,7 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 // TestSweepDeterministicAcrossWorkers does the same for the full-space sweep.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	m := workload.NewAlexNet()
-	space := hw.Space()
+	space := hw.PaperSpace().Points()
 	cons := DefaultConstraints()
 	serial, err := SweepSpace(m, hw.PointList(space), cons, eval.New(eval.Options{Workers: 1}))
 	if err != nil {
@@ -98,7 +98,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 // evaluation order. A duplicated space exercises exact area ties.
 func TestExploreTieBreakIsLowestIndex(t *testing.T) {
 	m := workload.NewAlexNet()
-	space := hw.Space()
+	space := hw.PaperSpace().Points()
 	doubled := append(append([]hw.Point{}, space...), space...)
 	for _, workers := range []int{1, 8} {
 		r, err := explorePoints([]*workload.Model{m}, doubled, DefaultConstraints(),

@@ -63,9 +63,10 @@ func (c Constraints) Validate() error {
 	return nil
 }
 
-// meetsStatic checks the constraints that do not depend on the best-latency
-// reference (area and power density).
-func (c Constraints) meetsStatic(areaMM2, powerDensity float64) bool {
+// MeetsStatic checks the constraints that do not depend on the best-latency
+// reference (area and power density): the per-model static feasibility the
+// sweep's Scorer records and the Selector reads.
+func (c Constraints) MeetsStatic(areaMM2, powerDensity float64) bool {
 	return areaMM2 <= c.MaxChipAreaMM2 &&
 		powerDensity <= c.MaxPowerDensityWPerMM2
 }

@@ -67,7 +67,7 @@ func TestDefaultConstraintsValidate(t *testing.T) {
 }
 
 func TestCustomSelectsFeasibleMinimalArea(t *testing.T) {
-	space := hw.Space()
+	space := hw.PaperSpace().Points()
 	cons := DefaultConstraints()
 	for _, m := range []*workload.Model{workload.NewResNet18(), workload.NewBERTBase()} {
 		r, err := custom(m, space, cons)
@@ -97,7 +97,7 @@ func TestCustomSelectsFeasibleMinimalArea(t *testing.T) {
 // the selected one, for a representative model.
 func TestCustomIsMinimal(t *testing.T) {
 	m := workload.NewResNet50()
-	space := hw.Space()
+	space := hw.PaperSpace().Points()
 	cons := DefaultConstraints()
 	r, err := custom(m, space, cons)
 	if err != nil {
@@ -127,7 +127,7 @@ func TestCustomIsMinimal(t *testing.T) {
 // TestTableIICalibration pins the Table II shape: every transformer/LLM
 // custom configuration selects 32x32 systolic arrays with 32 or 64 arrays.
 func TestTableIICalibration(t *testing.T) {
-	space := hw.Space()
+	space := hw.PaperSpace().Points()
 	cons := DefaultConstraints()
 	for _, m := range []*workload.Model{
 		workload.NewMixtral8x7B(), workload.NewGPT2(), workload.NewLlama3_8B(),
@@ -149,7 +149,7 @@ func TestTableIICalibration(t *testing.T) {
 
 func TestForModelsUnionKinds(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase()}
-	r, err := explorePoints(models, hw.Space(), DefaultConstraints(), nil)
+	r, err := explorePoints(models, hw.PaperSpace().Points(), DefaultConstraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestGenericAtLeastCustomArea(t *testing.T) {
 	models := []*workload.Model{
 		workload.NewResNet18(), workload.NewVGG16(), workload.NewMobileNetV2(),
 	}
-	space := hw.Space()
+	space := hw.PaperSpace().Points()
 	cons := DefaultConstraints()
 	joint, err := explorePoints(models, space, cons, nil)
 	if err != nil {
@@ -197,7 +197,7 @@ func TestGenericAtLeastCustomArea(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	if _, err := explorePoints(nil, hw.Space(), DefaultConstraints(), nil); err == nil {
+	if _, err := explorePoints(nil, hw.PaperSpace().Points(), DefaultConstraints(), nil); err == nil {
 		t.Error("no models should fail")
 	}
 	if _, err := explorePoints([]*workload.Model{workload.NewGPT2()}, nil, DefaultConstraints(), nil); err == nil {
@@ -205,13 +205,13 @@ func TestErrorPaths(t *testing.T) {
 	}
 	bad := DefaultConstraints()
 	bad.MaxChipAreaMM2 = -1
-	if _, err := explorePoints([]*workload.Model{workload.NewGPT2()}, hw.Space(), bad, nil); err == nil {
+	if _, err := explorePoints([]*workload.Model{workload.NewGPT2()}, hw.PaperSpace().Points(), bad, nil); err == nil {
 		t.Error("invalid constraints should fail")
 	}
 	// Impossibly tight area limit: nothing feasible.
 	tight := DefaultConstraints()
 	tight.MaxChipAreaMM2 = 0.001
-	if _, err := custom(workload.NewGPT2(), hw.Space(), tight); err == nil {
+	if _, err := custom(workload.NewGPT2(), hw.PaperSpace().Points(), tight); err == nil {
 		t.Error("unsatisfiable constraints should fail")
 	}
 }
@@ -220,7 +220,7 @@ func TestErrorPaths(t *testing.T) {
 // selected configuration to equal or larger areas (ablation D4's premise).
 func TestTighterSlackNeverShrinksArea(t *testing.T) {
 	m := workload.NewResNet50()
-	space := hw.Space()
+	space := hw.PaperSpace().Points()
 	prev := -1.0
 	for _, slack := range []float64{2.0, 1.0, 0.5, 0.25} {
 		cons := DefaultConstraints()

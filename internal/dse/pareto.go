@@ -45,7 +45,7 @@ func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *e
 			errs[k] = err
 			return
 		}
-		pts[k] = SpacePoint{Point: pt, Summary: s, Feasible: cons.meetsStatic(s.AreaMM2, s.PowerDensity())}
+		pts[k] = SpacePoint{Point: pt, Summary: s, Feasible: cons.MeetsStatic(s.AreaMM2, s.PowerDensity())}
 	})
 	for _, err := range errs {
 		if err != nil {

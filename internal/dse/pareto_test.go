@@ -11,7 +11,7 @@ import (
 
 func TestSweepShapeAndOrder(t *testing.T) {
 	m := workload.NewResNet18()
-	pts, err := SweepSpace(m, hw.PointList(hw.Space()), DefaultConstraints(), nil)
+	pts, err := SweepSpace(m, hw.PointList(hw.PaperSpace().Points()), DefaultConstraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSweepSpaceFeasibleMatchesExplore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := eval.New(eval.Options{Workers: 2})
-	for _, space := range []hw.DesignSpace{hw.PointList(hw.Space()), hw.PaperSpace(), mix} {
+	for _, space := range []hw.DesignSpace{hw.PointList(hw.PaperSpace().Points()), hw.PaperSpace(), mix} {
 		for _, slack := range []float64{0, 0.5, 1} {
 			cons := DefaultConstraints()
 			cons.LatencySlack = slack
@@ -74,7 +74,7 @@ func TestSweepSpaceFeasibleMatchesExplore(t *testing.T) {
 
 func TestParetoFrontProperties(t *testing.T) {
 	m := workload.NewResNet50()
-	pts, err := SweepSpace(m, hw.PointList(hw.Space()), DefaultConstraints(), nil)
+	pts, err := SweepSpace(m, hw.PointList(hw.PaperSpace().Points()), DefaultConstraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestParetoFrontProperties(t *testing.T) {
 func TestSelectedCustomIsFeasibleSweepPoint(t *testing.T) {
 	m := workload.NewVGG16()
 	cons := DefaultConstraints()
-	sel, err := custom(m, hw.Space(), cons)
+	sel, err := custom(m, hw.PaperSpace().Points(), cons)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := SweepSpace(m, hw.PointList(hw.Space()), cons, nil)
+	pts, err := SweepSpace(m, hw.PointList(hw.PaperSpace().Points()), cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSelectedCustomIsFeasibleSweepPoint(t *testing.T) {
 func TestSweepInvalidConstraints(t *testing.T) {
 	bad := DefaultConstraints()
 	bad.MaxPowerDensityWPerMM2 = 0
-	if _, err := SweepSpace(workload.NewGPT2(), hw.PointList(hw.Space()), bad, nil); err == nil {
+	if _, err := SweepSpace(workload.NewGPT2(), hw.PointList(hw.PaperSpace().Points()), bad, nil); err == nil {
 		t.Error("invalid constraints should fail")
 	}
 }

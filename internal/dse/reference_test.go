@@ -30,7 +30,7 @@ func observeSpace(models []*workload.Model, space hw.DesignSpace, cons Constrain
 			return oracle.Obs{}, err
 		}
 		return oracle.Obs{AreaMM2: s.AreaMM2, LatencyS: s.LatencyS,
-			Static: cons.meetsStatic(s.AreaMM2, s.PowerDensity())}, nil
+			Static: cons.MeetsStatic(s.AreaMM2, s.PowerDensity())}, nil
 	})
 }
 
@@ -153,7 +153,7 @@ func TestStreamingMatchesReference(t *testing.T) {
 		MaxPowerDensityWPerMM2: 0.8,
 		LatencySlack:           PaperLatencySlack,
 	}}
-	space := hw.Space()
+	space := hw.PaperSpace().Points()
 	for mi, models := range modelSets {
 		for ci, cons := range consSets {
 			want, err := exploreReference(models, space, cons, eval.New(eval.Options{Workers: 1}))
@@ -214,11 +214,11 @@ func TestStreamingMatchesReferenceOnGeneratedSpace(t *testing.T) {
 func TestStreamingErrorMatchesReference(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet()}
 	cons := Constraints{MaxChipAreaMM2: 1e-6, MaxPowerDensityWPerMM2: 0.8, LatencySlack: 1}
-	_, wantErr := exploreReference(models, hw.Space(), cons, eval.New(eval.Options{Workers: 1}))
+	_, wantErr := exploreReference(models, hw.PaperSpace().Points(), cons, eval.New(eval.Options{Workers: 1}))
 	if wantErr == nil {
 		t.Fatal("reference unexpectedly feasible")
 	}
-	_, gotErr := ExploreSpaceCtx(context.Background(), models, hw.PointList(hw.Space()), cons,
+	_, gotErr := ExploreSpaceCtx(context.Background(), models, hw.PointList(hw.PaperSpace().Points()), cons,
 		eval.New(eval.Options{Workers: 8}), &ExploreOptions{ChunkSize: 7})
 	if gotErr == nil || gotErr.Error() != wantErr.Error() {
 		t.Errorf("error mismatch:\nreference: %v\nstreaming: %v", wantErr, gotErr)
@@ -296,7 +296,7 @@ func TestExploreChunkLoopAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := DefaultConstraints()
-	for _, space := range []hw.DesignSpace{hw.PointList(hw.Space()), hw.PaperSpace(), mix} {
+	for _, space := range []hw.DesignSpace{hw.PointList(hw.PaperSpace().Points()), hw.PaperSpace(), mix} {
 		ev := eval.New(eval.Options{Workers: 1})
 		sc := NewScorer(ev, models, space, cons)
 		if _, list := space.(hw.PointList); list != (sc.tables == nil) {
@@ -331,7 +331,7 @@ func TestExploreChunkLoopAllocFree(t *testing.T) {
 // on one runner.
 func TestExploreColdAllocs(t *testing.T) {
 	models := workload.TrainingSet()
-	space := hw.PointList(hw.Space())
+	space := hw.PointList(hw.PaperSpace().Points())
 	cons := DefaultConstraints()
 	var err error
 	allocs := testing.AllocsPerRun(5, func() {

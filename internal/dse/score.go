@@ -181,6 +181,6 @@ func (s *Scorer) scoreRange(lo int, b *scores) {
 // record stores one model's summary of point j at row-major cell x.
 func (s *Scorer) record(b *scores, x, j int, sum *ppa.Summary) {
 	b.lat[x] = sum.LatencyS
-	b.static[x] = s.cons.meetsStatic(sum.AreaMM2, sum.PowerDensity())
+	b.static[x] = s.cons.MeetsStatic(sum.AreaMM2, sum.PowerDensity())
 	b.area[j] += sum.AreaMM2
 }

@@ -1,17 +1,15 @@
 package dse
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"slices"
-)
 
-// MeetsStatic checks the constraints that do not depend on the best-latency
-// reference (area and power density) — the exported form the budgeted search
-// layer uses so its per-model static feasibility matches the sweep's bit for
-// bit.
-func (c Constraints) MeetsStatic(areaMM2, powerDensity float64) bool {
-	return c.meetsStatic(areaMM2, powerDensity)
-}
+	"repro/internal/eval"
+	"repro/internal/hw"
+	"repro/internal/ppa"
+)
 
 // Selector is the streaming sweep's selection discipline over an arbitrary
 // stream of candidate observations: a per-model best-latency reference that
@@ -116,6 +114,75 @@ func (s *Selector) lowerTo(ref []float64) {
 	if tightened {
 		s.front.filterSlack(s.best, s.cons.LatencySlack)
 	}
+}
+
+// absorb folds o, the Selector of another sweep shard, into s, whose
+// reference must already be the final one — the min over every shard's. o is
+// lowered to it, which drops exactly o's rows that fail the final slack pass;
+// o's frontier candidates are then added to s's frontier and its band rows
+// kept in s's band. s then holds every row of both that passes slack, the
+// non-dominated ones in its frontier (DESIGN.md §8).
+func (s *Selector) absorb(o *Selector) {
+	o.lowerTo(s.best)
+	f := &o.front
+	for i := range f.cands {
+		fc := &f.cands[i]
+		s.front.add(fc.idx, fc.area, f.latsOf(fc))
+	}
+	s.front.band = append(s.front.band, f.band...)
+}
+
+// Conclude ends a selection — the sweep's merged one or the search's over
+// its visited points — with the Result Algorithm 1 reports, the winner's
+// point index and its selection area (its per-model areas summed in model
+// order). sc is the Scorer the observations came from; explored is the
+// number of points observed, and ev the engine, which must not be nil. It
+// fails when some model has no statically feasible observation, and when
+// nothing observed passes slack on every model. Under staged fidelity (fo)
+// the winner instead comes from stage 1 over the feasible frontier, which
+// reads the candidates' summaries from sc and then reads sc no more, so the
+// caller dropping its own reference frees the cost tables while the
+// candidates refine. The winner is materialized on the union-kind
+// configuration through the engine's cache, so the reported PPA includes
+// idle banks' leakage. A cancelled ctx aborts stage 1 with ctx.Err().
+func (s *Selector) Conclude(ctx context.Context, sc *Scorer, explored int, fo *FidelityOptions, ev *eval.Evaluator) (Result, int, float64, error) {
+	models, space, cons := sc.models, sc.space, sc.cons
+	for i, m := range models {
+		if math.IsInf(s.best[i], 1) {
+			return Result{}, -1, 0, fmt.Errorf("dse: no space point meets area/power constraints for %s", m.Name)
+		}
+	}
+	best, area, ok := s.Best()
+	if !ok {
+		return Result{}, -1, 0, fmt.Errorf("dse: no feasible configuration for %d models under %+v", len(models), cons)
+	}
+	res := Result{Feasible: s.Feasible(), Explored: explored, SpaceDesc: space.Desc()}
+	if fo.Staged() {
+		var stats RefineStats
+		var err error
+		best, stats, err = fo.refineScored(ctx, sc, s.FeasibleFrontier(), ev)
+		if err != nil {
+			return Result{}, -1, 0, err
+		}
+		res.Refined = &stats
+		for _, c := range s.front.cands {
+			if c.idx == best {
+				area = c.area
+				break
+			}
+		}
+	}
+	res.Config = hw.NewConfig(space.At(best), models)
+	res.Config.Cat = hw.CatalogueOf(space)
+	res.Evals = make([]*ppa.Eval, len(models))
+	for i, m := range models {
+		e, err := ev.Evaluate(m, res.Config)
+		if err != nil {
+			return Result{}, -1, 0, err
+		}
+		res.Evals[i] = e
+	}
+	return res, best, area, nil
 }
 
 // Best returns the min-(area, index) candidate feasible under the current

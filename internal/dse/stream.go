@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/hw"
-	"repro/internal/ppa"
 	"repro/internal/workload"
 )
 
@@ -46,6 +45,9 @@ type ExploreStats struct {
 	// pre-streaming implementation allocated (32 bytes per ppa.Summary),
 	// also in int64 for the same reason.
 	NaiveBytes int64
+	// WinnerAreaMM2 is the winner's selection area: its per-model areas
+	// summed in model order, the quantity selection minimizes.
+	WinnerAreaMM2 float64
 }
 
 // ExploreOptions tunes a streaming exploration. The zero value (or a nil
@@ -372,78 +374,52 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 	}
 }
 
-// merged is a sweep's reduction state once its shards have folded together.
-type merged struct {
-	bestLat     []float64 // exact per-model references
-	front       frontier  // non-dominated survivors under bestLat, in selection order
-	feasible    int       // points slack-feasible under bestLat, over every shard
-	err         error     // evaluation error at the lowest point index, if any
-	maxRetained int       // sum of the shards' peak frontier sizes
-	maxBand     int       // sum of the shards' peak band sizes
-	shards      int       // shards that claimed at least one chunk
-}
-
-// merge folds the shards' state after the scan, in any shard order. Phase 1:
-// the final per-model references are the exact min over every shard's
-// reference (pure comparisons, so order-independent; every watermark value a
-// shard folded in is itself some shard's own minimum, so this is the min over
-// every statically feasible observation), and the first error is the one at
-// the lowest point index, as in a serial scan. Phase 2: every shard's
-// Selector is lowered to the final references, which drops exactly its rows
-// that fail the final slack pass; what it still holds is its share of
-// Result.Feasible, and its frontier folds into one merged frontier. That
-// union contains the winner — it can be neither dominated (its dominator
-// would precede it in selection order and pass slack whenever it does) nor
-// watermark-dropped (it passes slack against the final, tightest reference)
-// — and the merged frontier is in selection order, so its first candidate is
-// the min-(area, index) winner. Rows the merged frontier drops as dominated
-// land in its band, which nothing reads: each was already counted in its
-// shard. Nil shards are skipped.
-func (sw *sweepState) merge(shards []*exploreShard) merged {
-	m := merged{bestLat: make([]float64, sw.nm)}
-	for i := range m.bestLat {
-		m.bestLat[i] = math.Inf(1)
-	}
+// merge folds the shards into one Selector after the scan, in any shard
+// order, and returns it with the evaluation error at the lowest point index,
+// if any, as a serial scan would fail. It records the shard count and the
+// shards' peak frontier and band sizes in stats. Phase 1: the final
+// per-model references are the exact min over every shard's reference (pure
+// comparisons, so order-independent; every watermark value a shard folded
+// in is itself some shard's own minimum, so this is the min over every
+// statically feasible observation). Phase 2: the first shard's Selector is
+// lowered to them and absorbs every other shard (Selector.absorb), which
+// lowers that shard to them too. Lowering drops exactly a shard's rows that
+// fail the final slack pass, so the merged Selector holds every
+// slack-feasible point once — Feasible() is Result.Feasible — and its
+// frontier contains the winner: that point can be neither dominated (its
+// dominator would precede it in selection order and pass slack whenever it
+// does) nor watermark-dropped (it passes slack against the final, tightest
+// reference). Nil shards are skipped; at least one must be non-nil.
+func (sw *sweepState) merge(shards []*exploreShard, stats *ExploreStats) (*Selector, error) {
+	var sel *Selector
+	var err error
+	ref := make([]float64, sw.nm)
 	errIdx := sw.n
 	for _, sh := range shards {
 		if sh == nil {
 			continue
 		}
-		m.shards++
-		m.maxRetained += sh.sel.front.peak
-		m.maxBand += sh.sel.front.peakBand
+		stats.Shards++
+		stats.MaxRetained += sh.sel.front.peak
+		stats.MaxBand += sh.sel.front.peakBand
+		if sel == nil {
+			sel = sh.sel
+			copy(ref, sel.best)
+		}
 		for i, v := range sh.sel.best {
-			if v < m.bestLat[i] {
-				m.bestLat[i] = v
-			}
+			ref[i] = min(ref[i], v)
 		}
 		if sh.err != nil && sh.errIdx < errIdx {
-			errIdx, m.err = sh.errIdx, sh.err
+			errIdx, err = sh.errIdx, sh.err
 		}
 	}
-	m.front.init(sw.nm)
+	sel.lowerTo(ref)
 	for _, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		sh.sel.lowerTo(m.bestLat)
-		m.feasible += sh.sel.Feasible()
-		f := &sh.sel.front
-		for i := range f.cands {
-			fc := &f.cands[i]
-			m.front.add(fc.idx, fc.area, f.latsOf(fc))
+		if sh != nil && sh.sel != sel {
+			sel.absorb(sh.sel)
 		}
 	}
-	return m
-}
-
-// winner returns the merged frontier's first candidate, the analytical
-// selection, or -1 when no point is feasible.
-func (m *merged) winner() int {
-	if len(m.front.cands) == 0 {
-		return -1
-	}
-	return m.front.cands[0].idx
+	return sel, err
 }
 
 // ExploreSpaceCtx is the streaming core of Algorithm 1's configuration
@@ -454,11 +430,12 @@ func (m *merged) winner() int {
 // uses) plus reusable scratch — and claim contiguous chunks dynamically. The
 // only cross-worker state during the sweep is the per-model slack watermark,
 // an array of monotonically decreasing atomics read without locking; shards
-// merge exactly once, after the last chunk. Each (point, model) pair is
-// scored exactly once, through a Scorer: from per-model cost tables built
-// when the sweep starts and dropped when it ends, or with the per-point
-// kernel on spaces without tables; only the winner's full evaluations enter
-// the engine's result cache. Memory stays O(slack-feasible points + chunk)
+// merge into one Selector exactly once, after the last chunk, and the sweep
+// ends in Selector.Conclude, as budgeted search does. Each (point, model)
+// pair is scored exactly once, through a Scorer: from per-model cost tables
+// built when the sweep starts and dropped when it ends, or with the
+// per-point kernel on spaces without tables; only the winner's full
+// evaluations enter the engine's result cache. Memory stays O(slack-feasible points + chunk)
 // instead of the eager implementation's O(points x models) summary matrix,
 // and the chunk loop is lock- and allocation-free, so the sweep scales with
 // cores. Every sweep scans the whole space, and the merge's final slack pass
@@ -528,79 +505,24 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 		return Result{}, err
 	}
 
-	mg := sw.merge(shards)
-	if mg.err != nil {
-		return Result{}, mg.err
+	stats := ExploreStats{Points: n, Models: len(models), Chunks: (n + chunk - 1) / chunk, ChunkSize: chunk}
+	sel, err := sw.merge(shards, &stats)
+	if err != nil {
+		return Result{}, err
 	}
-	for i, m := range models {
-		if math.IsInf(mg.bestLat[i], 1) {
-			return Result{}, fmt.Errorf("dse: no space point meets area/power constraints for %s", m.Name)
-		}
+	stats.Retained = len(sel.front.cands)
+	stats.RetainedBytes = retainedBytes(stats.MaxRetained, stats.MaxBand, len(models))
+	stats.NaiveBytes = naiveBytes(n, len(models))
+	// Nothing here reads the sweep state again, so under staged fidelity the
+	// Scorer's tables are freed once stage 1 has read its candidates
+	// (DESIGN.md §10).
+	res, _, area, err := sel.Conclude(ctx, sw.score, n, o.Fidelity, ev)
+	if err != nil {
+		return Result{}, err
 	}
-	best := mg.winner()
-	var refineStats RefineStats
-	if o.Fidelity.Staged() {
-		// Stage 1: the merged frontier — every candidate of which passed the
-		// analytical slack filter against the final references — is re-scored
-		// with the physical models in selection order, and the winner comes
-		// from the refined ranking (DESIGN.md §10). The frontier is already
-		// dominance-pruned, so this evaluates the expensive models on a tiny
-		// fraction of the space (Result.Refined counts it). Stage 1 reads
-		// the candidates' summaries from the sweep's Scorer before it refines
-		// them; nothing reads the Scorer after that, so its tables are freed
-		// while the candidates refine.
-		cands := make([]int, len(mg.front.cands))
-		for i := range mg.front.cands {
-			cands[i] = mg.front.cands[i].idx
-		}
-		var rerr error
-		best, refineStats, rerr = o.Fidelity.RefineScored(ctx, sw.score, cands, ev)
-		if rerr != nil {
-			return Result{}, rerr
-		}
-	}
-	if best < 0 {
-		return Result{}, fmt.Errorf("dse: no feasible configuration for %d models under %+v",
-			len(models), cons)
-	}
-
 	if o.Stats != nil {
-		*o.Stats = ExploreStats{
-			Points:        n,
-			Models:        len(models),
-			Chunks:        (n + chunk - 1) / chunk,
-			ChunkSize:     chunk,
-			MaxRetained:   mg.maxRetained,
-			MaxBand:       mg.maxBand,
-			Retained:      len(mg.front.cands),
-			Shards:        mg.shards,
-			RetainedBytes: retainedBytes(mg.maxRetained, mg.maxBand, len(models)),
-			NaiveBytes:    naiveBytes(n, len(models)),
-		}
-	}
-
-	// Materialize full per-layer evaluations lazily, only for the winner: the
-	// reported PPA must include idle banks' leakage on the union-kind config.
-	final := hw.NewConfig(space.At(best), models)
-	final.Cat = hw.CatalogueOf(space)
-	evals := make([]*ppa.Eval, len(models))
-	for i, m := range models {
-		e, err := ev.Evaluate(m, final)
-		if err != nil {
-			return Result{}, err
-		}
-		evals[i] = e
-	}
-	res := Result{
-		Config:    final,
-		Evals:     evals,
-		Feasible:  mg.feasible,
-		Explored:  n,
-		SpaceDesc: space.Desc(),
-	}
-	if o.Fidelity.Staged() {
-		rs := refineStats
-		res.Refined = &rs
+		stats.WinnerAreaMM2 = area
+		*o.Stats = stats
 	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/check/oracle"
@@ -17,7 +18,7 @@ import (
 // oracleSweep builds a sweep whose summaries come from an oracle matrix:
 // point k is hw.Point{SASize: k}, model i is a bare model named "m<i>", and a
 // statically infeasible observation carries enough energy to break the
-// power-density limit, so the sweep's own meetsStatic rejects it.
+// power-density limit, so the sweep's own MeetsStatic rejects it.
 func oracleSweep(m oracle.Matrix, slack float64) *sweepState {
 	models := make([]*workload.Model, m.Models)
 	for i := range models {
@@ -55,8 +56,9 @@ func (o oracleColumn) Summary(c hw.Config, _ int) (ppa.Summary, error) {
 
 // runShards drives the sweep's shard loop as ExploreSpaceCtx does, with the
 // scheduling left to rng: 1-4 shards, a random chunk size, a random shard
-// claiming each chunk, and a random merge order. It returns the merge.
-func runShards(rng *rand.Rand, sw *sweepState) merged {
+// claiming each chunk, and a random merge order. It returns the merged
+// Selector and the merge's error.
+func runShards(rng *rand.Rand, sw *sweepState) (*Selector, error) {
 	nShards := 1 + rng.Intn(4)
 	chunk := 1 + rng.Intn(sw.n)
 	shards := make([]*exploreShard, nShards)
@@ -68,35 +70,58 @@ func runShards(rng *rand.Rand, sw *sweepState) merged {
 		shards[s].scanChunk(lo, min(lo+chunk, sw.n))
 	}
 	rng.Shuffle(nShards, func(a, b int) { shards[a], shards[b] = shards[b], shards[a] })
-	return sw.merge(shards)
+	return sw.merge(shards, &ExploreStats{})
 }
 
 // TestShardLoopMatchesOracle feeds quantized random candidate sets, with
 // per-model static infeasibility, through the sweep's own reduction code —
 // scanChunk and merge — under random shard counts, chunk sizes,
-// chunk-to-shard claiming and merge orders. The per-model references, the
-// whole merged frontier (and with it the winner) and the feasible count must
-// equal the brute-force oracle's on every trial.
+// chunk-to-shard claiming and merge orders. Read through its public
+// accessors, the merged Selector's per-model references, its whole feasible
+// frontier (and with it the winner) and its feasible count must equal the
+// brute-force oracle's on every trial.
 func TestShardLoopMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 20260806} {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 200; trial++ {
 			m, slack := oracle.RandomTrial(rng)
 			want := m.Select(slack)
-			mg := runShards(rng, oracleSweep(m, slack))
-			front := make([]int, 0, len(mg.front.cands))
-			for _, c := range mg.front.cands {
-				front = append(front, c.idx)
-			}
-			if mg.err != nil || mg.winner() != want.Winner() || !slices.Equal(front, want.Frontier) ||
-				mg.feasible != want.Feasible || !slices.Equal(mg.bestLat, want.Ref) {
+			sel, err := runShards(rng, oracleSweep(m, slack))
+			winner, _, _ := sel.Best()
+			front := sel.FeasibleFrontier()
+			if err != nil || winner != want.Winner() || !slices.Equal(front, want.Frontier) ||
+				sel.Feasible() != want.Feasible || !slices.Equal(sel.BestLatencies(), want.Ref) {
 				t.Fatalf("seed %d trial %d (%d points x %d models, slack %.2f):\n"+
 					"shard loop: winner %d frontier %v feasible %d refs %v err %v\n"+
 					"oracle:     winner %d frontier %v feasible %d refs %v",
 					seed, trial, m.Points(), m.Models, slack,
-					mg.winner(), front, mg.feasible, mg.bestLat, mg.err,
+					winner, front, sel.Feasible(), sel.BestLatencies(), err,
 					want.Winner(), want.Frontier, want.Feasible, want.Ref)
 			}
+		}
+	}
+}
+
+// TestConcludeChecksBeforeStage1 pins the order of the shared ending's
+// checks: when every model has a statically feasible point but no point is
+// feasible on all of them, the analytical frontier is empty, and a staged
+// selection fails with the analytical no-feasible error before stage 1 runs,
+// as an analytical one does.
+func TestConcludeChecksBeforeStage1(t *testing.T) {
+	// Point 0 is statically feasible only for m0, point 1 only for m1.
+	m := oracle.Matrix{Models: 2, Obs: []oracle.Obs{
+		{AreaMM2: 1, LatencyS: 1, Static: true}, {AreaMM2: 1, LatencyS: 1},
+		{AreaMM2: 1, LatencyS: 1}, {AreaMM2: 1, LatencyS: 1, Static: true},
+	}}
+	for _, fo := range []*FidelityOptions{nil, {Mode: FidelityStaged, Params: testFidelityParams()}} {
+		sw := oracleSweep(m, 1)
+		sel, err := runShards(rand.New(rand.NewSource(1)), sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err = sel.Conclude(context.Background(), sw.score, sw.n, fo, eval.New(eval.Options{Workers: 1}))
+		if want := "dse: no feasible configuration for 2 models"; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("staged=%v: got %v, want %q...", fo.Staged(), err, want)
 		}
 	}
 }
@@ -133,7 +158,7 @@ func TestSweepCachesOnlyTheWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, space := range []hw.DesignSpace{hw.PaperSpace(), mix, hw.PointList(hw.Space())} {
+	for _, space := range []hw.DesignSpace{hw.PaperSpace(), mix, hw.PointList(hw.PaperSpace().Points())} {
 		ev := eval.New(eval.Options{Workers: 2})
 		res, err := ExploreSpaceCtx(context.Background(), models, space, DefaultConstraints(), ev, nil)
 		if err != nil {

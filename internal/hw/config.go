@@ -31,25 +31,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("%dx%d SAx%d ACTx%d POOLx%d", p.SASize, p.SASize, p.NSA, p.NAct, p.NPool)
 }
 
-// Space returns the 81-point design space of Algorithm 1's "DSE configs".
-func Space() []Point {
-	sizes := []int{16, 32, 64}
-	arrays := []int{16, 32, 64}
-	acts := []int{16, 32, 64}
-	pools := []int{16, 32, 64}
-	out := make([]Point, 0, len(sizes)*len(arrays)*len(acts)*len(pools))
-	for _, s := range sizes {
-		for _, n := range arrays {
-			for _, a := range acts {
-				for _, p := range pools {
-					out = append(out, Point{SASize: s, NSA: n, NAct: a, NPool: p})
-				}
-			}
-		}
-	}
-	return out
-}
-
 // EngineCount is the number of Flatten/Permute engine instances provisioned
 // when a configuration includes those units (fixed; not a DSE dimension).
 const EngineCount = 4
@@ -237,12 +218,6 @@ func (c Config) Coverage(m *workload.Model) float64 {
 		}
 	}
 	return float64(covered) / float64(len(m.Layers))
-}
-
-// Merge returns a configuration that serves the union of both configurations'
-// unit kinds at this configuration's DSE point.
-func (c Config) Merge(o Config) Config {
-	return Config{Point: c.Point, Units: (c.Units | o.Units).With(SystolicArray), Cat: c.Cat}
 }
 
 // CheckMix validates the heterogeneous-mix fields against the catalogue: a

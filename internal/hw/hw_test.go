@@ -96,7 +96,7 @@ func TestSAScaling(t *testing.T) {
 }
 
 func TestSpaceIs81UniquePoints(t *testing.T) {
-	pts := Space()
+	pts := PaperSpace().Points()
 	if len(pts) != 81 {
 		t.Fatalf("space has %d points, want 81 (as in Section V-A)", len(pts))
 	}
@@ -126,19 +126,6 @@ func TestNewConfigDerivesKindsFromModels(t *testing.T) {
 	}
 	if cov := c.Coverage(workload.NewAlexNet()); cov != 1 {
 		t.Errorf("self coverage = %v, want 1", cov)
-	}
-}
-
-func TestConfigMergeIsUnionOfUnits(t *testing.T) {
-	p := Point{SASize: 32, NSA: 32, NAct: 16, NPool: 16}
-	a := NewConfig(p, []*workload.Model{workload.NewAlexNet()})
-	v := NewConfig(p, []*workload.Model{workload.NewViTBase()})
-	m := a.Merge(v)
-	if !m.Units.Contains(a.Units) || !m.Units.Contains(v.Units) {
-		t.Errorf("merge %b lost a kind of %b or %b", m.Units, a.Units, v.Units)
-	}
-	if !m.Supports(workload.NewAlexNet()) || !m.Supports(workload.NewViTBase()) {
-		t.Error("merged config must support both models")
 	}
 }
 

@@ -274,7 +274,7 @@ func TestParseSpaceWith(t *testing.T) {
 	if CatalogueOf(plain) != nil {
 		t.Error("ParseSpace attached a catalogue")
 	}
-	if CatalogueOf(PointList(Space())) != nil {
+	if CatalogueOf(PointList(PaperSpace().Points())) != nil {
 		t.Error("PointList claims a catalogue")
 	}
 	if _, err := ParseSpaceWith("bogus", nil); err == nil {

@@ -62,10 +62,9 @@ func (p PointList) Desc() string {
 
 // SpaceSpec is a cartesian design-space generator: one ascending value list
 // per tunable axis. Points are enumerated lazily by index in row-major order
-// with NPool varying fastest (the same order Space() materializes), so a
-// SpaceSpec and its Points() slice are interchangeable coordinate for
-// coordinate. The zero value is invalid; use PaperSpace, FineSpace or
-// ParseSpace.
+// with NPool varying fastest, so a SpaceSpec and its Points() slice are
+// interchangeable coordinate for coordinate. The zero value is invalid; use
+// PaperSpace, FineSpace or ParseSpace.
 type SpaceSpec struct {
 	// Name labels the spec in Desc ("paper", "fine", "12x16x8x8", ...).
 	Name string
@@ -193,8 +192,8 @@ func (s SpaceSpec) Points() []Point {
 	return out
 }
 
-// PaperSpace returns the paper's 81-point DSE space (3 values per axis) as a
-// lazy spec; PaperSpace().Points() equals Space().
+// PaperSpace returns the paper's 81-point DSE space (3 values per axis),
+// Algorithm 1's "DSE configs", as a lazy spec; Points() materializes it.
 func PaperSpace() SpaceSpec {
 	return SpaceSpec{
 		Name:    "paper",

@@ -5,10 +5,21 @@ import (
 	"testing"
 )
 
-// TestPaperSpaceMatchesSpace pins the lazy paper spec to the materialized
-// Space() slice, coordinate for coordinate and in the same enumeration order.
+// TestPaperSpaceMatchesSpace pins the lazy paper spec to the paper's 81
+// points, 16/32/64 on every axis, coordinate for coordinate and in row-major
+// order with NPool fastest, in At and in its Points() slice.
 func TestPaperSpaceMatchesSpace(t *testing.T) {
-	want := Space()
+	vals := []int{16, 32, 64}
+	var want []Point
+	for _, s := range vals {
+		for _, n := range vals {
+			for _, a := range vals {
+				for _, p := range vals {
+					want = append(want, Point{SASize: s, NSA: n, NAct: a, NPool: p})
+				}
+			}
+		}
+	}
 	spec := PaperSpace()
 	if spec.Len() != len(want) {
 		t.Fatalf("PaperSpace().Len() = %d, want %d", spec.Len(), len(want))
@@ -189,8 +200,9 @@ func TestAxisValuesAscendingInRange(t *testing.T) {
 }
 
 func TestPointListAdapter(t *testing.T) {
-	pts := PointList(Space())
-	if pts.Len() != 81 || pts.At(5) != Space()[5] {
+	all := PaperSpace().Points()
+	pts := PointList(all)
+	if pts.Len() != 81 || pts.At(5) != all[5] {
 		t.Fatalf("PointList adapter mismatch")
 	}
 	if !strings.Contains(pts.Desc(), "81") {

@@ -9,14 +9,13 @@ import (
 	"repro/internal/dse"
 	"repro/internal/eval"
 	"repro/internal/hw"
-	"repro/internal/ppa"
 	"repro/internal/workload"
 )
 
 // Optimizer is a budgeted search strategy over a design space. Run returns a
 // dse.Result bit-compatible with dse.ExploreSpaceCtx restricted to the points
-// the search visited (the sweep's own dse.Selector reduction, the same
-// materialized winner config shape), plus a Trace of how the budget was
+// the search visited (the sweep's own dse.Selector reduction and ending,
+// dse.Selector.Conclude), plus a Trace of how the budget was
 // spent. The budget is in summary-evaluation units (one point × one model);
 // repeat visits of an already-scored point are cache hits and cost nothing.
 // When budget >= Len(space) × len(models), Run falls back to the exhaustive
@@ -40,9 +39,9 @@ type Options struct {
 	Evaluator *eval.Evaluator
 	// Fidelity selects the evaluation pipeline (nil: analytical). Under the
 	// staged mode the run's winner comes from re-scoring the visited-set
-	// dominance frontier with the physical models (dse.FidelityOptions.
-	// RefineSelect); stage-1 evaluations run outside the summary budget and
-	// are reported in the result's Refined stats.
+	// dominance frontier with the physical models (stage 1, as the sweep
+	// runs it); stage-1 evaluations run outside the summary budget and are
+	// reported in the result's Refined stats.
 	Fidelity *dse.FidelityOptions
 }
 
@@ -105,16 +104,16 @@ func New(spec Spec, o Options) (Optimizer, error) {
 }
 
 // engine is the strategy-independent half of a run: validation, budget
-// accounting, the exhaustive fallback, scoring, selection and
-// materialization.
+// accounting, the exhaustive fallback, scoring and selection, ending in the
+// sweep's own conclusion (dse.Selector.Conclude).
 type engine struct {
 	spec Spec
 	opts Options
 }
 
 // run drives one search: it builds the shared state, seeds it with corner
-// and random points, hands control to the strategy, then materializes the
-// selector's winner.
+// and random points, hands control to the strategy, then concludes the
+// selector's selection (finish).
 func (g *engine) run(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
 	cons dse.Constraints, budget int, strategy func(*state) error) (dse.Result, Trace, error) {
 	if len(models) == 0 {
@@ -165,7 +164,8 @@ func (g *engine) run(ctx context.Context, models []*workload.Model, space hw.Des
 }
 
 // fallback runs the exhaustive streaming sweep — the path taken when the
-// budget covers the whole space — and returns its Result unchanged.
+// budget covers the whole space — and returns its Result unchanged; the
+// trace's winner area is the sweep's own (ExploreStats.WinnerAreaMM2).
 func (g *engine) fallback(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
 	cons dse.Constraints, ev *eval.Evaluator) (dse.Result, Trace, error) {
 	var stats dse.ExploreStats
@@ -175,31 +175,16 @@ func (g *engine) fallback(ctx context.Context, models []*workload.Model, space h
 		return dse.Result{}, Trace{Strategy: "exhaustive", Fallback: true}, err
 	}
 	evals := stats.Points * stats.Models
-	tr := Trace{
+	return res, Trace{
 		Strategy:     "exhaustive",
 		Seed:         g.opts.Seed,
 		Budget:       evals,
 		Evaluations:  evals,
 		UniquePoints: stats.Points,
 		EvalsToWin:   evals,
+		BestAreaMM2:  stats.WinnerAreaMM2,
 		Fallback:     true,
-	}
-	// The sweep's selection area (summed per-model template areas) for the
-	// winner, recomputed so gap metrics compare like with like: nm
-	// closed-form kernel runs, which leave the engine's cache alone.
-	area := 0.0
-	for _, m := range models {
-		c := hw.NewConfig(hw.Point{}, []*workload.Model{m})
-		c.Cat = hw.CatalogueOf(space)
-		c.Point = res.Config.Point
-		s, serr := ev.EvaluateSummary(m, c, 1)
-		if serr != nil {
-			return dse.Result{}, tr, serr
-		}
-		area += s.AreaMM2
-	}
-	tr.BestAreaMM2 = area
-	return res, tr, nil
+	}, nil
 }
 
 // state is the shared per-run search state: the scored-point memo (slots),
@@ -739,59 +724,21 @@ func (st *state) trace(strategy string) Trace {
 	}
 }
 
-// finish materializes the selector's winner into a dse.Result with the same
-// shape ExploreSpace produces: the union-kind config (idle-bank leakage
-// priced in), full per-layer evals, the Selector's feasible count over the
-// visited set under the final reference, and the space description. Under
-// staged fidelity the winner instead comes from re-scoring the visited-set
-// dominance frontier with the physical models — the same RefineSelect
-// discipline the exhaustive sweep applies to its merged frontier.
+// finish ends the run through the sweep's own ending (dse.Selector.Conclude)
+// over the visited set: the same reference check and errors, the Selector's
+// feasible count under the final reference, staged refinement of the
+// visited-set dominance frontier, and the union-kind materialization.
 func (st *state) finish(strategy string) (dse.Result, Trace, error) {
 	tr := st.trace(strategy)
-	best, bestArea, ok := st.sel.Best()
-	if !ok {
-		for i, r := range st.sel.BestLatencies() {
-			if math.IsInf(r, 1) {
-				return dse.Result{}, tr, fmt.Errorf("search: no visited point meets area/power constraints for %s (%d points tried)",
-					st.models[i].Name, len(st.pts))
-			}
-		}
-		return dse.Result{}, tr, fmt.Errorf("search: no feasible configuration among %d visited points under %+v",
-			len(st.pts), st.cons)
+	// Stage 1 reads the candidates' summaries from the scorer first;
+	// dropping the state's reference frees its tables while they refine.
+	sc := st.score
+	st.score = nil
+	res, best, area, err := st.sel.Conclude(st.ctx, sc, len(st.pts), st.fid, st.ev)
+	if err != nil {
+		return dse.Result{}, tr, err
 	}
-	var refineStats *dse.RefineStats
-	if st.fid.Staged() {
-		// Stage 1 reads the candidates' summaries from the scorer first;
-		// dropping the state's reference frees its tables while they refine.
-		sc := st.score
-		st.score = nil
-		refined, stats, err := st.fid.RefineScored(st.ctx, sc, st.sel.FeasibleFrontier(), st.ev)
-		if err != nil {
-			return dse.Result{}, tr, err
-		}
-		best = refined
-		bestArea = st.areas[st.slots[best]]
-		refineStats = &stats
-	}
-	tr.BestAreaMM2 = bestArea
+	tr.BestAreaMM2 = area
 	tr.EvalsToWin = st.evalAt[st.slots[best]]
-
-	final := hw.NewConfig(st.space.At(best), st.models)
-	final.Cat = hw.CatalogueOf(st.space)
-	evals := make([]*ppa.Eval, st.nm)
-	for i, m := range st.models {
-		e, err := st.ev.Evaluate(m, final)
-		if err != nil {
-			return dse.Result{}, tr, err
-		}
-		evals[i] = e
-	}
-	return dse.Result{
-		Config:    final,
-		Evals:     evals,
-		Feasible:  st.sel.Feasible(),
-		Explored:  len(st.pts),
-		SpaceDesc: st.space.Desc(),
-		Refined:   refineStats,
-	}, tr, nil
+	return res, tr, nil
 }

@@ -264,6 +264,33 @@ func TestSearchBudgetTooSmall(t *testing.T) {
 	}
 }
 
+// TestSearchErrorMatchesSweep pins the ending the sweep and the search share
+// (dse.Selector.Conclude) on its failure path: under an area limit no point
+// meets, an exhaustive sweep and a budgeted anneal search fail with the same
+// error text.
+func TestSearchErrorMatchesSweep(t *testing.T) {
+	models := []*workload.Model{workload.NewAlexNet()}
+	space := hw.PaperSpace()
+	cons := dse.Constraints{MaxChipAreaMM2: 1e-6, MaxPowerDensityWPerMM2: 0.8, LatencySlack: 1}
+	ev := eval.New(eval.Options{Workers: 2})
+	_, wantErr := dse.ExploreSpaceCtx(context.Background(), models, space, cons, ev, nil)
+	if wantErr == nil {
+		t.Fatal("sweep unexpectedly feasible")
+	}
+	spec, err := ParseSpec("anneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := New(spec, Options{Seed: 1, Evaluator: ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, gotErr := opt.Run(context.Background(), models, space, cons, space.Len()*len(models)/4)
+	if gotErr == nil || gotErr.Error() != wantErr.Error() {
+		t.Errorf("error mismatch:\nsweep:  %v\nsearch: %v", wantErr, gotErr)
+	}
+}
+
 // TestSearchAcceptanceGate pins the budgeted-search acceptance criterion on
 // the large spaces it was set for: on fine × the training set and on mixfine
 // × (AlexNet, ViT-base, ResNet18), at seed 7 and a budget of 5% of the

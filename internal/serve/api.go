@@ -19,6 +19,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -344,9 +345,9 @@ func (m *Manager) key(kind string, models []*workload.Model, o core.Options, ext
 		sb.WriteString(m.ev.Fingerprint(md))
 	}
 	c := o.Constraints
-	fmt.Fprintf(&sb, "|space=%s|cat=%s|cons=%.9g/%.9g/%.9g|fidelity=%s",
+	fmt.Fprintf(&sb, "|space=%s|cat=%s|cons=%s/%s/%s|fidelity=%s",
 		o.Space.Desc(), m.cat.Fingerprint(),
-		c.MaxChipAreaMM2, c.MaxPowerDensityWPerMM2, c.LatencySlack, o.Fidelity)
+		exactFloat(c.MaxChipAreaMM2), exactFloat(c.MaxPowerDensityWPerMM2), exactFloat(c.LatencySlack), o.Fidelity)
 	if s := o.Search; s != nil {
 		fmt.Fprintf(&sb, "|search=%s|budget=%d|seed=%d", s.Spec, s.Budget, s.Seed)
 	}
@@ -356,6 +357,10 @@ func (m *Manager) key(kind string, models []*workload.Model, o core.Options, ext
 	}
 	return sb.String()
 }
+
+// exactFloat renders v in the fewest digits that parse back to v exactly,
+// so keys of distinct float values always differ.
+func exactFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // selfcheckKey is the coalescing key of a selfcheck request.
 func selfcheckKey(req *SelfcheckRequest, cat *hw.Catalogue) string {

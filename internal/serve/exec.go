@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"repro/internal/check"
@@ -109,12 +108,17 @@ func (m *Manager) SubmitSweep(req *SweepRequest, detached bool) (*Job, bool, err
 	if err != nil {
 		return nil, false, err
 	}
+	return m.Submit(KindSweep, m.sweepKey(req, models, o), detached, sweepExec(req.Kind, req.Values, models, o))
+}
+
+// sweepKey is the coalescing key of a resolved sweep request: its resolved
+// options, its kind and its values, each value rendered exactly.
+func (m *Manager) sweepKey(req *SweepRequest, models []*workload.Model, o core.Options) string {
 	vals := make([]string, len(req.Values))
 	for i, v := range req.Values {
-		vals[i] = fmt.Sprintf("%.9g", v)
+		vals[i] = exactFloat(v)
 	}
-	key := m.key(KindSweep, models, o, "kind="+req.Kind, "values="+strings.Join(vals, ","))
-	return m.Submit(KindSweep, key, detached, sweepExec(req.Kind, req.Values, models, o))
+	return m.key(KindSweep, models, o, "kind="+req.Kind, "values="+strings.Join(vals, ","))
 }
 
 // SubmitSelfcheck submits a selfcheck job.

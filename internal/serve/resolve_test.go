@@ -177,6 +177,8 @@ func TestCoalesceKeyFromResolvedOptions(t *testing.T) {
 			ExploreRequest{Models: n[:1]}, false},
 		{"staged vs analytical", ExploreRequest{Models: n[:1], Fidelity: "staged"},
 			ExploreRequest{Models: n[:1]}, false},
+		{"slack past the ninth digit", ExploreRequest{Models: n[:1], Constraints: slack(1)},
+			ExploreRequest{Models: n[:1], Constraints: slack(1.0000000001)}, false},
 	} {
 		ka, err := exploreKeyOf(m, &tc.a)
 		if err != nil {
@@ -189,6 +191,26 @@ func TestCoalesceKeyFromResolvedOptions(t *testing.T) {
 		if (ka == kb) != tc.coalesce {
 			t.Errorf("%s: coalesce = %v, want %v\nkey a: %s\nkey b: %s", tc.name, ka == kb, tc.coalesce, ka, kb)
 		}
+	}
+}
+
+// TestSweepKeyRendersValuesExactly pins the sweep key to its exact values:
+// two sweeps whose values differ only past the ninth significant digit are
+// different requests, so they must not share a key.
+func TestSweepKeyRendersValuesExactly(t *testing.T) {
+	m := NewManager(ManagerConfig{Workers: 1})
+	defer m.Close()
+	keyOf := func(req *SweepRequest) string {
+		models, o, err := m.resolveSweep(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.sweepKey(req, models, o)
+	}
+	a := keyOf(&SweepRequest{Kind: "slack", Model: workload.Names()[0], Values: []float64{0.5, 1}})
+	b := keyOf(&SweepRequest{Kind: "slack", Model: workload.Names()[0], Values: []float64{0.5, 1.0000000001}})
+	if a == b {
+		t.Errorf("distinct sweep values share the key %s", a)
 	}
 }
 
