@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # benchgate.sh compares the cold 81-point explore benchmarks, the streaming
-# fine and mixfine sweeps, the staged fine-space exploration and the Table I
-# pipeline of HEAD against a base commit on the same machine, so the gate
-# reads a regression of the change and not a difference between machines.
+# fine and mixfine sweeps, the staged fine-space exploration, the Table I
+# pipeline and the budgeted searches of HEAD against a base commit on the
+# same machine, so the gate reads a regression of the change and not a
+# difference between machines.
 #
 # Usage: bash .github/benchgate.sh <base-ref>
 #
@@ -12,11 +13,13 @@
 # BenchmarkExploreStagedFine (the training set on the fine space with staged
 # fidelity, fresh engine per iteration), BenchmarkExploreStreamFine (the
 # training set on the fine space), BenchmarkExploreStreamMixFine (three
-# networks on the mixfine space) and BenchmarkPipeline (perfbench's pipeline
-# operation: train and test on the fine space with staged fidelity) run
-# ROUNDS times per side at a fixed iteration count: COLD_ITERS for the two
-# cold explores, which take about 5 ms each, so one side's run lasts about
-# half a second and host noise moves it less, and ITERS for the rest. A round
+# networks on the mixfine space), BenchmarkPipeline (perfbench's pipeline
+# operation: train and test on the fine space with staged fidelity) and
+# BenchmarkSearchFine (perfbench explore's searches: anneal and genetic at a
+# 5% budget on fine and mixfine) run ROUNDS times per side at a fixed
+# iteration count: COLD_ITERS for the two cold explores, which take about
+# 5 ms each, so one side's run lasts about half a second and host noise
+# moves it less, and ITERS for the rest. A round
 # runs the base and HEAD once each, alternating which side goes first, so
 # both runs of a round see the same host speed. The verdict rests on those
 # pairs: for each benchmark and unit the script takes each round's HEAD/base
@@ -25,9 +28,8 @@
 # median ratio and the ratio's quartiles.
 #
 # Because a benchmark the base commit lacks fails the gate, a new benchmark
-# joins BENCHES one commit after the one that adds it. BenchmarkSearchFine
-# (the 5%-budget anneal and genetic searches on fine and mixfine) is next:
-# CI's bench smoke runs it until then.
+# joins BENCHES one commit after the one that adds it; CI's bench smoke runs
+# it until then.
 set -euo pipefail
 
 readonly MAX_REGRESS=0.25
@@ -35,7 +37,7 @@ readonly ROUNDS=5
 readonly COLD_ITERS=100
 readonly ITERS=20
 readonly COLD="BenchmarkExploreCold BenchmarkExploreColdParallel"
-readonly REST="BenchmarkExploreStagedFine BenchmarkExploreStreamFine BenchmarkExploreStreamMixFine BenchmarkPipeline"
+readonly REST="BenchmarkExploreStagedFine BenchmarkExploreStreamFine BenchmarkExploreStreamMixFine BenchmarkPipeline BenchmarkSearchFine"
 readonly BENCHES="$COLD $REST"
 
 base_ref=${1:?usage: benchgate.sh <base-ref>}

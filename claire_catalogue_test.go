@@ -126,7 +126,7 @@ func TestPaperExploreByteIdenticalUnderLegacyCatalogue(t *testing.T) {
 			got.Config.Point, got.Feasible, got.Explored)
 	}
 	for i := range want.Evals {
-		if want.Evals[i].Summary() != got.Evals[i].Summary() {
+		if want.Evals[i].Summary != got.Evals[i].Summary {
 			t.Fatalf("%s: winning evaluation differs under the legacy catalogue", models[i].Name)
 		}
 	}

@@ -335,7 +335,7 @@ func checkPerChipletHops(col *collector) {
 	fp := placement.Placement{Grid: placement.Grid{W: 2, H: 1}, Slot: []int{0, 1}}
 	pkg := fidelity.NewPackage(chiplets, fp)
 	e := &ppa.Eval{
-		LatencyS: 1e-3,
+		Summary: ppa.Summary{LatencyS: 1e-3},
 		Layers: []ppa.LayerEval{
 			{Unit: hw.SystolicArray, OutBytes: 1 << 20},
 			{Unit: hw.ActReLU, OutBytes: 1 << 18},

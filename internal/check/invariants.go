@@ -52,18 +52,18 @@ func checkInvariants(o *Options) Section {
 		if !col.check(err == nil, m.Name, "", cfg, "Evaluate: %v", err) {
 			continue
 		}
-		planned, err := plan.Evaluate(c)
-		if !col.check(err == nil, m.Name, "", cfg, "plan.Evaluate: %v", err) {
+		planned, err := plan.EvaluateBatch(c, 1)
+		if !col.check(err == nil, m.Name, "", cfg, "plan.EvaluateBatch: %v", err) {
 			continue
 		}
 		sum, err := plan.Summary(c, 1)
 		if !col.check(err == nil, m.Name, "", cfg, "plan.Summary: %v", err) {
 			continue
 		}
-		col.check(direct.Summary() == planned.Summary(), m.Name, "", cfg,
-			"direct and plan evaluation differ: %+v vs %+v", direct.Summary(), planned.Summary())
-		col.check(planned.Summary() == sum, m.Name, "", cfg,
-			"plan evaluation and summary differ: %+v vs %+v", planned.Summary(), sum)
+		col.check(direct.Summary == planned.Summary, m.Name, "", cfg,
+			"direct and plan evaluation differ: %+v vs %+v", direct.Summary, planned.Summary)
+		col.check(planned.Summary == sum, m.Name, "", cfg,
+			"plan evaluation and summary differ: %+v vs %+v", planned.Summary, sum)
 
 		// Leakage is a pure recomputation from area and latency.
 		wantLeak := hw.LeakageMWPerMM2 * 1e-3 * sum.AreaMM2 * sum.LatencyS * 1e12

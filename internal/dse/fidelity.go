@@ -177,12 +177,9 @@ func gatherCands(ctx context.Context, sc *Scorer, cands []int) (candBlock, error
 // space, in the sweep's (area, index) selection order. It builds the
 // sweep's Scorer of models on space and refines from it, as the sweep's and
 // the search's ending (Selector.Conclude) does from theirs. An empty list
-// fails with stage 1's empty-frontier error.
+// fails with stage 1's empty-frontier error. ctx must be non-nil.
 func (fo *FidelityOptions) RefineSelect(ctx context.Context, cands []int, models []*workload.Model, space hw.DesignSpace,
 	cons Constraints, ev *eval.Evaluator) (int, RefineStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(cands) == 0 {
 		return -1, RefineStats{}, errors.New("dse: staged selection over an empty frontier")
 	}

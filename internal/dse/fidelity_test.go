@@ -185,7 +185,7 @@ func fullEvals(t *testing.T, ev *eval.Evaluator, models []*workload.Model, cfg h
 	t.Helper()
 	full := make([]*ppa.Eval, len(models))
 	for i, m := range models {
-		e, err := ev.Plan(m).Evaluate(cfg)
+		e, err := ev.Plan(m).EvaluateBatch(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -287,16 +287,21 @@ func TestStreamingByteIdentityMatrix(t *testing.T) {
 // once a warm-up pass has sized the frontier's backing arrays and the
 // evaluator's plan tables, the steady-state chunk loop — scanChunk over the
 // whole space — performs zero heap allocations. It covers both scoring
-// paths: the per-point kernel on a point list, and the cost tables on a
-// Cartesian and a mix space.
+// paths: the per-point kernel on a homogeneous and a mix point list (every
+// 7th point of the mix space), and the cost tables on a Cartesian and a mix
+// space.
 func TestExploreChunkLoopAllocFree(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase()}
 	mix, err := hw.DefaultMixSpec(nil).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var mixPoints hw.PointList
+	for k := 0; k < mix.Len(); k += 7 {
+		mixPoints = append(mixPoints, mix.At(k))
+	}
 	cons := DefaultConstraints()
-	for _, space := range []hw.DesignSpace{hw.PointList(hw.PaperSpace().Points()), hw.PaperSpace(), mix} {
+	for _, space := range []hw.DesignSpace{hw.PointList(hw.PaperSpace().Points()), mixPoints, hw.PaperSpace(), mix} {
 		ev := eval.New(eval.Options{Workers: 1})
 		sc := NewScorer(ev, models, space, cons)
 		if _, list := space.(hw.PointList); list != (sc.tables == nil) {

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/eval"
@@ -13,7 +14,8 @@ import (
 // the per-point loop over models that the streaming sweep's shards and the
 // budgeted search's visits share. It owns the per-model configuration
 // templates and, on a hw.SpaceSpec or hw.MixSpace, one ppa.Table per model;
-// on any other space it runs the per-point kernel from the models' plans.
+// on any other space, or when some model's template gets no table, it runs
+// the per-point kernel from the models' plans.
 // The two paths are bit-identical, and neither touches the engine's result
 // cache. A Scorer is safe for concurrent use; its tables live as long as it
 // does.
@@ -24,7 +26,8 @@ type Scorer struct {
 	tmpl   []hw.Config
 	// plans holds each model's per-point kernel: its ppa.ModelPlan.
 	plans []summarizer
-	// tables holds one table per model, or is nil when the space has none.
+	// tables holds one table per model, or is nil unless every model has
+	// one.
 	tables []*ppa.Table
 }
 
@@ -36,7 +39,9 @@ type summarizer interface {
 
 // NewScorer builds the scorer of models on a non-empty space; a nil engine
 // selects the shared one. The models' plans come from the engine, and the
-// tables, when the space has them, are built on its worker pool.
+// tables, when the space has them, are built on its worker pool. A template
+// that fails its plan's checks on the space gets no table (ppa.NewTable), so
+// the scorer then scores every model per point and reports the plan's error.
 func NewScorer(ev *eval.Evaluator, models []*workload.Model, space hw.DesignSpace, cons Constraints) *Scorer {
 	if ev == nil {
 		ev = eval.Shared()
@@ -59,7 +64,7 @@ func NewScorer(ev *eval.Evaluator, models []*workload.Model, space hw.DesignSpac
 		s.plans[i] = p
 		tables[i] = ppa.NewTable(p, tmpl[i], space)
 	})
-	if len(tables) > 0 && tables[0] != nil {
+	if len(tables) > 0 && !slices.Contains(tables, nil) {
 		s.tables = tables
 	}
 	return s
@@ -72,7 +77,7 @@ func NewScorer(ev *eval.Evaluator, models []*workload.Model, space hw.DesignSpac
 // allocation.
 func (s *Scorer) Summary(i, k int, pt hw.Point) (ppa.Summary, error) {
 	if s.tables != nil {
-		return s.tables[i].Summary(k)
+		return s.tables[i].Summary(k), nil
 	}
 	c := s.tmpl[i]
 	c.Point = pt
@@ -87,10 +92,9 @@ func (s *Scorer) Summary(i, k int, pt hw.Point) (ppa.Summary, error) {
 // chunk scoring the sweep runs, and performs no allocation.
 func (s *Scorer) Score(k int, lats []float64, statics []bool) (area float64, err error) {
 	var areas [1]float64
-	var errs, sumErrs [1]error
+	var errs [1]error
 	var sums [1]ppa.Summary
-	s.scoreRange(k, &scores{area: areas[:], lat: lats, static: statics, err: errs[:],
-		sums: sums[:], sumErrs: sumErrs[:]})
+	s.scoreRange(k, &scores{area: areas[:], lat: lats, static: statics, err: errs[:], sums: sums[:]})
 	if errs[0] != nil {
 		return 0, errs[0]
 	}
@@ -102,13 +106,12 @@ func (s *Scorer) Score(k int, lats []float64, statics []bool) (area float64, err
 // Every slice holds one entry per point, except lat and static, which hold
 // one per (point, model), point-major.
 type scores struct {
-	idx     []int
-	area    []float64
-	lat     []float64
-	static  []bool
-	err     []error
-	sums    []ppa.Summary
-	sumErrs []error
+	idx    []int
+	area   []float64
+	lat    []float64
+	static []bool
+	err    []error
+	sums   []ppa.Summary
 }
 
 // sizeScores sets b to n points of the scorer's models, growing a buffer
@@ -119,7 +122,7 @@ func (s *Scorer) sizeScores(b *scores, n int) {
 	b.idx, b.area, b.err = grow(b.idx, n), grow(b.area, n), grow(b.err, n)
 	b.lat, b.static = grow(b.lat, n*m), grow(b.static, n*m)
 	if s.tables != nil {
-		b.sums, b.sumErrs = grow(b.sums, n), grow(b.sumErrs, n)
+		b.sums = grow(b.sums, n)
 	}
 }
 
@@ -143,8 +146,8 @@ var scoresPool = sync.Pool{New: func() any { return new(scores) }}
 // (added in model order, as Score adds it) at b.area[j], and the first
 // failing model's error, or nil, at b.err[j]; a failing point's other
 // entries are partly written. With tables, each model's summaries over the
-// whole range come from one Table.SummaryRange gather. It performs no
-// allocation.
+// whole range come from one Table.SummaryRange gather, and no point fails.
+// It performs no allocation.
 func (s *Scorer) scoreRange(lo int, b *scores) {
 	m := len(s.models)
 	for j := range b.area {
@@ -165,15 +168,9 @@ func (s *Scorer) scoreRange(lo int, b *scores) {
 		return
 	}
 	for i, tab := range s.tables {
-		tab.SummaryRange(lo, b.sums, b.sumErrs)
+		tab.SummaryRange(lo, b.sums)
 		for j := range b.sums {
-			switch {
-			case b.err[j] != nil:
-			case b.sumErrs[j] != nil:
-				b.err[j] = b.sumErrs[j]
-			default:
-				s.record(b, j*m+i, j, &b.sums[j])
-			}
+			s.record(b, j*m+i, j, &b.sums[j])
 		}
 	}
 }

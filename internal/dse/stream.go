@@ -447,12 +447,9 @@ func (sw *sweepState) merge(shards []*exploreShard, stats *ExploreStats) (*Selec
 // phases), so a cancelled sweep stops within one chunk (<= 512 points per
 // worker) and returns ctx.Err(); a run that completes is byte-identical to
 // an uncancelled one — the context is consulted, never folded into
-// selection. A nil ctx means context.Background(), a nil opts selects
-// defaults, and a nil engine selects the shared one.
+// selection. ctx must be non-nil; a nil opts selects defaults, and a nil
+// engine selects the shared one.
 func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator, opts *ExploreOptions) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(models) == 0 {
 		return Result{}, fmt.Errorf("dse: no models")
 	}

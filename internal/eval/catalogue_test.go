@@ -54,7 +54,7 @@ func TestCataloguesDoNotShareCacheEntries(t *testing.T) {
 	}
 	// Doubling SRAMBytePJ must change dynamic energy, and must not change
 	// latency or area (the perturbed constant touches neither).
-	s0, s1 := e0.Summary(), e1.Summary()
+	s0, s1 := e0.Summary, e1.Summary
 	if s1.DynamicPJ == s0.DynamicPJ {
 		t.Error("perturbed catalogue produced identical dynamic energy")
 	}

@@ -33,8 +33,8 @@ func TestSummaryLeavesCacheAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Summary() != s || u != s {
-		t.Errorf("summary %+v / uncached %+v diverge from full evaluation totals %+v", s, u, e.Summary())
+	if e.Summary != s || u != s {
+		t.Errorf("summary %+v / uncached %+v diverge from full evaluation totals %+v", s, u, e.Summary)
 	}
 	if st := ev.Stats(); st.Entries != 1 || st.Misses != 1 || st.Hits != 0 {
 		t.Errorf("stats after one full evaluation = %+v, want 1 entry / 1 miss", st)

@@ -496,7 +496,7 @@ type Result struct {
 // Eval re-scores one model's analytical evaluation on the package: Score over
 // its layer traffic and totals.
 func (p Params) Eval(pkg *Package, e *ppa.Eval) Result {
-	return p.Score(pkg, trafficOf(e), e.Summary())
+	return p.Score(pkg, trafficOf(e), e.Summary)
 }
 
 // Score re-scores one model on the package from its layer traffic and its

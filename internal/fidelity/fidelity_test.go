@@ -59,7 +59,7 @@ func TestEvalPerChipletIntraHops(t *testing.T) {
 	// Layer chain: SA -> ReLU (intra chiplet 0), ReLU -> MaxPool (inter),
 	// MaxPool -> Flatten -> GELU (intra chiplet 1).
 	e := &ppa.Eval{
-		LatencyS: 1e-3,
+		Summary: ppa.Summary{LatencyS: 1e-3},
 		Layers: []ppa.LayerEval{
 			{Unit: hw.SystolicArray, OutBytes: 1 << 20},
 			{Unit: hw.ActReLU, OutBytes: 1 << 18},
@@ -113,8 +113,7 @@ func TestEvalThermal(t *testing.T) {
 	p := testParams()
 	pkg := asymmetricPackage()
 	e := &ppa.Eval{
-		LatencyS:  1e-3,
-		DynamicPJ: 5e9,
+		Summary: ppa.Summary{LatencyS: 1e-3, DynamicPJ: 5e9},
 		Layers: []ppa.LayerEval{
 			{Unit: hw.SystolicArray, OutBytes: 1 << 20},
 			{Unit: hw.PoolMax},

@@ -1,6 +1,7 @@
 package ppa
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -13,43 +14,102 @@ func allNetworks() []*workload.Model {
 	return append(workload.TrainingSet(), workload.TestSet()...)
 }
 
-// TestPlanMatchesDirectEvaluationBitExact pins the tentpole invariant: the
-// precomputed-plan paths (full and summary) are bit-identical to the direct
-// ppa.EvaluateBatch path for every network, across space corners and batch
-// sizes — the kernel refactor must not move a single float.
+// mixOf returns a mix point with the given per-type chiplet counts.
+func mixOf(nact, npool int, counts ...uint16) hw.Point {
+	var m hw.Mix
+	copy(m.Counts[:], counts)
+	return hw.Point{NAct: nact, NPool: npool, Mix: m}
+}
+
+// twinCatalogue returns the built-in catalogue plus a fourth chiplet type,
+// a copy of the first at twice its energy per MAC: every compute layer takes
+// as long on one as on the other, so on a mix of both the tie rule alone
+// picks the energy.
+func twinCatalogue(t *testing.T) *hw.Catalogue {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := hw.Default().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := hw.ParseCatalogue(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := cat.Chiplets[0]
+	twin.Name += "-twin"
+	twin.EnergyPerMACPJ *= 2
+	cat.Name += "-twin"
+	cat.Chiplets = append(cat.Chiplets, twin)
+	if err := cat.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// TestPlanMatchesDirectEvaluationBitExact pins the plan against the
+// reference: ModelPlan.EvaluateBatch (reflect.DeepEqual) and ModelPlan.Summary
+// (every bit of the four totals) equal the direct ppa.EvaluateBatch for every
+// network, at batch 1 and 4, under the built-in and the mobile-7nm catalogue
+// at Int8 and Int16, on homogeneous space corners and on mixes with one, two
+// and three active chiplet types. Both sides dispatch each compute layer of
+// a mix to its fastest type on their own, so the mixes pin that dispatch,
+// and a mix of two types that tie on every layer pins its tie rule.
 func TestPlanMatchesDirectEvaluationBitExact(t *testing.T) {
-	points := []hw.Point{
+	mobile, err := hw.LoadCatalogue("../../examples/catalogue/mobile-7nm.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	homogeneous := []hw.Point{
 		{SASize: 16, NSA: 16, NAct: 16, NPool: 16},
 		{SASize: 32, NSA: 32, NAct: 16, NPool: 16},
 		{SASize: 64, NSA: 64, NAct: 64, NPool: 64},
 	}
-	for _, m := range allNetworks() {
-		plan := NewModelPlan(m)
-		for _, p := range points {
-			c := hw.NewConfig(p, []*workload.Model{m})
-			for _, batch := range []int{1, 4} {
-				direct, err := EvaluateBatch(m, c, batch)
-				if err != nil {
-					t.Fatalf("%s %v: %v", m.Name, p, err)
-				}
-				full, err := plan.EvaluateBatch(c, batch)
-				if err != nil {
-					t.Fatalf("%s %v: plan: %v", m.Name, p, err)
-				}
-				if !reflect.DeepEqual(direct, full) {
-					t.Fatalf("%s %v batch %d: plan evaluation diverges from direct path", m.Name, p, batch)
-				}
-				sum, err := plan.Summary(c, batch)
-				if err != nil {
-					t.Fatalf("%s %v: summary: %v", m.Name, p, err)
-				}
-				if sum != direct.Summary() {
-					t.Fatalf("%s %v batch %d: summary %+v != direct totals %+v",
-						m.Name, p, batch, sum, direct.Summary())
+	cats := []struct {
+		cat   *hw.Catalogue
+		mixes []hw.Point
+	}{
+		// The built-in catalogue's types are 16x16, 32x32 and 64x64 arrays.
+		{nil, []hw.Point{mixOf(16, 16, 0, 8), mixOf(16, 32, 16, 0, 2), mixOf(64, 16, 24, 4, 1)}},
+		// mobile-7nm's are 32x32, 64x64, 128x128 and a low-power 16x16.
+		{mobile, []hw.Point{mixOf(16, 16, 0, 0, 0, 12), mixOf(32, 16, 0, 2, 0, 24), mixOf(16, 64, 8, 0, 1, 16)}},
+		{twinCatalogue(t), []hw.Point{mixOf(16, 16, 8, 0, 0, 8)}},
+	}
+	compared := 0
+	for _, ct := range cats {
+		for _, prec := range []hw.Precision{hw.Int8, hw.Int16} {
+			for _, m := range allNetworks() {
+				plan := NewModelPlan(m)
+				for _, p := range append(homogeneous, ct.mixes...) {
+					c := hw.NewConfig(p, []*workload.Model{m})
+					c.Cat, c.Precision = ct.cat, prec
+					for _, batch := range []int{1, 4} {
+						direct, err := EvaluateBatch(m, c, batch)
+						if err != nil {
+							t.Fatalf("%s %v: %v", m.Name, p, err)
+						}
+						full, err := plan.EvaluateBatch(c, batch)
+						if err != nil {
+							t.Fatalf("%s %v: plan: %v", m.Name, p, err)
+						}
+						if !reflect.DeepEqual(direct, full) {
+							t.Fatalf("%s %v %v batch %d under %s: plan evaluation diverges from direct path",
+								m.Name, p, prec, batch, c.Catalogue().Name)
+						}
+						sum, err := plan.Summary(c, batch)
+						if err != nil {
+							t.Fatalf("%s %v: summary: %v", m.Name, p, err)
+						}
+						if !sameSummary(sum, direct.Summary) {
+							t.Fatalf("%s %v %v batch %d under %s: summary %+v != direct totals %+v",
+								m.Name, p, prec, batch, c.Catalogue().Name, sum, direct.Summary)
+						}
+						compared++
+					}
 				}
 			}
 		}
 	}
+	t.Logf("%d evaluations bit-identical", compared)
 }
 
 // TestTrafficMatchesEvaluateBatch pins ModelPlan.Traffic, the input stage 1
@@ -89,7 +149,8 @@ func TestTrafficMatchesEvaluateBatch(t *testing.T) {
 	}
 }
 
-// TestSummaryDerivedQuantities checks the scalar accessors agree with Eval's.
+// TestSummaryDerivedQuantities checks the derived accessors, which Eval
+// promotes from its Summary, against their definitions.
 func TestSummaryDerivedQuantities(t *testing.T) {
 	m := workload.NewResNet18()
 	c := hw.NewConfig(centralPoint(), []*workload.Model{m})
@@ -97,10 +158,14 @@ func TestSummaryDerivedQuantities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := e.Summary()
-	if s.EnergyPJ() != e.EnergyPJ() || s.EnergyJ() != e.EnergyJ() ||
-		s.PowerW() != e.PowerW() || s.PowerDensity() != e.PowerDensity() {
-		t.Errorf("summary accessors diverge from Eval: %+v vs eval", s)
+	s := e.Summary
+	energyJ := (s.DynamicPJ + s.LeakagePJ) * 1e-12
+	if s.EnergyPJ() != s.DynamicPJ+s.LeakagePJ || s.EnergyJ() != energyJ ||
+		s.PowerW() != energyJ/s.LatencyS || s.PowerDensity() != energyJ/s.LatencyS/s.AreaMM2 {
+		t.Errorf("derived quantities diverge from their definitions: %+v", s)
+	}
+	if e.PowerDensity() != s.PowerDensity() {
+		t.Error("Eval must report its Summary's power density")
 	}
 	if (Summary{}).PowerW() != 0 || (Summary{}).PowerDensity() != 0 {
 		t.Error("zero summary must report zero power")
@@ -175,18 +240,18 @@ func TestElementwiseTinyThroughputNoPanic(t *testing.T) {
 		Point: hw.Point{SASize: 32, NSA: 32, NAct: 0, NPool: 0},
 		Units: hw.SetOf(hw.SystolicArray, hw.ActReLU),
 	}
-	le := evalElementwise(l, c, 1)
-	if le.LatencyS <= 0 {
-		t.Fatalf("degenerate bank must still take time, got %v", le.LatencyS)
+	out := elementKernelVals(hw.ActReLU, l.ElementOps(), l.OutputElems(), c.BankCount(hw.ActReLU), c.Catalogue(), 1, 1)
+	if out.latencyS <= 0 {
+		t.Fatalf("degenerate bank must still take time, got %v", out.latencyS)
 	}
 	// The zero-instance bank clamps to one instance (4 SIMD lanes).
 	ops := l.ElementOps()
 	wantLat := float64((ops+3)/4) / (hw.ClockGHz * 1e9)
-	if le.LatencyS != wantLat {
-		t.Errorf("clamped latency = %v, want %v", le.LatencyS, wantLat)
+	if out.latencyS != wantLat {
+		t.Errorf("clamped latency = %v, want %v", out.latencyS, wantLat)
 	}
-	if le.Executions != ops {
-		t.Errorf("clamped executions = %d, want %d", le.Executions, ops)
+	if out.executions != ops {
+		t.Errorf("clamped executions = %d, want %d", out.executions, ops)
 	}
 }
 
@@ -231,7 +296,7 @@ func TestComputeFoldsZeroRows(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			folds, _ := computeFolds(tc.layer, tc.size)
+			folds, _ := Folds(tc.layer, tc.size)
 			if folds != tc.wantFolds {
 				t.Errorf("folds = %d, want %d", folds, tc.wantFolds)
 			}
@@ -281,7 +346,7 @@ func TestBatchedEvaluationInvariants(t *testing.T) {
 // TestColdPlanBuildAllocs pins the cold-path allocation contract: building a
 // ModelPlan plus the fold tables for three distinct array dimensions costs a
 // fixed, layer-count-independent number of allocations (the SoA columns and
-// fold-table columns each share one backing array). Currently 14; the bound
+// fold-table columns each share one backing array). Currently 12; the bound
 // leaves slack for runtime-version noise only.
 func TestColdPlanBuildAllocs(t *testing.T) {
 	for _, m := range allNetworks() {

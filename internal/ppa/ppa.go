@@ -17,10 +17,6 @@ import (
 	"repro/internal/workload"
 )
 
-// BytesPerElement is the default datapath word width (8-bit inference);
-// evaluation uses the configuration's Precision when set.
-const BytesPerElement = 1
-
 // LayerEval is the evaluated cost of one layer on a configuration.
 type LayerEval struct {
 	Index int // position in the model
@@ -33,12 +29,9 @@ type LayerEval struct {
 	OutBytes   int64   // edge weight w_E to the next layer
 }
 
-// Eval is the evaluated cost of a whole algorithm on a configuration.
-type Eval struct {
-	Model  *workload.Model
-	Config hw.Config
-	Layers []LayerEval
-
+// Summary is the scalar result of an evaluation: the whole-algorithm totals,
+// without the per-layer breakdown.
+type Summary struct {
 	LatencyS  float64 // sum of per-layer latencies (sequential execution)
 	DynamicPJ float64 // total dynamic energy
 	LeakagePJ float64 // leakage energy over the run (no power gating)
@@ -46,26 +39,54 @@ type Eval struct {
 }
 
 // EnergyPJ returns total energy including leakage.
-func (e *Eval) EnergyPJ() float64 { return e.DynamicPJ + e.LeakagePJ }
+func (s Summary) EnergyPJ() float64 { return s.DynamicPJ + s.LeakagePJ }
 
 // EnergyJ returns total energy in joules.
-func (e *Eval) EnergyJ() float64 { return e.EnergyPJ() * 1e-12 }
+func (s Summary) EnergyJ() float64 { return s.EnergyPJ() * 1e-12 }
 
 // PowerW returns average power over the run.
-func (e *Eval) PowerW() float64 {
-	if e.LatencyS <= 0 {
+func (s Summary) PowerW() float64 {
+	if s.LatencyS <= 0 {
 		return 0
 	}
-	return e.EnergyJ() / e.LatencyS
+	return s.EnergyJ() / s.LatencyS
 }
 
 // PowerDensity returns average power density in W/mm^2, the quantity bounded
 // by the paper's PD_limit constraint.
-func (e *Eval) PowerDensity() float64 {
-	if e.AreaMM2 <= 0 {
+func (s Summary) PowerDensity() float64 {
+	if s.AreaMM2 <= 0 {
 		return 0
 	}
-	return e.PowerW() / e.AreaMM2
+	return s.PowerW() / s.AreaMM2
+}
+
+// OnArea returns s re-priced on a configuration of areaMM2 mm^2 under
+// catalogue cat: the same latency and dynamic energy, with that area and the
+// leakage it draws over the run (idle units leak too). A model's summary on
+// a configuration that also holds other models' units is its summary on its
+// own units re-priced on the larger configuration's area, bit for bit: the
+// units it does not use change only the area.
+func (s Summary) OnArea(cat *hw.Catalogue, areaMM2 float64) Summary {
+	s.AreaMM2 = areaMM2
+	s.LeakagePJ = leakagePJ(cat, areaMM2, s.LatencyS)
+	return s
+}
+
+// leakagePJ prices leakage across the whole chip for the whole run; the paper
+// applies no power gating, so idle units leak too.
+func leakagePJ(cat *hw.Catalogue, areaMM2, latencyS float64) float64 {
+	leakW := cat.LeakageMWPerMM2 * 1e-3 * areaMM2
+	return leakW * latencyS * 1e12
+}
+
+// Eval is the evaluated cost of a whole algorithm on a configuration: its
+// Summary plus the per-layer breakdown.
+type Eval struct {
+	Summary
+	Model  *workload.Model
+	Config hw.Config
+	Layers []LayerEval
 }
 
 // ceilDiv returns ceil(a/b) for positive b.
@@ -78,16 +99,9 @@ func ceilDiv(a, b int64) int64 {
 
 // Folds returns the weight-stationary fold decomposition of a compute layer
 // on size x size arrays: the number of weight tiles and the activation
-// streams per tile. It is exported for the cycle-level validation substrate
-// (internal/systolic).
+// streams per tile. The cycle-level validation substrate (internal/systolic)
+// shares it.
 func Folds(l workload.Layer, size int) (folds, streams int64) {
-	return computeFolds(l, size)
-}
-
-// computeFolds returns the weight-stationary fold decomposition of a compute
-// layer on size x size arrays: the number of weight tiles and the activation
-// streams per tile.
-func computeFolds(l workload.Layer, size int) (folds, streams int64) {
 	s := int64(size)
 	g := int64(1)
 	if l.Groups > 1 {
@@ -134,7 +148,7 @@ func computeFolds(l workload.Layer, size int) (folds, streams int64) {
 			streams = 1
 		}
 	default:
-		panic(fmt.Sprintf("ppa: computeFolds on non-compute layer %v", l.Kind))
+		panic(fmt.Sprintf("ppa: Folds on non-compute layer %v", l.Kind))
 	}
 	if l.ActiveCopies > 1 {
 		folds *= int64(l.ActiveCopies)
@@ -145,41 +159,15 @@ func computeFolds(l workload.Layer, size int) (folds, streams int64) {
 	return folds, streams
 }
 
-// evalCompute evaluates a MAC-bearing layer on the systolic-array bank for
-// a batch of inferences; the cost arithmetic lives in computeKernel, shared
-// with the precomputed-plan paths (see plan.go).
-func evalCompute(l workload.Layer, c hw.Config, batch int) LayerEval {
-	lp := layerPlanOf(l)
-	var out kernelOut
-	if c.Mix.IsZero() {
-		out = computeKernel(&lp, foldPlanOf(l, c.SASize), &c, batch)
-	} else {
-		out = mixComputeKernel(&lp, mixFoldSource{l: &l}, &c, c.Catalogue(), batch)
+// colTiles returns the output-column tiles of a compute layer with nofm
+// output channels on size x size arrays: how many times its inputs are
+// re-streamed.
+func colTiles(nofm, size int) int64 {
+	t := ceilDiv(int64(nofm), int64(size))
+	if t == 0 {
+		t = 1
 	}
-	return LayerEval{
-		Layer:      l,
-		Unit:       lp.unit,
-		Executions: out.executions,
-		LatencyS:   out.latencyS,
-		EnergyPJ:   out.energyPJ,
-		OutBytes:   out.outBytes,
-	}
-}
-
-// evalElementwise evaluates an activation, pooling or engine layer on its
-// unit bank; the cost arithmetic lives in elementKernel, shared with the
-// precomputed-plan paths (see plan.go).
-func evalElementwise(l workload.Layer, c hw.Config, batch int) LayerEval {
-	lp := layerPlanOf(l)
-	out := elementKernel(&lp, &c, c.Catalogue(), batch)
-	return LayerEval{
-		Layer:      l,
-		Unit:       lp.unit,
-		Executions: out.executions,
-		LatencyS:   out.latencyS,
-		EnergyPJ:   out.energyPJ,
-		OutBytes:   out.outBytes,
-	}
+	return t
 }
 
 // Evaluate runs the analytical PPA model for one algorithm on one
@@ -195,6 +183,11 @@ func Evaluate(m *workload.Model, c hw.Config) (*Eval, error) {
 // the dataflow. Element-wise work and data movement scale linearly with the
 // batch; weight traffic does not. The reported latency covers the whole
 // batch (divide by batch for per-inference throughput).
+//
+// It is the reference evaluation: it walks the model's layer shapes directly
+// and shares only the fold decomposition (Folds, colTiles) and the two
+// scalar kernels with ModelPlan and Table, so comparing them with it is a
+// real differential.
 func EvaluateBatch(m *workload.Model, c hw.Config, batch int) (*Eval, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("ppa: batch %d", batch)
@@ -206,23 +199,47 @@ func EvaluateBatch(m *workload.Model, c hw.Config, batch int) (*Eval, error) {
 		return nil, fmt.Errorf("ppa: config %v does not cover %s (coverage %.0f%%)",
 			c.Point, m.Name, 100*c.Coverage(m))
 	}
-	e := &Eval{Model: m, Config: c, AreaMM2: c.AreaMM2()}
-	e.Layers = make([]LayerEval, 0, len(m.Layers))
-	for i, l := range m.Layers {
-		var le LayerEval
-		if l.Kind.IsCompute() {
-			le = evalCompute(l, c, batch)
-		} else {
-			le = evalElementwise(l, c, batch)
+	cat := c.Catalogue()
+	bytesPer, b := int64(c.Precision.Bytes()), int64(batch)
+	e := &Eval{Summary: Summary{AreaMM2: c.AreaMM2()}, Model: m, Config: c,
+		Layers: make([]LayerEval, len(m.Layers))}
+	for i := range m.Layers {
+		l := &m.Layers[i]
+		u := hw.SystolicArray
+		var out kernelOut
+		switch {
+		case !l.Kind.IsCompute():
+			u = hw.UnitFor(l.Kind)
+			out = elementKernelVals(u, l.ElementOps(), l.OutputElems(), c.BankCount(u), cat, bytesPer, b)
+		case c.Mix.IsZero():
+			out = arraysCost(l, c.SASize, c.NSA, cat.SAFor(c.SASize, c.Precision).MacPJ, cat, bytesPer, b)
+		default:
+			// On a mix the layer runs on the active chiplet type that
+			// finishes it first, ties to the lowest type index.
+			first := true
+			for ti := range cat.Chiplets {
+				if n := int(c.Mix.Counts[ti]); n > 0 {
+					spec := &cat.Chiplets[ti]
+					o := arraysCost(l, spec.SASize, n, spec.EnergyPerMACPJ, cat, bytesPer, b)
+					if first || o.latencyS < out.latencyS {
+						out, first = o, false
+					}
+				}
+			}
 		}
-		le.Index = i
-		e.Layers = append(e.Layers, le)
-		e.LatencyS += le.LatencyS
-		e.DynamicPJ += le.EnergyPJ
+		e.Layers[i] = LayerEval{Index: i, Layer: *l, Unit: u, Executions: out.executions,
+			LatencyS: out.latencyS, EnergyPJ: out.energyPJ, OutBytes: out.outBytes}
+		e.LatencyS += out.latencyS
+		e.DynamicPJ += out.energyPJ
 	}
-	// Leakage across the whole chip for the whole run; the paper applies no
-	// power gating, so idle units leak too.
-	leakW := c.Catalogue().LeakageMWPerMM2 * 1e-3 * e.AreaMM2
-	e.LeakagePJ = leakW * e.LatencyS * 1e12
+	e.LeakagePJ = leakagePJ(cat, e.AreaMM2, e.LatencyS)
 	return e, nil
+}
+
+// arraysCost is the reference cost of compute layer l on count size x size
+// arrays at macPJ per MAC: its fold decomposition fed to computeKernelVals.
+func arraysCost(l *workload.Layer, size, count int, macPJ float64, cat *hw.Catalogue, bytesPer, b int64) kernelOut {
+	folds, streams := Folds(*l, size)
+	return computeKernelVals(l.MACs(), l.Params(), l.InputElems(), l.OutputElems(),
+		folds, streams, colTiles(l.NOFM, size), size, count, macPJ, cat.ClockGHz, cat.SRAMBytePJ, bytesPer, b)
 }

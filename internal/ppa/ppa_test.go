@@ -98,7 +98,7 @@ func TestComputeFoldsExamples(t *testing.T) {
 		Kind: workload.Conv2d, NIFM: 64, NOFM: 128, KX: 3, KY: 3,
 		OFMX: 56, OFMY: 56,
 	}
-	folds, streams := computeFolds(conv, 32)
+	folds, streams := Folds(conv, 32)
 	if folds != 18*4 {
 		t.Errorf("conv folds = %d, want 72", folds)
 	}
@@ -110,13 +110,13 @@ func TestComputeFoldsExamples(t *testing.T) {
 		Kind: workload.Conv2d, NIFM: 96, NOFM: 96, KX: 3, KY: 3, Groups: 96,
 		OFMX: 28, OFMY: 28,
 	}
-	folds, _ = computeFolds(dw, 32)
+	folds, _ = Folds(dw, 32)
 	if folds != 96 {
 		t.Errorf("depthwise folds = %d, want 96", folds)
 	}
 	// 768->3072 linear over 128 tokens on 32x32: 24*96 folds, 128 streams.
 	lin := workload.Layer{Kind: workload.Linear, NIFM: 768, NOFM: 3072, IFMX: 128}
-	folds, streams = computeFolds(lin, 32)
+	folds, streams = Folds(lin, 32)
 	if folds != 24*96 {
 		t.Errorf("linear folds = %d, want %d", folds, 24*96)
 	}
@@ -126,7 +126,7 @@ func TestComputeFoldsExamples(t *testing.T) {
 	// MoE expert with 2 active copies doubles folds.
 	moe := lin
 	moe.Copies, moe.ActiveCopies = 8, 2
-	folds2, _ := computeFolds(moe, 32)
+	folds2, _ := Folds(moe, 32)
 	if folds2 != 2*folds {
 		t.Errorf("moe folds = %d, want %d", folds2, 2*folds)
 	}
@@ -180,7 +180,7 @@ func TestQuickFoldsPositive(t *testing.T) {
 			OFMX: 7, OFMY: 7,
 		}
 		sizes := []int{16, 32, 64}
-		folds, streams := computeFolds(l, sizes[int(sz)%3])
+		folds, streams := Folds(l, sizes[int(sz)%3])
 		return folds >= 1 && streams == 49
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
@@ -191,6 +191,13 @@ func TestQuickFoldsPositive(t *testing.T) {
 // TestQuickLatencyScalesDown: halving work never increases latency.
 func TestQuickLatencyScalesDown(t *testing.T) {
 	c := hw.Config{Point: centralPoint(), Units: hw.SetOf(hw.SystolicArray, hw.ActReLU)}
+	latency := func(l workload.Layer) float64 {
+		e, err := Evaluate(&workload.Model{Name: "one-layer", Layers: []workload.Layer{l}}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.LatencyS
+	}
 	f := func(tok uint8) bool {
 		rows := int(tok%200) + 2
 		big := workload.Layer{Kind: workload.Linear, NIFM: 1024, NOFM: 1024, IFMX: rows}
@@ -199,9 +206,7 @@ func TestQuickLatencyScalesDown(t *testing.T) {
 		if small.IFMX == 0 {
 			small.IFMX = 1
 		}
-		eb := evalCompute(big, c, 1)
-		es := evalCompute(small, c, 1)
-		return es.LatencyS <= eb.LatencyS
+		return latency(small) <= latency(big)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

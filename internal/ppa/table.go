@@ -26,10 +26,6 @@ type Table struct {
 	plan *ModelPlan
 	tmpl hw.Config
 	cat  *hw.Catalogue // tmpl.Catalogue(), resolved once
-	// delegate is set when the template fails the plan's batch, mix or
-	// coverage check at some point of the space; Summary then returns
-	// ModelPlan.Summary's own result and error at every point.
-	delegate bool
 
 	// Axis values. Points enumerate as block x NAct x NPool, NPool fastest,
 	// where a block is one (SASize, NSA) pair, SASize outer, or one mix. A
@@ -41,8 +37,8 @@ type Table struct {
 
 	// Latency rows. A row is zero at every layer it does not price, so
 	// exactly one of a layer's compute, act, pool and engine entries can be
-	// non-zero and their sum is that entry exactly. comp holds one row of
-	// len(plan.layers) entries per (SASize, NSA) pair, act one per NAct
+	// non-zero and their sum is that entry exactly. A row holds one entry
+	// per layer: comp one row per (SASize, NSA) pair, act one per NAct
 	// value, and eng one row. pool is layer-major: per layer, one entry per
 	// NPool value, zero-padded to poolStride, a multiple of lanes, so a lane
 	// group reads each layer's entries from one contiguous span. isPool
@@ -75,7 +71,9 @@ type Table struct {
 // NewTable tabulates the plan's costs over space for the configuration
 // template tmpl, whose point is ignored. Rows are evaluated with the
 // template's catalogue and precision, as ModelPlan.Summary evaluates a point.
-// It returns nil unless space is a non-empty hw.SpaceSpec or hw.MixSpace.
+// It returns nil unless space is a non-empty hw.SpaceSpec or hw.MixSpace,
+// and nil when the template fails the plan's mix or coverage check at some
+// point of the space: ModelPlan.Summary reports those points' errors.
 func NewTable(p *ModelPlan, tmpl hw.Config, space hw.DesignSpace) *Table {
 	if space == nil || space.Len() == 0 {
 		return nil
@@ -84,9 +82,13 @@ func NewTable(p *ModelPlan, tmpl hw.Config, space hw.DesignSpace) *Table {
 	switch s := space.(type) {
 	case hw.SpaceSpec:
 		t.sas, t.nsas, t.acts, t.pools = s.SASizes, s.NSAs, s.NActs, s.NPools
+		// Coverage is the template's and a homogeneous point has no mix, so
+		// one point answers the check for all.
 		c := tmpl
 		c.Point = s.At(0)
-		t.delegate = p.check(c, 1) != nil
+		if p.check(c, 1) != nil {
+			return nil
+		}
 	case hw.MixSpace:
 		spec := s.Spec()
 		t.mixes, t.acts, t.pools = s.Mixes(), spec.NActs, spec.NPools
@@ -94,15 +96,11 @@ func NewTable(p *ModelPlan, tmpl hw.Config, space hw.DesignSpace) *Table {
 		for _, m := range t.mixes {
 			c.Point = hw.Point{Mix: m}
 			if p.check(c, 1) != nil {
-				t.delegate = true
-				break
+				return nil
 			}
 		}
 	default:
 		return nil
-	}
-	if t.delegate {
-		return t
 	}
 	t.elementRows()
 	if t.mixes == nil {
@@ -239,14 +237,13 @@ func (t *Table) mixRows() {
 }
 
 // Summary returns the model's totals at point k of the table's space:
-// bit-identical, error included, to ModelPlan.Summary(c, 1) where c is the
-// template with space.At(k) stamped in. It is the one-point case of
-// SummaryRange and performs no allocation.
-func (t *Table) Summary(k int) (Summary, error) {
+// bit-identical to ModelPlan.Summary(c, 1) where c is the template with
+// space.At(k) stamped in. It is the one-point case of SummaryRange and
+// performs no allocation.
+func (t *Table) Summary(k int) Summary {
 	var out [1]Summary
-	var errs [1]error
-	t.SummaryRange(k, out[:], errs[:])
-	return out[0], errs[0]
+	t.SummaryRange(k, out[:])
+	return out[0]
 }
 
 // lanes is the number of points whose latency chains a gather sums at once,
@@ -260,26 +257,25 @@ const lanes = 8
 const fewLanes = 2
 
 // SummaryRange writes the model's totals at the len(out) points from lo on
-// into out, and each point's error, or nil, into errs, which has out's
-// length: out[j] and errs[j] are what Summary(lo+j) returns. The range is
+// into out: out[j] is what Summary(lo+j) returns. The range is
 // gathered one run at a time. A run's points share their compute,
 // activation and engine rows and differ only in their pool entries, so
 // their latency chains are summed interleaved, a lane group at a time; each
 // point still adds its layers in layer order, the same floats in the same
 // order as ModelPlan.Summary. It performs no allocation.
-func (t *Table) SummaryRange(lo int, out []Summary, errs []error) {
+func (t *Table) SummaryRange(lo int, out []Summary) {
 	np := len(t.pools)
 	for j := 0; j < len(out); {
 		k := lo + j
 		m := min(np-k%np, len(out)-j)
-		t.gatherRun(k/np, k%np, out[j:j+m], errs[j:j+m])
+		t.gatherRun(k/np, k%np, out[j:j+m])
 		j += m
 	}
 }
 
 // gatherRun writes the totals of run r's points from NPool index p on into
-// out, and their errors into errs.
-func (t *Table) gatherRun(r, p int, out []Summary, errs []error) {
+// out.
+func (t *Table) gatherRun(r, p int, out []Summary) {
 	b, ai := r/len(t.acts), r%len(t.acts)
 	c := t.tmpl
 	if t.mixes != nil {
@@ -287,20 +283,11 @@ func (t *Table) gatherRun(r, p int, out []Summary, errs []error) {
 	} else {
 		c.Point = hw.Point{SASize: t.sas[b/len(t.nsas)], NSA: t.nsas[b%len(t.nsas)], NAct: t.acts[ai]}
 	}
-	pools := t.pools[p : p+len(out)]
-	if t.delegate {
-		for j, v := range pools {
-			c.NPool = v
-			out[j], errs[j] = t.plan.Summary(c, 1)
-		}
-		return
-	}
 	// The compute and activation area terms are shared by the run.
 	prefix := c.AreaPrefixUM2()
-	for j, v := range pools {
+	for j, v := range t.pools[p : p+len(out)] {
 		c.NPool = v
 		out[j] = Summary{AreaMM2: c.AreaMM2From(prefix)}
-		errs[j] = nil
 	}
 	var dyn float64
 	if t.mixes == nil {
@@ -345,7 +332,7 @@ func (t *Table) gatherRun(r, p int, out []Summary, errs []error) {
 // lane adds exactly the per-layer sum ModelPlan.Summary adds, in layer
 // order.
 func (t *Table) laneSums(b, ai, g int) [lanes]float64 {
-	n := len(t.plan.layers)
+	n := len(t.plan.soa.compute)
 	comp, act, eng := t.comp[b*n:(b+1)*n], t.act[ai*n:(ai+1)*n], t.eng[:n]
 	isPool, pool, stride := t.isPool[:n], t.pool[g:], t.poolStride
 	var a0, a1, a2, a3, a4, a5, a6, a7 float64
@@ -378,7 +365,7 @@ func (t *Table) laneSums(b, ai, g int) [lanes]float64 {
 // laneSum is laneSums for the one lane at NPool index x: the same per-layer
 // values added in the same order, so it returns laneSums' lane x exactly.
 func (t *Table) laneSum(b, ai, x int) float64 {
-	n := len(t.plan.layers)
+	n := len(t.plan.soa.compute)
 	comp, act, eng := t.comp[b*n:(b+1)*n], t.act[ai*n:(ai+1)*n], t.eng[:n]
 	isPool, pool, stride := t.isPool[:n], t.pool[x:], t.poolStride
 	var a float64
@@ -395,7 +382,7 @@ func (t *Table) laneSum(b, ai, x int) float64 {
 // mixTypes returns the compute latency rows and energies of the nt chiplet
 // types mix b instantiates, in type order.
 func (t *Table) mixTypes(b int) (lat, typeDyn [hw.MaxMixTypes][]float64, nt int) {
-	n := len(t.plan.layers)
+	n := len(t.plan.soa.compute)
 	for ti, row := range t.mixRow[b*t.nTypes : (b+1)*t.nTypes] {
 		if row >= 0 {
 			lat[nt] = t.typeLat[int(row)*n : int(row+1)*n]
@@ -408,11 +395,11 @@ func (t *Table) mixTypes(b int) (lat, typeDyn [hw.MaxMixTypes][]float64, nt int)
 
 // mixLaneSums is laneSums on a mix space, where each compute layer runs on
 // the fastest chiplet type mix b instantiates (ties toward the lowest type
-// index, as mixComputeKernel breaks them). It also returns the mix's
+// index, as ModelPlan's pass breaks them). It also returns the mix's
 // dynamic energy, summed in layer order; it depends on neither NAct nor
 // NPool.
 func (t *Table) mixLaneSums(b, ai, g int) ([lanes]float64, float64) {
-	n := len(t.plan.layers)
+	n := len(t.plan.soa.compute)
 	lat, typeDyn, nt := t.mixTypes(b)
 	compute, act, eng, elemDyn := t.plan.soa.compute[:n], t.act[ai*n:(ai+1)*n], t.eng[:n], t.elemDyn[:n]
 	isPool, pool, stride := t.isPool[:n], t.pool[g:], t.poolStride
@@ -460,7 +447,7 @@ func (t *Table) mixLaneSums(b, ai, g int) ([lanes]float64, float64) {
 // mixLaneSum is mixLaneSums for the one lane at NPool index x, with the
 // mix's dynamic energy.
 func (t *Table) mixLaneSum(b, ai, x int) (float64, float64) {
-	n := len(t.plan.layers)
+	n := len(t.plan.soa.compute)
 	lat, typeDyn, nt := t.mixTypes(b)
 	compute, act, eng, elemDyn := t.plan.soa.compute[:n], t.act[ai*n:(ai+1)*n], t.eng[:n], t.elemDyn[:n]
 	isPool, pool, stride := t.isPool[:n], t.pool[x:], t.poolStride

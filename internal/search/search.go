@@ -25,7 +25,8 @@ type Optimizer interface {
 	// Name is the strategy name ("anneal", "genetic").
 	Name() string
 	// Run executes the search. Deterministic for a fixed seed at any
-	// evaluator worker count.
+	// evaluator worker count. ctx must be non-nil; cancelling it stops the
+	// search with the context's error.
 	Run(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
 		cons dse.Constraints, budget int) (dse.Result, Trace, error)
 }

@@ -13,7 +13,7 @@ import (
 // and NIFM below Groups (per-group reduction clamps to one). These shapes are
 // the regression suite for the grouped-Conv1d bug PlanLayerOS used to have —
 // planning grouped 1-D convolutions as if they were dense — and for the
-// per-group clamping rules shared with computeFolds in internal/ppa.
+// per-group clamping rules shared with ppa.Folds.
 func TestGroupedFoldPlans(t *testing.T) {
 	cases := []struct {
 		name string

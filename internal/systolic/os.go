@@ -123,7 +123,7 @@ func mat(r, c int) [][]float64 {
 // full reduction dimension. Grouped convolutions (Conv2d and Conv1d alike)
 // execute one group at a time — each group sees only its own NOFM/g output
 // channels and NIFM/g input channels, and the group count multiplies the
-// folds, mirroring computeFolds in internal/ppa.
+// folds, mirroring ppa.Folds.
 func PlanLayerOS(l workload.Layer, size int) FoldPlan {
 	s := int64(size)
 	g := int64(1)
