@@ -328,8 +328,9 @@ func BenchmarkExploreStagedFine(b *testing.B) {
 // BenchmarkPipeline is perfbench's pipeline operation: one Table I run, the
 // training set through core.Train and then the test set through core.Test,
 // on the fine space with staged fidelity and a fresh engine per iteration.
-// Each run makes 25 sweeps (one per custom, generic and library
-// configuration), so the sweep's chunk loop dominates it.
+// Each run makes 2 sweeps — one per phase, whose targets are the 19
+// training and 6 test selections — that build 19 cost tables, so the
+// sweep's chunk loop dominates it.
 func BenchmarkPipeline(b *testing.B) {
 	train, test := workload.TrainingSet(), workload.TestSet()
 	b.ReportAllocs()

@@ -379,6 +379,34 @@ func TestTrainErrorPaths(t *testing.T) {
 	if _, err := Test(tr, nil, tr.Options); err == nil {
 		t.Error("empty test set should fail")
 	}
+
+	// Algorithm 1's error order: the customs in input order, then the
+	// generic configuration, then the libraries in partition order. At a
+	// 0.3 W/mm² power-density limit DPT-Large, the tenth training network,
+	// is the first whose custom DSE fails; the generic and DPT-Large's
+	// library fail too, but the custom's error wins. At 10% latency slack
+	// every custom is feasible and the generic and the first library are
+	// not; the generic's error wins.
+	for _, tc := range []struct {
+		name string
+		set  func(*Options)
+		want string
+	}{
+		{"power density", func(o *Options) { o.Constraints.MaxPowerDensityWPerMM2 = 0.3 },
+			"dse: no space point meets area/power constraints for DPT-Large"},
+		{"slack", func(o *Options) { o.Constraints.LatencySlack = 0.1 },
+			"core: generic configuration: dse: no feasible configuration for 13 models under " +
+				"{MaxChipAreaMM2:100 MaxPowerDensityWPerMM2:0.8 LatencySlack:0.1}"},
+	} {
+		for _, workers := range []int{1, 4} {
+			o := DefaultOptions()
+			o.Workers = workers
+			tc.set(&o)
+			if _, err := Train(workload.TrainingSet(), o); err == nil || err.Error() != tc.want {
+				t.Errorf("%s, workers=%d: Train error %v, want %q", tc.name, workers, err, tc.want)
+			}
+		}
+	}
 }
 
 func TestSubsetOf(t *testing.T) {

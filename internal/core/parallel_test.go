@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hw"
+	"repro/internal/search"
 	"repro/internal/workload"
 )
 
@@ -60,18 +62,30 @@ func canonTrain(tr *TrainResult) string {
 
 // TestTrainDeterministicAcrossWorkers runs the full 13-model training phase
 // serially and with 8 workers: the selected configurations, chiplet splits,
-// NREs and per-model evaluations must be byte-identical.
+// NREs and per-model evaluations must be byte-identical. It does so with the
+// exhaustive sweep on the paper space and with a budgeted anneal search on
+// the fine space, where every selection runs its own search on the pool.
 func TestTrainDeterministicAcrossWorkers(t *testing.T) {
-	serial, err := Train(workload.TrainingSet(), optionsWithWorkers(1))
+	spec, err := search.ParseSpec("anneal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Train(workload.TrainingSet(), optionsWithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := canonTrain(serial), canonTrain(parallel); a != b {
-		t.Errorf("training phase differs between 1 and 8 workers:\n--- serial ---\n%s--- parallel ---\n%s", a, b)
+	for _, so := range []*SearchOptions{nil, {Spec: spec, Seed: 7}} {
+		run := func(workers int) *TrainResult {
+			o := optionsWithWorkers(workers)
+			if so != nil {
+				o.Space, o.Search = hw.FineSpace(), so
+			}
+			tr, err := Train(workload.TrainingSet(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		if a, b := canonTrain(run(1)), canonTrain(run(8)); a != b {
+			t.Errorf("search=%v: training phase differs between 1 and 8 workers:\n--- serial ---\n%s--- parallel ---\n%s",
+				so != nil, a, b)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/dse"
 	"repro/internal/jaccard"
 	"repro/internal/workload"
 )
@@ -75,50 +76,71 @@ func Test(tr *TrainResult, models []*workload.Model, o Options) (*TestResult, er
 		o.Evaluator = tr.Options.Evaluator
 	}
 	o.Evaluator = o.Engine()
-	res := &TestResult{Models: models}
-	for _, m := range models {
-		a := Assignment{Algorithm: m.Name, SubsetIndex: -1}
-
-		// Output #TT1: the test algorithm's custom configuration.
-		cr, err := exploreOne(m, o)
+	// Output #TT1: every test algorithm's custom configuration, explored
+	// together (one sweep without a search policy); then each algorithm's
+	// design and assignment on the engine's workers, into its slot. The
+	// first error in input order wins, each algorithm's in the serial
+	// order — exploration, design, assignment — so the outcome is identical
+	// to a serial loop at any worker count.
+	targets := make([][]int, len(models))
+	for i := range targets {
+		targets[i] = []int{i}
+	}
+	results, errs := exploreTargets(models, targets, o)
+	res := &TestResult{Models: models, Assignments: make([]Assignment, len(models))}
+	o.Evaluator.ForEach(len(models), func(i int) {
+		if errs[i] == nil {
+			res.Assignments[i], errs[i] = o.assign(tr, models[i], results[i])
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		a.Custom, err = o.BuildDesign("custom:"+m.Name, cr)
-		if err != nil {
-			return nil, err
-		}
-		a.Custom.NRE = a.Custom.NREUSD / tr.Generic.NREUSD
-
-		// Step #TT1: most similar library configuration with full coverage
-		// (the paper requires C_layer = 100%).
-		prof := jaccard.ProfileOfModel(m)
-		covered := make([]int, 0, len(tr.Subsets))
-		reps := make([]jaccard.Profile, 0, len(tr.Subsets))
-		for k, s := range tr.Subsets {
-			if s.Library.Config.Supports(m) {
-				covered = append(covered, k)
-				reps = append(reps, s.Rep)
-			}
-		}
-		if len(covered) > 0 {
-			pick, sim := jaccard.Assign(prof, reps, o.Similarity)
-			a.SubsetIndex = covered[pick]
-			a.Similarity = sim
-			a.OnLibrary, err = o.EvalModel(tr.Subsets[a.SubsetIndex].Library, m)
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		// Table V companion: utilization (and PPA) on the generic config.
-		if tr.Generic.Config.Supports(m) {
-			a.OnGeneric, err = o.EvalModel(tr.Generic, m)
-			if err != nil {
-				return nil, err
-			}
-		}
-		res.Assignments = append(res.Assignments, a)
 	}
 	return res, nil
+}
+
+// assign builds a test algorithm's custom design from its exploration
+// result cr, assigns the algorithm to the most similar library
+// configuration that fully covers it (Step #TT1), and evaluates it there and
+// on the generic configuration.
+func (o Options) assign(tr *TrainResult, m *workload.Model, cr dse.Result) (Assignment, error) {
+	a := Assignment{Algorithm: m.Name, SubsetIndex: -1}
+	var err error
+	a.Custom, err = o.BuildDesign("custom:"+m.Name, cr)
+	if err != nil {
+		return Assignment{}, err
+	}
+	a.Custom.NRE = a.Custom.NREUSD / tr.Generic.NREUSD
+
+	// Step #TT1: most similar library configuration with full coverage
+	// (the paper requires C_layer = 100%).
+	prof := jaccard.ProfileOfModel(m)
+	covered := make([]int, 0, len(tr.Subsets))
+	reps := make([]jaccard.Profile, 0, len(tr.Subsets))
+	for k, s := range tr.Subsets {
+		if s.Library.Config.Supports(m) {
+			covered = append(covered, k)
+			reps = append(reps, s.Rep)
+		}
+	}
+	if len(covered) > 0 {
+		pick, sim := jaccard.Assign(prof, reps, o.Similarity)
+		a.SubsetIndex = covered[pick]
+		a.Similarity = sim
+		a.OnLibrary, err = o.EvalModel(tr.Subsets[a.SubsetIndex].Library, m)
+		if err != nil {
+			return Assignment{}, err
+		}
+	}
+
+	// Table V companion: utilization (and PPA) on the generic config.
+	if tr.Generic.Config.Supports(m) {
+		a.OnGeneric, err = o.EvalModel(tr.Generic, m)
+		if err != nil {
+			return Assignment{}, err
+		}
+	}
+	return a, nil
 }

@@ -59,8 +59,8 @@ func Train(models []*workload.Model, o Options) (*TrainResult, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("core: empty training set")
 	}
-	// Pin one evaluation engine for the whole phase so every DSE sweep below
-	// shares its worker pool and memoization cache.
+	// Pin one evaluation engine for the whole phase so its exploration and
+	// every design build below share its worker pool and memoization cache.
 	o.Evaluator = o.Engine()
 
 	tr := &TrainResult{
@@ -69,73 +69,71 @@ func Train(models []*workload.Model, o Options) (*TrainResult, error) {
 		Customs: make(map[string]*DesignPoint, len(models)),
 	}
 
-	// Output 1: custom design configurations C_i (Algorithm 1, lines 1-8).
-	// Each model's DSE plus clustering/NRE build is independent, so they fan
-	// out over the engine's workers; results land in index-addressed slots
-	// and the first error in input order wins, so the outcome is identical to
-	// the serial loop at any worker count.
-	customs := make([]*DesignPoint, len(models))
-	cerrs := make([]error, len(models))
-	o.Evaluator.ForEach(len(models), func(i int) {
-		m := models[i]
-		r, err := exploreOne(m, o)
-		if err != nil {
-			cerrs[i] = err
-			return
-		}
-		customs[i], cerrs[i] = o.BuildDesign("custom:"+m.Name, r)
-	})
-	for _, err := range cerrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i, m := range models {
-		tr.Customs[m.Name] = customs[i]
-	}
-
-	// Output 2: the generic configuration C_g (lines 9-13).
-	gr, _, err := Explore(models, o, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: generic configuration: %w", err)
-	}
-	tr.Generic, err = o.BuildDesign("Cg", gr)
-	if err != nil {
-		return nil, err
-	}
-
-	// Output 3: subset formation by weighted Jaccard similarity (line 14)
-	// and per-subset library configurations C_k (lines 15-17), one worker per
-	// subset, assembled in partition order.
+	// Subset formation by weighted Jaccard similarity (line 14) reads only
+	// the networks, so the subsets are known before any exploration.
 	profiles := make([]jaccard.Profile, len(models))
 	for i, m := range models {
 		profiles[i] = jaccard.ProfileOfModel(m)
 	}
 	parts := jaccard.Partition(profiles, o.Similarity)
-	subs := make([]Subset, len(parts))
-	serrs := make([]error, len(parts))
-	o.Evaluator.ForEach(len(parts), func(k int) {
-		part := parts[k]
-		sub := Subset{Name: fmt.Sprintf("C%d", k+1), Rep: jaccard.Centroid(profiles, part)}
-		subModels := make([]*workload.Model, 0, len(part))
-		for _, idx := range part {
-			sub.Members = append(sub.Members, models[idx].Name)
-			subModels = append(subModels, models[idx])
+
+	// Output 1: custom design configurations C_i (Algorithm 1, lines 1-8);
+	// Output 2: the generic configuration C_g (lines 9-13); Output 3: the
+	// per-subset library configurations C_k (lines 15-17). The selections
+	// differ only in which networks they read, so they are explored together
+	// (one sweep without a search policy), and each design is built on the
+	// engine's workers into its target's slot. The first error in Algorithm
+	// 1's order wins — the customs in input order, then the generic, then
+	// the subsets in partition order — so the outcome is identical to the
+	// serial phases at any worker count.
+	nm := len(models)
+	targets := make([][]int, 0, nm+1+len(parts))
+	names := make([]string, 0, cap(targets))
+	all := make([]int, nm)
+	for i, m := range models {
+		targets = append(targets, []int{i})
+		names = append(names, "custom:"+m.Name)
+		all[i] = i
+	}
+	targets = append(targets, all)
+	names = append(names, "Cg")
+	for k, part := range parts {
+		targets = append(targets, part)
+		names = append(names, fmt.Sprintf("C%d", k+1))
+	}
+	results, errs := exploreTargets(models, targets, o)
+	for t := nm; t < len(errs); t++ {
+		switch {
+		case errs[t] == nil:
+		case t == nm:
+			errs[t] = fmt.Errorf("core: generic configuration: %w", errs[t])
+		default:
+			errs[t] = fmt.Errorf("core: library configuration %s: %w", names[t], errs[t])
 		}
-		lr, _, err := Explore(subModels, o, nil)
-		if err != nil {
-			serrs[k] = fmt.Errorf("core: library configuration %s: %w", sub.Name, err)
-			return
+	}
+	designs := make([]*DesignPoint, len(targets))
+	o.Evaluator.ForEach(len(targets), func(t int) {
+		if errs[t] == nil {
+			designs[t], errs[t] = o.BuildDesign(names[t], results[t])
 		}
-		sub.Library, serrs[k] = o.BuildDesign(sub.Name, lr)
-		subs[k] = sub
 	})
-	for _, err := range serrs {
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	tr.Subsets = subs
+	for i, m := range models {
+		tr.Customs[m.Name] = designs[i]
+	}
+	tr.Generic = designs[nm]
+	tr.Subsets = make([]Subset, len(parts))
+	for k, part := range parts {
+		sub := Subset{Name: names[nm+1+k], Library: designs[nm+1+k], Rep: jaccard.Centroid(profiles, part)}
+		for _, idx := range part {
+			sub.Members = append(sub.Members, models[idx].Name)
+		}
+		tr.Subsets[k] = sub
+	}
 
 	// Normalize every NRE to the generic configuration (Output #TR3).
 	ref := tr.Generic.NREUSD

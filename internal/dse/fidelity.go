@@ -175,9 +175,10 @@ func gatherCands(ctx context.Context, sc *Scorer, cands []int) (candBlock, error
 // RefineSelect runs stage 1 of the multi-fidelity pipeline over an ordered
 // candidate list: the analytically slack-feasible dominance frontier of
 // space, in the sweep's (area, index) selection order. It builds the
-// sweep's Scorer of models on space and refines from it, as the sweep's and
-// the search's ending (Selector.Conclude) does from theirs. An empty list
-// fails with stage 1's empty-frontier error. ctx must be non-nil.
+// sweep's Scorer of models on space, reads the candidates from it and
+// refines them, as the sweep's and the search's ending (Selector.Conclude)
+// does from theirs. An empty list fails with stage 1's empty-frontier
+// error. ctx must be non-nil.
 func (fo *FidelityOptions) RefineSelect(ctx context.Context, cands []int, models []*workload.Model, space hw.DesignSpace,
 	cons Constraints, ev *eval.Evaluator) (int, RefineStats, error) {
 	if len(cands) == 0 {
@@ -186,35 +187,35 @@ func (fo *FidelityOptions) RefineSelect(ctx context.Context, cands []int, models
 	if err := ctx.Err(); err != nil {
 		return -1, RefineStats{}, err
 	}
-	return fo.refineScored(ctx, NewScorer(ev, models, space, cons), cands, ev)
+	blk, err := gatherCands(ctx, NewScorer(ev, models, space, cons), cands)
+	if err != nil {
+		return -1, RefineStats{}, err
+	}
+	return fo.refineBlock(ctx, models, space, cons, cands, blk, ev)
 }
 
-// refineScored is stage 1 over a non-empty candidate list that sc, the
-// sweep's or the search's Scorer, has scored. It reads every candidate's
-// point and per-model analytical summaries from sc first and reads sc no
-// more, so the caller can drop its cost tables before refinement starts.
-// The universal graph's traffic and its clustering do not depend on the
-// point, so they are built once for all candidates. Each candidate is then
-// realized physically on its union-kind configuration (die split,
-// floorplan) and every model re-scored from its summary, re-priced on that
-// configuration's area, with NoC/NoP transfer costs
-// (fidelity.Topology.Rescore, which realizes each package shape once);
-// candidates whose peak junction temperature exceeds Params.JunctionLimitC
-// (when positive) are rejected. The refined per-model reference is the
-// minimum over the surviving candidates, and the winner is the first
-// survivor in selection order whose refined latencies pass the latency-slack
-// constraint against it — the same discipline the analytical stage applies,
-// at higher fidelity. Candidates are refined on the engine's workers into
-// index-addressed slots, and rejection and selection walk the slots in
-// candidate order, so the result is the same at any worker count. A
-// cancelled ctx aborts the refinement with ctx.Err().
-func (fo *FidelityOptions) refineScored(ctx context.Context, sc *Scorer, cands []int, ev *eval.Evaluator) (int, RefineStats, error) {
+// refineBlock is stage 1 over a non-empty candidate list of models on
+// space, from blk, the candidates' points and per-model analytical
+// summaries as the sweep's or the search's Scorer scored them
+// (gatherCands); it reads no Scorer, so the caller can drop its cost tables
+// before refinement starts. The universal graph's traffic and its
+// clustering do not depend on the point, so they are built once for all
+// candidates. Each candidate is then realized physically on its union-kind
+// configuration (die split, floorplan) and every model re-scored from its
+// summary, re-priced on that configuration's area, with NoC/NoP transfer
+// costs (fidelity.Topology.Rescore, which realizes each package shape
+// once); candidates whose peak junction temperature exceeds
+// Params.JunctionLimitC (when positive) are rejected. The refined per-model
+// reference is the minimum over the surviving candidates, and the winner is
+// the first survivor in selection order whose refined latencies pass the
+// latency-slack constraint against it — the same discipline the analytical
+// stage applies, at higher fidelity. Candidates are refined on the engine's
+// workers into index-addressed slots, and rejection and selection walk the
+// slots in candidate order, so the result is the same at any worker count.
+// A cancelled ctx aborts the refinement with ctx.Err().
+func (fo *FidelityOptions) refineBlock(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
+	cons Constraints, cands []int, blk candBlock, ev *eval.Evaluator) (int, RefineStats, error) {
 	var stats RefineStats
-	models, space, cons := sc.models, sc.space, sc.cons
-	blk, err := gatherCands(ctx, sc, cands)
-	if err != nil {
-		return -1, stats, err
-	}
 	st, err := newStage1(fo.Params, models, space, ev)
 	if err != nil {
 		return -1, stats, err

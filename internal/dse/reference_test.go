@@ -9,6 +9,7 @@ import (
 	"repro/internal/check/oracle"
 	"repro/internal/eval"
 	"repro/internal/hw"
+	"repro/internal/jaccard"
 	"repro/internal/ppa"
 	"repro/internal/workload"
 )
@@ -283,15 +284,30 @@ func TestStreamingByteIdentityMatrix(t *testing.T) {
 	}
 }
 
+// tableITargets returns the 19 selections a Table I training run makes over
+// the training set: each network's custom configuration, the generic one,
+// and one library configuration per subset of the default Jaccard
+// partition.
+func tableITargets(models []*workload.Model) [][]int {
+	profiles := make([]jaccard.Profile, len(models))
+	var targets [][]int
+	for i, m := range models {
+		profiles[i] = jaccard.ProfileOfModel(m)
+		targets = append(targets, []int{i})
+	}
+	targets = append(targets, identity(len(models)))
+	return append(targets, jaccard.Partition(profiles, jaccard.DefaultOptions())...)
+}
+
 // TestExploreChunkLoopAllocFree pins the sharded sweep's allocation contract:
-// once a warm-up pass has sized the frontier's backing arrays and the
-// evaluator's plan tables, the steady-state chunk loop — scanChunk over the
-// whole space — performs zero heap allocations. It covers both scoring
-// paths: the per-point kernel on a homogeneous and a mix point list (every
-// 7th point of the mix space), and the cost tables on a Cartesian and a mix
-// space.
+// once a warm-up pass has sized the chunk and projection buffers, the
+// frontiers' backing arrays and the evaluator's plan tables, the
+// steady-state chunk loop — scanChunk over the whole space — performs zero
+// heap allocations. It covers both scoring paths: the per-point kernel on a
+// homogeneous and a mix point list (every 7th point of the mix space), and
+// the cost tables on a Cartesian and a mix space; each with one target of
+// two models and with the 19 targets of a Table I training run.
 func TestExploreChunkLoopAllocFree(t *testing.T) {
-	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase()}
 	mix, err := hw.DefaultMixSpec(nil).Build()
 	if err != nil {
 		t.Fatal(err)
@@ -300,30 +316,49 @@ func TestExploreChunkLoopAllocFree(t *testing.T) {
 	for k := 0; k < mix.Len(); k += 7 {
 		mixPoints = append(mixPoints, mix.At(k))
 	}
+	training := workload.TrainingSet()
+	sweeps := []struct {
+		name    string
+		models  []*workload.Model
+		targets [][]int
+	}{
+		{"one target", []*workload.Model{workload.NewAlexNet(), workload.NewViTBase()}, [][]int{{0, 1}}},
+		{"Table I targets", training, tableITargets(training)},
+	}
+	if n := len(sweeps[1].targets); n != 19 {
+		t.Fatalf("Table I training run makes %d selections, want 19", n)
+	}
 	cons := DefaultConstraints()
-	for _, space := range []hw.DesignSpace{hw.PointList(hw.PaperSpace().Points()), mixPoints, hw.PaperSpace(), mix} {
-		ev := eval.New(eval.Options{Workers: 1})
-		sc := NewScorer(ev, models, space, cons)
-		if _, list := space.(hw.PointList); list != (sc.tables == nil) {
-			t.Fatalf("%s: tables built = %v", space.Desc(), sc.tables != nil)
-		}
-		sw := newSweepState(context.Background(), sc)
-		sh := newExploreShard(sw)
-		scan := func() {
-			for lo := 0; lo < sw.n; lo += 16 {
-				sh.scanChunk(lo, min(lo+16, sw.n))
+	for _, sweep := range sweeps {
+		for _, space := range []hw.DesignSpace{hw.PointList(hw.PaperSpace().Points()), mixPoints, hw.PaperSpace(), mix} {
+			ev := eval.New(eval.Options{Workers: 1})
+			sc := NewScorer(ev, sweep.models, space, cons)
+			if _, list := space.(hw.PointList); list != (sc.tables == nil) {
+				t.Fatalf("%s: tables built = %v", space.Desc(), sc.tables != nil)
 			}
-		}
-		scan() // warm-up: sizes the frontier backing arrays and plan caches
-		if sh.err != nil {
-			t.Fatal(sh.err)
-		}
-		avg := testing.AllocsPerRun(10, func() {
-			sh.sel.front.reset()
-			scan()
-		})
-		if avg != 0 {
-			t.Errorf("%s: steady-state chunk loop allocates %.1f objects per sweep, want 0", space.Desc(), avg)
+			sw := newSweepState(context.Background(), sc, sweep.targets)
+			sh := newExploreShard(sw)
+			scan := func() {
+				for lo := 0; lo < sw.n; lo += 16 {
+					sh.scanChunk(lo, min(lo+16, sw.n))
+				}
+			}
+			scan() // warm-up: sizes the buffers, the frontiers' backing arrays and plan caches
+			for _, st := range sh.tgts {
+				if st.err != nil {
+					t.Fatal(st.err)
+				}
+			}
+			avg := testing.AllocsPerRun(10, func() {
+				for _, st := range sh.tgts {
+					st.sel.front.reset()
+				}
+				scan()
+			})
+			if avg != 0 {
+				t.Errorf("%s, %s: steady-state chunk loop allocates %.1f objects per sweep, want 0",
+					sweep.name, space.Desc(), avg)
+			}
 		}
 	}
 }

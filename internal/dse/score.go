@@ -86,42 +86,75 @@ func (s *Scorer) Summary(i, k int, pt hw.Point) (ppa.Summary, error) {
 
 // Score evaluates point k for every model, writing each model's latency and
 // static feasibility (Constraints.MeetsStatic) into lats and statics, and
-// returns the summed per-model area — the observation dse.Selector.Observe
-// takes. On an evaluation error it returns the first failing model's error,
-// and lats and statics are partly written. It is the one-point case of the
-// chunk scoring the sweep runs, and performs no allocation.
+// returns the per-model areas summed in model order — the observation
+// dse.Selector.Observe takes, and what the sweep's projection of its chunk
+// holds for a target of every model. On an evaluation error it returns the
+// first failing model's error, and lats and statics are partly written. It
+// performs no allocation.
 func (s *Scorer) Score(k int, lats []float64, statics []bool) (area float64, err error) {
-	var areas [1]float64
-	var errs [1]error
-	var sums [1]ppa.Summary
-	s.scoreRange(k, &scores{area: areas[:], lat: lats, static: statics, err: errs[:], sums: sums[:]})
-	if errs[0] != nil {
-		return 0, errs[0]
+	var pt hw.Point
+	if s.tables == nil {
+		pt = s.space.At(k)
 	}
-	return areas[0], nil
+	for i := range s.models {
+		sum, err := s.Summary(i, k, pt)
+		if err != nil {
+			return 0, err
+		}
+		lats[i], statics[i] = sum.LatencyS, s.cons.MeetsStatic(sum.AreaMM2, sum.PowerDensity())
+		area += sum.AreaMM2
+	}
+	return area, nil
 }
 
-// scores holds a block of scored points in the layout Selector.ObserveBatch
-// reads, plus the scratch a table gather writes one model's summaries into.
-// Every slice holds one entry per point, except lat and static, which hold
-// one per (point, model), point-major.
+// view returns the scorer of the models target names, in target order: it
+// shares the space, the constraints and each named model's template, plan
+// and table, so it scores exactly as a scorer built for those models would.
+func (s *Scorer) view(target []int) *Scorer {
+	v := &Scorer{space: s.space, cons: s.cons,
+		models: make([]*workload.Model, len(target)), tmpl: make([]hw.Config, len(target)),
+		plans: make([]summarizer, len(target))}
+	if s.tables != nil {
+		v.tables = make([]*ppa.Table, len(target))
+	}
+	for q, i := range target {
+		v.models[q], v.tmpl[q], v.plans[q] = s.models[i], s.tmpl[i], s.plans[i]
+		if v.tables != nil {
+			v.tables[q] = s.tables[i]
+		}
+	}
+	return v
+}
+
+// scores holds one chunk of scored points for every model of a Scorer:
+// per (point, model), point-major, each model's area, latency, static
+// feasibility and scoring error; the chunk's point indices; the scratch a
+// table gather writes one model's summaries into; and the projection a
+// sweep passes each of its targets' rows through before a Selector observes
+// them.
 type scores struct {
 	idx    []int
 	area   []float64
 	lat    []float64
 	static []bool
 	err    []error
+	// failed reports whether some entry of err is non-nil.
+	failed bool
 	sums   []ppa.Summary
+	proj   projection
 }
 
 // sizeScores sets b to n points of the scorer's models, growing a buffer
 // only when it is too small, so a shard's buffers settle at its chunk size.
-// The gather scratch exists only when the scorer reads tables.
+// The error cells exist only when the scorer runs the per-point kernel, the
+// gather scratch only when it reads tables.
 func (s *Scorer) sizeScores(b *scores, n int) {
 	m := len(s.models)
-	b.idx, b.area, b.err = grow(b.idx, n), grow(b.area, n), grow(b.err, n)
-	b.lat, b.static = grow(b.lat, n*m), grow(b.static, n*m)
-	if s.tables != nil {
+	b.idx = grow(b.idx, n)
+	b.area, b.lat, b.static = grow(b.area, n*m), grow(b.lat, n*m), grow(b.static, n*m)
+	if s.tables == nil {
+		b.err = grow(b.err, n*m)
+	} else {
 		b.sums = grow(b.sums, n)
 	}
 }
@@ -140,29 +173,31 @@ func grow[T any](s []T, n int) []T {
 // do not each allocate a chunk's worth of buffers per worker.
 var scoresPool = sync.Pool{New: func() any { return new(scores) }}
 
-// scoreRange scores the len(b.area) points from lo on for every model into
-// b: for the point at offset j, each model i's latency and static
-// feasibility at b.lat[j*m+i] and b.static[j*m+i], the summed per-model area
-// (added in model order, as Score adds it) at b.area[j], and the first
-// failing model's error, or nil, at b.err[j]; a failing point's other
-// entries are partly written. With tables, each model's summaries over the
-// whole range come from one Table.SummaryRange gather, and no point fails.
-// It performs no allocation.
+// scoreRange scores the len(b.idx) points from lo on for every model into
+// b: the point at offset j and model i land at cell j*m+i, for the scorer's
+// m models. A model that fails to score a point leaves its error in the
+// cell, its other entries stale, and the point's other models are still
+// scored. With tables, each model's summaries over the whole range come
+// from one Table.SummaryRange gather, no cell fails, and err is not
+// written: readers consult it only when failed is set. It performs no
+// allocation.
 func (s *Scorer) scoreRange(lo int, b *scores) {
 	m := len(s.models)
-	for j := range b.area {
-		b.area[j], b.err[j] = 0, nil
+	for j := range b.idx {
+		b.idx[j] = lo + j
 	}
+	b.failed = false
 	if s.tables == nil {
-		for j := range b.area {
+		clear(b.err)
+		for j := range b.idx {
 			pt := s.space.At(lo + j)
 			for i := range s.models {
 				sum, err := s.Summary(i, lo+j, pt)
 				if err != nil {
-					b.err[j] = err
-					break
+					b.err[j*m+i], b.failed = err, true
+					continue
 				}
-				s.record(b, j*m+i, j, &sum)
+				s.record(b, j*m+i, &sum)
 			}
 		}
 		return
@@ -170,14 +205,14 @@ func (s *Scorer) scoreRange(lo int, b *scores) {
 	for i, tab := range s.tables {
 		tab.SummaryRange(lo, b.sums)
 		for j := range b.sums {
-			s.record(b, j*m+i, j, &b.sums[j])
+			s.record(b, j*m+i, &b.sums[j])
 		}
 	}
 }
 
-// record stores one model's summary of point j at row-major cell x.
-func (s *Scorer) record(b *scores, x, j int, sum *ppa.Summary) {
+// record stores one model's summary at cell x.
+func (s *Scorer) record(b *scores, x int, sum *ppa.Summary) {
+	b.area[x] = sum.AreaMM2
 	b.lat[x] = sum.LatencyS
 	b.static[x] = s.cons.MeetsStatic(sum.AreaMM2, sum.PowerDensity())
-	b.area[j] += sum.AreaMM2
 }

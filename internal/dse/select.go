@@ -9,6 +9,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/ppa"
+	"repro/internal/workload"
 )
 
 // Selector is the streaming sweep's selection discipline over an arbitrary
@@ -132,55 +133,98 @@ func (s *Selector) absorb(o *Selector) {
 	s.front.band = append(s.front.band, f.band...)
 }
 
-// Conclude ends a selection — the sweep's merged one or the search's over
-// its visited points — with the Result Algorithm 1 reports, the winner's
-// point index and its selection area (its per-model areas summed in model
-// order). sc is the Scorer the observations came from; explored is the
-// number of points observed, and ev the engine, which must not be nil. It
-// fails when some model has no statically feasible observation, and when
-// nothing observed passes slack on every model. Under staged fidelity (fo)
-// the winner instead comes from stage 1 over the feasible frontier, which
-// reads the candidates' summaries from sc and then reads sc no more, so the
-// caller dropping its own reference frees the cost tables while the
-// candidates refine. The winner is materialized on the union-kind
-// configuration through the engine's cache, so the reported PPA includes
-// idle banks' leakage. A cancelled ctx aborts stage 1 with ctx.Err().
+// Conclude ends a selection — the search's over its visited points; a
+// sweep ends each target's merged one the same way, in its two halves —
+// with the Result Algorithm 1 reports, the winner's point index and its
+// selection area (its per-model areas summed in model order). sc is the Scorer of the selection's models the
+// observations came from; explored is the number of points observed, and ev
+// the engine, which must not be nil. It fails when some model has no
+// statically feasible observation, and when nothing observed passes slack on
+// every model. Under staged fidelity (fo) the winner instead comes from
+// stage 1 over the feasible frontier, which reads the candidates' summaries
+// from sc and then reads sc no more, so the caller dropping its own
+// reference frees the cost tables while the candidates refine. The winner is
+// materialized on the union-kind configuration through the engine's cache,
+// so the reported PPA includes idle banks' leakage. A cancelled ctx aborts
+// stage 1 with ctx.Err(). Its halves are settle, which reads sc for the
+// last time, and the ending's finish.
 func (s *Selector) Conclude(ctx context.Context, sc *Scorer, explored int, fo *FidelityOptions, ev *eval.Evaluator) (Result, int, float64, error) {
-	models, space, cons := sc.models, sc.space, sc.cons
-	for i, m := range models {
+	e, err := s.settle(ctx, sc, explored, fo)
+	if err != nil {
+		return Result{}, -1, 0, err
+	}
+	return e.finish(ctx, fo, ev)
+}
+
+// ending is a selection between the last read of its Scorer and its
+// Result: the checked winner and, under staged fidelity, every frontier
+// candidate's point and summaries, so a sweep can drop its cost tables
+// before any target refines.
+type ending struct {
+	sel    *Selector
+	models []*workload.Model
+	space  hw.DesignSpace
+	cons   Constraints
+	res    Result // Feasible, Explored and SpaceDesc
+	best   int
+	area   float64
+	cands  []int     // the feasible frontier, under staged fidelity
+	blk    candBlock // the candidates' points and summaries
+}
+
+// settle runs Conclude's checks and, under staged fidelity, reads the
+// feasible frontier's points and summaries from sc; nothing after it reads
+// sc.
+func (s *Selector) settle(ctx context.Context, sc *Scorer, explored int, fo *FidelityOptions) (*ending, error) {
+	for i, m := range sc.models {
 		if math.IsInf(s.best[i], 1) {
-			return Result{}, -1, 0, fmt.Errorf("dse: no space point meets area/power constraints for %s", m.Name)
+			return nil, fmt.Errorf("dse: no space point meets area/power constraints for %s", m.Name)
 		}
 	}
 	best, area, ok := s.Best()
 	if !ok {
-		return Result{}, -1, 0, fmt.Errorf("dse: no feasible configuration for %d models under %+v", len(models), cons)
+		return nil, fmt.Errorf("dse: no feasible configuration for %d models under %+v", len(sc.models), sc.cons)
 	}
-	res := Result{Feasible: s.Feasible(), Explored: explored, SpaceDesc: space.Desc()}
+	e := &ending{sel: s, models: sc.models, space: sc.space, cons: sc.cons, best: best, area: area,
+		res: Result{Feasible: s.Feasible(), Explored: explored, SpaceDesc: sc.space.Desc()}}
+	if fo.Staged() {
+		e.cands = s.FeasibleFrontier()
+		var err error
+		if e.blk, err = gatherCands(ctx, sc, e.cands); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// finish is the rest of Conclude: stage 1 over the gathered candidates when
+// fo is staged, then the winner's materialization.
+func (e *ending) finish(ctx context.Context, fo *FidelityOptions, ev *eval.Evaluator) (Result, int, float64, error) {
+	res, best, area := e.res, e.best, e.area
 	if fo.Staged() {
 		var stats RefineStats
 		var err error
-		best, stats, err = fo.refineScored(ctx, sc, s.FeasibleFrontier(), ev)
+		best, stats, err = fo.refineBlock(ctx, e.models, e.space, e.cons, e.cands, e.blk, ev)
 		if err != nil {
 			return Result{}, -1, 0, err
 		}
 		res.Refined = &stats
-		for _, c := range s.front.cands {
+		for _, c := range e.sel.front.cands {
 			if c.idx == best {
 				area = c.area
 				break
 			}
 		}
 	}
-	res.Config = hw.NewConfig(space.At(best), models)
-	res.Config.Cat = hw.CatalogueOf(space)
-	res.Evals = make([]*ppa.Eval, len(models))
-	for i, m := range models {
-		e, err := ev.Evaluate(m, res.Config)
+	res.Config = hw.NewConfig(e.space.At(best), e.models)
+	res.Config.Cat = hw.CatalogueOf(e.space)
+	res.Evals = make([]*ppa.Eval, len(e.models))
+	for i, m := range e.models {
+		me, err := ev.Evaluate(m, res.Config)
 		if err != nil {
 			return Result{}, -1, 0, err
 		}
-		res.Evals[i] = e
+		res.Evals[i] = me
 	}
 	return res, best, area, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -13,7 +14,10 @@ import (
 )
 
 // ExploreStats reports how a streaming sweep behaved — the observability
-// needed to assert the bounded-memory claim without guessing.
+// needed to assert the bounded-memory claim without guessing. A sweep of
+// several targets (ExploreTargetsCtx) sums the per-target quantities —
+// frontier and band peaks, survivors, retained bytes and winner areas —
+// over its targets.
 type ExploreStats struct {
 	// Points is the number of space points swept; Models the models per point.
 	Points, Models int
@@ -271,21 +275,23 @@ func atomicMinFloat(a *atomic.Uint64, v float64) {
 }
 
 // sweepState is the read-mostly shared state of one streaming exploration:
-// the scorer and the lock-free slack watermark (per-model float bits,
-// min-only updates).
+// the Scorer of every model the sweep scores, its targets, and the lock-free
+// slack watermark (per-model float bits, min-only updates). A target is one
+// selection the sweep makes: a list of indices into the Scorer's models.
 type sweepState struct {
 	ctx     context.Context
 	score   *Scorer
+	targets [][]int
 	nm, n   int             // models per point, points in the space
 	wmBits  []atomic.Uint64 // per-model slack watermark; only ever decreases
 	scanned atomic.Int64    // cumulative points scanned (progress reporting)
 }
 
 // newSweepState builds the shared sweep state with the watermark at +Inf.
-func newSweepState(ctx context.Context, score *Scorer) *sweepState {
+func newSweepState(ctx context.Context, score *Scorer, targets [][]int) *sweepState {
 	nm := len(score.models)
 	sw := &sweepState{
-		ctx: ctx, score: score, nm: nm, n: score.space.Len(),
+		ctx: ctx, score: score, targets: targets, nm: nm, n: score.space.Len(),
 		wmBits: make([]atomic.Uint64, nm),
 	}
 	inf := math.Float64bits(math.Inf(1))
@@ -295,47 +301,116 @@ func newSweepState(ctx context.Context, score *Scorer) *sweepState {
 	return sw
 }
 
-// exploreShard is one worker's persistent reduction state: a Selector — the
-// shard's slack-feasible observations and its slack reference, the min of
-// the global watermark snapshots and the shard's own observations — plus
-// reusable scratch, the chunk's scores among it. Shards never share mutable
-// state, so the chunk loop takes no locks; they merge once, after the sweep.
+// exploreShard is one worker's persistent reduction state: one shardTarget
+// per target, plus reusable scratch: the chunk's scores with the projection
+// every target's rows pass through, and the chunk's per-model reference.
+// Shards never share mutable state, so the chunk loop takes no locks; they
+// merge once per target, after the sweep.
 type exploreShard struct {
-	sw     *sweepState
+	sw    *sweepState
+	tgts  []shardTarget
+	ref   []float64
+	chunk *scores // the current chunk's scores, from scoresPool
+}
+
+// shardTarget is a shard's reduction of one target: a Selector — the
+// shard's slack-feasible observations of the target and its slack
+// reference — and the lowest failing point the shard saw, with its error.
+type shardTarget struct {
 	sel    *Selector
-	snap   []float64 // watermark snapshot scratch
-	chunk  *scores   // the current chunk's scores, from scoresPool
-	errIdx int       // lowest failing point index seen by this shard
+	errIdx int
 	err    error
 }
 
-// newExploreShard builds a shard for the sweep, with its reference at +Inf.
+// newExploreShard builds a shard for the sweep, with every reference at
+// +Inf.
 func newExploreShard(sw *sweepState) *exploreShard {
-	m := sw.nm
-	return &exploreShard{
-		sw:     sw,
-		sel:    NewSelector(m, sw.score.cons),
-		snap:   make([]float64, m),
-		chunk:  scoresPool.Get().(*scores),
-		errIdx: sw.n,
+	sh := &exploreShard{
+		sw:    sw,
+		tgts:  make([]shardTarget, len(sw.targets)),
+		ref:   make([]float64, sw.nm),
+		chunk: scoresPool.Get().(*scores),
 	}
+	for t, target := range sw.targets {
+		sh.tgts[t] = shardTarget{sel: NewSelector(len(target), sw.score.cons), errIdx: sw.n}
+	}
+	return sh
 }
 
-// scanChunk reduces points [lo, hi) into the shard's Selector, a chunk at a
-// time: the Scorer scores the whole chunk into the shard's buffers, and the
-// Selector observes it as one batch — one reference update, at most one
-// re-filter of the held rows, then the chunk's rows that pass slack. The
-// global watermark is read once at chunk start (lock-free atomic loads) and
-// the shard's reference is published once at chunk end, so the chunk itself
-// synchronizes with nothing; once the first chunk has sized the buffers and
-// the next few have warmed the frontier's backing arrays, a steady-state
-// chunk performs no allocations (pinned by TestExploreChunkLoopAllocFree).
+// projection is one target's rows of a chunk in the layout
+// Selector.ObserveBatch reads: per point, the target's per-model areas
+// summed in target order and the first error among its models in target
+// order; per (point, target model), point-major, the latency and the static
+// flag; and the chunk's reference for the target's models. A shard passes
+// every target through its chunk's one projection, so the buffers settle at
+// the chunk size times the largest target.
+type projection struct {
+	area   []float64
+	lat    []float64
+	static []bool
+	err    []error
+	ref    []float64
+}
+
+// project fills p with target's rows of b, a chunk scored for m models, and
+// its reference from ref, the chunk's per-model one. It returns the rows'
+// errors, or nil when no cell of b failed. A row's area adds the same
+// floats in the same order as a Scorer of the target's models adds them, so
+// it is bit-identical to that scorer's.
+func (p *projection) project(target []int, b *scores, m int, ref []float64) []error {
+	n, mt := len(b.idx), len(target)
+	p.area, p.ref = grow(p.area, n), grow(p.ref, mt)
+	p.lat, p.static = grow(p.lat, n*mt), grow(p.static, n*mt)
+	for q, i := range target {
+		p.ref[q] = ref[i]
+	}
+	for j := range p.area {
+		area := 0.0
+		for q, i := range target {
+			x := j*m + i
+			area += b.area[x]
+			p.lat[j*mt+q], p.static[j*mt+q] = b.lat[x], b.static[x]
+		}
+		p.area[j] = area
+	}
+	if !b.failed {
+		return nil
+	}
+	p.err = grow(p.err, n)
+	for j := range p.err {
+		p.err[j] = nil
+		for _, i := range target {
+			if err := b.err[j*m+i]; err != nil {
+				p.err[j] = err
+				break
+			}
+		}
+	}
+	return p.err
+}
+
+// scanChunk reduces points [lo, hi) into every target's Selector of the
+// shard: the Scorer scores the whole chunk for every model once into the
+// shard's buffers, and each target's Selector observes its projection of
+// the chunk as one batch. The chunk's per-model reference is the global
+// watermark, read once at chunk start (lock-free atomic loads), lowered to
+// the chunk's statically feasible per-model minima; each Selector lowers its
+// reference to the target's part of it — one re-filter of its held rows at
+// most — then adds the rows that pass slack, and the reference is published
+// once at chunk end. So the chunk itself synchronizes with nothing, and once
+// the first chunk has sized the buffers and the next few have warmed the
+// frontiers' backing arrays, a steady-state chunk performs no allocations
+// (pinned by TestExploreChunkLoopAllocFree).
 //
 // Safety of every prune rests on one monotonicity argument: watermark cells
-// and the shard's reference only ever decrease, and both are everywhere >=
-// the final per-model references. A row failing slack against any such
-// intermediate reference therefore also fails the final pass — dropping it
-// early is safe, and keeping it (a stale snapshot) only defers the drop.
+// and the shards' references only ever decrease, and both are everywhere >=
+// the final per-model references of every target that does not fail. A
+// model's reference does not depend on the target: it is the minimum of the
+// model's latency over the points where the model is statically feasible,
+// and a target that does not fail observes every point. A row failing slack
+// against any such intermediate reference therefore also fails the final
+// pass — dropping it early is safe, and keeping it (a stale snapshot) only
+// defers the drop. A failing target reports its error, never its selection.
 func (sh *exploreShard) scanChunk(lo, hi int) {
 	sw := sh.sw
 	// Cancellation gate: a cancelled sweep stops at chunk granularity — the
@@ -346,118 +421,222 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 	if sw.ctx.Err() != nil {
 		return
 	}
-	for i := range sh.snap {
-		sh.snap[i] = math.Float64frombits(sw.wmBits[i].Load())
-	}
-	sh.sel.lowerTo(sh.snap)
 	b := sh.chunk
 	sw.score.sizeScores(b, hi-lo)
 	sw.score.scoreRange(lo, b)
-	for j := range b.idx {
-		b.idx[j] = lo + j
+	m := sw.nm
+	for i := range sh.ref {
+		sh.ref[i] = math.Float64frombits(sw.wmBits[i].Load())
 	}
-	// A failing point is never observed: the lowest-index error fails the
-	// whole sweep at merge.
-	for j, err := range b.err {
-		if err != nil {
-			if lo+j < sh.errIdx {
-				sh.errIdx, sh.err = lo+j, err
+	// A failed cell's entries are stale, but only the targets naming its
+	// model read that model's reference, and each of them fails.
+	for j := range b.idx {
+		for i, l := range b.lat[j*m : (j+1)*m] {
+			if b.static[j*m+i] && l < sh.ref[i] {
+				sh.ref[i] = l
 			}
-			break
 		}
 	}
-	sh.sel.ObserveBatch(b.idx, b.area, b.lat, b.static, b.err)
-	// Publish this shard's reference so other shards' next snapshots prune
+	for t, target := range sw.targets {
+		p, st := &b.proj, &sh.tgts[t]
+		errs := p.project(target, b, m, sh.ref)
+		// A failing row is never observed: the lowest-index error fails the
+		// target at merge.
+		for j, err := range errs {
+			if err != nil {
+				if lo+j < st.errIdx {
+					st.errIdx, st.err = lo+j, err
+				}
+				break
+			}
+		}
+		st.sel.lowerTo(p.ref)
+		st.sel.ObserveBatch(b.idx, p.area, p.lat, p.static, errs)
+	}
+	// Publish the chunk's reference so other shards' next snapshots prune
 	// harder.
-	for i, v := range sh.sel.best {
+	for i, v := range sh.ref {
 		atomicMinFloat(&sw.wmBits[i], v)
 	}
 }
 
-// merge folds the shards into one Selector after the scan, in any shard
-// order, and returns it with the evaluation error at the lowest point index,
-// if any, as a serial scan would fail. It records the shard count and the
-// shards' peak frontier and band sizes in stats. Phase 1: the final
-// per-model references are the exact min over every shard's reference (pure
-// comparisons, so order-independent; every watermark value a shard folded
-// in is itself some shard's own minimum, so this is the min over every
+// scan sweeps the whole space in chunks of at most chunk points on the
+// engine's workers, each worker reducing into its own shard, and returns the
+// shards (nil for a worker that claimed no chunk). progress, when non-nil,
+// receives the cumulative scan count after each chunk.
+func (sw *sweepState) scan(ev *eval.Evaluator, chunk int, progress func(done, total int)) []*exploreShard {
+	shards := make([]*exploreShard, ev.Workers())
+	ev.ForEachChunkWorker(sw.n, chunk, func(worker, lo, hi int) {
+		if shards[worker] == nil {
+			shards[worker] = newExploreShard(sw)
+		}
+		shards[worker].scanChunk(lo, hi)
+		if progress != nil {
+			progress(int(sw.scanned.Add(int64(hi-lo))), sw.n)
+		}
+	})
+	for _, sh := range shards {
+		if sh != nil {
+			scoresPool.Put(sh.chunk)
+			sh.chunk = nil
+		}
+	}
+	return shards
+}
+
+// merge folds target t's Selectors of the shards into one after the scan,
+// in any shard order, and returns it with the target's error at the lowest
+// point index, if any, as a serial scan would fail. It records the shard
+// count and the shards' peak frontier and band sizes in stats. Phase 1: the
+// final per-model references are the exact min over every shard's reference
+// (pure comparisons, so order-independent; every watermark value a shard
+// folded in is some shard's chunk minimum, so this is the min over every
 // statically feasible observation). Phase 2: the first shard's Selector is
-// lowered to them and absorbs every other shard (Selector.absorb), which
-// lowers that shard to them too. Lowering drops exactly a shard's rows that
+// lowered to them and absorbs every other shard's (Selector.absorb), which
+// lowers that one to them too. Lowering drops exactly a shard's rows that
 // fail the final slack pass, so the merged Selector holds every
 // slack-feasible point once — Feasible() is Result.Feasible — and its
 // frontier contains the winner: that point can be neither dominated (its
 // dominator would precede it in selection order and pass slack whenever it
 // does) nor watermark-dropped (it passes slack against the final, tightest
 // reference). Nil shards are skipped; at least one must be non-nil.
-func (sw *sweepState) merge(shards []*exploreShard, stats *ExploreStats) (*Selector, error) {
+func (sw *sweepState) merge(t int, shards []*exploreShard, stats *ExploreStats) (*Selector, error) {
 	var sel *Selector
 	var err error
-	ref := make([]float64, sw.nm)
+	ref := make([]float64, len(sw.targets[t]))
 	errIdx := sw.n
 	for _, sh := range shards {
 		if sh == nil {
 			continue
 		}
+		st := &sh.tgts[t]
 		stats.Shards++
-		stats.MaxRetained += sh.sel.front.peak
-		stats.MaxBand += sh.sel.front.peakBand
+		stats.MaxRetained += st.sel.front.peak
+		stats.MaxBand += st.sel.front.peakBand
 		if sel == nil {
-			sel = sh.sel
+			sel = st.sel
 			copy(ref, sel.best)
 		}
-		for i, v := range sh.sel.best {
+		for i, v := range st.sel.best {
 			ref[i] = min(ref[i], v)
 		}
-		if sh.err != nil && sh.errIdx < errIdx {
-			errIdx, err = sh.errIdx, sh.err
+		if st.err != nil && st.errIdx < errIdx {
+			errIdx, err = st.errIdx, st.err
 		}
 	}
 	sel.lowerTo(ref)
 	for _, sh := range shards {
-		if sh != nil && sh.sel != sel {
-			sel.absorb(sh.sel)
+		if sh != nil && sh.tgts[t].sel != sel {
+			sel.absorb(sh.tgts[t].sel)
 		}
 	}
 	return sel, err
 }
 
+// conclude ends every target of a finished scan into index-addressed slots:
+// its Result, its error and its statistics. First each target's shards
+// merge and the merged Selector settles (Selector.settle), which under
+// staged fidelity reads the target's stage-1 candidates from the Scorer.
+// Then the sweep drops the Scorer, so its cost tables are freed before any
+// target refines (DESIGN.md §10), and the targets finish — stage 1, then
+// the winner's materialization. Both passes run the targets on the engine's
+// workers; no target reads another's state, so every slot is the same at
+// any worker count.
+func (sw *sweepState) conclude(shards []*exploreShard, fo *FidelityOptions, ev *eval.Evaluator) ([]Result, []error, []ExploreStats) {
+	nt := len(sw.targets)
+	res, errs, stats := make([]Result, nt), make([]error, nt), make([]ExploreStats, nt)
+	ends := make([]*ending, nt)
+	ev.ForEach(nt, func(t int) {
+		sel, err := sw.merge(t, shards, &stats[t])
+		if err == nil {
+			stats[t].Retained = len(sel.front.cands)
+			ends[t], err = sel.settle(sw.ctx, sw.score.view(sw.targets[t]), sw.n, fo)
+		}
+		errs[t] = err
+	})
+	// The shards still reference the sweep state, so drop its Scorer here.
+	sw.score = nil
+	ev.ForEach(nt, func(t int) {
+		if ends[t] != nil {
+			res[t], _, stats[t].WinnerAreaMM2, errs[t] = ends[t].finish(sw.ctx, fo, ev)
+		}
+	})
+	return res, errs, stats
+}
+
 // ExploreSpaceCtx is the streaming core of Algorithm 1's configuration
 // selection — lines 1-8 for one model (the custom configuration C_i), lines
 // 9-13 for several (the generic C_g and library C_k configurations): a
-// chunked sweep over a lazily indexed design space. Workers own one
-// reduction shard each — a Selector (the same reduction budgeted search
-// uses) plus reusable scratch — and claim contiguous chunks dynamically. The
-// only cross-worker state during the sweep is the per-model slack watermark,
-// an array of monotonically decreasing atomics read without locking; shards
-// merge into one Selector exactly once, after the last chunk, and the sweep
-// ends in Selector.Conclude, as budgeted search does. Each (point, model)
-// pair is scored exactly once, through a Scorer: from per-model cost tables
-// built when the sweep starts and dropped when it ends, or with the
-// per-point kernel on spaces without tables; only the winner's full
-// evaluations enter the engine's result cache. Memory stays O(slack-feasible points + chunk)
-// instead of the eager implementation's O(points x models) summary matrix,
-// and the chunk loop is lock- and allocation-free, so the sweep scales with
-// cores. Every sweep scans the whole space, and the merge's final slack pass
-// over what the shards hold reproduces the eager two-pass selection and its
-// feasible count byte for byte at any worker count and chunk size (see
-// DESIGN.md §8 for the argument).
-//
-// The chunk loop checks ctx at every chunk boundary (not just between
-// phases), so a cancelled sweep stops within one chunk (<= 512 points per
-// worker) and returns ctx.Err(); a run that completes is byte-identical to
-// an uncancelled one — the context is consulted, never folded into
-// selection. ctx must be non-nil; a nil opts selects defaults, and a nil
-// engine selects the shared one.
+// chunked sweep over a lazily indexed design space, selecting one
+// configuration for all of models. It is ExploreTargetsCtx's one-target
+// case, with the one target naming every model in order. A nil opts
+// selects defaults, and a nil engine selects the shared one; ctx must be
+// non-nil.
 func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator, opts *ExploreOptions) (Result, error) {
-	if len(models) == 0 {
-		return Result{}, fmt.Errorf("dse: no models")
+	target := make([]int, len(models))
+	for i := range target {
+		target[i] = i
+	}
+	res, errs := ExploreTargetsCtx(ctx, models, [][]int{target}, space, cons, ev, opts)
+	return res[0], errs[0]
+}
+
+// ExploreTargetsCtx sweeps space once for models and selects one
+// configuration per target, a target being a list of indices into models:
+// its Result and error are what ExploreSpaceCtx returns for the models it
+// names, in its order, byte for byte. Algorithm 1's selections differ only
+// in which networks' latencies and areas they read, so one sweep serves
+// them all. Workers own one reduction shard each — a Selector per target
+// plus reusable scratch — and claim contiguous chunks dynamically. Each
+// chunk is scored once for every model, through a Scorer: from per-model
+// cost tables built when the sweep starts and dropped before any target
+// refines, or with the per-point kernel on spaces without tables; only the
+// winners' full evaluations enter the engine's result cache. Each target's
+// Selector then observes the target's projection of the chunk: its models'
+// latencies and static flags, and their areas summed in the target's order.
+// The only cross-worker state during the sweep is the per-model slack
+// watermark, an array of monotonically decreasing atomics read without
+// locking, which every target shares because a model's reference does not
+// depend on the other models. Each target's shards merge into one Selector
+// exactly once, after the last chunk, and each target ends in its Selector's
+// conclusion, as budgeted search does. Memory stays O(slack-feasible points
+// + chunk) per target instead of the eager implementation's O(points x
+// models) summary matrix, and the chunk loop is lock- and allocation-free,
+// so the sweep scales with cores. The merge's final slack pass over what the
+// shards hold reproduces the eager two-pass selection and its feasible count
+// byte for byte at any worker count and chunk size (see DESIGN.md §8 for the
+// argument).
+//
+// A model that fails to score a point fails only the targets that name it:
+// a target's error is its lowest failing point's, from the first model
+// failing there in target order. An empty target fails every target with
+// "dse: no models"; an index outside models is a caller's bug. The chunk
+// loop checks ctx at every chunk boundary, so a cancelled sweep stops
+// within one chunk (<= 512 points per worker) and every target returns
+// ctx.Err(); a run that completes is byte-identical to an uncancelled one —
+// the context is consulted, never folded into selection. ctx must be
+// non-nil; a nil opts selects defaults, and a nil engine selects the shared
+// one. opts.Stats, when non-nil, receives the sweep's statistics once every
+// target has succeeded, with each target's frontier and band peaks,
+// survivors, retained bytes and winner area summed over the targets.
+func ExploreTargetsCtx(ctx context.Context, models []*workload.Model, targets [][]int, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator, opts *ExploreOptions) ([]Result, []error) {
+	fail := func(err error) ([]Result, []error) {
+		errs := make([]error, len(targets))
+		for t := range errs {
+			errs[t] = err
+		}
+		return make([]Result, len(targets)), errs
+	}
+	for _, target := range targets {
+		if len(target) == 0 {
+			return fail(fmt.Errorf("dse: no models"))
+		}
 	}
 	if space == nil || space.Len() == 0 {
-		return Result{}, fmt.Errorf("dse: empty design space")
+		return fail(fmt.Errorf("dse: empty design space"))
 	}
 	if err := cons.Validate(); err != nil {
-		return Result{}, err
+		return fail(err)
 	}
 	if ev == nil {
 		ev = eval.Shared()
@@ -479,47 +658,26 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			chunk = 1
 		}
 	}
-	sw := newSweepState(ctx, NewScorer(ev, models, space, cons))
-	shards := make([]*exploreShard, ev.Workers())
-	ev.ForEachChunkWorker(n, chunk, func(worker, lo, hi int) {
-		if shards[worker] == nil {
-			shards[worker] = newExploreShard(sw)
-		}
-		shards[worker].scanChunk(lo, hi)
-		if o.Progress != nil {
-			o.Progress(int(sw.scanned.Add(int64(hi-lo))), n)
-		}
-	})
-	for _, sh := range shards {
-		if sh != nil {
-			scoresPool.Put(sh.chunk)
-		}
-	}
-
+	sw := newSweepState(ctx, NewScorer(ev, models, space, cons), targets)
+	shards := sw.scan(ev, chunk, o.Progress)
 	// A cancelled sweep has skipped chunks, so its shard state is partial and
 	// must not be merged into a result.
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return fail(err)
 	}
-
-	stats := ExploreStats{Points: n, Models: len(models), Chunks: (n + chunk - 1) / chunk, ChunkSize: chunk}
-	sel, err := sw.merge(shards, &stats)
-	if err != nil {
-		return Result{}, err
+	results, errs, stats := sw.conclude(shards, o.Fidelity, ev)
+	if o.Stats != nil && !slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
+		all := ExploreStats{Points: n, Models: len(models), Chunks: (n + chunk - 1) / chunk, ChunkSize: chunk,
+			NaiveBytes: naiveBytes(n, len(models))}
+		for t, st := range stats {
+			all.Shards = st.Shards
+			all.MaxRetained += st.MaxRetained
+			all.MaxBand += st.MaxBand
+			all.Retained += st.Retained
+			all.RetainedBytes += retainedBytes(st.MaxRetained, st.MaxBand, len(targets[t]))
+			all.WinnerAreaMM2 += st.WinnerAreaMM2
+		}
+		*o.Stats = all
 	}
-	stats.Retained = len(sel.front.cands)
-	stats.RetainedBytes = retainedBytes(stats.MaxRetained, stats.MaxBand, len(models))
-	stats.NaiveBytes = naiveBytes(n, len(models))
-	// Nothing here reads the sweep state again, so under staged fidelity the
-	// Scorer's tables are freed once stage 1 has read its candidates
-	// (DESIGN.md §10).
-	res, _, area, err := sel.Conclude(ctx, sw.score, n, o.Fidelity, ev)
-	if err != nil {
-		return Result{}, err
-	}
-	if o.Stats != nil {
-		stats.WinnerAreaMM2 = area
-		*o.Stats = stats
-	}
-	return res, nil
+	return results, errs
 }

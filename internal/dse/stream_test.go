@@ -35,7 +35,16 @@ func oracleSweep(m oracle.Matrix, slack float64) *sweepState {
 	}
 	return newSweepState(context.Background(), &Scorer{
 		space: space, models: models, cons: cons, tmpl: make([]hw.Config, m.Models), plans: plans,
-	})
+	}, [][]int{identity(m.Models)})
+}
+
+// identity returns the target naming each of n models once, in order.
+func identity(n int) []int {
+	t := make([]int, n)
+	for i := range t {
+		t[i] = i
+	}
+	return t
 }
 
 // oracleColumn is one model's column of an oracle matrix as a per-point
@@ -70,7 +79,7 @@ func runShards(rng *rand.Rand, sw *sweepState) (*Selector, error) {
 		shards[s].scanChunk(lo, min(lo+chunk, sw.n))
 	}
 	rng.Shuffle(nShards, func(a, b int) { shards[a], shards[b] = shards[b], shards[a] })
-	return sw.merge(shards, &ExploreStats{})
+	return sw.merge(0, shards, &ExploreStats{})
 }
 
 // TestShardLoopMatchesOracle feeds quantized random candidate sets, with

@@ -160,13 +160,16 @@ func (c Config) Banks() []Bank {
 // (interconnect overhead is added by the NoC/NoP models). The accumulation
 // visits banks in exactly Banks() order without materializing the slice —
 // AreaMM2 sits on the sweep hot path and must not allocate.
-func (c Config) AreaMM2() float64 { return c.AreaMM2From(c.AreaPrefixUM2()) }
+func (c Config) AreaMM2() float64 {
+	tail := c.AreaTail()
+	return tail.MM2(c.AreaPrefixUM2(), c.NPool)
+}
 
 // AreaPrefixUM2 returns the leading terms of AreaMM2's sum, in um^2: the
 // compute banks, then the activation banks. They do not depend on NPool, so
 // a sweep over points that differ only in NPool computes them once and
-// finishes each point with AreaMM2From. It and AreaMM2From take a pointer so
-// that a gather calling them per point does not copy the configuration.
+// finishes each point with an AreaTail. It takes a pointer so that a gather
+// calling it per run does not copy the configuration.
 func (c *Config) AreaPrefixUM2() float64 {
 	cat := orDefault(c.Cat)
 	var um2 float64
@@ -181,21 +184,49 @@ func (c *Config) AreaPrefixUM2() float64 {
 	return um2
 }
 
-// AreaMM2From finishes AreaMM2 from prefix, the configuration's
-// AreaPrefixUM2 at any NPool: it adds the pooling banks at c.NPool and then
-// the engines, in AreaMM2's order, so the result is bit-identical to
-// AreaMM2.
-func (c *Config) AreaMM2From(prefix float64) float64 {
+// numPoolings is the number of pooling unit kinds.
+const numPoolings = int(PoolROIAlign-PoolMax) + 1
+
+// AreaTail holds the trailing terms of AreaMM2's sum with their unit areas
+// resolved from the catalogue: each provisioned pooling kind's unit area,
+// which the point's NPool scales, then each provisioned engine bank's area.
+// It depends only on the unit set and the catalogue, so a cost table
+// resolves it once and finishes every point's area with MM2.
+type AreaTail struct {
+	pools    [numPoolings]float64 // unit areas, ascending unit order
+	nPools   int
+	engines  [2]float64 // bank areas: FLATTEN, then PERMUTE
+	nEngines int
+}
+
+// AreaTail resolves the configuration's pooling and engine unit areas.
+func (c *Config) AreaTail() AreaTail {
 	cat := orDefault(c.Cat)
-	um2 := prefix
+	var t AreaTail
 	for s := c.Units & poolings; s != 0; s = s.Rest() {
-		um2 += float64(c.NPool) * cat.PPA(s.First()).AreaUM2
+		t.pools[t.nPools] = cat.PPA(s.First()).AreaUM2
+		t.nPools++
 	}
-	if c.Units.Has(EngFlatten) {
-		um2 += float64(EngineCount) * cat.PPA(EngFlatten).AreaUM2
+	for _, u := range [...]Unit{EngFlatten, EngPermute} {
+		if c.Units.Has(u) {
+			t.engines[t.nEngines] = float64(EngineCount) * cat.PPA(u).AreaUM2
+			t.nEngines++
+		}
 	}
-	if c.Units.Has(EngPermute) {
-		um2 += float64(EngineCount) * cat.PPA(EngPermute).AreaUM2
+	return t
+}
+
+// MM2 finishes AreaMM2 from prefix, the configuration's AreaPrefixUM2: it
+// adds the pooling banks at nPool units each and then the engines, in
+// AreaMM2's order, and converts to mm^2. With nPool the configuration's
+// NPool the result is AreaMM2, bit for bit. It performs no allocation.
+func (t *AreaTail) MM2(prefix float64, nPool int) float64 {
+	um2 := prefix
+	for _, a := range t.pools[:t.nPools] {
+		um2 += float64(nPool) * a
+	}
+	for _, a := range t.engines[:t.nEngines] {
+		um2 += a
 	}
 	return UM2ToMM2(um2)
 }

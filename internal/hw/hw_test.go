@@ -213,6 +213,40 @@ func TestBanksAndArea(t *testing.T) {
 	}
 }
 
+// TestAreaTailMatchesBanks pins the area sum's order and AreaTail's
+// resolution: for every workload network's unit set under the built-in and
+// the mobile-7nm catalogues, AreaMM2 must equal the sum of its banks' areas
+// in Banks() order bit for bit, AreaTail.MM2 must finish it from the prefix
+// at any NPool, and neither may allocate.
+func TestAreaTailMatchesBanks(t *testing.T) {
+	models := append(workload.TrainingSet(), workload.TestSet()...)
+	for _, cat := range []*Catalogue{nil, mustLoad(t, "mobile-7nm.json")} {
+		for _, m := range models {
+			c := NewConfig(Point{SASize: 32, NSA: 16, NAct: 8}, []*workload.Model{m})
+			c.Cat = cat
+			tail := c.AreaTail()
+			prefix := c.AreaPrefixUM2()
+			for _, nPool := range []int{1, 3, 16, 64} {
+				c.NPool = nPool
+				var um2 float64
+				for _, b := range c.Banks() {
+					um2 += b.AreaUM2()
+				}
+				want := UM2ToMM2(um2)
+				if got := c.AreaMM2(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s NPool=%d: AreaMM2 = %v, want the banks' %v", m.Name, nPool, got, want)
+				}
+				if got := tail.MM2(prefix, nPool); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s NPool=%d: AreaTail.MM2 = %v, want the banks' %v", m.Name, nPool, got, want)
+				}
+			}
+			if a := testing.AllocsPerRun(10, func() { _ = c.AreaMM2() + tail.MM2(prefix, 2) }); a != 0 {
+				t.Errorf("%s: area sums allocate %.0f objects, want 0", m.Name, a)
+			}
+		}
+	}
+}
+
 // TestQuickConfigAreaMonotone property-checks that growing any DSE dimension
 // never shrinks area.
 func TestQuickConfigAreaMonotone(t *testing.T) {

@@ -26,6 +26,7 @@ type Table struct {
 	plan *ModelPlan
 	tmpl hw.Config
 	cat  *hw.Catalogue // tmpl.Catalogue(), resolved once
+	tail hw.AreaTail   // tmpl's pooling and engine unit areas, resolved once
 
 	// Axis values. Points enumerate as block x NAct x NPool, NPool fastest,
 	// where a block is one (SASize, NSA) pair, SASize outer, or one mix. A
@@ -78,7 +79,7 @@ func NewTable(p *ModelPlan, tmpl hw.Config, space hw.DesignSpace) *Table {
 	if space == nil || space.Len() == 0 {
 		return nil
 	}
-	t := &Table{plan: p, tmpl: tmpl, cat: tmpl.Catalogue()}
+	t := &Table{plan: p, tmpl: tmpl, cat: tmpl.Catalogue(), tail: tmpl.AreaTail()}
 	switch s := space.(type) {
 	case hw.SpaceSpec:
 		t.sas, t.nsas, t.acts, t.pools = s.SASizes, s.NSAs, s.NActs, s.NPools
@@ -286,8 +287,7 @@ func (t *Table) gatherRun(r, p int, out []Summary) {
 	// The compute and activation area terms are shared by the run.
 	prefix := c.AreaPrefixUM2()
 	for j, v := range t.pools[p : p+len(out)] {
-		c.NPool = v
-		out[j] = Summary{AreaMM2: c.AreaMM2From(prefix)}
+		out[j] = Summary{AreaMM2: t.tail.MM2(prefix, v)}
 	}
 	var dyn float64
 	if t.mixes == nil {
