@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/eval"
 	"repro/internal/fidelity"
@@ -232,12 +233,13 @@ func (fo *FidelityOptions) refineBlock(ctx context.Context, models []*workload.M
 		peak float64
 	}
 	kept := make([]scored, 0, len(cands))
+	lats := make([]float64, len(cands)*nm) // the refined latencies, candidate-major
 	for j, idx := range cands {
 		if errs[j] != nil {
 			return -1, stats, errs[j]
 		}
 		stats.Refined++
-		row := make([]float64, nm)
+		row := lats[j*nm : (j+1)*nm]
 		peak := 0.0
 		for i, r := range results[j*nm : (j+1)*nm] {
 			row[i] = r.LatencyS
@@ -268,7 +270,7 @@ func (fo *FidelityOptions) refineBlock(ctx context.Context, models []*workload.M
 	}
 	for _, s := range kept {
 		if slackOK(s.lats, ref, cons.LatencySlack) {
-			stats.WinnerLatencyS = s.lats
+			stats.WinnerLatencyS = slices.Clone(s.lats) // not a window that keeps the block alive
 			stats.WinnerPeakTempC = s.peak
 			return s.idx, stats, nil
 		}

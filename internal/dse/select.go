@@ -29,6 +29,9 @@ import (
 // tightens and a row is admitted only when it passes slack, so every held
 // row is feasible under the current reference.
 //
+// Each point index is observed at most once, as sweeps and searches observe
+// them: a one-model frontier's staircase rests on it (frontier.addStair).
+//
 // Selector is not safe for concurrent use; callers observe candidates from
 // one goroutine (internal/search scores batches in parallel, then observes
 // the results in deterministic slot order).
@@ -125,12 +128,7 @@ func (s *Selector) lowerTo(ref []float64) {
 // non-dominated ones in its frontier (DESIGN.md §8).
 func (s *Selector) absorb(o *Selector) {
 	o.lowerTo(s.best)
-	f := &o.front
-	for i := range f.cands {
-		fc := &f.cands[i]
-		s.front.add(fc.idx, fc.area, f.latsOf(fc))
-	}
-	s.front.band = append(s.front.band, f.band...)
+	s.front.absorb(&o.front)
 }
 
 // Conclude ends a selection — the search's over its visited points; a

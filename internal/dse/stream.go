@@ -133,7 +133,9 @@ func slackOK(lats, ref []float64, slack float64) bool {
 // frontier is a dominance-pruned candidate set ordered by ascending area
 // (ties by index) — the same order selection uses, which makes both pruning
 // directions one partial scan: nothing past a candidate's insertion point can
-// dominate it, and nothing before it can be dominated by it.
+// dominate it, and nothing before it can be dominated by it. On one model the
+// frontier is a staircase (addStair): its latencies fall strictly along the
+// order, so one compare and one contiguous run replace the two scans.
 //
 // Candidates the frontier drops as dominated — rejected on arrival or
 // evicted — are still slack-feasible, so their latency rows move to the band,
@@ -185,13 +187,64 @@ func (f *frontier) reset() {
 
 // add inserts the candidate (idx, area, lats) unless a retained candidate
 // dominates it, and evicts retained candidates it dominates; dominated rows
-// go to the band. lats is copied; the caller's slice may be reused.
+// go to the band. lats is copied; the caller's slice may be reused. A point
+// index is added at most once while the frontier holds it.
 func (f *frontier) add(idx int, area float64, lats []float64) {
-	// Position of the first candidate ordered after the new one.
-	pos := sort.Search(len(f.cands), func(i int) bool {
+	if f.stride == 1 {
+		f.addStair(idx, area, lats[0])
+		return
+	}
+	f.addScan(idx, area, lats)
+}
+
+// insertionPoint returns the position of the first candidate ordered after
+// (area, idx).
+func (f *frontier) insertionPoint(idx int, area float64) int {
+	return sort.Search(len(f.cands), func(i int) bool {
 		fc := &f.cands[i]
 		return fc.area > area || (fc.area == area && fc.idx > idx)
 	})
+}
+
+// addStair is add on one model. No held candidate dominates another, and
+// each precedes the ones after it in selection order, so each is strictly
+// slower than the ones after it: the latencies fall strictly along the
+// frontier. Only the candidate just before the insertion point can then
+// dominate the new one, the fastest of those that precede it; and the
+// candidates the new one dominates are the run at the insertion point no
+// faster than it. The compares are dominatesVals' on one latency, and the
+// rows go to the band and the slots to the free list in addScan's order, so
+// both leave the same frontier, band and peaks.
+func (f *frontier) addStair(idx int, area, lat float64) {
+	pos := f.insertionPoint(idx, area)
+	if pos > 0 && !(f.lats[f.cands[pos-1].off] > lat) {
+		f.band = append(f.band, lat)
+		f.notePeak()
+		return
+	}
+	end := pos
+	for ; end < len(f.cands) && !(lat > f.lats[f.cands[end].off]); end++ {
+		off := f.cands[end].off
+		f.band = append(f.band, f.lats[off])
+		f.free = append(f.free, off)
+	}
+	c := candidate{idx: idx, area: area, off: f.claim([]float64{lat})}
+	// Put the new candidate in the run's place.
+	if end == pos {
+		f.cands = append(f.cands, candidate{})
+		copy(f.cands[pos+1:], f.cands[pos:])
+	} else {
+		f.cands = append(f.cands[:pos+1], f.cands[end:]...)
+	}
+	f.cands[pos] = c
+	f.notePeak()
+}
+
+// addScan is add on any number of models: it scans every candidate before
+// the insertion point for a dominator and every one after it for the
+// candidates to evict.
+func (f *frontier) addScan(idx int, area float64, lats []float64) {
+	pos := f.insertionPoint(idx, area)
 	for i := 0; i < pos; i++ {
 		fc := &f.cands[i]
 		if dominatesVals(fc.area, fc.idx, f.latsOf(fc), area, idx, lats) {
@@ -215,22 +268,35 @@ func (f *frontier) add(idx int, area float64, lats []float64) {
 		}
 	}
 	f.cands = f.cands[:w]
-	// Claim a latency slot: recycle a freed one, else extend the backing
-	// array (append copies lats directly into the new tail).
-	var off int
-	if n := len(f.free); n > 0 {
-		off = f.free[n-1]
-		f.free = f.free[:n-1]
-		copy(f.lats[off:off+f.stride], lats)
-	} else {
-		off = len(f.lats)
-		f.lats = append(f.lats, lats...)
-	}
+	off := f.claim(lats)
 	// Insert at the ordered position.
 	f.cands = append(f.cands, candidate{})
 	copy(f.cands[pos+1:], f.cands[pos:])
 	f.cands[pos] = candidate{idx: idx, area: area, off: off}
 	f.notePeak()
+}
+
+// claim stores lats in a latency slot and returns its offset: the most
+// recently freed slot, else a new one at the end of the backing array.
+func (f *frontier) claim(lats []float64) int {
+	if n := len(f.free); n > 0 {
+		off := f.free[n-1]
+		f.free = f.free[:n-1]
+		copy(f.lats[off:off+f.stride], lats)
+		return off
+	}
+	f.lats = append(f.lats, lats...)
+	return len(f.lats) - f.stride
+}
+
+// absorb adds o's candidates to f in o's order and appends o's band rows to
+// f's band.
+func (f *frontier) absorb(o *frontier) {
+	for i := range o.cands {
+		oc := &o.cands[i]
+		f.add(oc.idx, oc.area, o.latsOf(oc))
+	}
+	f.band = append(f.band, o.band...)
 }
 
 // filterSlack drops candidates and band rows whose latencies fail the slack

@@ -20,10 +20,10 @@
 package fidelity
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -95,37 +95,89 @@ func (p Params) RouterAreaUM2(banks int, multiDie bool) float64 {
 // Chipletize converts clustered universal-graph nodes into chiplets,
 // splitting any community whose logic area exceeds the per-die limit by
 // dividing its systolic-array bank into equal sub-banks. It reads each node's
-// ID (its index in communities), unit, instance count and array size.
+// ID (its index in communities), unit, instance count and array size. The
+// dies come community by community, the communities ordered by the ID of
+// their first node in nodes.
 func (p Params) Chipletize(nodes []graph.Node, communities []int) []Chiplet {
-	byComm := make(map[int][]graph.Node)
-	for _, n := range nodes {
-		byComm[communities[n.ID]] = append(byComm[communities[n.ID]], n)
-	}
-	keys := make([]int, 0, len(byComm))
-	for c := range byComm {
-		keys = append(keys, c)
-	}
-	// Deterministic order: by smallest node ID in the community.
-	sort.Slice(keys, func(i, j int) bool {
-		return byComm[keys[i]][0].ID < byComm[keys[j]][0].ID
-	})
+	cl := groupCommunities(nodes, communities)
+	return p.chipletize(nodes, &cl)
+}
 
-	var drafts [][]hw.Bank
-	for _, c := range keys {
-		var banks []hw.Bank
-		var saIdx = -1
-		var logic float64
-		for _, n := range byComm[c] {
-			b := hw.Bank{Unit: n.Unit, Count: n.Count, SASize: n.SASize, Cat: p.Catalogue}
+// groups is a community assignment grouped once: the positions in a node
+// list of each community's nodes, in list order, with the communities
+// ordered by the ID of their first node.
+type groups struct {
+	members []int // node positions, community after community
+	starts  []int // community c holds members[starts[c]:starts[c+1]]
+}
+
+// groupCommunities groups nodes by their labels in communities, which is
+// indexed by node ID. It compares labels pairwise, which is cheap on a
+// universal graph's at most hw.NumUnits nodes.
+func groupCommunities(nodes []graph.Node, communities []int) groups {
+	label := func(i int) int { return communities[nodes[i].ID] }
+	var firsts []int // position of each community's first node
+	for i := range nodes {
+		if !slices.ContainsFunc(firsts, func(f int) bool { return label(f) == label(i) }) {
+			firsts = append(firsts, i)
+		}
+	}
+	slices.SortFunc(firsts, func(a, b int) int { return cmp.Compare(nodes[a].ID, nodes[b].ID) })
+	g := groups{members: make([]int, 0, len(nodes)), starts: make([]int, 1, len(firsts)+1)}
+	for _, f := range firsts {
+		for i := range nodes {
+			if label(i) == label(f) {
+				g.members = append(g.members, i)
+			}
+		}
+		g.starts = append(g.starts, len(g.members))
+	}
+	return g
+}
+
+// dieLabels holds the first die labels, so realizing a package formats none
+// of them.
+var dieLabels = func() (l [64]string) {
+	for i := range l {
+		l[i] = "L" + strconv.Itoa(i+1)
+	}
+	return l
+}()
+
+// dieLabel returns the label of die i: "L1", "L2", ...
+func dieLabel(i int) string {
+	if i < len(dieLabels) {
+		return dieLabels[i]
+	}
+	return "L" + strconv.Itoa(i+1)
+}
+
+// chipletize is the one chipletization body, of Chipletize and of every
+// realization on a topology: each community of g, whose members are
+// positions in nodes, becomes one die, or splits across several. The dies'
+// banks are windows of one array sized for every community fitting on one
+// die; a split grows it, and the dies made before keep their windows of the
+// old array, which nothing writes again.
+func (p *Params) chipletize(nodes []graph.Node, g *groups) []Chiplet {
+	limit := p.MaxChipletAreaMM2 * 1e6
+	banks := make([]hw.Bank, 0, len(nodes))
+	chiplets := make([]Chiplet, 0, len(g.starts)-1)
+	// die makes banks[lo:] the next die.
+	die := func(lo int) {
+		chiplets = append(chiplets, Chiplet{Banks: banks[lo:len(banks):len(banks)]})
+	}
+	for c := range len(g.starts) - 1 {
+		lo, saIdx, logic := len(banks), -1, 0.0
+		for _, i := range g.members[g.starts[c]:g.starts[c+1]] {
+			n := &nodes[i]
 			if n.Unit == hw.SystolicArray {
 				saIdx = len(banks)
 			}
-			banks = append(banks, b)
-			logic += b.AreaUM2()
+			banks = append(banks, hw.Bank{Unit: n.Unit, Count: n.Count, SASize: n.SASize, Cat: p.Catalogue})
+			logic += banks[len(banks)-1].AreaUM2()
 		}
-		limit := p.MaxChipletAreaMM2 * 1e6
 		if logic <= limit || saIdx < 0 || banks[saIdx].Count <= 1 {
-			drafts = append(drafts, banks)
+			die(lo)
 			continue
 		}
 		// Split the SA bank across dies. Die 0 keeps the community's other
@@ -133,12 +185,10 @@ func (p Params) Chipletize(nodes []graph.Node, communities []int) []Chiplet {
 		// them — not an equal share: sizing every die to count/p arrays
 		// ignores the non-SA area and can leave die 0 over the limit.
 		sa := banks[saIdx]
-		rest := make([]hw.Bank, 0, len(banks)-1)
 		restArea := 0.0
-		for i, b := range banks {
+		for i := lo; i < len(banks); i++ {
 			if i != saIdx {
-				rest = append(rest, b)
-				restArea += b.AreaUM2()
+				restArea += banks[i].AreaUM2()
 			}
 		}
 		perSA := sa.AreaUM2() / float64(sa.Count)
@@ -159,11 +209,15 @@ func (p Params) Chipletize(nodes []graph.Node, communities []int) []Chiplet {
 		rem := sa.Count - k0
 		// rem >= 1 here: k0 >= count would mean the whole community fits.
 		extraDies := (rem + kn - 1) / kn
-		die0 := rest
+		// Die 0 is the rest banks in order, after a bank of k0 arrays when
+		// k0 > 0.
 		if k0 > 0 {
-			die0 = append([]hw.Bank{{Unit: hw.SystolicArray, Count: k0, SASize: sa.SASize, Cat: p.Catalogue}}, rest...)
+			copy(banks[lo+1:saIdx+1], banks[lo:saIdx])
+			banks[lo] = hw.Bank{Unit: hw.SystolicArray, Count: k0, SASize: sa.SASize, Cat: p.Catalogue}
+		} else {
+			banks = append(banks[:saIdx], banks[saIdx+1:]...)
 		}
-		drafts = append(drafts, die0)
+		die(lo)
 		// Spread the remainder near-equally: ceil(rem/extraDies) <= kn, so no
 		// pure-SA die exceeds the limit either.
 		per := rem / extraDies
@@ -173,24 +227,21 @@ func (p Params) Chipletize(nodes []graph.Node, communities []int) []Chiplet {
 			if i < extra {
 				cnt++
 			}
-			drafts = append(drafts, []hw.Bank{{Unit: hw.SystolicArray, Count: cnt, SASize: sa.SASize, Cat: p.Catalogue}})
+			banks = append(banks, hw.Bank{Unit: hw.SystolicArray, Count: cnt, SASize: sa.SASize, Cat: p.Catalogue})
+			die(len(banks) - 1)
 		}
 	}
 
-	multi := len(drafts) > 1
-	chiplets := make([]Chiplet, len(drafts))
-	for i, banks := range drafts {
+	multi := len(chiplets) > 1
+	for i := range chiplets {
+		c := &chiplets[i]
 		var logic float64
-		for _, b := range banks {
+		for _, b := range c.Banks {
 			logic += b.AreaUM2()
 		}
-		total := logic + p.RouterAreaUM2(len(banks), multi)
-		chiplets[i] = Chiplet{
-			Label:        "L" + strconv.Itoa(i+1),
-			Banks:        banks,
-			LogicAreaMM2: hw.UM2ToMM2(logic),
-			AreaMM2:      hw.UM2ToMM2(total),
-		}
+		c.Label = dieLabel(i)
+		c.LogicAreaMM2 = hw.UM2ToMM2(logic)
+		c.AreaMM2 = hw.UM2ToMM2(logic + p.RouterAreaUM2(len(c.Banks), multi))
 	}
 	return chiplets
 }
@@ -275,6 +326,7 @@ type Topology struct {
 	graph   *graph.Graph
 	traffic [][]ppa.LayerTraffic // per model, in layer order
 	assign  []int                // node -> community
+	groups  groups               // the graph's nodes grouped by community
 
 	mu         sync.Mutex
 	shapes     map[string]*shape
@@ -308,7 +360,8 @@ func (p Params) NewTopology(name string, cfgs []hw.Config, traffic [][]ppa.Layer
 	if len(communities) != n {
 		return nil, fmt.Errorf("fidelity: cluster function returned %d labels for %d nodes", len(communities), n)
 	}
-	return &Topology{params: p, graph: g, traffic: traffic, assign: communities}, nil
+	return &Topology{params: p, graph: g, traffic: traffic, assign: communities,
+		groups: groupCommunities(g.Nodes, communities)}, nil
 }
 
 // Realize is the per-point half of a package realization: it sizes the
@@ -317,7 +370,7 @@ func (p Params) NewTopology(name string, cfgs []hw.Config, traffic [][]ppa.Layer
 // floorplans the package against the inter-chiplet traffic of every model in
 // the topology.
 func (p Params) Realize(t *Topology, cfgs ...hw.Config) (*Package, error) {
-	chiplets, err := p.chipletize(t, cfgs)
+	chiplets, err := p.chipletizeOn(t, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -329,10 +382,11 @@ func (p Params) Realize(t *Topology, cfgs ...hw.Config) (*Package, error) {
 	return pkg, nil
 }
 
-// chipletize sizes the topology's nodes from the banks of cfgs and splits
-// their communities into dies.
-func (p *Params) chipletize(t *Topology, cfgs []hw.Config) ([]Chiplet, error) {
-	nodes := graph.BankNodes(cfgs)
+// chipletizeOn sizes the topology's nodes from the banks of cfgs and splits
+// their communities, grouped when the topology was built, into dies.
+func (p *Params) chipletizeOn(t *Topology, cfgs []hw.Config) ([]Chiplet, error) {
+	var buf [hw.NumUnits]graph.Node
+	nodes := graph.AppendBankNodes(buf[:0], cfgs)
 	g := t.graph
 	if len(nodes) != len(g.Nodes) {
 		return nil, fmt.Errorf("fidelity: %q: configuration has %d unit kinds, topology %d", g.Name, len(nodes), len(g.Nodes))
@@ -342,7 +396,7 @@ func (p *Params) chipletize(t *Topology, cfgs []hw.Config) ([]Chiplet, error) {
 			return nil, fmt.Errorf("fidelity: %q: configuration node %d is %v, topology's is %v", g.Name, i, nd.Unit, g.Nodes[i].Unit)
 		}
 	}
-	return p.Chipletize(nodes, t.assign), nil
+	return p.chipletize(nodes, &t.groups), nil
 }
 
 // place floorplans a package of n chiplets whose unit kinds host maps to
@@ -377,7 +431,7 @@ func (t *Topology) place(n int, host *[hw.NumUnits]int) (placement.Placement, er
 // once, and its entry does not depend on which call filled it.
 func (t *Topology) Rescore(cfg hw.Config, sums []ppa.Summary, out []Result) error {
 	p := &t.params
-	chiplets, err := p.chipletize(t, []hw.Config{cfg})
+	chiplets, err := p.chipletizeOn(t, []hw.Config{cfg})
 	if err != nil {
 		return err
 	}
@@ -386,9 +440,10 @@ func (t *Topology) Rescore(cfg hw.Config, sums []ppa.Summary, out []Result) erro
 	if sh.err != nil {
 		return sh.err
 	}
+	srcs := make([]thermal.Source, len(chiplets))
 	for i := range out {
 		out[i] = sh.links[i]
-		p.finish(&out[i], chiplets, &sh.fp, sums[i])
+		p.finish(&out[i], chiplets, &sh.fp, sums[i], srcs)
 	}
 	return nil
 }
@@ -514,7 +569,7 @@ func (p Params) Eval(pkg *Package, e *ppa.Eval) Result {
 // down, and the error moved with whichever die happened to be largest.
 func (p Params) Score(pkg *Package, traffic []ppa.LayerTraffic, s ppa.Summary) Result {
 	r := p.links(pkg, traffic)
-	p.finish(&r, pkg.Chiplets, &pkg.Floorplan, s)
+	p.finish(&r, pkg.Chiplets, &pkg.Floorplan, s, make([]thermal.Source, len(pkg.Chiplets)))
 	return r
 }
 
@@ -542,8 +597,10 @@ func (p *Params) links(pkg *Package, traffic []ppa.LayerTraffic) Result {
 
 // finish is Score's per-package half: it completes r, whose interconnect
 // terms links set, with the refined totals over the analytical totals s and
-// the peak junction temperature of the chiplets on floorplan fp.
-func (p *Params) finish(r *Result, chiplets []Chiplet, fp *placement.Placement, s ppa.Summary) {
+// the peak junction temperature of the chiplets on floorplan fp. srcs, as
+// long as chiplets, is scratch space for their thermal sources, so a caller
+// finishing several models on one package reuses one.
+func (p *Params) finish(r *Result, chiplets []Chiplet, fp *placement.Placement, s ppa.Summary, srcs []thermal.Source) {
 	r.LatencyS = s.LatencyS + r.NoCLatencyS + r.NoPLatencyS
 	r.EnergyPJ = s.EnergyPJ() + r.NoCEnergyPJ + r.NoPEnergyPJ
 
@@ -553,7 +610,6 @@ func (p *Params) finish(r *Result, chiplets []Chiplet, fp *placement.Placement, 
 	area := areaMM2(chiplets)
 	if r.LatencyS > 0 && area > 0 {
 		totalW := r.EnergyPJ * 1e-12 / r.LatencyS
-		srcs := make([]thermal.Source, len(chiplets))
 		for i, c := range chiplets {
 			srcs[i] = thermal.Source{
 				PowerW:  totalW * c.AreaMM2 / area,

@@ -48,17 +48,23 @@ type Graph struct {
 // node per unit kind, in order of first appearance across cfgs and their
 // Banks(), with the largest instance count and array size among the banks it
 // merges. Node weights are zero.
-func BankNodes(cfgs []hw.Config) []Node {
-	var nodes []Node
-	var ids [hw.NumUnits]int // unit kind -> node index + 1
-	for _, c := range cfgs {
-		for _, b := range c.Banks() {
+func BankNodes(cfgs []hw.Config) []Node { return AppendBankNodes(nil, cfgs) }
+
+// AppendBankNodes appends BankNodes(cfgs) to nodes and returns the extended
+// slice; the appended nodes' IDs count from 0. On configurations of at most
+// hw.NumUnits banks each it allocates only when nodes runs out of capacity.
+func AppendBankNodes(nodes []Node, cfgs []hw.Config) []Node {
+	base := len(nodes)
+	var ids [hw.NumUnits]int // unit kind -> node index - base + 1
+	var buf [hw.NumUnits]hw.Bank
+	for i := range cfgs {
+		for _, b := range cfgs[i].AppendBanks(buf[:0]) {
 			if ids[b.Unit] == 0 {
-				nodes = append(nodes, Node{ID: len(nodes), Unit: b.Unit, Count: b.Count, SASize: b.SASize})
-				ids[b.Unit] = len(nodes)
+				nodes = append(nodes, Node{ID: len(nodes) - base, Unit: b.Unit, Count: b.Count, SASize: b.SASize})
+				ids[b.Unit] = len(nodes) - base
 				continue
 			}
-			n := &nodes[ids[b.Unit]-1]
+			n := &nodes[base+ids[b.Unit]-1]
 			n.Count = max(n.Count, b.Count)
 			n.SASize = max(n.SASize, b.SASize)
 		}

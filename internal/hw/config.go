@@ -134,10 +134,14 @@ func (b Bank) String() string {
 // (one homogeneous systolic-array bank, or one bank per active mix type),
 // then one bank per other provisioned kind in ascending unit order, which
 // puts the activations before the pools and the data-movement engines last.
-func (c Config) Banks() []Bank {
-	var banks []Bank
+func (c Config) Banks() []Bank { return c.AppendBanks(nil) }
+
+// AppendBanks appends the configuration's banks, in Banks order, to banks
+// and returns the extended slice. It takes a pointer so that a caller
+// expanding a configuration per candidate does not copy it.
+func (c *Config) AppendBanks(banks []Bank) []Bank {
 	if c.Mix.IsZero() {
-		banks = []Bank{{Unit: SystolicArray, Count: c.NSA, SASize: c.SASize, Precision: c.Precision, Cat: c.Cat}}
+		banks = append(banks, Bank{Unit: SystolicArray, Count: c.NSA, SASize: c.SASize, Precision: c.Precision, Cat: c.Cat})
 	} else {
 		cat := c.Catalogue()
 		for ti := range cat.Chiplets {

@@ -79,47 +79,67 @@ func manhattan(a, b, w int) int {
 // Temperatures returns the steady-state junction temperature of each chiplet
 // given the package-grid width used for slot coordinates.
 func (m Model) Temperatures(sources []Source, gridW int) ([]float64, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.check(sources, gridW); err != nil {
 		return nil, err
 	}
-	if gridW < 1 {
-		return nil, fmt.Errorf("thermal: grid width %d", gridW)
-	}
 	out := make([]float64, len(sources))
-	for i, s := range sources {
-		if s.AreaMM2 <= 0 {
-			return nil, fmt.Errorf("thermal: source %d has area %v", i, s.AreaMM2)
-		}
-		if s.PowerW < 0 {
-			return nil, fmt.Errorf("thermal: source %d has power %v", i, s.PowerW)
-		}
-		rth := m.RthCPerWCM2 / (s.AreaMM2 / 100)
-		t := m.AmbientC + s.PowerW*rth
-		for j, o := range sources {
-			if i == j || o.PowerW <= 0 {
-				continue
-			}
-			d := manhattan(s.Slot, o.Slot, gridW)
-			t += o.PowerW * m.CouplingCPerW * math.Pow(m.CouplingDecayPerHop, float64(d))
-		}
-		out[i] = t
+	for i := range sources {
+		out[i] = m.temperature(sources, i, gridW)
 	}
 	return out, nil
 }
 
-// Peak returns the hottest junction temperature in the package.
+// Peak returns the hottest junction temperature in the package: the
+// maximum of AmbientC and every Temperatures entry, computed in the same
+// loop without building the slice, with the same errors.
 func (m Model) Peak(sources []Source, gridW int) (float64, error) {
-	ts, err := m.Temperatures(sources, gridW)
-	if err != nil {
+	if err := m.check(sources, gridW); err != nil {
 		return 0, err
 	}
 	peak := m.AmbientC
-	for _, t := range ts {
-		if t > peak {
+	for i := range sources {
+		if t := m.temperature(sources, i, gridW); t > peak {
 			peak = t
 		}
 	}
 	return peak, nil
+}
+
+// check validates the model, the grid width and the sources in order; the
+// first failing source's area is reported before its power.
+func (m Model) check(sources []Source, gridW int) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	if gridW < 1 {
+		return fmt.Errorf("thermal: grid width %d", gridW)
+	}
+	for i, s := range sources {
+		if s.AreaMM2 <= 0 {
+			return fmt.Errorf("thermal: source %d has area %v", i, s.AreaMM2)
+		}
+		if s.PowerW < 0 {
+			return fmt.Errorf("thermal: source %d has power %v", i, s.PowerW)
+		}
+	}
+	return nil
+}
+
+// temperature returns source i's steady-state junction temperature: its own
+// rise over ambient plus the coupling from every other powered source.
+func (m Model) temperature(sources []Source, i, gridW int) float64 {
+	s := &sources[i]
+	rth := m.RthCPerWCM2 / (s.AreaMM2 / 100)
+	t := m.AmbientC + s.PowerW*rth
+	for j := range sources {
+		o := &sources[j]
+		if i == j || o.PowerW <= 0 {
+			continue
+		}
+		d := manhattan(s.Slot, o.Slot, gridW)
+		t += o.PowerW * m.CouplingCPerW * math.Pow(m.CouplingDecayPerHop, float64(d))
+	}
+	return t
 }
 
 // MaxPowerDensity returns the uniform power density (W/mm^2) at which a die

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -101,20 +102,60 @@ func TestMaxPowerDensity(t *testing.T) {
 	}
 }
 
+// TestTemperatureErrors: every invalid input fails Temperatures, and Peak
+// fails it with the same error text.
 func TestTemperatureErrors(t *testing.T) {
+	cases := []struct {
+		name    string
+		m       Model
+		sources []Source
+		gridW   int
+	}{
+		{"zero area", Default(), []Source{{PowerW: 1, AreaMM2: 0, Slot: 0}}, 1},
+		{"negative power", Default(), []Source{{PowerW: -1, AreaMM2: 10, Slot: 0}}, 1},
+		{"bad grid", Default(), nil, 0},
+		{"invalid model", Model{RthCPerWCM2: -1}, nil, 1},
+		{"second source bad", Default(), []Source{{PowerW: 1, AreaMM2: 10}, {PowerW: -1, AreaMM2: -1, Slot: 1}}, 2},
+	}
+	for _, c := range cases {
+		_, err := c.m.Temperatures(c.sources, c.gridW)
+		if err == nil {
+			t.Errorf("%s: Temperatures should fail", c.name)
+			continue
+		}
+		if _, perr := c.m.Peak(c.sources, c.gridW); perr == nil || perr.Error() != err.Error() {
+			t.Errorf("%s: Peak error %v, Temperatures error %v", c.name, perr, err)
+		}
+	}
+}
+
+// TestPeakMatchesTemperatures: Peak is the maximum of AmbientC and every
+// Temperatures entry, bit for bit, over random packages on grids 1 to 5
+// slots wide, a third of whose sources draw no power.
+func TestPeakMatchesTemperatures(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
 	m := Default()
-	if _, err := m.Temperatures([]Source{{PowerW: 1, AreaMM2: 0, Slot: 0}}, 1); err == nil {
-		t.Error("zero area should fail")
-	}
-	if _, err := m.Temperatures([]Source{{PowerW: -1, AreaMM2: 10, Slot: 0}}, 1); err == nil {
-		t.Error("negative power should fail")
-	}
-	if _, err := m.Temperatures(nil, 0); err == nil {
-		t.Error("bad grid should fail")
-	}
-	bad := Model{RthCPerWCM2: -1}
-	if _, err := bad.Peak(nil, 1); err == nil {
-		t.Error("invalid model should fail")
+	for trial := 0; trial < 500; trial++ {
+		w := 1 + rng.Intn(5)
+		srcs := make([]Source, 1+rng.Intn(8))
+		for i := range srcs {
+			srcs[i] = Source{AreaMM2: 1 + 99*rng.Float64(), Slot: rng.Intn(w * len(srcs))}
+			if rng.Intn(3) > 0 {
+				srcs[i].PowerW = 60 * rng.Float64()
+			}
+		}
+		ts, err := m.Temperatures(srcs, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := m.AmbientC
+		for _, x := range ts {
+			want = math.Max(want, x)
+		}
+		got, err := m.Peak(srcs, w)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (width %d, %+v): Peak %v (%v), want %v", trial, w, srcs, got, err, want)
+		}
 	}
 }
 
