@@ -157,9 +157,10 @@ func BenchmarkDSESweep81Points(b *testing.B) {
 	m := workload.NewResNet50()
 	space := hw.PointList(hw.PaperSpace().Points())
 	cons := dse.DefaultConstraints()
+	ev := eval.New(eval.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.ExploreSpaceCtx(context.Background(), []*workload.Model{m}, space, cons, nil, nil); err != nil {
+		if _, err := dse.ExploreSpaceCtx(context.Background(), []*workload.Model{m}, space, cons, ev, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -515,6 +516,7 @@ func BenchmarkAblationCluster(b *testing.B) {
 func BenchmarkAblationSlack(b *testing.B) {
 	m := workload.NewResNet50()
 	space := hw.PointList(hw.PaperSpace().Points())
+	ev := eval.New(eval.Options{})
 	for _, slack := range []float64{2.0, 1.0, 0.5} {
 		slack := slack
 		b.Run(fmt.Sprintf("slack=%.1f", slack), func(b *testing.B) {
@@ -522,7 +524,7 @@ func BenchmarkAblationSlack(b *testing.B) {
 			cons.LatencySlack = slack
 			var area float64
 			for i := 0; i < b.N; i++ {
-				r, err := dse.ExploreSpaceCtx(context.Background(), []*workload.Model{m}, space, cons, nil, nil)
+				r, err := dse.ExploreSpaceCtx(context.Background(), []*workload.Model{m}, space, cons, ev, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -133,22 +133,34 @@ func checkCatalogue(o *Options) Section {
 	}
 
 	// Cache-key separation: the same point under a perturbed catalogue must
-	// produce a different fingerprint and a different eval config key.
+	// produce a different fingerprint and occupy its own entry of the eval
+	// engine's cache.
 	if perturbed, err := roundTrip(cat); col.check(err == nil, "", "", cat.Name, "perturb round-trip failed: %v", err) {
 		perturbed.SRAMBytePJ *= 2
-		pt := hw.Point{SASize: 32, NSA: 16, NAct: 16, NPool: 16}
-		a := hw.Config{Point: pt, Cat: cat}
-		b := hw.Config{Point: pt, Cat: perturbed}
 		col.check(perturbed.Fingerprint() != cat.Fingerprint(), "", "", cat.Name,
 			"perturbed catalogue shares fingerprint %s", cat.Fingerprint())
-		col.check(eval.ConfigKey(a, 1) != eval.ConfigKey(b, 1), "", "", cat.Name,
-			"same point under different catalogues shares config key %q", eval.ConfigKey(a, 1))
-		// And attaching the default catalogue explicitly must share keys with
-		// the zero-config (nil Cat) path, so caches are not split.
-		nilCat := hw.Config{Point: pt}
-		defCat := hw.Config{Point: pt, Cat: hw.Default()}
-		col.check(eval.ConfigKey(nilCat, 1) == eval.ConfigKey(defCat, 1), "", "", def.Name,
-			"nil-Cat and explicit-default configs have different keys")
+		// entries evaluates one model at one point under each catalogue on a
+		// fresh engine and counts the cache entries it then holds.
+		m := workload.NewAlexNet()
+		entries := func(cats ...*hw.Catalogue) int {
+			ev := eval.New(eval.Options{Workers: 1})
+			for _, c := range cats {
+				cfg := hw.NewConfig(hw.Point{SASize: 32, NSA: 16, NAct: 16, NPool: 16}, []*workload.Model{m})
+				cfg.Cat = c
+				// A failed evaluation is cached under its key too, and only
+				// the entry count is checked here.
+				_, _ = ev.Evaluate(m, cfg)
+			}
+			return ev.Stats().Entries
+		}
+		n := entries(cat, perturbed)
+		col.check(n == 2, "", "", cat.Name,
+			"same point under different catalogues fills %d engine entries, want 2", n)
+		// And attaching the default catalogue explicitly must share entries
+		// with the zero-config (nil Cat) path, so caches are not split.
+		n = entries(nil, hw.Default())
+		col.check(n == 1, "", "", def.Name,
+			"nil-Cat and explicit-default configs fill %d engine entries, want 1", n)
 	}
 
 	// Mix invariants need chiplet types to instantiate.

@@ -43,8 +43,8 @@ import (
 )
 
 // fidelityParams builds the staged pipeline's physical-model parameters with
-// the pipeline defaults, bound to the given catalogue.
-func fidelityParams(cat *hw.Catalogue) fidelity.Params {
+// the pipeline defaults.
+func fidelityParams() fidelity.Params {
 	return fidelity.Params{
 		NoC:               noc.DefaultNoC(),
 		NoP:               noc.DefaultNoP(),
@@ -58,7 +58,6 @@ func fidelityParams(cat *hw.Catalogue) fidelity.Params {
 		},
 		Thermal:        thermal.Default(),
 		JunctionLimitC: 105,
-		Catalogue:      cat,
 	}
 }
 
@@ -155,7 +154,7 @@ func fidelitySpaces(o *Options) ([]struct {
 			name   string
 			space  hw.DesignSpace
 			params fidelity.Params
-		}{spec, s, fidelityParams(o.Catalogue)})
+		}{spec, s, fidelityParams()})
 	}
 	all := hw.PaperSpace().Points()
 	rng := rand.New(rand.NewSource(o.Seed))
@@ -172,7 +171,7 @@ func fidelitySpaces(o *Options) ([]struct {
 		name   string
 		space  hw.DesignSpace
 		params fidelity.Params
-	}{"paper-sample", sample, fidelityParams(nil)})
+	}{"paper-sample", sample, fidelityParams()})
 	return out, nil
 }
 
@@ -245,7 +244,7 @@ func checkAnalyticalIdentity(o *Options, col *collector, models []*workload.Mode
 		}
 		got, err := dse.ExploreSpaceCtx(context.Background(), models, grid, cons, eval.New(eval.Options{Workers: workers}),
 			&dse.ExploreOptions{
-				Fidelity: &dse.FidelityOptions{Mode: dse.FidelityAnalytical, Params: fidelityParams(o.Catalogue)},
+				Fidelity: &dse.FidelityOptions{Mode: dse.FidelityAnalytical, Params: fidelityParams()},
 			})
 		if !col.check(err == nil, "", "", cfgName, "analytical-mode sweep: %v", err) {
 			continue
@@ -320,7 +319,7 @@ func checkThermalHonesty(col *collector, models []*workload.Model, cons dse.Cons
 // the fractional average hop count of its hosting chiplet's torus, and the
 // inter-chiplet transfer the floorplan's NoP hop count.
 func checkPerChipletHops(col *collector) {
-	p := fidelityParams(nil)
+	p := fidelityParams()
 	chiplets := []fidelity.Chiplet{
 		{Label: "L1", Banks: []hw.Bank{
 			{Unit: hw.SystolicArray, Count: 2, SASize: 32},

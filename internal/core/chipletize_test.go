@@ -28,7 +28,7 @@ func TestChipletizeRespectsLimitWithFatActivationBank(t *testing.T) {
 		{ID: 0, Unit: hw.SystolicArray, Count: saCount, SASize: 64},
 		{ID: 1, Unit: hw.ActGELU, Count: actCount},
 	}
-	chiplets := o.FidelityParams().Chipletize(nodes, []int{0, 0})
+	chiplets := o.FidelityParams().Chipletize(nodes, []int{0, 0}, o.Catalogue)
 
 	if len(chiplets) < 2 {
 		t.Fatalf("expected a split, got %d chiplet(s)", len(chiplets))
@@ -74,7 +74,7 @@ func TestChipletizeSplitBalanced(t *testing.T) {
 	saCount := 3*perDie - 1 // needs 3 dies
 
 	nodes := []graph.Node{{ID: 0, Unit: hw.SystolicArray, Count: saCount, SASize: 64}}
-	chiplets := o.FidelityParams().Chipletize(nodes, []int{0})
+	chiplets := o.FidelityParams().Chipletize(nodes, []int{0}, o.Catalogue)
 	if len(chiplets) != 3 {
 		t.Fatalf("got %d chiplets, want 3", len(chiplets))
 	}
@@ -102,7 +102,7 @@ func TestChipletizeNoSplitWhenFits(t *testing.T) {
 		{ID: 0, Unit: hw.SystolicArray, Count: 4, SASize: 16},
 		{ID: 1, Unit: hw.PoolMax, Count: 8},
 	}
-	chiplets := o.FidelityParams().Chipletize(nodes, []int{0, 0})
+	chiplets := o.FidelityParams().Chipletize(nodes, []int{0, 0}, o.Catalogue)
 	if len(chiplets) != 1 {
 		t.Fatalf("got %d chiplets, want 1", len(chiplets))
 	}

@@ -64,7 +64,6 @@ func (o Options) FidelityParams() fidelity.Params {
 		Cluster:           o.Cluster,
 		Thermal:           o.Thermal,
 		JunctionLimitC:    o.JunctionLimitC,
-		Catalogue:         o.Catalogue,
 	}
 }
 

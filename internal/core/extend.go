@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/dse"
 	"repro/internal/jaccard"
 	"repro/internal/workload"
 )
@@ -33,9 +34,9 @@ type ExtendOutcome struct {
 // most profile-similar one is checked against the paper's latency constraint
 // (L <= (1+slack) * L_custom, with L_custom from a fresh custom DSE). When
 // it passes, the algorithm rides the existing hardened chiplets — the reuse
-// path: pre-designed, pre-verified, immediate deployment. Otherwise a fresh
-// library configuration is synthesized, appended to the training result, and
-// its NRE reported as the cost of the library gap.
+// path: pre-designed, pre-verified, immediate deployment. Otherwise the
+// custom DSE's configuration becomes a new library member, appended to the
+// training result, and its NRE is reported as the cost of the library gap.
 func (tr *TrainResult) Extend(m *workload.Model, o Options) (*ExtendOutcome, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -63,6 +64,7 @@ func (tr *TrainResult) Extend(m *workload.Model, o Options) (*ExtendOutcome, err
 			best, bestSim = k, sim
 		}
 	}
+	var cust dse.Result
 	if best >= 0 {
 		mp, err := o.EvalModel(tr.Subsets[best].Library, m)
 		if err != nil {
@@ -71,8 +73,7 @@ func (tr *TrainResult) Extend(m *workload.Model, o Options) (*ExtendOutcome, err
 		// The paper's latency constraint, applied to the reuse decision:
 		// the hardened configuration must stay within (1+slack) of a
 		// bespoke design's latency.
-		cust, err := exploreOne(m, o)
-		if err != nil {
+		if cust, err = exploreOne(m, o); err != nil {
 			return nil, err
 		}
 		if mp.Compute.LatencyS <= (1+o.Constraints.LatencySlack)*cust.Evals[0].LatencyS {
@@ -82,15 +83,16 @@ func (tr *TrainResult) Extend(m *workload.Model, o Options) (*ExtendOutcome, err
 				SubsetIndex: best, Similarity: bestSim, PPA: mp,
 			}, nil
 		}
+	} else {
+		var err error
+		if cust, err = exploreOne(m, o); err != nil {
+			return nil, fmt.Errorf("core: extending library for %s: %w", m.Name, err)
+		}
 	}
 
-	// No fit: synthesize a new library configuration for the algorithm.
-	r, err := exploreOne(m, o)
-	if err != nil {
-		return nil, fmt.Errorf("core: extending library for %s: %w", m.Name, err)
-	}
+	// No fit: the bespoke design becomes a new library configuration.
 	name := fmt.Sprintf("C%d", len(tr.Subsets)+1)
-	d, err := o.BuildDesign(name, r)
+	d, err := o.BuildDesign(name, cust)
 	if err != nil {
 		return nil, err
 	}

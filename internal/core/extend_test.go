@@ -1,8 +1,10 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/hw"
 	"repro/internal/workload"
 )
 
@@ -87,5 +89,40 @@ func TestExtendRejectsKnownAndInvalid(t *testing.T) {
 	bad.Space = nil
 	if _, err := tr.Extend(workload.NewEfficientNetB0(), bad); err == nil {
 		t.Error("invalid options should fail")
+	}
+}
+
+// countingSpace wraps a DesignSpace and counts At calls: how many points the
+// explorations on it read.
+type countingSpace struct {
+	hw.DesignSpace
+	at atomic.Int64
+}
+
+func (c *countingSpace) At(i int) hw.Point {
+	c.at.Add(1)
+	return c.DesignSpace.At(i)
+}
+
+// TestExtendExploresOnce: when the most similar covering library fails the
+// latency check, the custom DSE that priced the check becomes the new library
+// member, so Extend reads the space for one sweep, not two. At zero latency
+// slack RoBERTa-base finds a covering library and is not reused.
+func TestExtendExploresOnce(t *testing.T) {
+	tr := extendFixture(t)
+	o := tr.Options
+	space := &countingSpace{DesignSpace: o.Space}
+	o.Space = space
+	o.Constraints.LatencySlack = 0
+	out, err := tr.Extend(workload.NewRoBERTaBase(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Reused || out.Similarity < 0 {
+		t.Fatalf("want a covering library that fails the latency check, got %+v", out)
+	}
+	n := int64(space.Len())
+	if got := space.at.Load(); got < n || got >= 2*n {
+		t.Errorf("Extend read %d points of the %d-point space, want one sweep", got, n)
 	}
 }

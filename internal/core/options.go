@@ -48,12 +48,12 @@ type Options struct {
 	// fine preset or a custom hw.SpaceSpec for large-space exploration, an
 	// explicit hw.PointList, or a heterogeneous hw.MixSpace.
 	Space hw.DesignSpace
-	// Catalogue is the chiplet catalogue supplying unit PPA (nil: the
-	// built-in 28 nm default, bit-identical to the pre-catalogue constants).
-	// Spaces built by hw.ParseSpaceWith already carry the catalogue for the
-	// sweep; this field additionally threads it into chipletization area
-	// accounting. Keep both in sync — pass the same catalogue to
-	// ParseSpaceWith and here.
+	// Catalogue is the chiplet catalogue Resolve parses the space against
+	// (nil: the built-in 28 nm default, bit-identical to the pre-catalogue
+	// constants). Unit PPA everywhere else, chipletization included, comes
+	// from the catalogue the space carries (hw.CatalogueOf), so a space
+	// built without one evaluates under the default whatever this field
+	// holds.
 	Catalogue *hw.Catalogue
 	// Constraints are the Input #4 limits.
 	Constraints dse.Constraints

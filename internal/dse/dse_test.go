@@ -9,16 +9,16 @@ import (
 	"repro/internal/workload"
 )
 
-// explorePoints runs the selection over an explicit point list (nil engine:
-// the shared default) — the shape hw.Space and hand-built test spaces come in.
+// explorePoints runs the selection over an explicit point list on ev — the
+// shape hand-built test spaces come in.
 func explorePoints(models []*workload.Model, space []hw.Point, cons Constraints, ev *eval.Evaluator) (Result, error) {
 	return ExploreSpaceCtx(context.Background(), models, hw.PointList(space), cons, ev, nil)
 }
 
 // custom is Algorithm 1's custom-configuration DSE (lines 1-8) for one model
-// over an explicit point list on the shared engine.
+// over an explicit point list on a fresh engine.
 func custom(m *workload.Model, space []hw.Point, cons Constraints) (Result, error) {
-	return explorePoints([]*workload.Model{m}, space, cons, nil)
+	return explorePoints([]*workload.Model{m}, space, cons, eval.New(eval.Options{}))
 }
 
 // TestLatencySlackConstants pins the paper's published 50% latency-slack
@@ -149,7 +149,7 @@ func TestTableIICalibration(t *testing.T) {
 
 func TestForModelsUnionKinds(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase()}
-	r, err := explorePoints(models, hw.PaperSpace().Points(), DefaultConstraints(), nil)
+	r, err := explorePoints(models, hw.PaperSpace().Points(), DefaultConstraints(), eval.New(eval.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestGenericAtLeastCustomArea(t *testing.T) {
 	}
 	space := hw.PaperSpace().Points()
 	cons := DefaultConstraints()
-	joint, err := explorePoints(models, space, cons, nil)
+	joint, err := explorePoints(models, space, cons, eval.New(eval.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,15 +197,15 @@ func TestGenericAtLeastCustomArea(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	if _, err := explorePoints(nil, hw.PaperSpace().Points(), DefaultConstraints(), nil); err == nil {
+	if _, err := explorePoints(nil, hw.PaperSpace().Points(), DefaultConstraints(), eval.New(eval.Options{})); err == nil {
 		t.Error("no models should fail")
 	}
-	if _, err := explorePoints([]*workload.Model{workload.NewGPT2()}, nil, DefaultConstraints(), nil); err == nil {
+	if _, err := explorePoints([]*workload.Model{workload.NewGPT2()}, nil, DefaultConstraints(), eval.New(eval.Options{})); err == nil {
 		t.Error("empty space should fail")
 	}
 	bad := DefaultConstraints()
 	bad.MaxChipAreaMM2 = -1
-	if _, err := explorePoints([]*workload.Model{workload.NewGPT2()}, hw.PaperSpace().Points(), bad, nil); err == nil {
+	if _, err := explorePoints([]*workload.Model{workload.NewGPT2()}, hw.PaperSpace().Points(), bad, eval.New(eval.Options{})); err == nil {
 		t.Error("invalid constraints should fail")
 	}
 	// Impossibly tight area limit: nothing feasible.

@@ -19,7 +19,7 @@ type SpacePoint struct {
 }
 
 // SweepSpace scores one algorithm on every point of a lazily indexed space on
-// the given engine (nil: shared default) through the sweep's Scorer, so the
+// the given (non-nil) engine through the sweep's Scorer, so the
 // space's catalogue (if any) reaches every evaluation, and marks feasibility
 // (against the given constraints) and area/latency Pareto optimality — the
 // per-point table view of clairedse. Every point is returned, so it is only
@@ -31,9 +31,6 @@ type SpacePoint struct {
 func SweepSpace(m *workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator) ([]SpacePoint, error) {
 	if err := cons.Validate(); err != nil {
 		return nil, err
-	}
-	if ev == nil {
-		ev = eval.Shared()
 	}
 	sc := NewScorer(ev, []*workload.Model{m}, space, cons)
 	pts := make([]SpacePoint, space.Len())

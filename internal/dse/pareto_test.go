@@ -11,7 +11,7 @@ import (
 
 func TestSweepShapeAndOrder(t *testing.T) {
 	m := workload.NewResNet18()
-	pts, err := SweepSpace(m, hw.PointList(hw.PaperSpace().Points()), DefaultConstraints(), nil)
+	pts, err := SweepSpace(m, hw.PointList(hw.PaperSpace().Points()), DefaultConstraints(), eval.New(eval.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSweepSpaceFeasibleMatchesExplore(t *testing.T) {
 
 func TestParetoFrontProperties(t *testing.T) {
 	m := workload.NewResNet50()
-	pts, err := SweepSpace(m, hw.PointList(hw.PaperSpace().Points()), DefaultConstraints(), nil)
+	pts, err := SweepSpace(m, hw.PointList(hw.PaperSpace().Points()), DefaultConstraints(), eval.New(eval.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSelectedCustomIsFeasibleSweepPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := SweepSpace(m, hw.PointList(hw.PaperSpace().Points()), cons, nil)
+	pts, err := SweepSpace(m, hw.PointList(hw.PaperSpace().Points()), cons, eval.New(eval.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSelectedCustomIsFeasibleSweepPoint(t *testing.T) {
 func TestSweepInvalidConstraints(t *testing.T) {
 	bad := DefaultConstraints()
 	bad.MaxPowerDensityWPerMM2 = 0
-	if _, err := SweepSpace(workload.NewGPT2(), hw.PointList(hw.PaperSpace().Points()), bad, nil); err == nil {
+	if _, err := SweepSpace(workload.NewGPT2(), hw.PointList(hw.PaperSpace().Points()), bad, eval.New(eval.Options{})); err == nil {
 		t.Error("invalid constraints should fail")
 	}
 }

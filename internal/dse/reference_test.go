@@ -110,9 +110,6 @@ func exploreReference(models []*workload.Model, space []hw.Point, cons Constrain
 	if err := cons.Validate(); err != nil {
 		return Result{}, err
 	}
-	if ev == nil {
-		ev = eval.Shared()
-	}
 	mat, err := observeSpace(models, hw.PointList(space), cons, ev)
 	if err != nil {
 		return Result{}, err

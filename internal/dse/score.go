@@ -37,15 +37,12 @@ type summarizer interface {
 	Summary(c hw.Config, batch int) (ppa.Summary, error)
 }
 
-// NewScorer builds the scorer of models on a non-empty space; a nil engine
-// selects the shared one. The models' plans come from the engine, and the
-// tables, when the space has them, are built on its worker pool. A template
-// that fails its plan's checks on the space gets no table (ppa.NewTable), so
-// the scorer then scores every model per point and reports the plan's error.
+// NewScorer builds the scorer of models on a non-empty space on a non-nil
+// engine. The models' plans come from the engine, and the tables, when the
+// space has them, are built on its worker pool. A template that fails its
+// plan's checks on the space gets no table (ppa.NewTable), so the scorer
+// then scores every model per point and reports the plan's error.
 func NewScorer(ev *eval.Evaluator, models []*workload.Model, space hw.DesignSpace, cons Constraints) *Scorer {
-	if ev == nil {
-		ev = eval.Shared()
-	}
 	// Per-model configuration templates; the point is stamped in per
 	// evaluation so scoring allocates no per-point configs. Spaces that carry
 	// a catalogue (mix spaces, ParseSpaceWith specs) thread it into every

@@ -58,8 +58,8 @@ func TestStatsBytePricingInt64(t *testing.T) {
 func TestExploreStatsPricingMatchesHelpers(t *testing.T) {
 	models := []*workload.Model{workload.NewResNet18(), workload.NewGPT2()}
 	var stats ExploreStats
-	_, err := ExploreSpaceCtx(context.Background(), models, hw.PaperSpace(), DefaultConstraints(), nil,
-		&ExploreOptions{Stats: &stats})
+	_, err := ExploreSpaceCtx(context.Background(), models, hw.PaperSpace(), DefaultConstraints(),
+		eval.New(eval.Options{}), &ExploreOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -636,8 +636,7 @@ func (sw *sweepState) conclude(shards []*exploreShard, fo *FidelityOptions, ev *
 // chunked sweep over a lazily indexed design space, selecting one
 // configuration for all of models. It is ExploreTargetsCtx's one-target
 // case, with the one target naming every model in order. A nil opts
-// selects defaults, and a nil engine selects the shared one; ctx must be
-// non-nil.
+// selects defaults; ctx and ev must be non-nil.
 func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator, opts *ExploreOptions) (Result, error) {
 	target := make([]int, len(models))
 	for i := range target {
@@ -680,11 +679,11 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 // loop checks ctx at every chunk boundary, so a cancelled sweep stops
 // within one chunk (<= 512 points per worker) and every target returns
 // ctx.Err(); a run that completes is byte-identical to an uncancelled one —
-// the context is consulted, never folded into selection. ctx must be
-// non-nil; a nil opts selects defaults, and a nil engine selects the shared
-// one. opts.Stats, when non-nil, receives the sweep's statistics once every
-// target has succeeded, with each target's frontier and band peaks,
-// survivors, retained bytes and winner area summed over the targets.
+// the context is consulted, never folded into selection. ctx and ev must be
+// non-nil; a nil opts selects defaults. opts.Stats, when non-nil, receives
+// the sweep's statistics once every target has succeeded, with each target's
+// frontier and band peaks, survivors, retained bytes and winner area summed
+// over the targets.
 func ExploreTargetsCtx(ctx context.Context, models []*workload.Model, targets [][]int, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator, opts *ExploreOptions) ([]Result, []error) {
 	fail := func(err error) ([]Result, []error) {
 		errs := make([]error, len(targets))
@@ -703,9 +702,6 @@ func ExploreTargetsCtx(ctx context.Context, models []*workload.Model, targets []
 	}
 	if err := cons.Validate(); err != nil {
 		return fail(err)
-	}
-	if ev == nil {
-		ev = eval.Shared()
 	}
 	var o ExploreOptions
 	if opts != nil {

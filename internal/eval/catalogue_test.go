@@ -37,8 +37,8 @@ func TestCataloguesDoNotShareCacheEntries(t *testing.T) {
 	alt := base
 	alt.Cat = perturbedCatalogue(t)
 
-	if ConfigKey(base, 1) == ConfigKey(alt, 1) {
-		t.Fatalf("configs under different catalogues share key %q", ConfigKey(base, 1))
+	if k := ev.keyFor(m, base, 1); k == ev.keyFor(m, alt, 1) {
+		t.Fatalf("configs under different catalogues share key %+v", k)
 	}
 
 	e0, err := ev.Evaluate(m, base)
@@ -84,9 +84,8 @@ func TestNilCatSharesDefaultEntry(t *testing.T) {
 	nilCat := hw.NewConfig(pt, []*workload.Model{m})
 	defCat := nilCat
 	defCat.Cat = hw.Default()
-	if ConfigKey(nilCat, 1) != ConfigKey(defCat, 1) {
-		t.Fatalf("nil-Cat and explicit-default keys differ:\n%q\n%q",
-			ConfigKey(nilCat, 1), ConfigKey(defCat, 1))
+	if kn, kd := ev.keyFor(m, nilCat, 1), ev.keyFor(m, defCat, 1); kn != kd {
+		t.Fatalf("nil-Cat and explicit-default keys differ:\n%+v\n%+v", kn, kd)
 	}
 	if _, err := ev.Evaluate(m, nilCat); err != nil {
 		t.Fatal(err)
@@ -102,14 +101,16 @@ func TestNilCatSharesDefaultEntry(t *testing.T) {
 // TestMixConfigKeyIncludesCounts checks that two mixes differing only in one
 // type count never share a key.
 func TestMixConfigKeyIncludesCounts(t *testing.T) {
+	ev := New(Options{Workers: 1})
+	m := workload.NewAlexNet()
 	a := hw.Config{Point: hw.Point{Mix: hw.Mix{Counts: [hw.MaxMixTypes]uint16{4, 0, 2}}, NAct: 16, NPool: 16}}
 	b := a
 	b.Mix.Counts[2] = 4
-	if ConfigKey(a, 1) == ConfigKey(b, 1) {
-		t.Fatalf("mixes %v and %v share key %q", a.Mix, b.Mix, ConfigKey(a, 1))
+	if k := ev.keyFor(m, a, 1); k == ev.keyFor(m, b, 1) {
+		t.Fatalf("mixes %v and %v share key %+v", a.Mix, b.Mix, k)
 	}
 	homo := hw.Config{Point: hw.Point{SASize: 32, NSA: 16, NAct: 16, NPool: 16}}
-	if ConfigKey(a, 1) == ConfigKey(homo, 1) {
+	if ev.keyFor(m, a, 1) == ev.keyFor(m, homo, 1) {
 		t.Fatal("mix and homogeneous configs share a key")
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -109,18 +108,6 @@ func New(o Options) *Evaluator {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return &Evaluator{workers: w, cache: make(map[cacheKey]*entry)}
-}
-
-var (
-	sharedOnce sync.Once
-	shared     *Evaluator
-)
-
-// Shared returns the process-wide default engine (Workers = GOMAXPROCS),
-// used by dse and search when no engine is injected.
-func Shared() *Evaluator {
-	sharedOnce.Do(func() { shared = New(Options{}) })
-	return shared
 }
 
 // Workers returns the engine's worker count.
@@ -298,23 +285,4 @@ func Fingerprint(m *workload.Model) string {
 		h.Write(buf[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// ConfigKey renders a hardware configuration (plus the batch size) as a
-// string: every field of hw.Config that influences ppa.EvaluateBatch
-// appears, the unit set as its bitmask and the catalogue as its fingerprint,
-// so configurations that differ in any dimension never share a key; see
-// FuzzConfigKey.
-func ConfigKey(c hw.Config, batch int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "sa%d n%d a%d o%d prec%d batch%d units%#x",
-		c.SASize, c.NSA, c.NAct, c.NPool, c.Precision, batch, uint16(c.Units))
-	if !c.Mix.IsZero() {
-		sb.WriteString(" mix")
-		for i := 0; i < hw.MaxMixTypes; i++ {
-			fmt.Fprintf(&sb, ",%d", c.Mix.Counts[i])
-		}
-	}
-	fmt.Fprintf(&sb, " cat%s", c.Catalogue().Fingerprint())
-	return sb.String()
 }

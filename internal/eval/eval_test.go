@@ -146,9 +146,6 @@ func TestWorkerDefaults(t *testing.T) {
 	if got := New(Options{Workers: 7}).Workers(); got != 7 {
 		t.Errorf("workers = %d, want 7", got)
 	}
-	if Shared() != Shared() {
-		t.Error("Shared must return one process-wide engine")
-	}
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
@@ -186,10 +183,11 @@ func TestFingerprintCoversAllLayerFields(t *testing.T) {
 }
 
 func TestConfigKeySensitivity(t *testing.T) {
+	ev := New(Options{Workers: 1})
 	m := workload.NewAlexNet()
 	c := testConfig(m)
-	key := ConfigKey(c, 1)
-	if key != ConfigKey(testConfig(workload.NewAlexNet()), 1) {
+	key := ev.keyFor(m, c, 1)
+	if key != ev.keyFor(m, testConfig(workload.NewAlexNet()), 1) {
 		t.Error("identical configs must share a key")
 	}
 	variants := []hw.Config{}
@@ -206,11 +204,11 @@ func TestConfigKeySensitivity(t *testing.T) {
 	v.Units ^= hw.SetOf(hw.ActReLU)
 	variants = append(variants, v)
 	for i, vc := range variants {
-		if ConfigKey(vc, 1) == key {
+		if ev.keyFor(m, vc, 1) == key {
 			t.Errorf("variant %d did not change the key", i)
 		}
 	}
-	if ConfigKey(c, 2) == key {
+	if ev.keyFor(m, c, 2) == key {
 		t.Error("batch size must be part of the key")
 	}
 }

@@ -82,23 +82,25 @@ func configFromBytes(raw []byte) (hw.Config, int) {
 }
 
 // FuzzConfigKey proves the cache key's configuration half never collides:
-// two (configuration, batch) pairs share a key exactly when they are
-// identical.
+// for one model, two (configuration, batch) pairs share the key the engine
+// caches under (Evaluator.keyFor) exactly when they are identical.
 func FuzzConfigKey(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0, 1, 2, 0, 255, 0, 0, 1}, []byte{0, 1, 2, 0, 255, 0, 0, 1})
 	f.Add([]byte{0, 1, 2, 0, 255, 0, 0, 1}, []byte{0, 1, 2, 0, 255, 0, 1, 1})
 	f.Add([]byte{2, 2, 2, 2, 8, 127, 0, 3}, []byte{2, 2, 2, 2, 16, 127, 0, 3})
+	ev := New(Options{Workers: 1})
+	m := workload.NewAlexNet()
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		ca, batchA := configFromBytes(a)
 		cb, batchB := configFromBytes(b)
-		ka, kb := ConfigKey(ca, batchA), ConfigKey(cb, batchB)
-		if again, _ := configFromBytes(a); ConfigKey(again, batchA) != ka {
+		ka, kb := ev.keyFor(m, ca, batchA), ev.keyFor(m, cb, batchB)
+		if again, _ := configFromBytes(a); ev.keyFor(m, again, batchA) != ka {
 			t.Fatal("config key is nondeterministic")
 		}
 		same := ca == cb && batchA == batchB
 		if same != (ka == kb) {
-			t.Fatalf("configs identical=%v but keys equal=%v\na=%q\nb=%q", same, ka == kb, ka, kb)
+			t.Fatalf("configs identical=%v but keys equal=%v\na=%+v\nb=%+v", same, ka == kb, ka, kb)
 		}
 	})
 }

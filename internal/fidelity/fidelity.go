@@ -45,7 +45,9 @@ type ClusterFunc func(n int, edges []graph.Edge) ([]int, error)
 
 // Params carries the physical-model inputs of the fidelity layer; it mirrors
 // the corresponding fields of core.Options (Figure 1's Input #5 interconnect,
-// the die-area limit, the thermal model, and the chiplet catalogue).
+// the die-area limit and the thermal model). Unit PPA comes from the realized
+// configuration's own catalogue (hw.Config.Cat), the one its analytical
+// evaluation used.
 type Params struct {
 	NoC, NoP noc.Params
 	// MaxChipletAreaMM2 bounds a single die after clustering; oversized
@@ -58,9 +60,6 @@ type Params struct {
 	// staged selection rejects against.
 	Thermal        thermal.Model
 	JunctionLimitC float64
-	// Catalogue supplies unit PPA for chipletization area accounting (nil:
-	// the built-in default).
-	Catalogue *hw.Catalogue
 }
 
 // Chiplet is one die of a chipletized design configuration: a group of unit
@@ -95,12 +94,13 @@ func (p Params) RouterAreaUM2(banks int, multiDie bool) float64 {
 // Chipletize converts clustered universal-graph nodes into chiplets,
 // splitting any community whose logic area exceeds the per-die limit by
 // dividing its systolic-array bank into equal sub-banks. It reads each node's
-// ID (its index in communities), unit, instance count and array size. The
-// dies come community by community, the communities ordered by the ID of
-// their first node in nodes.
-func (p Params) Chipletize(nodes []graph.Node, communities []int) []Chiplet {
+// ID (its index in communities), unit, instance count and array size, and
+// prices the banks with cat (nil: the built-in default). The dies come
+// community by community, the communities ordered by the ID of their first
+// node in nodes.
+func (p Params) Chipletize(nodes []graph.Node, communities []int, cat *hw.Catalogue) []Chiplet {
 	cl := groupCommunities(nodes, communities)
-	return p.chipletize(nodes, &cl)
+	return p.chipletize(nodes, &cl, cat)
 }
 
 // groups is a community assignment grouped once: the positions in a node
@@ -154,11 +154,11 @@ func dieLabel(i int) string {
 
 // chipletize is the one chipletization body, of Chipletize and of every
 // realization on a topology: each community of g, whose members are
-// positions in nodes, becomes one die, or splits across several. The dies'
-// banks are windows of one array sized for every community fitting on one
-// die; a split grows it, and the dies made before keep their windows of the
-// old array, which nothing writes again.
-func (p *Params) chipletize(nodes []graph.Node, g *groups) []Chiplet {
+// positions in nodes, becomes one die, or splits across several, its banks
+// priced with cat. The dies' banks are windows of one array sized for every
+// community fitting on one die; a split grows it, and the dies made before
+// keep their windows of the old array, which nothing writes again.
+func (p *Params) chipletize(nodes []graph.Node, g *groups, cat *hw.Catalogue) []Chiplet {
 	limit := p.MaxChipletAreaMM2 * 1e6
 	banks := make([]hw.Bank, 0, len(nodes))
 	chiplets := make([]Chiplet, 0, len(g.starts)-1)
@@ -173,7 +173,7 @@ func (p *Params) chipletize(nodes []graph.Node, g *groups) []Chiplet {
 			if n.Unit == hw.SystolicArray {
 				saIdx = len(banks)
 			}
-			banks = append(banks, hw.Bank{Unit: n.Unit, Count: n.Count, SASize: n.SASize, Cat: p.Catalogue})
+			banks = append(banks, hw.Bank{Unit: n.Unit, Count: n.Count, SASize: n.SASize, Cat: cat})
 			logic += banks[len(banks)-1].AreaUM2()
 		}
 		if logic <= limit || saIdx < 0 || banks[saIdx].Count <= 1 {
@@ -213,7 +213,7 @@ func (p *Params) chipletize(nodes []graph.Node, g *groups) []Chiplet {
 		// k0 > 0.
 		if k0 > 0 {
 			copy(banks[lo+1:saIdx+1], banks[lo:saIdx])
-			banks[lo] = hw.Bank{Unit: hw.SystolicArray, Count: k0, SASize: sa.SASize, Cat: p.Catalogue}
+			banks[lo] = hw.Bank{Unit: hw.SystolicArray, Count: k0, SASize: sa.SASize, Cat: cat}
 		} else {
 			banks = append(banks[:saIdx], banks[saIdx+1:]...)
 		}
@@ -227,7 +227,7 @@ func (p *Params) chipletize(nodes []graph.Node, g *groups) []Chiplet {
 			if i < extra {
 				cnt++
 			}
-			banks = append(banks, hw.Bank{Unit: hw.SystolicArray, Count: cnt, SASize: sa.SASize, Cat: p.Catalogue})
+			banks = append(banks, hw.Bank{Unit: hw.SystolicArray, Count: cnt, SASize: sa.SASize, Cat: cat})
 			die(len(banks) - 1)
 		}
 	}
@@ -383,7 +383,8 @@ func (p Params) Realize(t *Topology, cfgs ...hw.Config) (*Package, error) {
 }
 
 // chipletizeOn sizes the topology's nodes from the banks of cfgs and splits
-// their communities, grouped when the topology was built, into dies.
+// their communities, grouped when the topology was built, into dies. cfgs
+// share one catalogue, which prices the banks.
 func (p *Params) chipletizeOn(t *Topology, cfgs []hw.Config) ([]Chiplet, error) {
 	var buf [hw.NumUnits]graph.Node
 	nodes := graph.AppendBankNodes(buf[:0], cfgs)
@@ -396,7 +397,11 @@ func (p *Params) chipletizeOn(t *Topology, cfgs []hw.Config) ([]Chiplet, error) 
 			return nil, fmt.Errorf("fidelity: %q: configuration node %d is %v, topology's is %v", g.Name, i, nd.Unit, g.Nodes[i].Unit)
 		}
 	}
-	return p.chipletize(nodes, &t.groups), nil
+	var cat *hw.Catalogue
+	if len(cfgs) > 0 {
+		cat = cfgs[0].Cat
+	}
+	return p.chipletize(nodes, &t.groups, cat), nil
 }
 
 // place floorplans a package of n chiplets whose unit kinds host maps to

@@ -18,8 +18,8 @@ import (
 // replaced, kept as the oracle of TestChipletizeMatchesMapOracle: it groups
 // nodes in a map keyed by community label, orders the labels by the ID of
 // each community's first node, and builds every die's banks in a slice of
-// its own.
-func mapChipletize(p Params, nodes []graph.Node, communities []int) []Chiplet {
+// its own, priced with cat.
+func mapChipletize(p Params, nodes []graph.Node, communities []int, cat *hw.Catalogue) []Chiplet {
 	byComm := make(map[int][]graph.Node)
 	for _, n := range nodes {
 		byComm[communities[n.ID]] = append(byComm[communities[n.ID]], n)
@@ -37,7 +37,7 @@ func mapChipletize(p Params, nodes []graph.Node, communities []int) []Chiplet {
 		saIdx := -1
 		var logic float64
 		for _, n := range byComm[c] {
-			b := hw.Bank{Unit: n.Unit, Count: n.Count, SASize: n.SASize, Cat: p.Catalogue}
+			b := hw.Bank{Unit: n.Unit, Count: n.Count, SASize: n.SASize, Cat: cat}
 			if n.Unit == hw.SystolicArray {
 				saIdx = len(banks)
 			}
@@ -74,7 +74,7 @@ func mapChipletize(p Params, nodes []graph.Node, communities []int) []Chiplet {
 		extraDies := (rem + kn - 1) / kn
 		die0 := rest
 		if k0 > 0 {
-			die0 = append([]hw.Bank{{Unit: hw.SystolicArray, Count: k0, SASize: sa.SASize, Cat: p.Catalogue}}, rest...)
+			die0 = append([]hw.Bank{{Unit: hw.SystolicArray, Count: k0, SASize: sa.SASize, Cat: cat}}, rest...)
 		}
 		drafts = append(drafts, die0)
 		per, extra := rem/extraDies, rem%extraDies
@@ -83,7 +83,7 @@ func mapChipletize(p Params, nodes []graph.Node, communities []int) []Chiplet {
 			if i < extra {
 				cnt++
 			}
-			drafts = append(drafts, []hw.Bank{{Unit: hw.SystolicArray, Count: cnt, SASize: sa.SASize, Cat: p.Catalogue}})
+			drafts = append(drafts, []hw.Bank{{Unit: hw.SystolicArray, Count: cnt, SASize: sa.SASize, Cat: cat}})
 		}
 	}
 	multi := len(drafts) > 1
@@ -138,7 +138,7 @@ func TestChipletizeMatchesMapOracle(t *testing.T) {
 		}
 		perSA := hw.Bank{Unit: hw.SystolicArray, Count: 1, SASize: 32}.AreaUM2()
 		p.MaxChipletAreaMM2 = hw.UM2ToMM2(perSA * (0.5 + 8*rng.Float64()))
-		got, want := p.Chipletize(nodes, communities), mapChipletize(p, nodes, communities)
+		got, want := p.Chipletize(nodes, communities, nil), mapChipletize(p, nodes, communities, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: nodes %+v, communities %v, limit %v mm2:\nChipletize %+v\noracle     %+v",
 				trial, nodes, communities, p.MaxChipletAreaMM2, got, want)

@@ -379,7 +379,7 @@ func (c *Catalogue) Encode(w io.Writer) error {
 
 // Fingerprint returns the SHA-256 hex digest of the canonical encoding,
 // memoized on first use. It is folded into every eval cache key (see
-// internal/eval.ConfigKey), so evaluations under different catalogues never
+// internal/eval's cacheKey), so evaluations under different catalogues never
 // share a cache entry.
 func (c *Catalogue) Fingerprint() string {
 	c.fpOnce.Do(func() {

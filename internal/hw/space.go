@@ -43,6 +43,10 @@ type CoordSpace interface {
 	// coordinate tuple is not admitted by the space (e.g. a mix filtered
 	// out by slot/area budgets). Coordinates must be in range.
 	IndexOf(coords []int) int
+	// LatencyCornerIndices returns point indices among which every model's
+	// minimum-latency point lies (the search's calibration seeds), or nil
+	// when seeding them all is not worth the evaluations.
+	LatencyCornerIndices() []int
 }
 
 // PointList adapts an explicit, materialized point slice to the DesignSpace

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"repro/internal/hw"
-	"repro/internal/ppa"
 	"repro/internal/workload"
 )
 
@@ -45,11 +44,6 @@ func keyOf(l workload.Layer) string {
 		return l.Kind.String()
 	}
 	return u.String()
-}
-
-// ProfileOf summarizes an evaluated algorithm.
-func ProfileOf(e *ppa.Eval) Profile {
-	return ProfileOfModel(e.Model)
 }
 
 // ProfileOfModel summarizes an algorithm directly from its layer list (the

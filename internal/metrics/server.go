@@ -39,13 +39,10 @@ type ServerMetrics struct {
 	filled  bool
 }
 
-// NewServerMetrics builds a metrics sink with a latency window of n samples
-// (n <= 0 selects DefaultLatencyWindow).
-func NewServerMetrics(n int) *ServerMetrics {
-	if n <= 0 {
-		n = DefaultLatencyWindow
-	}
-	return &ServerMetrics{samples: make([]time.Duration, n)}
+// NewServerMetrics builds a metrics sink with a latency window of
+// DefaultLatencyWindow samples.
+func NewServerMetrics() *ServerMetrics {
+	return &ServerMetrics{samples: make([]time.Duration, DefaultLatencyWindow)}
 }
 
 // ObserveLatency records one completed job's queue-to-finish latency.

@@ -1,15 +1,8 @@
 package search
 
-import (
-	"context"
-	"math"
+import "math"
 
-	"repro/internal/dse"
-	"repro/internal/hw"
-	"repro/internal/workload"
-)
-
-// annealer is simulated annealing with coordinate-neighborhood moves: each
+// anneal is simulated annealing with coordinate-neighborhood moves: each
 // round proposes a batch of ±1-axis-step neighbors of the current point,
 // scores them in parallel through the evaluator pool, then applies the
 // Metropolis acceptance rule sequentially on the coordinator (all randomness
@@ -18,34 +11,17 @@ import (
 // walk's starting fitness), and the budget is split into Restarts phases
 // that re-center the walk — even phases on the best point seen, odd phases
 // on a fresh random point — so one deep local minimum cannot strand the
-// whole budget.
-type annealer struct {
-	eng engine
-}
-
-// Name returns "anneal".
-func (a *annealer) Name() string { return "anneal" }
-
-// Run executes the annealing search.
-func (a *annealer) Run(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
-	cons dse.Constraints, budget int) (dse.Result, Trace, error) {
-	return a.eng.run(ctx, models, space, cons, budget, a.anneal)
-}
-
-func (a *annealer) anneal(st *state) error {
-	p := a.eng.spec.Anneal
+// whole budget. It stops when the state is exhausted or st.err is set.
+func anneal(st *state, p AnnealParams) {
 	total := st.budget // remaining after seeding; defines cooling progress
 	if total < st.nm {
-		return nil
+		return
 	}
 	cur := st.bestByFitness()
 	if cur < 0 {
-		return nil
+		return
 	}
-	t0fit := st.fitness(cur)
-	if t0fit <= 0 || math.IsInf(t0fit, 1) {
-		t0fit = 1
-	}
+	scale := st.tempScale(cur)
 	phase := 0
 	stall := 0
 	batch := make([]int, 0, p.Batch)
@@ -59,14 +35,11 @@ func (a *annealer) anneal(st *state) error {
 			stall = 0
 			slots := st.visit([]int{st.randomUnvisited()})
 			if st.err != nil {
-				return st.err
+				return
 			}
 			if s := slots[0]; s >= 0 {
 				cur = s
-				t0fit = st.fitness(cur)
-				if t0fit <= 0 || math.IsInf(t0fit, 1) {
-					t0fit = 1
-				}
+				scale = st.tempScale(cur)
 			}
 			continue
 		}
@@ -79,16 +52,13 @@ func (a *annealer) anneal(st *state) error {
 			} else {
 				slots := st.visit([]int{st.rng.Intn(st.n)})
 				if st.err != nil {
-					return st.err
+					return
 				}
 				if s := slots[0]; s >= 0 {
 					cur = s
 				}
 			}
-			t0fit = st.fitness(cur)
-			if t0fit <= 0 || math.IsInf(t0fit, 1) {
-				t0fit = 1
-			}
+			scale = st.tempScale(cur)
 		}
 		batch = batch[:0]
 		for j := 0; j < p.Batch; j++ {
@@ -97,7 +67,7 @@ func (a *annealer) anneal(st *state) error {
 		before := len(st.pts)
 		slots := st.visit(batch)
 		if st.err != nil {
-			return st.err
+			return
 		}
 		if len(st.pts) == before {
 			stall++
@@ -108,7 +78,7 @@ func (a *annealer) anneal(st *state) error {
 		// re-read per step because the selector's latency reference may have
 		// tightened mid-batch.
 		prog := float64(total-st.budget) / float64(total)
-		temp := p.T0 * t0fit * math.Pow(p.T1/p.T0, prog)
+		temp := p.T0 * scale * math.Pow(p.T1/p.T0, prog)
 		if temp < 1e-300 {
 			temp = 1e-300
 		}
@@ -122,5 +92,14 @@ func (a *annealer) anneal(st *state) error {
 			}
 		}
 	}
-	return nil
+}
+
+// tempScale is the temperature scale of a walk (re)started at slot s: its
+// fitness, or 1 when that is non-positive or infinite.
+func (st *state) tempScale(s int) float64 {
+	f := st.fitness(s)
+	if f <= 0 || math.IsInf(f, 1) {
+		return 1
+	}
+	return f
 }

@@ -1,36 +1,15 @@
 package search
 
-import (
-	"context"
-
-	"repro/internal/dse"
-	"repro/internal/hw"
-	"repro/internal/workload"
-)
-
-// genetic is a steady-state genetic algorithm over coordinate vectors: each
+// evolve is a steady-state genetic algorithm over coordinate vectors: each
 // generation breeds a batch of offspring (tournament parent selection,
 // uniform per-axis crossover, ±1-step mutation), scores the batch in
 // parallel through the evaluator pool, then — sequentially, on the
 // coordinator — replaces the worst population member with any offspring that
 // beats it. Offspring landing on non-admitted coordinate tuples (mixes the
 // budgets filtered out) are repaired by extra mutation, falling back to a
-// random index, so the budget is never spent proposing nothing.
-type genetic struct {
-	eng engine
-}
-
-// Name returns "genetic".
-func (g *genetic) Name() string { return "genetic" }
-
-// Run executes the genetic search.
-func (g *genetic) Run(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
-	cons dse.Constraints, budget int) (dse.Result, Trace, error) {
-	return g.eng.run(ctx, models, space, cons, budget, g.evolve)
-}
-
-func (g *genetic) evolve(st *state) error {
-	p := g.eng.spec.Genetic
+// random index, so the budget is never spent proposing nothing. It stops
+// when the state is exhausted or st.err is set.
+func evolve(st *state, p GeneticParams) {
 	// Found the population on everything already scored (the corner and
 	// random seeds), topping up with random points until Pop members or the
 	// budget runs dry. Population entries are slots; membership is tracked
@@ -54,7 +33,7 @@ func (g *genetic) evolve(st *state) error {
 		}
 		slots := st.visit(batch)
 		if st.err != nil {
-			return st.err
+			return
 		}
 		for _, s := range slots {
 			if s >= 0 && !inPop[st.pts[s]] && len(pop) < p.Pop {
@@ -64,7 +43,7 @@ func (g *genetic) evolve(st *state) error {
 		}
 	}
 	if len(pop) == 0 {
-		return nil
+		return
 	}
 	br := newBreeder(st, p, pop)
 	stall := 0
@@ -84,7 +63,7 @@ func (g *genetic) evolve(st *state) error {
 		before := len(st.pts)
 		slots := st.visit(batch)
 		if st.err != nil {
-			return st.err
+			return
 		}
 		if len(st.pts) == before {
 			stall++
@@ -109,7 +88,6 @@ func (g *genetic) evolve(st *state) error {
 			}
 		}
 	}
-	return nil
 }
 
 // breeder is a genetic run's breeding state: the population's slots, each
@@ -129,10 +107,8 @@ type breeder struct {
 
 // newBreeder computes the population's fitness under the current reference.
 func newBreeder(st *state, p GeneticParams, pop []int) *breeder {
-	br := &breeder{st: st, p: p, pop: pop, fit: make([]float64, len(pop)), ref: make([]float64, st.nm)}
-	if v := st.view; v != nil {
-		br.c1, br.c2 = make([]int, v.dims), make([]int, v.dims)
-	}
+	br := &breeder{st: st, p: p, pop: pop, fit: make([]float64, len(pop)), ref: make([]float64, st.nm),
+		c1: make([]int, len(st.card)), c2: make([]int, len(st.card))}
 	copy(br.ref, st.sel.BestLatencies())
 	for i, s := range pop {
 		br.fit[i] = st.fitness(s)
@@ -176,50 +152,49 @@ func (br *breeder) tournament() int {
 // offspring proposes one child point index from the population.
 func (br *breeder) offspring() int {
 	st, p := br.st, br.p
-	v := st.view
-	if v == nil {
+	if st.cs == nil {
 		return st.rng.Intn(st.n)
 	}
+	dims := len(st.card)
 	p1 := br.tournament()
 	p2 := br.tournament()
 	child, c2 := br.c1, br.c2
-	v.coordsOf(st.pts[p1], child)
-	v.coordsOf(st.pts[p2], c2)
+	st.cs.CoordsOf(st.pts[p1], child)
+	st.cs.CoordsOf(st.pts[p2], c2)
 	if st.rng.Float64() < p.Cross {
-		for d := 0; d < v.dims; d++ {
+		for d := 0; d < dims; d++ {
 			if st.rng.Intn(2) == 1 {
 				child[d] = c2[d]
 			}
 		}
 	}
-	for d := 0; d < v.dims; d++ {
+	for d := 0; d < dims; d++ {
 		if st.rng.Float64() < p.Mut {
-			if st.rng.Intn(2) == 0 {
-				if child[d] > 0 {
-					child[d]--
-				}
-			} else if child[d] < v.card[d]-1 {
-				child[d]++
-			}
+			br.step(child, d)
 		}
 	}
-	if idx := v.indexOf(child); idx >= 0 {
+	if idx := st.cs.IndexOf(child); idx >= 0 {
 		return idx
 	}
 	// Repair non-admitted tuples (budget-filtered mixes) with extra random
 	// single-axis steps before giving up on the lineage.
-	for try := 0; try < 2*v.dims; try++ {
-		d := st.rng.Intn(v.dims)
-		if st.rng.Intn(2) == 0 {
-			if child[d] > 0 {
-				child[d]--
-			}
-		} else if child[d] < v.card[d]-1 {
-			child[d]++
-		}
-		if idx := v.indexOf(child); idx >= 0 {
+	for try := 0; try < 2*dims; try++ {
+		br.step(child, st.rng.Intn(dims))
+		if idx := st.cs.IndexOf(child); idx >= 0 {
 			return idx
 		}
 	}
 	return st.rng.Intn(st.n)
+}
+
+// step moves coordinate d of c one value down or up, as one RNG draw picks,
+// clamped to the axis.
+func (br *breeder) step(c []int, d int) {
+	if br.st.rng.Intn(2) == 0 {
+		if c[d] > 0 {
+			c[d]--
+		}
+	} else if c[d] < br.st.card[d]-1 {
+		c[d]++
+	}
 }

@@ -12,23 +12,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Optimizer is a budgeted search strategy over a design space. Run returns a
-// dse.Result bit-compatible with dse.ExploreSpaceCtx restricted to the points
-// the search visited (the sweep's own dse.Selector reduction and ending,
-// dse.Selector.Conclude), plus a Trace of how the budget was
-// spent. The budget is in summary-evaluation units (one point × one model);
-// repeat visits of an already-scored point are cache hits and cost nothing.
-// When budget >= Len(space) × len(models), Run falls back to the exhaustive
-// streaming sweep and returns its Result unchanged. budget <= 0 selects the
-// default: 5% of the exhaustive count, floored at 64 points.
-type Optimizer interface {
-	// Name is the strategy name ("anneal", "genetic").
-	Name() string
-	// Run executes the search. Deterministic for a fixed seed at any
-	// evaluator worker count. ctx must be non-nil; cancelling it stops the
-	// search with the context's error.
-	Run(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
-		cons dse.Constraints, budget int) (dse.Result, Trace, error)
+// Optimizer is a budgeted search over a design space with one strategy
+// (Spec.Kind): simulated annealing or a genetic algorithm. Build it with New.
+type Optimizer struct {
+	spec Spec
+	opts Options
 }
 
 // Options configures an Optimizer independent of its strategy parameters.
@@ -36,7 +24,7 @@ type Options struct {
 	// Seed seeds the strategy's random stream; runs with equal seeds are
 	// byte-identical.
 	Seed int64
-	// Evaluator is the scoring engine (nil: the shared default).
+	// Evaluator is the scoring engine. It is required.
 	Evaluator *eval.Evaluator
 	// Fidelity selects the evaluation pipeline (nil: analytical). Under the
 	// staged mode the run's winner comes from re-scoring the visited-set
@@ -91,32 +79,30 @@ type Trace struct {
 }
 
 // New builds the Optimizer for a spec. The spec must validate.
-func New(spec Spec, o Options) (Optimizer, error) {
+func New(spec Spec, o Options) (*Optimizer, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	eng := engine{spec: spec, opts: o}
-	switch spec.Kind {
-	case "anneal":
-		return &annealer{eng}, nil
-	default:
-		return &genetic{eng}, nil
-	}
+	return &Optimizer{spec: spec, opts: o}, nil
 }
 
-// engine is the strategy-independent half of a run: validation, budget
-// accounting, the exhaustive fallback, scoring and selection, ending in the
-// sweep's own conclusion (dse.Selector.Conclude).
-type engine struct {
-	spec Spec
-	opts Options
-}
-
-// run drives one search: it builds the shared state, seeds it with corner
-// and random points, hands control to the strategy, then concludes the
-// selector's selection (finish).
-func (g *engine) run(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
-	cons dse.Constraints, budget int, strategy func(*state) error) (dse.Result, Trace, error) {
+// Run executes the search and returns a dse.Result bit-compatible with
+// dse.ExploreSpaceCtx restricted to the points the search visited (the
+// sweep's own dse.Selector reduction and ending, dse.Selector.Conclude), plus
+// a Trace of how the budget was spent. The budget is in summary-evaluation
+// units (one point × one model); repeat visits of an already-scored point are
+// cache hits and cost nothing. When budget >= Len(space) × len(models), Run
+// falls back to the exhaustive streaming sweep and returns its Result
+// unchanged. budget <= 0 selects the default: 5% of the exhaustive count,
+// floored at 64 points.
+//
+// A run seeds the visited set with corner and random points, calibrates the
+// latency reference, hands control to the strategy (anneal or evolve), then
+// concludes the selector's selection (finish). It is deterministic for a
+// fixed seed at any evaluator worker count. ctx must be non-nil; cancelling
+// it stops the search with the context's error.
+func (o *Optimizer) Run(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
+	cons dse.Constraints, budget int) (dse.Result, Trace, error) {
 	if len(models) == 0 {
 		return dse.Result{}, Trace{}, fmt.Errorf("search: no models")
 	}
@@ -126,10 +112,6 @@ func (g *engine) run(ctx context.Context, models []*workload.Model, space hw.Des
 	if err := cons.Validate(); err != nil {
 		return dse.Result{}, Trace{}, err
 	}
-	ev := g.opts.Evaluator
-	if ev == nil {
-		ev = eval.Shared()
-	}
 	n, nm := space.Len(), len(models)
 	if budget <= 0 {
 		budget = n * nm / 20
@@ -138,47 +120,49 @@ func (g *engine) run(ctx context.Context, models []*workload.Model, space hw.Des
 		}
 	}
 	if budget >= n*nm {
-		return g.fallback(ctx, models, space, cons, ev)
+		return o.fallback(ctx, models, space, cons)
 	}
 	if min := 3 * nm; budget < min {
 		return dse.Result{}, Trace{}, fmt.Errorf("search: budget %d too small for %d models (want >= %d)", budget, nm, min)
 	}
 
-	st := newState(ctx, ev, space, models, cons, g.opts.Seed, budget)
-	st.fid = g.opts.Fidelity
+	st := newState(ctx, o.opts.Evaluator, space, models, cons, o.opts.Seed, budget)
+	st.fid = o.opts.Fidelity
 	st.visit(st.seedPoints())
 	if st.err == nil {
 		st.calibrate()
 	}
 	if st.err == nil {
-		if err := strategy(st); err != nil {
-			return dse.Result{}, st.trace(g.spec.Kind), err
+		if o.spec.Kind == "anneal" {
+			anneal(st, o.spec.Anneal)
+		} else {
+			evolve(st, o.spec.Genetic)
 		}
 	}
 	if st.err != nil {
-		return dse.Result{}, st.trace(g.spec.Kind), st.err
+		return dse.Result{}, st.trace(o.spec.Kind), st.err
 	}
 	if err := ctx.Err(); err != nil {
-		return dse.Result{}, st.trace(g.spec.Kind), err
+		return dse.Result{}, st.trace(o.spec.Kind), err
 	}
-	return st.finish(g.spec.Kind)
+	return st.finish(o.spec.Kind)
 }
 
 // fallback runs the exhaustive streaming sweep — the path taken when the
 // budget covers the whole space — and returns its Result unchanged; the
 // trace's winner area is the sweep's own (ExploreStats.WinnerAreaMM2).
-func (g *engine) fallback(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
-	cons dse.Constraints, ev *eval.Evaluator) (dse.Result, Trace, error) {
+func (o *Optimizer) fallback(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
+	cons dse.Constraints) (dse.Result, Trace, error) {
 	var stats dse.ExploreStats
-	res, err := dse.ExploreSpaceCtx(ctx, models, space, cons, ev,
-		&dse.ExploreOptions{Stats: &stats, Fidelity: g.opts.Fidelity})
+	res, err := dse.ExploreSpaceCtx(ctx, models, space, cons, o.opts.Evaluator,
+		&dse.ExploreOptions{Stats: &stats, Fidelity: o.opts.Fidelity})
 	if err != nil {
 		return dse.Result{}, Trace{Strategy: "exhaustive", Fallback: true}, err
 	}
 	evals := stats.Points * stats.Models
 	return res, Trace{
 		Strategy:     "exhaustive",
-		Seed:         g.opts.Seed,
+		Seed:         o.opts.Seed,
 		Budget:       evals,
 		Evaluations:  evals,
 		UniquePoints: stats.Points,
@@ -195,17 +179,22 @@ func (g *engine) fallback(ctx context.Context, models []*workload.Model, space h
 // selector happens on the coordinator in deterministic slot order, which is
 // what makes runs byte-identical at any worker count.
 type state struct {
-	ctx    context.Context
-	ev     *eval.Evaluator
-	space  hw.DesignSpace
-	view   *coordView
-	models []*workload.Model
-	cons   dse.Constraints
-	score  *dse.Scorer
-	sel    *dse.Selector
-	rng    *rand.Rand
-	fid    *dse.FidelityOptions
-	n, nm  int
+	ctx   context.Context
+	ev    *eval.Evaluator
+	space hw.DesignSpace
+	cons  dse.Constraints
+	score *dse.Scorer
+	sel   *dse.Selector
+	rng   *rand.Rand
+	fid   *dse.FidelityOptions
+	n, nm int
+
+	// cs is the space's coordinate view and card its per-axis cardinalities
+	// (len(card) axes, each at least 1 on a non-empty space). cs is nil when
+	// the space has no coordinates (a point list); the strategies then
+	// sample indices uniformly.
+	cs   hw.CoordSpace
+	card []int
 
 	seed    int64
 	budget0 int // the budget as given (after defaulting)
@@ -233,8 +222,7 @@ func newState(ctx context.Context, ev *eval.Evaluator, space hw.DesignSpace,
 	models []*workload.Model, cons dse.Constraints, seed int64, budget int) *state {
 	nm := len(models)
 	st := &state{
-		ctx: ctx, ev: ev, space: space, view: newCoordView(space),
-		models: models, cons: cons,
+		ctx: ctx, ev: ev, space: space, cons: cons,
 		score: dse.NewScorer(ev, models, space, cons),
 		sel:   dse.NewSelector(nm, cons),
 		rng:   rand.New(rand.NewSource(seed)),
@@ -248,8 +236,12 @@ func newState(ctx context.Context, ev *eval.Evaluator, space hw.DesignSpace,
 		slots:    make(map[int]int, budget/nm+1),
 		lastBest: -1,
 	}
-	if st.view != nil {
-		st.coordScratch = make([]int, st.view.dims)
+	if cs, ok := space.(hw.CoordSpace); ok {
+		st.cs, st.card = cs, make([]int, cs.Dims())
+		st.coordScratch = make([]int, cs.Dims())
+		for d := range st.card {
+			st.card[d] = cs.Card(d)
+		}
 	}
 	return st
 }
@@ -366,10 +358,10 @@ func (st *state) bestByFitness() int {
 }
 
 // seedPoints proposes the initial candidate set: the space's latency corners
-// (LatencyCornerIndices, where the space provides them), its coordinate
-// corners (all-max, all-min, and an axis-0 sweep against max counts), topped
-// up with random indices. Invalid corner tuples (budget-filtered mixes) are
-// skipped.
+// and its coordinate corners (all-max, all-min, and an axis-0 sweep against
+// max counts), or the first and last index on a space without coordinates,
+// topped up with random indices. Invalid corner tuples (budget-filtered
+// mixes) are skipped.
 func (st *state) seedPoints() []int {
 	var idxs []int
 	seen := make(map[int]bool)
@@ -380,39 +372,34 @@ func (st *state) seedPoints() []int {
 		}
 	}
 	target := 8
-	// Latency corners first: visiting every per-model minimum-latency point
-	// calibrates the selector's latency reference to the exhaustive sweep's,
-	// which keeps the slack frontier sound on budget-filtered spaces where
-	// coordinate corners (e.g. the all-max mix) are not admitted.
-	if cs, ok := st.space.(interface{ LatencyCornerIndices() []int }); ok {
-		corners := cs.LatencyCornerIndices()
+	if st.cs != nil {
+		// Latency corners first: visiting every per-model minimum-latency
+		// point calibrates the selector's latency reference to the exhaustive
+		// sweep's, which keeps the slack frontier sound on budget-filtered
+		// spaces where coordinate corners (e.g. the all-max mix) are not
+		// admitted.
+		corners := st.cs.LatencyCornerIndices()
 		for _, k := range corners {
 			add(k)
 		}
-		if t := len(corners) + 4; t > target {
-			target = t
-		}
-	}
-	if v := st.view; v != nil {
-		c := make([]int, v.dims)
+		dims := len(st.card)
+		c := make([]int, dims)
 		for i := range c {
-			c[i] = v.card[i] - 1
+			c[i] = st.card[i] - 1
 		}
-		add(v.indexOf(c))
+		add(st.cs.IndexOf(c))
 		for i := range c {
 			c[i] = 0
 		}
-		add(v.indexOf(c))
-		for val := 0; val < v.card[0]; val++ {
+		add(st.cs.IndexOf(c))
+		for val := 0; val < st.card[0]; val++ {
 			for i := range c {
-				c[i] = v.card[i] - 1
+				c[i] = st.card[i] - 1
 			}
 			c[0] = val
-			add(v.indexOf(c))
+			add(st.cs.IndexOf(c))
 		}
-		if t := 2*v.dims + 4; t > target {
-			target = t
-		}
+		target = max(target, len(corners)+4, 2*dims+4)
 	} else {
 		add(0)
 		add(st.n - 1)
@@ -438,15 +425,15 @@ func (st *state) seedPoints() []int {
 // through visit so every probe is budget-ledgered and selector-observed, and
 // capped at half the budget so the strategies keep room to optimize area.
 func (st *state) calibrate() {
-	v := st.view
-	if v == nil {
+	if st.cs == nil {
 		return
 	}
+	dims := len(st.card)
 	floor := st.budget0 / 2
 	capped := func() bool { return st.exhausted() || st.budget < floor }
-	cur := make([]int, v.dims)
-	best := make([]int, v.dims)
-	axes := make([]int, 0, v.dims)
+	cur := make([]int, dims)
+	best := make([]int, dims)
+	axes := make([]int, 0, dims)
 	for i := 0; i < st.nm && !capped(); i++ {
 		// Chain family: the full diagonal from the best statically feasible
 		// observation, plus for every axis d a two-phase pure lift from the
@@ -458,7 +445,7 @@ func (st *state) calibrate() {
 		found := false
 		bestLat := math.Inf(1)
 		track := func(cur []int) {
-			if idx := v.indexOf(cur); idx >= 0 {
+			if idx := st.cs.IndexOf(cur); idx >= 0 {
 				if s, ok := st.slots[idx]; ok && st.errs[s] == nil && st.static[s*st.nm+i] {
 					if l := st.lats[s*st.nm+i]; l < bestLat {
 						bestLat = l
@@ -475,10 +462,10 @@ func (st *state) calibrate() {
 			}
 		}
 		if s0 >= 0 {
-			v.coordsOf(st.pts[s0], cur)
+			st.cs.CoordsOf(st.pts[s0], cur)
 			track(cur)
 			allAxes := axes[:0]
-			for d := 0; d < v.dims; d++ {
+			for d := 0; d < dims; d++ {
 				allAxes = append(allAxes, d)
 			}
 			st.liftChain(i, cur, allAxes)
@@ -487,7 +474,7 @@ func (st *state) calibrate() {
 			}
 			track(cur)
 		}
-		for d := 0; d < v.dims && !capped(); d++ {
+		for d := 0; d < dims && !capped(); d++ {
 			for e := range cur {
 				cur[e] = 0
 			}
@@ -502,7 +489,7 @@ func (st *state) calibrate() {
 			// across the competing type axes.
 			for pass := 0; pass < 4 && !capped(); pass++ {
 				changed := false
-				for e := 0; e < v.dims; e++ {
+				for e := 0; e < dims; e++ {
 					if e == d {
 						continue
 					}
@@ -540,10 +527,9 @@ func (st *state) calibrate() {
 // observed, memo-deduplicated). cur is left at the best feasible offset
 // found (unchanged when none is).
 func (st *state) liftChain(i int, cur []int, axes []int) {
-	v := st.view
 	maxT := 0
 	for _, d := range axes {
-		if t := v.card[d] - 1 - cur[d]; t > maxT {
+		if t := st.card[d] - 1 - cur[d]; t > maxT {
 			maxT = t
 		}
 	}
@@ -551,15 +537,15 @@ func (st *state) liftChain(i int, cur []int, axes []int) {
 		copy(dst, cur)
 		for _, d := range axes {
 			dst[d] += t
-			if m := v.card[d] - 1; dst[d] > m {
+			if m := st.card[d] - 1; dst[d] > m {
 				dst[d] = m
 			}
 		}
 	}
-	probe := make([]int, v.dims)
+	probe := make([]int, len(st.card))
 	feasible := func(t int) bool {
 		at(probe, t)
-		idx := v.indexOf(probe)
+		idx := st.cs.IndexOf(probe)
 		if idx < 0 {
 			return false
 		}
@@ -594,11 +580,11 @@ func (st *state) liftChain(i int, cur []int, axes []int) {
 // a faster type's within the same area budget). Every accepted move strictly
 // lowers the model's latency, so the walk cannot cycle.
 func (st *state) swapRefine(i int, cur []int, capped func() bool) {
-	v := st.view
-	cands := make([]int, 0, v.dims*v.dims)
-	moves := make([][2]int, 0, v.dims*v.dims)
+	dims := len(st.card)
+	cands := make([]int, 0, dims*dims)
+	moves := make([][2]int, 0, dims*dims)
 	for !capped() {
-		base := v.indexOf(cur)
+		base := st.cs.IndexOf(cur)
 		slot, ok := st.slots[base]
 		if base < 0 || !ok {
 			return
@@ -606,18 +592,18 @@ func (st *state) swapRefine(i int, cur []int, capped func() bool) {
 		curLat := st.lats[slot*st.nm+i]
 		cands, moves = cands[:0], moves[:0]
 		propose := func(down, up int) {
-			if idx := v.indexOf(cur); idx >= 0 {
+			if idx := st.cs.IndexOf(cur); idx >= 0 {
 				cands = append(cands, idx)
 				moves = append(moves, [2]int{down, up})
 			}
 		}
-		for e := 0; e < v.dims; e++ {
-			if cur[e]+1 >= v.card[e] {
+		for e := 0; e < dims; e++ {
+			if cur[e]+1 >= st.card[e] {
 				continue
 			}
 			cur[e]++
 			propose(-1, e)
-			for d := 0; d < v.dims; d++ {
+			for d := 0; d < dims; d++ {
 				if d == e || cur[d] == 0 {
 					continue
 				}
@@ -683,27 +669,26 @@ func (st *state) randomUnvisited() int {
 // neighbor proposes a coordinate-neighborhood move from point k: a ±1 step
 // on one random axis, retried across axes until it lands on an admitted
 // point. Falls back to a uniform random index when the space has no
-// coordinate view or no valid step was found.
+// coordinates or no valid step was found.
 func (st *state) neighbor(k int) int {
-	v := st.view
-	if v == nil {
+	if st.cs == nil {
 		return st.rng.Intn(st.n)
 	}
 	c := st.coordScratch
-	v.coordsOf(k, c)
-	for try := 0; try < 2*v.dims; try++ {
-		d := st.rng.Intn(v.dims)
+	st.cs.CoordsOf(k, c)
+	for try := 0; try < 2*len(c); try++ {
+		d := st.rng.Intn(len(c))
 		dir := 1
 		if st.rng.Intn(2) == 0 {
 			dir = -1
 		}
 		nc := c[d] + dir
-		if nc < 0 || nc >= v.card[d] {
+		if nc < 0 || nc >= st.card[d] {
 			continue
 		}
 		old := c[d]
 		c[d] = nc
-		idx := v.indexOf(c)
+		idx := st.cs.IndexOf(c)
 		c[d] = old
 		if idx >= 0 && idx != k {
 			return idx

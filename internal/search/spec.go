@@ -3,8 +3,9 @@
 // Optimizer finds a near-optimal configuration with a bounded number of
 // evaluations. Two strategies ship — simulated annealing with
 // coordinate-neighborhood moves and a steady-state genetic algorithm with
-// crossover over axis/mix coordinate vectors — behind one interface.
-// Candidates are scored through the eval.Evaluator worker pool and the
+// crossover over axis/mix coordinate vectors — as functions that one
+// Optimizer's Run calls by Spec.Kind, moving over the space's own
+// coordinates (hw.CoordSpace). Candidates are scored through the eval.Evaluator worker pool and the
 // sweep's dse.Scorer; selection runs through the streaming sweep's own
 // reduction (dse.Selector), so the returned Result is bit-compatible with
 // dse.ExploreSpaceCtx restricted to the visited set, and a budget covering

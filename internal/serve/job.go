@@ -209,8 +209,6 @@ type ManagerConfig struct {
 	// EvalWorkers caps the shared evaluation engine's parallelism per job
 	// (0: GOMAXPROCS).
 	EvalWorkers int
-	// Metrics receives operational counters (nil: a fresh sink).
-	Metrics *metrics.ServerMetrics
 }
 
 // Manager owns the job lifecycle: admission, coalescing, execution, history.
@@ -252,15 +250,11 @@ func NewManager(cfg ManagerConfig) *Manager {
 	if cat == nil {
 		cat = hw.Default()
 	}
-	met := cfg.Metrics
-	if met == nil {
-		met = metrics.NewServerMetrics(0)
-	}
 	m := &Manager{
 		cfg:    cfg,
 		cat:    cat,
 		ev:     eval.New(eval.Options{Workers: cfg.EvalWorkers}),
-		met:    met,
+		met:    metrics.NewServerMetrics(),
 		queue:  make(chan *Job, cfg.MaxQueue),
 		quit:   make(chan struct{}),
 		jobs:   make(map[string]*Job),
