@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dse"
@@ -354,21 +355,24 @@ func BenchmarkPipeline(b *testing.B) {
 // anneal and genetic at a 5% budget on the fine space with the Table I
 // training set, and on the mixfine space with AlexNet, ViT-base and
 // ResNet18, at seed 7. Each search runs on a fresh engine, as perfbench's
-// do; one op is all four searches.
+// do; one op is all four searches. Each search's wall time per op is
+// reported beside ns/op as <space>-<strategy>-ms.
 func BenchmarkSearchFine(b *testing.B) {
 	mixfine, err := hw.FineMixSpec(nil).Build()
 	if err != nil {
 		b.Fatal(err)
 	}
 	jobs := []struct {
+		name   string
 		space  hw.DesignSpace
 		models []*workload.Model
 	}{
-		{hw.FineSpace(), workload.TrainingSet()},
-		{mixfine, []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}},
+		{"fine", hw.FineSpace(), workload.TrainingSet()},
+		{"mixfine", mixfine, []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}},
 	}
+	kinds := []string{"anneal", "genetic"}
 	var specs []search.Spec
-	for _, kind := range []string{"anneal", "genetic"} {
+	for _, kind := range kinds {
 		spec, err := search.ParseSpec(kind)
 		if err != nil {
 			b.Fatal(err)
@@ -376,12 +380,14 @@ func BenchmarkSearchFine(b *testing.B) {
 		specs = append(specs, spec)
 	}
 	cons := dse.DefaultConstraints()
+	elapsed := make([]time.Duration, len(jobs)*len(specs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, j := range jobs {
+		for ji, j := range jobs {
 			budget := j.space.Len() * len(j.models) / 20
-			for _, spec := range specs {
+			for si, spec := range specs {
+				start := time.Now()
 				opt, err := search.New(spec, search.Options{Seed: 7, Evaluator: eval.New(eval.Options{})})
 				if err != nil {
 					b.Fatal(err)
@@ -389,7 +395,14 @@ func BenchmarkSearchFine(b *testing.B) {
 				if _, _, err := opt.Run(context.Background(), j.models, j.space, cons, budget); err != nil {
 					b.Fatal(err)
 				}
+				elapsed[ji*len(specs)+si] += time.Since(start)
 			}
+		}
+	}
+	for ji, j := range jobs {
+		for si, kind := range kinds {
+			ms := float64(elapsed[ji*len(specs)+si].Microseconds()) / 1e3 / float64(b.N)
+			b.ReportMetric(ms, j.name+"-"+kind+"-ms")
 		}
 	}
 }

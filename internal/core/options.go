@@ -51,9 +51,9 @@ type Options struct {
 	// Catalogue is the chiplet catalogue Resolve parses the space against
 	// (nil: the built-in 28 nm default, bit-identical to the pre-catalogue
 	// constants). Unit PPA everywhere else, chipletization included, comes
-	// from the catalogue the space carries (hw.CatalogueOf), so a space
-	// built without one evaluates under the default whatever this field
-	// holds.
+	// from the catalogue the space carries (hw.CatalogueOf; none means the
+	// default), so Validate rejects a non-nil Catalogue that differs from
+	// the space's.
 	Catalogue *hw.Catalogue
 	// Constraints are the Input #4 limits.
 	Constraints dse.Constraints
@@ -180,6 +180,14 @@ func (o Options) Validate() error {
 	if o.Catalogue != nil {
 		if err := o.Catalogue.Validate(); err != nil {
 			return err
+		}
+		space := hw.CatalogueOf(o.Space)
+		if space == nil {
+			space = hw.Default()
+		}
+		if got, want := o.Catalogue.Fingerprint(), space.Fingerprint(); got != want {
+			return fmt.Errorf("core: catalogue %q (%s) differs from the space's catalogue %q (%s); resolve the space against it (Options.Resolve)",
+				o.Catalogue.Name, got, space.Name, want)
 		}
 	}
 	if err := o.Constraints.Validate(); err != nil {

@@ -68,8 +68,9 @@ func CatalogueOf(s DesignSpace) *Catalogue {
 // MixSpec generates a heterogeneous design space: the cartesian product of
 // per-type count lists crossed with the NAct/NPool axes, filtered by optional
 // slot and compute-area budgets. Build materializes only the filtered mix
-// list (small: one entry per surviving count combination); the NAct/NPool
-// cross stays lazy, so a MixSpace streams like a SpaceSpec.
+// list (one entry per surviving count combination) and a four-byte index
+// entry per count combination; the NAct/NPool cross stays lazy, so a
+// MixSpace streams like a SpaceSpec.
 type MixSpec struct {
 	// Name labels the spec in Desc ("mix", "mixfine", ...).
 	Name string
@@ -154,8 +155,9 @@ func (s MixSpec) admits(cat *Catalogue, m Mix) bool {
 }
 
 // Build enumerates the budget-admissible mixes in row-major order (type 0
-// outermost, last type fastest) and returns the streaming space. The all-zero
-// mix is always dropped: a space point must provision compute.
+// outermost, last type fastest) and returns the streaming space; the same
+// walk fills the space's count-tuple index. The all-zero mix is always
+// dropped: a space point must provision compute.
 func (s MixSpec) Build() (MixSpace, error) {
 	if err := s.Validate(); err != nil {
 		return MixSpace{}, err
@@ -163,6 +165,11 @@ func (s MixSpec) Build() (MixSpace, error) {
 	cat := s.catalogue()
 	var mixes []Mix
 	var coords []uint16
+	tuples := 1
+	for _, vs := range s.Counts {
+		tuples *= len(vs)
+	}
+	index := make([]int32, 0, tuples)
 	idx := make([]int, len(s.Counts))
 	for {
 		var m Mix
@@ -170,10 +177,13 @@ func (s MixSpec) Build() (MixSpace, error) {
 			m.Counts[ti] = uint16(s.Counts[ti][vi])
 		}
 		if s.admits(cat, m) {
+			index = append(index, int32(len(mixes)))
 			mixes = append(mixes, m)
 			for _, vi := range idx {
 				coords = append(coords, uint16(vi))
 			}
+		} else {
+			index = append(index, -1)
 		}
 		// Odometer increment, last axis fastest.
 		ti := len(idx) - 1
@@ -191,14 +201,10 @@ func (s MixSpec) Build() (MixSpace, error) {
 	if len(mixes) == 0 {
 		return MixSpace{}, fmt.Errorf("hw: mix spec %q admits no mixes under its budgets", s.Name)
 	}
-	mixIdx := make(map[Mix]int, len(mixes))
-	for i, m := range mixes {
-		mixIdx[m] = i
-	}
 	// Built spaces are kept (a served job holds its resolved space), so the
 	// coordinates are copied to their exact size.
 	coords = append([]uint16(nil), coords...)
-	return MixSpace{spec: s, cat: cat, mixes: mixes, mixIdx: mixIdx, coords: coords}, nil
+	return MixSpace{spec: s, cat: cat, mixes: mixes, index: index, coords: coords}, nil
 }
 
 // MixSpace is the built, lazily indexable heterogeneous design space:
@@ -206,10 +212,13 @@ func (s MixSpec) Build() (MixSpace, error) {
 // the same trailing-axis order as SpaceSpec, so streaming-sweep tie-breaks
 // behave identically across space kinds.
 type MixSpace struct {
-	spec   MixSpec
-	cat    *Catalogue
-	mixes  []Mix
-	mixIdx map[Mix]int
+	spec  MixSpec
+	cat   *Catalogue
+	mixes []Mix
+	// index holds, for every count tuple in Build's row-major order, the
+	// position of its mix in mixes, or -1 when the budgets dropped the
+	// tuple (the all-zero mix included).
+	index []int32
 	// coords holds each admitted mix's count-axis indices, one per type,
 	// mix-major. An axis holds at most 1<<16 distinct counts, so an index
 	// fits in a uint16.
@@ -264,12 +273,12 @@ func (s MixSpace) CoordsOf(i int, out []int) {
 // tuple names a mix the budgets filtered out (or the all-zero mix).
 func (s MixSpace) IndexOf(coords []int) int {
 	nt := len(s.spec.Counts)
-	var m Mix
+	t := 0
 	for ti := 0; ti < nt; ti++ {
-		m.Counts[ti] = uint16(s.spec.Counts[ti][coords[ti]])
+		t = t*len(s.spec.Counts[ti]) + coords[ti]
 	}
-	j, ok := s.mixIdx[m]
-	if !ok {
+	j := int(s.index[t])
+	if j < 0 {
 		return -1
 	}
 	return (j*len(s.spec.NActs)+coords[nt])*len(s.spec.NPools) + coords[nt+1]
@@ -286,12 +295,8 @@ func (s MixSpace) IndexOf(coords []int) int {
 // the evaluations.
 func (s MixSpace) LatencyCornerIndices() []int {
 	block := len(s.spec.NActs) * len(s.spec.NPools)
-	nt := len(s.spec.Counts)
-	var all Mix
-	for ti := 0; ti < nt; ti++ {
-		all.Counts[ti] = uint16(s.spec.Counts[ti][len(s.spec.Counts[ti])-1])
-	}
-	if j, ok := s.mixIdx[all]; ok {
+	// The all-max count tuple is the last in Build's order.
+	if j := int(s.index[len(s.index)-1]); j >= 0 {
 		return []int{(j+1)*block - 1}
 	}
 	const maxCorners = 256

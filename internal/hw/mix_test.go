@@ -281,3 +281,99 @@ func TestParseSpaceWith(t *testing.T) {
 		t.Error("bogus space string accepted")
 	}
 }
+
+// TestMixSpaceIndexOfRejectsFiltered walks every count tuple of three
+// budget-filtered specs (the mix preset on the default and on the mobile-7nm
+// catalogue, and a compute-area budget over count axes of unequal lengths)
+// and checks IndexOf against the spec's own filter: -1 exactly for the
+// all-zero mix and the tuples admits rejects, and otherwise the index of the
+// point with that mix at every NAct and NPool coordinate. It then pins
+// LatencyCornerIndices to the values read from the map-indexed space on the
+// presets and on specs whose all-max mix is filtered out, with at most and
+// with more than 256 admitted mixes.
+func TestMixSpaceIndexOfRejectsFiltered(t *testing.T) {
+	mobile := mustLoad(t, "mobile-7nm.json")
+	uneven := DefaultMixSpec(nil)
+	uneven.Counts = [][]int{{0, 8, 16, 32, 64}, {0, 16, 64}, {0, 4, 8, 12, 16, 24, 32}}
+	uneven.MaxSlots, uneven.MaxComputeAreaMM2 = 0, 40
+	for _, spec := range []MixSpec{DefaultMixSpec(nil), DefaultMixSpec(mobile), uneven} {
+		sp, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat, nt := sp.Catalogue(), len(spec.Counts)
+		coords := make([]int, nt+2)
+		tuples, rejected := 0, 0
+		for {
+			var m Mix
+			for ti := 0; ti < nt; ti++ {
+				m.Counts[ti] = uint16(spec.Counts[ti][coords[ti]])
+			}
+			admitted := spec.admits(cat, m)
+			if m.IsZero() && admitted {
+				t.Fatalf("%s: the all-zero mix is admitted", sp.Desc())
+			}
+			tuples++
+			if !admitted {
+				rejected++
+			}
+			for a, nact := range spec.NActs {
+				for p, npool := range spec.NPools {
+					coords[nt], coords[nt+1] = a, p
+					k := sp.IndexOf(coords)
+					switch {
+					case !admitted && k != -1:
+						t.Fatalf("%s: IndexOf(%v) = %d for the dropped %v, want -1", sp.Desc(), coords, k, m)
+					case admitted && (k < 0 || sp.At(k) != Point{Mix: m, NAct: nact, NPool: npool}):
+						t.Fatalf("%s: IndexOf(%v) = %d does not name %v at NAct %d, NPool %d", sp.Desc(), coords, k, m, nact, npool)
+					}
+				}
+			}
+			ti := nt - 1
+			for ; ti >= 0; ti-- {
+				if coords[ti]++; coords[ti] < len(spec.Counts[ti]) {
+					break
+				}
+				coords[ti] = 0
+			}
+			if ti < 0 {
+				break
+			}
+		}
+		if rejected < 2 || tuples-rejected != len(sp.Mixes()) {
+			t.Errorf("%s: %d of %d tuples rejected, %d mixes admitted", sp.Desc(), rejected, tuples, len(sp.Mixes()))
+		}
+	}
+
+	area := DefaultMixSpec(nil)
+	area.MaxSlots, area.MaxComputeAreaMM2 = 0, 40
+	slots150 := FineMixSpec(nil)
+	slots150.MaxSlots = 150
+	for _, c := range []struct {
+		name     string
+		spec     MixSpec
+		isNil    bool
+		n, first int
+		sum      int
+	}{
+		{"mix", DefaultMixSpec(nil), false, 114, 8, 58881},
+		{"mixfine", FineMixSpec(nil), false, 1, 110527, 110527},
+		{"mix, area 40", area, false, 30, 8, 4155},
+		{"mix, mobile-7nm", DefaultMixSpec(mobile), true, 0, 0, 0},
+		{"mixfine, 150 slots", slots150, true, 0, 0, 0},
+	} {
+		sp, err := c.spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sp.LatencyCornerIndices()
+		sum := 0
+		for _, k := range got {
+			sum += k
+		}
+		if (got == nil) != c.isNil || len(got) != c.n || sum != c.sum || len(got) > 0 && got[0] != c.first {
+			t.Errorf("%s: LatencyCornerIndices = %d indices (nil %v, first %v, sum %d), want %d (nil %v, first %d, sum %d)",
+				c.name, len(got), got == nil, got[:min(1, len(got))], sum, c.n, c.isNil, c.first, c.sum)
+		}
+	}
+}

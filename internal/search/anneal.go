@@ -4,9 +4,8 @@ import "math"
 
 // anneal is simulated annealing with coordinate-neighborhood moves: each
 // round proposes a batch of ±1-axis-step neighbors of the current point,
-// scores them in parallel through the evaluator pool, then applies the
-// Metropolis acceptance rule sequentially on the coordinator (all randomness
-// lives there, so runs are deterministic at any worker count). Temperature
+// scores the batch's new points through one visit, then applies the
+// Metropolis acceptance rule to the batch in order. Temperature
 // cools geometrically with budget progress from T0 to T1 (fractions of the
 // walk's starting fitness), and the budget is split into Restarts phases
 // that re-center the walk — even phases on the best point seen, odd phases

@@ -174,10 +174,12 @@ func (o *Optimizer) fallback(ctx context.Context, models []*workload.Model, spac
 
 // state is the shared per-run search state: the scored-point memo (slots),
 // the budget ledger, the dse.Selector replaying the sweep's selection
-// discipline, and the coordinator-owned RNG. Scoring fans out over the
-// evaluator's worker pool; every decision that touches the RNG or the
-// selector happens on the coordinator in deterministic slot order, which is
-// what makes runs byte-identical at any worker count.
+// discipline, and the RNG. Everything a run does after its tables are built
+// happens on the coordinator goroutine in deterministic slot order: the
+// RNG draws, the gathers that score a visit's new points, and the selector's
+// observations. That is what makes runs byte-identical at any worker count;
+// the evaluator's worker pool builds the tables (dse.NewScorer) and runs
+// stage 1 (finish).
 type state struct {
 	ctx   context.Context
 	ev    *eval.Evaluator
@@ -215,12 +217,16 @@ type state struct {
 	lastBest     int
 
 	slotScratch  []int
-	coordScratch []int
+	coordScratch []int // neighbor's
+	probeScratch []int // liftChain's
 }
 
 func newState(ctx context.Context, ev *eval.Evaluator, space hw.DesignSpace,
 	models []*workload.Model, cons dse.Constraints, seed int64, budget int) *state {
 	nm := len(models)
+	// Each new point costs nm of the budget, so a run scores fewer than
+	// budget/nm points and the slot arrays never grow.
+	maxSlots := budget/nm + 1
 	st := &state{
 		ctx: ctx, ev: ev, space: space, cons: cons,
 		score: dse.NewScorer(ev, models, space, cons),
@@ -233,12 +239,19 @@ func newState(ctx context.Context, ev *eval.Evaluator, space hw.DesignSpace,
 		// union-kind config is a fresh cache key, so without the reserve
 		// the evaluator-miss count could exceed the budget.
 		budget:   budget - nm,
-		slots:    make(map[int]int, budget/nm+1),
+		slots:    make(map[int]int, maxSlots),
+		pts:      make([]int, 0, maxSlots),
+		areas:    make([]float64, 0, maxSlots),
+		lats:     make([]float64, 0, maxSlots*nm),
+		static:   make([]bool, 0, maxSlots*nm),
+		evalAt:   make([]int, 0, maxSlots),
+		errs:     make([]error, 0, maxSlots),
 		lastBest: -1,
 	}
 	if cs, ok := space.(hw.CoordSpace); ok {
 		st.cs, st.card = cs, make([]int, cs.Dims())
 		st.coordScratch = make([]int, cs.Dims())
+		st.probeScratch = make([]int, cs.Dims())
 		for d := range st.card {
 			st.card[d] = cs.Card(d)
 		}
@@ -254,10 +267,10 @@ func (st *state) exhausted() bool {
 
 // visit scores a batch of candidate point indices and returns one slot per
 // candidate, aligned: already-scored points resolve to their existing slot
-// (a cache hit, free under the budget), new points are scored in parallel
-// through the evaluator, and candidates past the budget resolve to -1. New
-// results are fed to the selector as one batch, in slot order, on the
-// coordinator.
+// (a cache hit, free under the budget), new points are scored through the
+// scorer in slot order, and candidates past the budget resolve to -1. New
+// results are fed to the selector as one batch, in slot order. A visit
+// whose candidates are all scored already performs no allocation.
 func (st *state) visit(cands []int) []int {
 	st.slotScratch = st.slotScratch[:0]
 	newStart := len(st.pts)
@@ -288,11 +301,10 @@ func (st *state) visit(cands []int) []int {
 	if nNew == 0 {
 		return st.slotScratch
 	}
-	st.ev.ForEach(nNew, func(j int) {
-		s := newStart + j
+	for s := newStart; s < len(st.pts); s++ {
 		lats, statics := st.lats[s*st.nm:(s+1)*st.nm], st.static[s*st.nm:(s+1)*st.nm]
 		st.areas[s], st.errs[s] = st.score.Score(st.pts[s], lats, statics)
-	})
+	}
 	st.evals += nNew * st.nm
 	for s := newStart; s < len(st.pts); s++ {
 		if st.errs[s] != nil {
@@ -542,7 +554,7 @@ func (st *state) liftChain(i int, cur []int, axes []int) {
 			}
 		}
 	}
-	probe := make([]int, len(st.card))
+	probe := st.probeScratch
 	feasible := func(t int) bool {
 		at(probe, t)
 		idx := st.cs.IndexOf(probe)

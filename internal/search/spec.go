@@ -5,14 +5,15 @@
 // coordinate-neighborhood moves and a steady-state genetic algorithm with
 // crossover over axis/mix coordinate vectors — as functions that one
 // Optimizer's Run calls by Spec.Kind, moving over the space's own
-// coordinates (hw.CoordSpace). Candidates are scored through the eval.Evaluator worker pool and the
-// sweep's dse.Scorer; selection runs through the streaming sweep's own
-// reduction (dse.Selector), so the returned Result is bit-compatible with
+// coordinates (hw.CoordSpace). Candidates are scored through the sweep's
+// dse.Scorer, whose tables the eval.Evaluator worker pool builds;
+// selection runs through the streaming sweep's own reduction
+// (dse.Selector), so the returned Result is bit-compatible with
 // dse.ExploreSpaceCtx restricted to the visited set, and a budget covering
 // the space returns the sweep's Result itself; and every run is
-// deterministic for a fixed seed at any worker count, because all random
-// decisions happen on the coordinator goroutine over deterministically
-// ordered batch results.
+// deterministic for a fixed seed at any worker count, because every random
+// decision, every score and every observation happens on the coordinator
+// goroutine in slot order.
 package search
 
 import (
@@ -27,8 +28,8 @@ type AnnealParams struct {
 	// Restarts splits the budget into phases; each later phase restarts
 	// from the best (even phases) or a fresh random (odd phases) point.
 	Restarts int
-	// Batch is the number of neighbor proposals scored in parallel per
-	// Metropolis round.
+	// Batch is the number of neighbor proposals scored per Metropolis
+	// round.
 	Batch int
 	// T0 and T1 are the initial and final temperatures as fractions of the
 	// fitness at the walk's starting point; cooling is geometric in budget
@@ -40,7 +41,7 @@ type AnnealParams struct {
 type GeneticParams struct {
 	// Pop is the population size.
 	Pop int
-	// Batch is the number of offspring scored in parallel per generation.
+	// Batch is the number of offspring scored per generation.
 	Batch int
 	// Tourn is the tournament size for parent selection.
 	Tourn int
