@@ -284,14 +284,15 @@ func BenchmarkExploreColdParallel(b *testing.B) {
 // BenchmarkExploreStreamFine sweeps the 12k-point fine preset with the full
 // training set through the streaming engine — the large-space mode whose
 // naive per-point summary matrix the chunked sweep never materializes. It
-// reports the sweep's unit cost, wall-clock nanoseconds per point·model.
+// reports the sweep's unit cost, wall-clock nanoseconds per point·model,
+// and its held rows (reportHeld).
 func BenchmarkExploreStreamFine(b *testing.B) {
 	models := workload.TrainingSet()
 	fine := hw.FineSpace()
 	cons := dse.DefaultConstraints()
 	b.ReportAllocs()
+	var stats dse.ExploreStats
 	for i := 0; i < b.N; i++ {
-		var stats dse.ExploreStats
 		ev := eval.New(eval.Options{})
 		if _, err := dse.ExploreSpaceCtx(context.Background(), models, fine, cons, ev, &dse.ExploreOptions{Stats: &stats}); err != nil {
 			b.Fatal(err)
@@ -301,6 +302,17 @@ func BenchmarkExploreStreamFine(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fine.Len()*len(models)), "ns/point-model")
+	reportHeld(b, stats)
+}
+
+// reportHeld reports a sweep's peak held rows per op: held-rows
+// (ExploreStats.MaxRetained, the rows held with index and area) and
+// band-rows (MaxBand, the bare latency rows of one-model staircases). On
+// one worker (-cpu 1) both are exact, so a change to how selection holds
+// rows shows up as a count, not only as time.
+func reportHeld(b *testing.B, stats dse.ExploreStats) {
+	b.ReportMetric(float64(stats.MaxRetained), "held-rows")
+	b.ReportMetric(float64(stats.MaxBand), "band-rows")
 }
 
 // BenchmarkExploreStagedFine is BenchmarkExploreStreamFine with staged
@@ -410,7 +422,8 @@ func BenchmarkSearchFine(b *testing.B) {
 // BenchmarkExploreStreamMixFine is BenchmarkExploreStreamFine on the
 // 110528-point heterogeneous mixfine preset with AlexNet, ViT-base and
 // ResNet18 — the mix cost table's per-layer dispatch to the fastest chiplet
-// type — reporting the same unit cost in ns/point-model.
+// type — reporting the same unit cost in ns/point-model and the same held
+// rows.
 func BenchmarkExploreStreamMixFine(b *testing.B) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}
 	mixfine, err := hw.FineMixSpec(nil).Build()
@@ -420,13 +433,15 @@ func BenchmarkExploreStreamMixFine(b *testing.B) {
 	cons := dse.DefaultConstraints()
 	b.ReportAllocs()
 	b.ResetTimer()
+	var stats dse.ExploreStats
 	for i := 0; i < b.N; i++ {
 		ev := eval.New(eval.Options{})
-		if _, err := dse.ExploreSpaceCtx(context.Background(), models, mixfine, cons, ev, nil); err != nil {
+		if _, err := dse.ExploreSpaceCtx(context.Background(), models, mixfine, cons, ev, &dse.ExploreOptions{Stats: &stats}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mixfine.Len()*len(models)), "ns/point-model")
+	reportHeld(b, stats)
 }
 
 // BenchmarkTauSweepCached contrasts the tau sweep (which retrains the whole

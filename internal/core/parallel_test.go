@@ -169,8 +169,8 @@ func TestEngineSharedAcrossPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 0.46 sits on the same subset plateau as the default threshold (see
-	// TestAssignmentStability), so the retrain's library unions, and with
-	// them every winner it materializes, are identical.
+	// TestSweepTauZeroMissesAfterWarm), so the retrain's library unions, and
+	// with them every winner it materializes, are identical.
 	missesBefore := o.Evaluator.Stats().Misses
 	oo := o
 	oo.Similarity.Tau = 0.46

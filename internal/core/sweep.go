@@ -123,43 +123,3 @@ func SweepSlack(m *workload.Model, o Options, slacks []float64) ([]SlackPoint, e
 	}
 	return out, nil
 }
-
-// AssignmentStability reports, for each test algorithm, whether its subset
-// assignment is stable across a set of similarity thresholds — a robustness
-// check on Step #TT1.
-func AssignmentStability(trainModels, testModels []*workload.Model, o Options, taus []float64) (map[string]bool, error) {
-	if len(taus) < 2 {
-		return nil, fmt.Errorf("core: stability needs at least two taus")
-	}
-	// Share one engine across every retrain/retest pair of the stability scan.
-	o.Evaluator = o.Engine()
-	// Assignment identity across runs is tracked by subset membership sets.
-	prev := make(map[string]string)
-	stable := make(map[string]bool)
-	for _, m := range testModels {
-		stable[m.Name] = true
-	}
-	for i, tau := range taus {
-		oo := o
-		oo.Similarity.Tau = tau
-		tr, err := Train(trainModels, oo)
-		if err != nil {
-			return nil, err
-		}
-		tt, err := Test(tr, testModels, oo)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range tt.Assignments {
-			key := "unassigned"
-			if a.SubsetIndex >= 0 {
-				key = fmt.Sprint(tr.Subsets[a.SubsetIndex].Members)
-			}
-			if i > 0 && prev[a.Algorithm] != key {
-				stable[a.Algorithm] = false
-			}
-			prev[a.Algorithm] = key
-		}
-	}
-	return stable, nil
-}

@@ -54,21 +54,3 @@ func TestSweepSlack(t *testing.T) {
 		t.Error("empty sweep should fail")
 	}
 }
-
-func TestAssignmentStability(t *testing.T) {
-	// Across the 5-subset plateau the test assignment must not flap.
-	stable, err := AssignmentStability(workload.TrainingSet(), workload.TestSet(),
-		DefaultOptions(), []float64{0.42, 0.46, 0.52})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, ok := range stable {
-		if !ok {
-			t.Errorf("%s assignment unstable across the plateau", name)
-		}
-	}
-	if _, err := AssignmentStability(workload.TrainingSet(), workload.TestSet(),
-		DefaultOptions(), []float64{0.42}); err == nil {
-		t.Error("single-tau stability should fail")
-	}
-}

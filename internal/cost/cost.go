@@ -148,16 +148,6 @@ func (m Model) ConfigNREUSD(c Config) float64 {
 	return nre + m.PackageBaseUSD + float64(inst)*m.PackagePerChipletUSD
 }
 
-// Normalized expresses a configuration's NRE relative to a reference
-// configuration (the paper normalizes everything to the generic C_g).
-func (m Model) Normalized(c, ref Config) float64 {
-	r := m.ConfigNREUSD(ref)
-	if r <= 0 {
-		return math.Inf(1)
-	}
-	return m.ConfigNREUSD(c) / r
-}
-
 // SystemREUSD returns the recurring silicon cost of one packaged system:
 // known-good-die costs for every instance. `areas` holds the die area of
 // each placed chiplet instance.

@@ -125,18 +125,6 @@ func TestConfigNREInstancesFloor(t *testing.T) {
 	}
 }
 
-func TestNormalized(t *testing.T) {
-	m := Default()
-	ref := Config{Types: []Chiplet{{AreaMM2: 80, UnitKinds: 10}}, Instances: 6}
-	if got := m.Normalized(ref, ref); math.Abs(got-1) > 1e-12 {
-		t.Errorf("self-normalized = %v, want 1", got)
-	}
-	smaller := Config{Types: []Chiplet{{AreaMM2: 20, UnitKinds: 2}}, Instances: 1}
-	if m.Normalized(smaller, ref) >= 1 {
-		t.Error("smaller config should normalize below 1")
-	}
-}
-
 func TestSystemREUSD(t *testing.T) {
 	m := Default()
 	re := m.SystemREUSD([]float64{50, 50, 30})

@@ -23,6 +23,38 @@ func (c *countingSpace) At(i int) hw.Point {
 	return c.DesignSpace.At(i)
 }
 
+// TestExploreCancelDuringEnding cancels after the scan, in the ending: the
+// sweep reads each point of the paper point list once, so the space's next
+// At call is a winner's materialization, and it cancels the context. The
+// exploration must return ctx.Err() — for the one target of
+// ExploreSpaceCtx and for every one of a Table I training run's 19 targets
+// — not a winner, since a run either completes before its context is done
+// or returns the context's error.
+func TestExploreCancelDuringEnding(t *testing.T) {
+	models := workload.TrainingSet()
+	targets := tableITargets(models)
+	for _, workers := range []int{1, 2} {
+		for _, all := range [][][]int{{identity(len(models))}, targets} {
+			ctx, cancel := context.WithCancel(context.Background())
+			space := &cancelingSpace{DesignSpace: hw.PointList(hw.PaperSpace().Points()), cancel: cancel}
+			space.limit = int64(space.Len()) + 1
+			_, errs := ExploreTargetsCtx(ctx, models, all, space, DefaultConstraints(),
+				eval.New(eval.Options{Workers: workers}), nil)
+			cancel()
+			if got := space.at.Load(); got <= int64(space.Len()) {
+				t.Fatalf("workers=%d, %d targets: %d At calls, want a winner's read after the %d of the scan",
+					workers, len(all), got, space.Len())
+			}
+			for i, err := range errs {
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("workers=%d: target %d of %d cancelled in the ending returned %v, want context.Canceled",
+						workers, i, len(all), err)
+				}
+			}
+		}
+	}
+}
+
 // TestExploreCancelMidSweep pins the server-facing cancellation contract on
 // the fine space: cancelling the context mid-sweep makes ExploreSpaceCtx
 // return ctx.Err() promptly, having scanned a small fraction of the space —

@@ -117,8 +117,9 @@ func TestStagedDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestStagedRefinesFrontierOnly asserts the multi-fidelity budget: stage 1
-// evaluates the physical models on exactly the merged frontier, never on the
-// full sweep, and so on at most half of any space. On spaces of at least 1000
+// evaluates the physical models on exactly the feasible frontier — as many
+// candidates as a Selector replaying the space returns (scoredFrontier) —
+// never on the full sweep, and so on at most half of any space. On spaces of at least 1000
 // points it may refine at most 5% of them (fine × the training set refines
 // 288 of 12288); smaller spaces are exempt from that ratio, since their
 // frontier is a double-digit share of the space by floor effect alone. It
@@ -166,8 +167,8 @@ func TestStagedRefinesFrontierOnly(t *testing.T) {
 		if a, s := ana.Stats().Entries, staged.Stats().Entries; s != a {
 			t.Errorf("%s: staged exploration left %d engine entries, analytical %d", tc.name, s, a)
 		}
-		if refined != stats.Retained {
-			t.Errorf("%s: Refined = %d, want the merged frontier size %d", tc.name, refined, stats.Retained)
+		if front := scoredFrontier(t, tc.models, tc.space, eval.New(eval.Options{Workers: 1})); refined != len(front) {
+			t.Errorf("%s: Refined = %d, want the replayed frontier's %d candidates", tc.name, refined, len(front))
 		}
 		if refined > stats.Points/2 {
 			t.Errorf("%s: stage 1 refined %d of %d points; frontier pruning is not working", tc.name, refined, stats.Points)

@@ -39,9 +39,9 @@ func observeSpace(models []*workload.Model, space hw.DesignSpace, cons Constrain
 // moving the reference only at chunk boundaries as a one-worker sweep does:
 // at the start of each chunk of the given size it lowers the reference to
 // the chunk's statically feasible minima, then observes the chunk's rows one
-// at a time. It also returns the largest frontier the Selector held after
-// any row, a peak inside a chunk included. Chunk size 1 is plain
-// point-by-point observation.
+// at a time. It also returns the most rows the Selector held with their
+// index and area after any row, a peak inside a chunk included. Chunk size
+// 1 is plain point-by-point observation.
 func replaySelector(mat oracle.Matrix, cons Constraints, chunk int) (*Selector, int) {
 	sel := NewSelector(mat.Models, cons)
 	lats := make([]float64, mat.Models)
@@ -64,7 +64,7 @@ func replaySelector(mat oracle.Matrix, cons Constraints, chunk int) (*Selector, 
 			lats[i], statics[i] = o.LatencyS, o.Static
 		}
 		sel.Observe(k, mat.Area(k), lats, statics)
-		peak = max(peak, len(sel.front.cands))
+		peak = max(peak, len(sel.front.rows))
 	}
 	return sel, peak
 }

@@ -14,23 +14,25 @@ import (
 
 // Selector is the streaming sweep's selection discipline over an arbitrary
 // stream of candidate observations: a per-model best-latency reference that
-// only tightens, slack re-filtering of every held row when it does, and an
-// area-dominance frontier ordered in (area, index) selection order. It is
-// the sweep's own reduction — every worker shard of ExploreSpaceCtx reduces
+// only tightens, slack re-filtering of every held row when it does, and the
+// lead, the held row first in (area, index) selection order. It is the
+// sweep's own reduction — every worker shard of ExploreSpaceCtx reduces
 // its chunks through one — so feeding it every point of a space in any order
 // yields the same winner and feasible count as ExploreSpaceCtx over that
 // space (the single-shard case of the merge argument in DESIGN.md §8), which
 // is what makes budgeted-search results bit-compatible with exhaustive ones
 // restricted to the visited set.
 //
-// A Selector holds every slack-feasible observation exactly once: the
-// non-dominated ones in the frontier, the dominated ones as bare latency
-// rows in the frontier's band. Both are re-filtered whenever the reference
-// tightens and a row is admitted only when it passes slack, so every held
-// row is feasible under the current reference.
+// A Selector holds every slack-feasible observation exactly once (see
+// frontier): on several models each with its index and area, on one model
+// the non-dominated ones that way and the dominated ones as bare latencies.
+// Held rows are re-filtered whenever the reference tightens and a row is
+// admitted only when it passes slack, so every held row is feasible under
+// the current reference. The dominance frontier staged fidelity refines is
+// filtered from the held rows once, when it is read (FeasibleFrontier).
 //
 // Each point index is observed at most once, as sweeps and searches observe
-// them: a one-model frontier's staircase rests on it (frontier.addStair).
+// them: a one-model staircase rests on it (frontier.addStair).
 //
 // Selector is not safe for concurrent use; callers observe candidates from
 // one goroutine (internal/search scores batches in parallel, then observes
@@ -123,9 +125,8 @@ func (s *Selector) lowerTo(ref []float64) {
 // absorb folds o, the Selector of another sweep shard, into s, whose
 // reference must already be the final one — the min over every shard's. o is
 // lowered to it, which drops exactly o's rows that fail the final slack pass;
-// o's frontier candidates are then added to s's frontier and its band rows
-// kept in s's band. s then holds every row of both that passes slack, the
-// non-dominated ones in its frontier (DESIGN.md §8).
+// o's rows are then added to s's and its band rows kept in s's band. s then
+// holds every row of both that passes slack (DESIGN.md §8).
 func (s *Selector) absorb(o *Selector) {
 	o.lowerTo(s.best)
 	s.front.absorb(&o.front)
@@ -139,13 +140,14 @@ func (s *Selector) absorb(o *Selector) {
 // the engine, which must not be nil. It fails when some model has no
 // statically feasible observation, and when nothing observed passes slack on
 // every model. Under staged fidelity (fo) the winner instead comes from
-// stage 1 over the feasible frontier, which reads the candidates' summaries
-// from sc and then reads sc no more, so the caller dropping its own
-// reference frees the cost tables while the candidates refine. The winner is
-// materialized on the union-kind configuration through the engine's cache,
-// so the reported PPA includes idle banks' leakage. A cancelled ctx aborts
-// stage 1 with ctx.Err(). Its halves are settle, which reads sc for the
-// last time, and the ending's finish.
+// stage 1 over the feasible frontier, filtered once from the held rows,
+// which reads the candidates' summaries from sc and then reads sc no more,
+// so the caller dropping its own reference frees the cost tables while the
+// candidates refine. The winner is materialized on the union-kind
+// configuration through the engine's cache, so the reported PPA includes
+// idle banks' leakage. A cancelled ctx aborts the frontier's filter and
+// stage 1 with ctx.Err(). Its halves are settle, which reads sc for the last
+// time, and the ending's finish.
 func (s *Selector) Conclude(ctx context.Context, sc *Scorer, explored int, fo *FidelityOptions, ev *eval.Evaluator) (Result, int, float64, error) {
 	e, err := s.settle(ctx, sc, explored, fo)
 	if err != nil {
@@ -159,14 +161,14 @@ func (s *Selector) Conclude(ctx context.Context, sc *Scorer, explored int, fo *F
 // candidate's point and summaries, so a sweep can drop its cost tables
 // before any target refines.
 type ending struct {
-	sel    *Selector
 	models []*workload.Model
 	space  hw.DesignSpace
 	cons   Constraints
 	res    Result // Feasible, Explored and SpaceDesc
 	best   int
 	area   float64
-	cands  []int     // the feasible frontier, under staged fidelity
+	front  []row     // the feasible frontier, under staged fidelity
+	cands  []int     // its point indices
 	blk    candBlock // the candidates' points and summaries
 }
 
@@ -183,11 +185,14 @@ func (s *Selector) settle(ctx context.Context, sc *Scorer, explored int, fo *Fid
 	if !ok {
 		return nil, fmt.Errorf("dse: no feasible configuration for %d models under %+v", len(sc.models), sc.cons)
 	}
-	e := &ending{sel: s, models: sc.models, space: sc.space, cons: sc.cons, best: best, area: area,
+	e := &ending{models: sc.models, space: sc.space, cons: sc.cons, best: best, area: area,
 		res: Result{Feasible: s.Feasible(), Explored: explored, SpaceDesc: sc.space.Desc()}}
 	if fo.Staged() {
-		e.cands = s.FeasibleFrontier()
 		var err error
+		if e.front, err = s.front.skyline(ctx); err != nil {
+			return nil, err
+		}
+		e.cands = idxsOf(e.front)
 		if e.blk, err = gatherCands(ctx, sc, e.cands); err != nil {
 			return nil, err
 		}
@@ -207,12 +212,7 @@ func (e *ending) finish(ctx context.Context, fo *FidelityOptions, ev *eval.Evalu
 			return Result{}, -1, 0, err
 		}
 		res.Refined = &stats
-		for _, c := range e.sel.front.cands {
-			if c.idx == best {
-				area = c.area
-				break
-			}
-		}
+		area = e.front[slices.Index(e.cands, best)].area
 	}
 	res.Config = hw.NewConfig(e.space.At(best), e.models)
 	res.Config.Cat = hw.CatalogueOf(e.space)
@@ -230,11 +230,11 @@ func (e *ending) finish(ctx context.Context, fo *FidelityOptions, ev *eval.Evalu
 // Best returns the min-(area, index) candidate feasible under the current
 // reference, or ok=false when nothing observed so far is feasible.
 func (s *Selector) Best() (idx int, area float64, ok bool) {
-	if len(s.front.cands) == 0 {
+	if len(s.front.rows) == 0 {
 		return -1, 0, false
 	}
-	c := s.front.cands[0]
-	return c.idx, c.area, true
+	r := s.front.rows[s.front.lead]
+	return r.idx, r.area, true
 }
 
 // BestLatencies returns the current per-model reference latencies (+Inf for
@@ -250,11 +250,19 @@ func (s *Selector) Feasible() int { return s.front.held() }
 // FeasibleFrontier returns the point indices of the non-dominated candidates
 // feasible under the current reference, in (area, index) selection order —
 // the candidate list staged fidelity refines (FidelityOptions.RefineSelect).
-// Its first element is Best()'s index.
+// Its first element is Best()'s index. Each call filters the held rows
+// anew.
 func (s *Selector) FeasibleFrontier() []int {
-	out := make([]int, len(s.front.cands))
-	for i := range s.front.cands {
-		out[i] = s.front.cands[i].idx
+	// The filter fails only on a done context, and this one never is.
+	front, _ := s.front.skyline(context.TODO())
+	return idxsOf(front)
+}
+
+// idxsOf returns the rows' point indices, in order.
+func idxsOf(rows []row) []int {
+	out := make([]int, len(rows))
+	for i, r := range rows {
+		out[i] = r.idx
 	}
 	return out
 }

@@ -1,9 +1,11 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/eval"
@@ -11,108 +13,154 @@ import (
 	"repro/internal/workload"
 )
 
-// absorbScan is frontier.absorb with every insertion through the general
-// scan.
-func absorbScan(f, o *frontier) {
-	for i := range o.cands {
-		oc := &o.cands[i]
-		f.addScan(oc.idx, oc.area, o.latsOf(oc))
-	}
-	f.band = append(f.band, o.band...)
+// shadowRow is a held row of the brute-force shadow of a frontier.
+type shadowRow struct {
+	row
+	lats []float64
 }
 
-// frontierDiff describes the first difference between two one-model
-// frontiers — candidates in order (offsets included), their latency rows,
-// the band rows in order, the free list and both peaks — or returns "".
-func frontierDiff(a, b *frontier) string {
-	switch {
-	case !slices.Equal(a.cands, b.cands):
-		return fmt.Sprintf("candidates %v, want %v", a.cands, b.cands)
-	case !slices.Equal(a.band, b.band):
-		return fmt.Sprintf("band %v, want %v", a.band, b.band)
-	case !slices.Equal(a.free, b.free):
-		return fmt.Sprintf("free list %v, want %v", a.free, b.free)
-	case a.peak != b.peak || a.peakBand != b.peakBand:
-		return fmt.Sprintf("peaks %d/%d, want %d/%d", a.peak, a.peakBand, b.peak, b.peakBand)
-	}
-	for i := range a.cands {
-		if !slices.Equal(a.latsOf(&a.cands[i]), b.latsOf(&b.cands[i])) {
-			return fmt.Sprintf("candidate %d latencies %v, want %v", i, a.latsOf(&a.cands[i]), b.latsOf(&b.cands[i]))
+// shadowSkyline is the brute-force frontier of the shadow's rows: every row
+// no other row dominates, in (area, index) order.
+func shadowSkyline(rows []shadowRow) []row {
+	var out []row
+	for _, b := range rows {
+		dominated := false
+		for _, a := range rows {
+			dominated = dominated || dominatesVals(a.area, a.idx, a.lats, b.area, b.idx, b.lats)
 		}
+		if !dominated {
+			out = append(out, b.row)
+		}
+	}
+	slices.SortFunc(out, func(a, b row) int {
+		if a.before(b) {
+			return -1
+		}
+		return 1
+	})
+	return out
+}
+
+// shadowDiff describes the first difference between a frontier and its
+// shadow — the lead, the held count and the frontier skyline returns — or
+// returns "". On one model it also checks the staircase: rows in strictly
+// increasing (area, index) order with strictly falling latencies, equal to
+// the frontier itself, and the rows' and band's latencies together equal to
+// the shadow's.
+func shadowDiff(f *frontier, shadow []shadowRow) string {
+	if f.held() != len(shadow) {
+		return fmt.Sprintf("holds %d rows, shadow %d", f.held(), len(shadow))
+	}
+	if len(shadow) > 0 {
+		lead := shadow[0].row
+		for _, r := range shadow {
+			if r.before(lead) {
+				lead = r.row
+			}
+		}
+		if len(f.rows) == 0 || f.rows[f.lead] != lead {
+			return fmt.Sprintf("lead at %d of %v, want %v", f.lead, f.rows, lead)
+		}
+	}
+	front, err := f.skyline(context.Background())
+	if want := shadowSkyline(shadow); err != nil || !slices.Equal(front, want) {
+		return fmt.Sprintf("frontier %v (%v), want %v", front, err, want)
+	}
+	if f.stride > 1 {
+		return ""
+	}
+	for i := 1; i < len(f.rows); i++ {
+		if !f.rows[i-1].before(f.rows[i]) || f.lats[i-1] <= f.lats[i] {
+			return fmt.Sprintf("staircase breaks at %d: %v %v then %v %v", i, f.rows[i-1], f.lats[i-1], f.rows[i], f.lats[i])
+		}
+	}
+	if !slices.Equal(f.rows, front) {
+		return fmt.Sprintf("staircase %v, frontier %v", f.rows, front)
+	}
+	held, want := slices.Concat(f.lats, f.band), make([]float64, len(shadow))
+	for i, r := range shadow {
+		want[i] = r.lats[0]
+	}
+	slices.Sort(held)
+	slices.Sort(want)
+	if !slices.Equal(held, want) {
+		return fmt.Sprintf("staircase and band hold latencies %v, shadow %v", held, want)
 	}
 	return ""
 }
 
-// TestStairMatchesScan is the differential test of one-model insertion:
-// random one-model streams go through add, which takes the staircase path
-// on one model, and through addScan, the general scan, as the oracle. Areas
-// and latencies are quantized to a few values and point indices arrive in
-// random order, so the streams hold area ties, latency ties and equal
-// (area, latency) rows at different indices. filterSlack and absorb (of a
-// second pair of frontiers fed the same way) are interleaved with the
-// insertions. After every step both frontiers must hold the same candidates
-// in order with the same latency rows, the same band rows in order, the
-// same free list and the same peaks, so ExploreStats.MaxRetained and MaxBand
-// read the same either way. The staircase's own invariant — latencies
-// falling strictly along the frontier — is checked as well.
-func TestStairMatchesScan(t *testing.T) {
+// TestFrontierMatchesShadow is the differential test of the frontier's one
+// row layout on one, two and three models: random streams go through add,
+// filterSlack and absorb (of a second frontier fed the same way), each step
+// mirrored on a brute-force shadow that holds every row in a plain list.
+// Areas and latencies are quantized to a few values and point indices
+// arrive in random order, so the streams hold area ties, latency ties and
+// equal rows at different indices. After every step the lead, the held
+// count and the frontier must match the shadow's, and on one model the
+// staircase must hold (shadowDiff).
+func TestFrontierMatchesShadow(t *testing.T) {
 	var tieRejects, runEvicts int
-	for _, seed := range []int64{1, 7, 42, 20260806} {
-		rng := rand.New(rand.NewSource(seed))
-		for trial := 0; trial < 200; trial++ {
-			levels := 2 + rng.Intn(8)
-			quant := func() float64 { return float64(1 + rng.Intn(levels)) }
-			perm := rng.Perm(400)
-			next := 0
-			// feed adds one random row to a frontier pair.
-			feed := func(stair, scan *frontier) {
-				idx, area, lat := perm[next], quant(), quant()
-				next++
-				pos := scan.insertionPoint(idx, area)
-				if pos > 0 && scan.lats[scan.cands[pos-1].off] == lat {
-					tieRejects++
-				}
-				before := len(scan.cands)
-				stair.add(idx, area, []float64{lat})
-				scan.addScan(idx, area, []float64{lat})
-				if len(scan.cands) < before {
-					runEvicts++
-				}
-			}
-			var stair, scan frontier
-			stair.init(1)
-			scan.init(1)
-			for step := 0; step < 80; step++ {
-				op := "add"
-				switch r := rng.Intn(20); {
-				case r < 16:
-					feed(&stair, &scan)
-				case r < 18:
-					op = "filterSlack"
-					ref := []float64{quant()}
-					slack := []float64{0, 0.25, 1}[rng.Intn(3)]
-					stair.filterSlack(ref, slack)
-					scan.filterSlack(ref, slack)
-				default:
-					op = "absorb"
-					var oStair, oScan frontier
-					oStair.init(1)
-					oScan.init(1)
-					for range rng.Intn(12) {
-						feed(&oStair, &oScan)
+	for _, models := range []int{1, 2, 3} {
+		for _, seed := range []int64{1, 7, 42, 20260806} {
+			rng := rand.New(rand.NewSource(seed))
+			for trial := 0; trial < 100; trial++ {
+				levels := 2 + rng.Intn(8)
+				quant := func() float64 { return float64(1 + rng.Intn(levels)) }
+				quants := func() []float64 {
+					v := make([]float64, models)
+					for i := range v {
+						v[i] = quant()
 					}
-					if d := frontierDiff(&oStair, &oScan); d != "" {
-						t.Fatalf("seed %d trial %d step %d: absorbed frontier: %s", seed, trial, step, d)
+					return v
+				}
+				perm := rng.Perm(400)
+				next := 0
+				// feed adds one random row to a frontier and its shadow.
+				feed := func(f *frontier, shadow *[]shadowRow) {
+					r, lats := row{idx: perm[next], area: quant()}, quants()
+					next++
+					if models == 1 {
+						pos := sort.Search(len(f.rows), func(i int) bool { return r.before(f.rows[i]) })
+						if pos > 0 && f.lats[pos-1] == lats[0] {
+							tieRejects++
+						}
 					}
-					stair.absorb(&oStair)
-					absorbScan(&scan, &oScan)
+					band := len(f.band)
+					f.add(r.idx, r.area, lats)
+					if len(f.band) >= band+2 {
+						runEvicts++
+					}
+					*shadow = append(*shadow, shadowRow{r, lats})
 				}
-				if d := frontierDiff(&stair, &scan); d != "" {
-					t.Fatalf("seed %d trial %d step %d (%s): %s", seed, trial, step, op, d)
-				}
-				for i := 1; i < len(stair.cands); i++ {
-					if a, b := stair.latsOf(&stair.cands[i-1])[0], stair.latsOf(&stair.cands[i])[0]; a <= b {
-						t.Fatalf("seed %d trial %d step %d: latencies %v then %v along the frontier", seed, trial, step, a, b)
+				var f frontier
+				var shadow []shadowRow
+				f.init(models)
+				for step := 0; step < 80; step++ {
+					op := "add"
+					switch r := rng.Intn(20); {
+					case r < 16:
+						feed(&f, &shadow)
+					case r < 18:
+						op = "filterSlack"
+						ref, slack := quants(), []float64{0, 0.25, 1}[rng.Intn(3)]
+						f.filterSlack(ref, slack)
+						shadow = slices.DeleteFunc(shadow, func(r shadowRow) bool { return !slackOK(r.lats, ref, slack) })
+					default:
+						op = "absorb"
+						var o frontier
+						var oShadow []shadowRow
+						o.init(models)
+						for range rng.Intn(12) {
+							feed(&o, &oShadow)
+						}
+						if d := shadowDiff(&o, oShadow); d != "" {
+							t.Fatalf("%d models, seed %d trial %d step %d: absorbed frontier: %s", models, seed, trial, step, d)
+						}
+						f.absorb(&o)
+						shadow = append(shadow, oShadow...)
+					}
+					if d := shadowDiff(&f, shadow); d != "" {
+						t.Fatalf("%d models, seed %d trial %d step %d (%s): %s", models, seed, trial, step, op, d)
 					}
 				}
 			}

@@ -15,9 +15,8 @@ import (
 
 // ExploreStats reports how a streaming sweep behaved — the observability
 // needed to assert the bounded-memory claim without guessing. A sweep of
-// several targets (ExploreTargetsCtx) sums the per-target quantities —
-// frontier and band peaks, survivors, retained bytes and winner areas —
-// over its targets.
+// several targets (ExploreTargetsCtx) sums the per-target quantities — row
+// and band peaks, retained bytes and winner areas — over its targets.
 type ExploreStats struct {
 	// Points is the number of space points swept; Models the models per point.
 	Points, Models int
@@ -25,25 +24,25 @@ type ExploreStats struct {
 	Chunks int
 	// ChunkSize is the resolved chunk size.
 	ChunkSize int
-	// MaxRetained bounds the peak size (in points) of the dominance
-	// frontiers: the sum of every shard's peak frontier size, tracked at each
-	// insertion, an upper bound on the frontier total at any instant.
-	// Dominance and slack-watermark pruning keep it far below Points on
-	// realistic spaces.
+	// MaxRetained bounds the peak number of rows the shards hold with their
+	// index and area — the staircase on one model, every slack-feasible row
+	// on several: the sum of every shard's peak, tracked at each insertion,
+	// an upper bound on the total at any instant. Slack-watermark pruning,
+	// and on one model dominance, keep it far below Points on realistic
+	// spaces.
 	MaxRetained int
 	// MaxBand bounds the peak number of dominated slack-feasible points the
-	// shards hold as bare latency rows, which only Result.Feasible counts:
-	// the sum of every shard's peak band size, tracked like MaxRetained.
+	// one-model staircases hold as bare latency rows, which only
+	// Result.Feasible counts: the sum of every shard's peak band size,
+	// tracked like MaxRetained.
 	MaxBand int
-	// Retained is the merged survivor count when the sweep finished.
-	Retained int
 	// Shards is the number of per-worker reduction shards the sweep used.
 	Shards int
 	// RetainedBytes conservatively prices the peak retained set, the sweep's
 	// only point-proportional memory: one index, one area and Models
-	// latencies per frontier candidate, Models latencies per band row, 8
-	// bytes each. Priced in int64: synthetic spaces can exceed 10^8 points,
-	// where a 32-bit byte product would silently wrap.
+	// latencies per held row, Models latencies per band row, 8 bytes each.
+	// Priced in int64: synthetic spaces can exceed 10^8 points, where a
+	// 32-bit byte product would silently wrap.
 	RetainedBytes int64
 	// NaiveBytes prices the eager O(points x models) summary matrix the
 	// pre-streaming implementation allocated (32 bytes per ppa.Summary),
@@ -83,21 +82,23 @@ func naiveBytes(points, models int) int64 {
 	return int64(points) * int64(models) * 32
 }
 
-// retainedBytes prices the peak retained set — maxRetained frontier
-// candidates and maxBand band rows — in int64.
+// retainedBytes prices the peak retained set — maxRetained held rows and
+// maxBand band rows — in int64.
 func retainedBytes(maxRetained, maxBand, models int) int64 {
 	return (int64(maxRetained)*int64(models+2) + int64(maxBand)*int64(models)) * 8
 }
 
-// candidate is the compact per-point record a frontier retains: the point
-// index, its summed area, and the offset of its per-model latencies in the
-// owning frontier's flat backing array — everything the final slack pass and
-// min-area selection need, nothing else. Latencies live out-of-line so
-// retaining a candidate never allocates (see frontier).
-type candidate struct {
+// row is a held row's point index and summed area; its latencies sit in the
+// owning frontier's flat latency array, at the row's position times the
+// stride.
+type row struct {
 	idx  int
 	area float64
-	off  int
+}
+
+// before reports whether r precedes o in the (area, index) selection order.
+func (r row) before(o row) bool {
+	return r.area < o.area || (r.area == o.area && r.idx < o.idx)
 }
 
 // dominatesVals reports whether candidate a (area aArea, index aIdx,
@@ -105,8 +106,7 @@ type candidate struct {
 // latencies are no worse for every model (so a passes the latency-slack
 // filter whenever b does, for any reference latencies), and a precedes b in
 // the (area, index) selection order. This is a strict partial order, so
-// pruning dominated candidates — in any order, from any subset, on any shard
-// — can never remove the eventual winner.
+// the rows no other row dominates include the eventual winner.
 func dominatesVals(aArea float64, aIdx int, aLats []float64, bArea float64, bIdx int, bLats []float64) bool {
 	if aArea > bArea || (aArea == bArea && aIdx >= bIdx) {
 		return false
@@ -130,199 +130,174 @@ func slackOK(lats, ref []float64, slack float64) bool {
 	return true
 }
 
-// frontier is a dominance-pruned candidate set ordered by ascending area
-// (ties by index) — the same order selection uses, which makes both pruning
-// directions one partial scan: nothing past a candidate's insertion point can
-// dominate it, and nothing before it can be dominated by it. On one model the
-// frontier is a staircase (addStair): its latencies fall strictly along the
-// order, so one compare and one contiguous run replace the two scans.
+// frontier holds a Selector's slack-feasible rows, each as its (index, area)
+// pair in rows and its stride latencies in lats, at the same position, and
+// tracks the lead: the position of the min-(area, index) row, which is the
+// selection's winner once the reference is final.
 //
-// Candidates the frontier drops as dominated — rejected on arrival or
-// evicted — are still slack-feasible, so their latency rows move to the band,
-// a flat array of bare rows that only the feasible count reads; add and
-// filterSlack keep every row in exactly one of the two.
+// On several models add appends, so rows sit in arrival order; the
+// dominance frontier is filtered from them once, where staged selection
+// reads it (skyline). On one model add keeps a staircase instead: rows in
+// (area, index) order with latencies falling strictly along it, which is
+// already the frontier, so the lead is its first row. A row the staircase
+// drops as dominated — rejected on arrival or evicted — is still
+// slack-feasible, so its latency moves to the band, bare rows that only the
+// feasible count reads. add and filterSlack keep every held row in exactly
+// one of the two.
 //
-// Candidate latencies live in one flat backing array (stride = number of
-// models); each candidate stores an offset, and slots of evicted candidates
-// are recycled through a free list. After the backing arrays have grown to
-// the frontier's working-set size, add/filter/evict perform no allocations —
-// the property the chunk-loop allocation regression test pins.
+// After the arrays have grown to the working-set size, add and filterSlack
+// perform no allocations — the property the chunk-loop allocation
+// regression test pins.
 type frontier struct {
 	stride int
-	cands  []candidate
-	lats   []float64
-	free   []int
-	band   []float64 // latency rows of dominated candidates, stride apart
-	// peak and peakBand are the largest candidate and band-row counts held
-	// so far.
+	rows   []row
+	lats   []float64 // the rows' latencies, stride per row
+	band   []float64 // latency rows the staircase dropped, stride apart
+	lead   int       // position of the min-(area, index) row, when rows is non-empty
+	// peak and peakBand are the largest row and band-row counts held so far.
 	peak, peakBand int
 }
 
-// init sets the per-candidate latency stride; it must be called before add.
+// init sets the per-row latency stride; it must be called before add.
 func (f *frontier) init(stride int) { f.stride = stride }
 
-// latsOf returns the candidate's latency row in the backing array.
-func (f *frontier) latsOf(c *candidate) []float64 {
-	return f.lats[c.off : c.off+f.stride]
-}
-
-// held returns the number of rows held: candidates plus band rows.
-func (f *frontier) held() int { return len(f.cands) + len(f.band)/f.stride }
+// held returns the number of rows held: rows plus band rows.
+func (f *frontier) held() int { return len(f.rows) + len(f.band)/f.stride }
 
 // notePeak records the current sizes in the peaks; add calls it wherever the
 // held set grows.
 func (f *frontier) notePeak() {
-	f.peak = max(f.peak, len(f.cands))
+	f.peak = max(f.peak, len(f.rows))
 	f.peakBand = max(f.peakBand, len(f.band)/f.stride)
 }
 
 // reset empties the frontier and its band, keeping every backing array for
 // reuse.
 func (f *frontier) reset() {
-	f.cands = f.cands[:0]
-	f.lats = f.lats[:0]
-	f.free = f.free[:0]
-	f.band = f.band[:0]
+	f.rows, f.lats, f.band = f.rows[:0], f.lats[:0], f.band[:0]
 }
 
-// add inserts the candidate (idx, area, lats) unless a retained candidate
-// dominates it, and evicts retained candidates it dominates; dominated rows
-// go to the band. lats is copied; the caller's slice may be reused. A point
-// index is added at most once while the frontier holds it.
+// add holds the row (idx, area, lats): on one model in the staircase, on
+// several appended. lats is copied; the caller's slice may be reused. A
+// point index is added at most once while the frontier holds it.
 func (f *frontier) add(idx int, area float64, lats []float64) {
+	r := row{idx: idx, area: area}
 	if f.stride == 1 {
-		f.addStair(idx, area, lats[0])
+		f.addStair(r, lats[0])
 		return
 	}
-	f.addScan(idx, area, lats)
+	if len(f.rows) == 0 || r.before(f.rows[f.lead]) {
+		f.lead = len(f.rows)
+	}
+	f.rows = append(f.rows, r)
+	f.lats = append(f.lats, lats...)
+	f.notePeak()
 }
 
-// insertionPoint returns the position of the first candidate ordered after
-// (area, idx).
-func (f *frontier) insertionPoint(idx int, area float64) int {
-	return sort.Search(len(f.cands), func(i int) bool {
-		fc := &f.cands[i]
-		return fc.area > area || (fc.area == area && fc.idx > idx)
-	})
-}
-
-// addStair is add on one model. No held candidate dominates another, and
-// each precedes the ones after it in selection order, so each is strictly
-// slower than the ones after it: the latencies fall strictly along the
-// frontier. Only the candidate just before the insertion point can then
-// dominate the new one, the fastest of those that precede it; and the
-// candidates the new one dominates are the run at the insertion point no
-// faster than it. The compares are dominatesVals' on one latency, and the
-// rows go to the band and the slots to the free list in addScan's order, so
-// both leave the same frontier, band and peaks.
-func (f *frontier) addStair(idx int, area, lat float64) {
-	pos := f.insertionPoint(idx, area)
-	if pos > 0 && !(f.lats[f.cands[pos-1].off] > lat) {
+// addStair is add on one model. No held row dominates another and each
+// precedes the ones after it, so each is strictly slower than the ones after
+// it. Only the row just before the insertion point can then dominate the new
+// one, the fastest of those that precede it; and the rows the new one
+// dominates are the run at the insertion point no faster than it.
+func (f *frontier) addStair(r row, lat float64) {
+	pos := sort.Search(len(f.rows), func(i int) bool { return r.before(f.rows[i]) })
+	if pos > 0 && !(f.lats[pos-1] > lat) {
 		f.band = append(f.band, lat)
 		f.notePeak()
 		return
 	}
 	end := pos
-	for ; end < len(f.cands) && !(lat > f.lats[f.cands[end].off]); end++ {
-		off := f.cands[end].off
-		f.band = append(f.band, f.lats[off])
-		f.free = append(f.free, off)
+	for end < len(f.rows) && !(lat > f.lats[end]) {
+		end++
 	}
-	c := candidate{idx: idx, area: area, off: f.claim([]float64{lat})}
-	// Put the new candidate in the run's place.
-	if end == pos {
-		f.cands = append(f.cands, candidate{})
-		copy(f.cands[pos+1:], f.cands[pos:])
-	} else {
-		f.cands = append(f.cands[:pos+1], f.cands[end:]...)
-	}
-	f.cands[pos] = c
+	f.band = append(f.band, f.lats[pos:end]...)
+	f.rows = slices.Replace(f.rows, pos, end, r)
+	f.lats = slices.Replace(f.lats, pos, end, lat)
+	f.lead = 0
 	f.notePeak()
 }
 
-// addScan is add on any number of models: it scans every candidate before
-// the insertion point for a dominator and every one after it for the
-// candidates to evict.
-func (f *frontier) addScan(idx int, area float64, lats []float64) {
-	pos := f.insertionPoint(idx, area)
-	for i := 0; i < pos; i++ {
-		fc := &f.cands[i]
-		if dominatesVals(fc.area, fc.idx, f.latsOf(fc), area, idx, lats) {
-			f.band = append(f.band, lats...)
-			f.notePeak()
-			return
-		}
-	}
-	// Evict candidates dominated by the new one in place; they all sit at or
-	// after pos. Their rows go to the band, their latency slots to the free
-	// list.
-	w := pos
-	for i := pos; i < len(f.cands); i++ {
-		fc := &f.cands[i]
-		if dominatesVals(area, idx, lats, fc.area, fc.idx, f.latsOf(fc)) {
-			f.band = append(f.band, f.latsOf(fc)...)
-			f.free = append(f.free, fc.off)
-		} else {
-			f.cands[w] = f.cands[i]
-			w++
-		}
-	}
-	f.cands = f.cands[:w]
-	off := f.claim(lats)
-	// Insert at the ordered position.
-	f.cands = append(f.cands, candidate{})
-	copy(f.cands[pos+1:], f.cands[pos:])
-	f.cands[pos] = candidate{idx: idx, area: area, off: off}
-	f.notePeak()
-}
-
-// claim stores lats in a latency slot and returns its offset: the most
-// recently freed slot, else a new one at the end of the backing array.
-func (f *frontier) claim(lats []float64) int {
-	if n := len(f.free); n > 0 {
-		off := f.free[n-1]
-		f.free = f.free[:n-1]
-		copy(f.lats[off:off+f.stride], lats)
-		return off
-	}
-	f.lats = append(f.lats, lats...)
-	return len(f.lats) - f.stride
-}
-
-// absorb adds o's candidates to f in o's order and appends o's band rows to
-// f's band.
+// absorb adds o's rows to f in o's order and appends o's band rows to f's
+// band.
 func (f *frontier) absorb(o *frontier) {
-	for i := range o.cands {
-		oc := &o.cands[i]
-		f.add(oc.idx, oc.area, o.latsOf(oc))
+	for i, r := range o.rows {
+		f.add(r.idx, r.area, o.lats[i*o.stride:(i+1)*o.stride])
 	}
 	f.band = append(f.band, o.band...)
 }
 
-// filterSlack drops candidates and band rows whose latencies fail the slack
-// constraint against ref, recycling the candidates' latency slots. Order is
-// preserved. Safe whenever ref is everywhere >= the final reference
+// filterSlack drops rows and band rows whose latencies fail the slack
+// constraint against ref, and finds the lead among the rows it keeps. Order
+// is preserved. Safe whenever ref is everywhere >= the final reference
 // latencies (watermark monotonicity): a row failing slack against ref also
 // fails the final pass.
 func (f *frontier) filterSlack(ref []float64, slack float64) {
-	w := 0
-	for i := range f.cands {
-		fc := &f.cands[i]
-		if slackOK(f.latsOf(fc), ref, slack) {
-			f.cands[w] = f.cands[i]
+	w, d := 0, f.stride
+	for i, r := range f.rows {
+		if lats := f.lats[i*d : (i+1)*d]; slackOK(lats, ref, slack) {
+			if w == 0 || r.before(f.rows[f.lead]) {
+				f.lead = w
+			}
+			f.rows[w] = r
+			copy(f.lats[w*d:], lats)
 			w++
-		} else {
-			f.free = append(f.free, fc.off)
 		}
 	}
-	f.cands = f.cands[:w]
+	f.rows, f.lats = f.rows[:w], f.lats[:w*d]
 	w = 0
-	for r := 0; r < len(f.band); r += f.stride {
-		if row := f.band[r : r+f.stride]; slackOK(row, ref, slack) {
-			w += copy(f.band[w:], row)
+	for r := 0; r < len(f.band); r += d {
+		if lats := f.band[r : r+d]; slackOK(lats, ref, slack) {
+			w += copy(f.band[w:], lats)
 		}
 	}
 	f.band = f.band[:w]
+}
+
+// skylineBlock is the number of rows skyline filters between checks of its
+// context.
+const skylineBlock = 256
+
+// skyline returns the held rows no other held row dominates, in (area,
+// index) selection order: it sorts the rows into that order and keeps each
+// row no kept row dominates, trying the kept rows newest first, since a
+// dominator tends to sit close in area. Dominance is transitive and every
+// dropped row is dominated by a kept one, so no held row dominates a kept
+// row. It stops with ctx.Err() at the first block of rows it finds ctx done
+// before.
+func (f *frontier) skyline(ctx context.Context) ([]row, error) {
+	d := f.stride
+	order := make([]int, len(f.rows))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if f.rows[a].before(f.rows[b]) {
+			return -1
+		}
+		return 1
+	})
+	var kept []int
+	for n, p := range order {
+		if n%skylineBlock == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		r, lats := f.rows[p], f.lats[p*d:(p+1)*d]
+		dominated := false
+		for k := len(kept) - 1; k >= 0 && !dominated; k-- {
+			q := kept[k]
+			dominated = dominatesVals(f.rows[q].area, f.rows[q].idx, f.lats[q*d:(q+1)*d], r.area, r.idx, lats)
+		}
+		if !dominated {
+			kept = append(kept, p)
+		}
+	}
+	out := make([]row, len(kept))
+	for i, p := range kept {
+		out[i] = f.rows[p]
+	}
+	return out, nil
 }
 
 // atomicMinFloat lowers the watermark cell to v when v is smaller, via a CAS
@@ -553,19 +528,20 @@ func (sw *sweepState) scan(ev *eval.Evaluator, chunk int, progress func(done, to
 // merge folds target t's Selectors of the shards into one after the scan,
 // in any shard order, and returns it with the target's error at the lowest
 // point index, if any, as a serial scan would fail. It records the shard
-// count and the shards' peak frontier and band sizes in stats. Phase 1: the
+// count and the shards' peak row and band counts in stats. Phase 1: the
 // final per-model references are the exact min over every shard's reference
 // (pure comparisons, so order-independent; every watermark value a shard
 // folded in is some shard's chunk minimum, so this is the min over every
 // statically feasible observation). Phase 2: the first shard's Selector is
 // lowered to them and absorbs every other shard's (Selector.absorb), which
-// lowers that one to them too. Lowering drops exactly a shard's rows that
-// fail the final slack pass, so the merged Selector holds every
-// slack-feasible point once — Feasible() is Result.Feasible — and its
-// frontier contains the winner: that point can be neither dominated (its
-// dominator would precede it in selection order and pass slack whenever it
-// does) nor watermark-dropped (it passes slack against the final, tightest
-// reference). Nil shards are skipped; at least one must be non-nil.
+// lowers that one to them too — on several models an append, linear in the
+// rows held. Lowering drops exactly a shard's rows that fail the final slack
+// pass, so the merged Selector holds every slack-feasible point once —
+// Feasible() is Result.Feasible — and its lead is the winner: that point
+// passes slack against the final, tightest reference, so no shard dropped
+// it, and on one model no staircase did either, since a row that dominates
+// it would precede it in selection order and pass slack whenever it does.
+// Nil shards are skipped; at least one must be non-nil.
 func (sw *sweepState) merge(t int, shards []*exploreShard, stats *ExploreStats) (*Selector, error) {
 	var sel *Selector
 	var err error
@@ -615,7 +591,6 @@ func (sw *sweepState) conclude(shards []*exploreShard, fo *FidelityOptions, ev *
 	ev.ForEach(nt, func(t int) {
 		sel, err := sw.merge(t, shards, &stats[t])
 		if err == nil {
-			stats[t].Retained = len(sel.front.cands)
 			ends[t], err = sel.settle(sw.ctx, sw.score.view(sw.targets[t]), sw.n, fo)
 		}
 		errs[t] = err
@@ -678,12 +653,13 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 // "dse: no models"; an index outside models is a caller's bug. The chunk
 // loop checks ctx at every chunk boundary, so a cancelled sweep stops
 // within one chunk (<= 512 points per worker) and every target returns
-// ctx.Err(); a run that completes is byte-identical to an uncancelled one —
-// the context is consulted, never folded into selection. ctx and ev must be
-// non-nil; a nil opts selects defaults. opts.Stats, when non-nil, receives
-// the sweep's statistics once every target has succeeded, with each target's
-// frontier and band peaks, survivors, retained bytes and winner area summed
-// over the targets.
+// ctx.Err(). The ending checks it again once every target has concluded,
+// so a run either completes before ctx is done, byte-identical to an
+// uncancelled one — the context is consulted, never folded into selection —
+// or returns ctx.Err() for every target. ctx and ev must be non-nil; a nil
+// opts selects defaults. opts.Stats, when non-nil, receives the sweep's
+// statistics once every target has succeeded, with each target's row and
+// band peaks, retained bytes and winner area summed over the targets.
 func ExploreTargetsCtx(ctx context.Context, models []*workload.Model, targets [][]int, space hw.DesignSpace, cons Constraints, ev *eval.Evaluator, opts *ExploreOptions) ([]Result, []error) {
 	fail := func(err error) ([]Result, []error) {
 		errs := make([]error, len(targets))
@@ -728,6 +704,9 @@ func ExploreTargetsCtx(ctx context.Context, models []*workload.Model, targets []
 		return fail(err)
 	}
 	results, errs, stats := sw.conclude(shards, o.Fidelity, ev)
+	if err := ctx.Err(); err != nil {
+		return fail(err)
+	}
 	if o.Stats != nil && !slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
 		all := ExploreStats{Points: n, Models: len(models), Chunks: (n + chunk - 1) / chunk, ChunkSize: chunk,
 			NaiveBytes: naiveBytes(n, len(models))}
@@ -735,7 +714,6 @@ func ExploreTargetsCtx(ctx context.Context, models []*workload.Model, targets []
 			all.Shards = st.Shards
 			all.MaxRetained += st.MaxRetained
 			all.MaxBand += st.MaxBand
-			all.Retained += st.Retained
 			all.RetainedBytes += retainedBytes(st.MaxRetained, st.MaxBand, len(targets[t]))
 			all.WinnerAreaMM2 += st.WinnerAreaMM2
 		}

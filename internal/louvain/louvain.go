@@ -328,14 +328,3 @@ func GreedyBipartition(n int, edges []Edge) ([]int, error) {
 	}
 	return side, nil
 }
-
-// CutWeight returns the total weight of edges crossing the partition.
-func CutWeight(edges []Edge, comm []int) float64 {
-	var cut float64
-	for _, e := range edges {
-		if e.A != e.B && comm[e.A] != comm[e.B] {
-			cut += e.Weight
-		}
-	}
-	return cut
-}

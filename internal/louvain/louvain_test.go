@@ -198,16 +198,6 @@ func TestGreedyBipartition(t *testing.T) {
 	}
 }
 
-func TestCutWeight(t *testing.T) {
-	edges := []Edge{{0, 1, 2}, {1, 2, 3}, {2, 2, 7}}
-	if got := CutWeight(edges, []int{0, 0, 1}); got != 3 {
-		t.Errorf("cut = %v, want 3 (self-loop never cut)", got)
-	}
-	if got := CutWeight(edges, []int{0, 0, 0}); got != 0 {
-		t.Errorf("cut of single community = %v, want 0", got)
-	}
-}
-
 // TestKarateClubStyle runs Louvain on a randomized modular graph and checks
 // that modularity is no worse than the trivial one-community partition.
 func TestModularityImprovesOverTrivial(t *testing.T) {

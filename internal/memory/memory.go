@@ -104,13 +104,3 @@ func Analyze(f Footprint, chiplets int, sys System) (Analysis, error) {
 	}
 	return a, nil
 }
-
-// BoundLatencyS returns the larger of a compute latency and the DRAM
-// streaming floor: the roofline-corrected latency this reproduction reports
-// as an advisory for weight-streaming models.
-func (a Analysis) BoundLatencyS(computeS float64) float64 {
-	if a.StreamLatencyS > computeS {
-		return a.StreamLatencyS
-	}
-	return computeS
-}

@@ -100,7 +100,8 @@ func New(spec Spec, o Options) (*Optimizer, error) {
 // latency reference, hands control to the strategy (anneal or evolve), then
 // concludes the selector's selection (finish). It is deterministic for a
 // fixed seed at any evaluator worker count. ctx must be non-nil; cancelling
-// it stops the search with the context's error.
+// it stops the search with the context's error, and a run whose context is
+// done by the time its ending returns returns that error, not its Result.
 func (o *Optimizer) Run(ctx context.Context, models []*workload.Model, space hw.DesignSpace,
 	cons dse.Constraints, budget int) (dse.Result, Trace, error) {
 	if len(models) == 0 {
@@ -725,7 +726,9 @@ func (st *state) trace(strategy string) Trace {
 // finish ends the run through the sweep's own ending (dse.Selector.Conclude)
 // over the visited set: the same reference check and errors, the Selector's
 // feasible count under the final reference, staged refinement of the
-// visited-set dominance frontier, and the union-kind materialization.
+// visited-set dominance frontier, and the union-kind materialization. A
+// context done by the time the ending returns fails the run with its error,
+// as a sweep's does.
 func (st *state) finish(strategy string) (dse.Result, Trace, error) {
 	tr := st.trace(strategy)
 	// Stage 1 reads the candidates' summaries from the scorer first;
@@ -733,6 +736,9 @@ func (st *state) finish(strategy string) (dse.Result, Trace, error) {
 	sc := st.score
 	st.score = nil
 	res, best, area, err := st.sel.Conclude(st.ctx, sc, len(st.pts), st.fid, st.ev)
+	if err == nil {
+		err = st.ctx.Err()
+	}
 	if err != nil {
 		return dse.Result{}, tr, err
 	}

@@ -2,9 +2,11 @@ package search
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dse"
@@ -117,6 +119,58 @@ func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 				t.Errorf("%s/%s: trace differs across workers\nw1: %+v\nw8: %+v",
 					tc.name, kind, runs[0].trace, runs[1].trace)
 			}
+		}
+	}
+}
+
+// cancelingSpace counts its At calls and cancels a context on the limit-th.
+type cancelingSpace struct {
+	hw.DesignSpace
+	limit  int64
+	cancel context.CancelFunc
+	at     atomic.Int64
+}
+
+func (c *cancelingSpace) At(i int) hw.Point {
+	if c.at.Add(1) == c.limit {
+		c.cancel()
+	}
+	return c.DesignSpace.At(i)
+}
+
+// TestSearchCancelDuringEnding cancels in a search's ending: an uncancelled
+// run on the paper point list counts the space's At calls, the last of which
+// is the winner's materialization, and a rerun that cancels the context on
+// that call must return the context's error, not its winner — a run either
+// completes before its context is done or fails with its error, as a
+// sweep's does.
+func TestSearchCancelDuringEnding(t *testing.T) {
+	models := []*workload.Model{workload.NewAlexNet(), workload.NewResNet18()}
+	points := hw.PointList(hw.PaperSpace().Points())
+	budget := points.Len() * len(models) / 4
+	for _, kind := range []string{"anneal", "genetic"} {
+		spec, err := ParseSpec(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(ctx context.Context, space hw.DesignSpace) error {
+			opt, err := New(spec, Options{Seed: 7, Evaluator: eval.New(eval.Options{Workers: 2})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = opt.Run(ctx, models, space, dse.DefaultConstraints(), budget)
+			return err
+		}
+		count := &cancelingSpace{DesignSpace: points, cancel: func() {}}
+		if err := run(context.Background(), count); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		space := &cancelingSpace{DesignSpace: points, limit: count.at.Load(), cancel: cancel}
+		err = run(ctx, space)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: search cancelled on its winner's materialization returned %v, want context.Canceled", kind, err)
 		}
 	}
 }

@@ -141,15 +141,3 @@ func (m Model) temperature(sources []Source, i, gridW int) float64 {
 	}
 	return t
 }
-
-// MaxPowerDensity returns the uniform power density (W/mm^2) at which a die
-// of the given area reaches the junction limit with no neighbors — the
-// physical origin of the paper's PD_limit constraint.
-func (m Model) MaxPowerDensity(areaMM2, junctionLimitC float64) float64 {
-	if areaMM2 <= 0 || junctionLimitC <= m.AmbientC {
-		return 0
-	}
-	rth := m.RthCPerWCM2 / (areaMM2 / 100)
-	maxPower := (junctionLimitC - m.AmbientC) / rth
-	return maxPower / areaMM2
-}

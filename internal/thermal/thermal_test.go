@@ -76,32 +76,6 @@ func TestHotterNeighborsRaisePeak(t *testing.T) {
 	}
 }
 
-func TestMaxPowerDensity(t *testing.T) {
-	m := Default()
-	// The PD that drives a 50 mm^2 die to 105 C.
-	pd := m.MaxPowerDensity(50, 105)
-	if pd <= 0 {
-		t.Fatal("expected positive PD limit")
-	}
-	// Check consistency: running exactly at that PD reaches the limit.
-	power := pd * 50
-	ts, err := m.Temperatures([]Source{{PowerW: power, AreaMM2: 50, Slot: 0}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ts[0]-105) > 1e-6 {
-		t.Errorf("at PD limit the die reads %v C, want 105", ts[0])
-	}
-	// The paper's PD_limit of 0.8 W/mm^2 should be of the same order as the
-	// physical limit for its chiplet sizes at a 105 C budget.
-	if pd < 0.2 || pd > 5 {
-		t.Errorf("PD limit %v W/mm^2 implausible for datacenter cooling", pd)
-	}
-	if m.MaxPowerDensity(0, 105) != 0 || m.MaxPowerDensity(50, m.AmbientC) != 0 {
-		t.Error("degenerate inputs should give 0")
-	}
-}
-
 // TestTemperatureErrors: every invalid input fails Temperatures, and Peak
 // fails it with the same error text.
 func TestTemperatureErrors(t *testing.T) {

@@ -42,14 +42,3 @@ func DecodeStep(m *Model) *Model {
 	}
 	return d
 }
-
-// DecodeIntensity returns the arithmetic intensity collapse from prefill to
-// decode: the ratio of prefill MACs-per-weight to decode MACs-per-weight
-// (equal to the prefill token count for a pure decoder).
-func DecodeIntensity(m *Model) float64 {
-	dec := DecodeStep(m)
-	if dec.MACs() == 0 {
-		return 0
-	}
-	return float64(m.MACs()) / float64(dec.MACs())
-}

@@ -44,19 +44,6 @@ func TestDecodeStepGPT2Conv1D(t *testing.T) {
 	}
 }
 
-func TestDecodeIntensity(t *testing.T) {
-	// A decoder collapses by nearly its prefill token count (the LM head,
-	// already single-token, keeps the ratio a few percent under).
-	for _, m := range []*Model{NewLlama3_8B(), NewMixtral8x7B()} {
-		got := DecodeIntensity(m)
-		want := float64(m.SeqLen)
-		if got < 0.85*want || got > want {
-			t.Errorf("%s intensity collapse = %.1f, want within [%.0f, %.0f]",
-				m.Name, got, 0.85*want, want)
-		}
-	}
-}
-
 func TestDecodeLeavesCNNsAlone(t *testing.T) {
 	m := NewResNet18()
 	d := DecodeStep(m)

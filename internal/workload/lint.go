@@ -61,6 +61,3 @@ func Lint(m *Model) []LintWarning {
 	}
 	return out
 }
-
-// LintClean reports whether the model lints without warnings.
-func LintClean(m *Model) bool { return len(Lint(m)) == 0 }

@@ -34,9 +34,6 @@ func TestLintFlagsActivationShapeChange(t *testing.T) {
 	if len(ws) != 1 || !strings.Contains(ws[0].Message, "changes element count") {
 		t.Errorf("warnings = %v", ws)
 	}
-	if LintClean(m) {
-		t.Error("LintClean should be false")
-	}
 	if !strings.Contains(ws[0].String(), "layer 0") {
 		t.Errorf("warning string %q", ws[0])
 	}
