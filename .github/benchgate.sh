@@ -24,8 +24,11 @@
 # both runs of a round see the same host speed. The verdict rests on those
 # pairs: for each benchmark and unit the script takes each round's HEAD/base
 # ratio and exits 1 when the median ratio is more than MAX_REGRESS above 1,
-# or when either side lacks a benchmark. It prints both sides' medians, the
-# median ratio and the ratio's quartiles.
+# or when either side lacks a benchmark. The units are ns/op, allocs/op and,
+# where a benchmark reports it, table-bytes (the cost tables' storage per
+# op, exact like allocs/op). A table-bytes count the base lacks prints as
+# new and is not judged; one HEAD lacks fails the gate. It prints both
+# sides' medians, the median ratio and the ratio's quartiles.
 #
 # Because a benchmark the base commit lacks fails the gate, a new benchmark
 # joins BENCHES one commit after the one that adds it; CI's bench smoke runs
@@ -91,8 +94,8 @@ $1 ~ /^Benchmark/ {
 	sub(/-[0-9]+$/, "", name)
 	k = ++runs[side, name]
 	for (i = 3; i < NF; i++) {
-		if ($(i + 1) == "ns/op") val[side, name, "ns/op", k] = $i + 0
-		if ($(i + 1) == "allocs/op") val[side, name, "allocs/op", k] = $i + 0
+		unit = $(i + 1)
+		if (unit == "ns/op" || unit == "allocs/op" || unit == "table-bytes") val[side, name, unit, k] = $i + 0
 	}
 }
 END {
@@ -107,8 +110,11 @@ END {
 			fail = 1
 			continue
 		}
-		for (u = 1; u <= 2; u++) {
-			unit = (u == 1 ? "ns/op" : "allocs/op")
+		for (u = 1; u <= 3; u++) {
+			unit = (u == 1 ? "ns/op" : u == 2 ? "allocs/op" : "table-bytes")
+			inbase = (("base", name, unit, 1) in val)
+			inhead = (("head", name, unit, 1) in val)
+			if (!inbase && !inhead) continue
 			delete bv; delete hv; delete rv; delete bs; delete hs; delete rs
 			for (r = 1; r <= rounds; r++) {
 				bv[r] = val["base", name, unit, r]
@@ -118,6 +124,15 @@ END {
 			sorted(bv, rounds, bs)
 			sorted(hv, rounds, hs)
 			sorted(rv, rounds, rs)
+			if (!inbase) {
+				printf "%-30s %-10s %14s %14.0f %8s\n", name, unit, "-", rank(hs, rounds, 0.5), "new"
+				continue
+			}
+			if (!inhead) {
+				printf "benchgate: %s reports %s at base but not at HEAD\n", name, unit
+				fail = 1
+				continue
+			}
 			ratio = rank(rs, rounds, 0.5)
 			flag = ""
 			if (ratio > 1 + max) { flag = "  REGRESSED"; fail = 1 }

@@ -285,7 +285,7 @@ func BenchmarkExploreColdParallel(b *testing.B) {
 // training set through the streaming engine — the large-space mode whose
 // naive per-point summary matrix the chunked sweep never materializes. It
 // reports the sweep's unit cost, wall-clock nanoseconds per point·model,
-// and its held rows (reportHeld).
+// its held rows and its cost tables' bytes (reportHeld).
 func BenchmarkExploreStreamFine(b *testing.B) {
 	models := workload.TrainingSet()
 	fine := hw.FineSpace()
@@ -309,10 +309,13 @@ func BenchmarkExploreStreamFine(b *testing.B) {
 // (ExploreStats.MaxRetained, the rows held with index and area) and
 // band-rows (MaxBand, the bare latency rows of one-model staircases). On
 // one worker (-cpu 1) both are exact, so a change to how selection holds
-// rows shows up as a count, not only as time.
+// rows shows up as a count, not only as time. Beside them it reports
+// table-bytes (TableBytes, the sweep's cost-table storage), exact at any
+// worker count, so a change to the tables' layout shows up as a count too.
 func reportHeld(b *testing.B, stats dse.ExploreStats) {
 	b.ReportMetric(float64(stats.MaxRetained), "held-rows")
 	b.ReportMetric(float64(stats.MaxBand), "band-rows")
+	b.ReportMetric(float64(stats.TableBytes), "table-bytes")
 }
 
 // BenchmarkExploreStagedFine is BenchmarkExploreStreamFine with staged
@@ -423,7 +426,7 @@ func BenchmarkSearchFine(b *testing.B) {
 // 110528-point heterogeneous mixfine preset with AlexNet, ViT-base and
 // ResNet18 — the mix cost table's per-layer dispatch to the fastest chiplet
 // type — reporting the same unit cost in ns/point-model and the same held
-// rows.
+// rows and table bytes.
 func BenchmarkExploreStreamMixFine(b *testing.B) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}
 	mixfine, err := hw.FineMixSpec(nil).Build()

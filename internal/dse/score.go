@@ -27,8 +27,9 @@ type Scorer struct {
 	// plans holds each model's per-point kernel: its ppa.ModelPlan.
 	plans []summarizer
 	// tables holds one table per model, or is nil unless every model has
-	// one.
-	tables []*ppa.Table
+	// one; tableBytes is their storage (ppa.Table.Bytes), summed.
+	tables     []*ppa.Table
+	tableBytes int64
 }
 
 // summarizer is the per-point kernel a Scorer reads when its space has no
@@ -63,6 +64,9 @@ func NewScorer(ev *eval.Evaluator, models []*workload.Model, space hw.DesignSpac
 	})
 	if len(tables) > 0 && !slices.Contains(tables, nil) {
 		s.tables = tables
+		for _, t := range tables {
+			s.tableBytes += t.Bytes()
+		}
 	}
 	return s
 }

@@ -48,6 +48,11 @@ type ExploreStats struct {
 	// pre-streaming implementation allocated (32 bytes per ppa.Summary),
 	// also in int64 for the same reason.
 	NaiveBytes int64
+	// TableBytes is the storage of the sweep's cost tables (ppa.Table.Bytes
+	// summed over the models), counted once when its Scorer is built: 0 on
+	// a space without tables. It depends on neither the worker count nor
+	// the chunk size.
+	TableBytes int64
 	// WinnerAreaMM2 is the winner's selection area: its per-model areas
 	// summed in model order, the quantity selection minimizes.
 	WinnerAreaMM2 float64
@@ -696,7 +701,8 @@ func ExploreTargetsCtx(ctx context.Context, models []*workload.Model, targets []
 			chunk = 1
 		}
 	}
-	sw := newSweepState(ctx, NewScorer(ev, models, space, cons), targets)
+	sc := NewScorer(ev, models, space, cons)
+	sw := newSweepState(ctx, sc, targets)
 	shards := sw.scan(ev, chunk, o.Progress)
 	// A cancelled sweep has skipped chunks, so its shard state is partial and
 	// must not be merged into a result.
@@ -709,7 +715,7 @@ func ExploreTargetsCtx(ctx context.Context, models []*workload.Model, targets []
 	}
 	if o.Stats != nil && !slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
 		all := ExploreStats{Points: n, Models: len(models), Chunks: (n + chunk - 1) / chunk, ChunkSize: chunk,
-			NaiveBytes: naiveBytes(n, len(models))}
+			NaiveBytes: naiveBytes(n, len(models)), TableBytes: sc.tableBytes}
 		for t, st := range stats {
 			all.Shards = st.Shards
 			all.MaxRetained += st.MaxRetained

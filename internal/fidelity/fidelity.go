@@ -554,9 +554,15 @@ type Result struct {
 }
 
 // Eval re-scores one model's analytical evaluation on the package: Score over
-// its layer traffic and totals.
+// its layer traffic, read in place from its per-layer breakdown, and its
+// totals.
 func (p Params) Eval(pkg *Package, e *ppa.Eval) Result {
-	return p.Score(pkg, trafficOf(e), e.Summary)
+	var r Result
+	for i := 1; i < len(e.Layers); i++ {
+		p.link(&r, pkg, e.Layers[i-1].Unit, e.Layers[i].Unit, e.Layers[i-1].OutBytes)
+	}
+	p.finish(&r, pkg.Chiplets, &pkg.Floorplan, e.Summary, make([]thermal.Source, len(pkg.Chiplets)))
+	return r
 }
 
 // Score re-scores one model on the package from its layer traffic and its
@@ -584,20 +590,25 @@ func (p Params) Score(pkg *Package, traffic []ppa.LayerTraffic, s ppa.Summary) R
 func (p *Params) links(pkg *Package, traffic []ppa.LayerTraffic) Result {
 	var r Result
 	for i := 1; i < len(traffic); i++ {
-		bytes := traffic[i-1].OutBytes
-		src := pkg.host[traffic[i-1].Unit]
-		dst := pkg.host[traffic[i].Unit]
-		if src == dst {
-			hops := pkg.intraHops[src]
-			r.NoCLatencyS += p.NoC.TransferLatencyAvgS(bytes, hops)
-			r.NoCEnergyPJ += p.NoC.TransferEnergyAvgPJ(bytes, hops)
-		} else {
-			hops := pkg.Floorplan.Hops(src, dst)
-			r.NoPLatencyS += p.NoP.TransferLatencyS(bytes, hops)
-			r.NoPEnergyPJ += p.NoP.TransferEnergyPJ(bytes, hops)
-		}
+		p.link(&r, pkg, traffic[i-1].Unit, traffic[i].Unit, traffic[i-1].OutBytes)
 	}
 	return r
+}
+
+// link adds to r the transfer of one layer's output, bytes long, from the
+// chiplet hosting unit kind from to the one hosting the next layer's unit
+// kind to: over the NoC within a chiplet, over the NoP between two.
+func (p *Params) link(r *Result, pkg *Package, from, to hw.Unit, bytes int64) {
+	src, dst := pkg.host[from], pkg.host[to]
+	if src == dst {
+		hops := pkg.intraHops[src]
+		r.NoCLatencyS += p.NoC.TransferLatencyAvgS(bytes, hops)
+		r.NoCEnergyPJ += p.NoC.TransferEnergyAvgPJ(bytes, hops)
+		return
+	}
+	hops := pkg.Floorplan.Hops(src, dst)
+	r.NoPLatencyS += p.NoP.TransferLatencyS(bytes, hops)
+	r.NoPEnergyPJ += p.NoP.TransferEnergyPJ(bytes, hops)
 }
 
 // finish is Score's per-package half: it completes r, whose interconnect

@@ -204,14 +204,21 @@ func (s MixSpec) Build() (MixSpace, error) {
 	// Built spaces are kept (a served job holds its resolved space), so the
 	// coordinates are copied to their exact size.
 	coords = append([]uint16(nil), coords...)
-	return MixSpace{spec: s, cat: cat, mixes: mixes, index: index, coords: coords}, nil
+	return MixSpace{&mixSpace{spec: s, cat: cat, mixes: mixes, index: index, coords: coords}}, nil
 }
 
 // MixSpace is the built, lazily indexable heterogeneous design space:
 // Len = mixes x NActs x NPools, enumerated row-major with NPool fastest —
 // the same trailing-axis order as SpaceSpec, so streaming-sweep tie-breaks
-// behave identically across space kinds.
+// behave identically across space kinds. It holds its state behind one
+// pointer, so the value receivers a hw.CoordSpace call goes through copy
+// one word; only MixSpec.Build makes a usable one.
 type MixSpace struct {
+	*mixSpace
+}
+
+// mixSpace is a built MixSpace's state, immutable once built.
+type mixSpace struct {
 	spec  MixSpec
 	cat   *Catalogue
 	mixes []Mix

@@ -346,8 +346,9 @@ func TestBatchedEvaluationInvariants(t *testing.T) {
 // TestColdPlanBuildAllocs pins the cold-path allocation contract: building a
 // ModelPlan plus the fold tables for three distinct array dimensions costs a
 // fixed, layer-count-independent number of allocations (the SoA columns and
-// fold-table columns each share one backing array). Currently 12; the bound
-// leaves slack for runtime-version noise only.
+// fold-table columns each share one backing array, and numbering the shapes
+// takes two). Currently 13; the bound leaves slack for runtime-version noise
+// only.
 func TestColdPlanBuildAllocs(t *testing.T) {
 	for _, m := range allNetworks() {
 		m := m
